@@ -1,22 +1,26 @@
 """Minimal computer-algebra kernel: trees, parsing, printing, calculus,
 rule-based simplification, numeric evaluation and sampled zero tests."""
 
-from .calculus import EvalError, diff, eval_numeric, substitute
+from .calculus import (
+    EvalError, diff, eval_checked, eval_numeric, eval_on_grid, substitute,
+)
 from .nodes import (
     Add, Call, Const, Cos, Exp, Expr, Log, Mul, Neg, ONE, Pow, Sin, Sqrt,
     Var, ZERO, coerce, free_vars, neg, node_count, num, to_text,
 )
 from .parser import ParseError, parse
 from .sampling import (
-    ZeroSample, halton_point, is_zero_sampled, max_abs_sampled, sample_box,
+    ZeroSample, check_nonvanishing, columns, halton_point, is_zero_sampled,
+    max_abs_sampled, sample_box,
 )
 from .simplify import expand, simplify
 
 __all__ = [
     "Add", "Call", "Const", "Cos", "EvalError", "Exp", "Expr", "Log", "Mul",
     "Neg", "ONE", "ParseError", "Pow", "Sin", "Sqrt", "Var", "ZERO",
-    "ZeroSample", "coerce", "diff", "eval_numeric", "expand", "free_vars",
+    "ZeroSample", "check_nonvanishing", "coerce", "columns", "diff",
+    "eval_checked", "eval_numeric", "eval_on_grid", "expand", "free_vars",
     "halton_point", "is_zero_sampled", "max_abs_sampled", "neg",
-    "node_count", "num", "parse",
-    "sample_box", "simplify", "substitute", "to_text",
+    "node_count", "num", "parse", "sample_box", "simplify", "substitute",
+    "to_text",
 ]

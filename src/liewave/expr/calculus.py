@@ -1,12 +1,18 @@
-"""Symbolic differentiation, simultaneous substitution, numeric evaluation."""
+"""Symbolic differentiation, simultaneous substitution, and the one numeric
+evaluator behind eval_numeric, eval_checked and eval_on_grid."""
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from functools import reduce
+
+import numpy as np
 
 from .nodes import (
-    Add, Call, Const, Expr, Mul, Neg, Pow, Var, ZERO, coerce, to_text,
+    Add, Call, Const, Expr, FUNCTIONS, Mul, Neg, Pow, Var, ZERO, coerce,
+    to_text,
 )
 from .simplify import simplify
 
@@ -91,56 +97,85 @@ def _sub(e: Expr, table) -> Expr:
 
 
 def eval_numeric(e: Expr, bindings) -> float:
-    """IEEE-double evaluation under name -> float bindings.
-
-    Raises EvalError for unbound variables, math-domain violations
-    (log of a nonpositive, 0^negative, negative^noninteger, sqrt of a
-    negative) and non-finite intermediate results.
-    """
-    v = _ev(e, bindings)
+    """IEEE-double evaluation under name -> float bindings.  Raises
+    EvalError naming the first subtree, in evaluation order, undefined at
+    the point (unbound variable, log/sqrt/power domain violation, overflow),
+    or all of `e` when the result is otherwise non-finite."""
+    env = {name: float(value) for name, value in bindings.items()}
+    with np.errstate(all="ignore"):
+        v = float(_ev(e, env, _raise))
     if not math.isfinite(v):
         raise EvalError("non-finite result", e)
     return v
 
 
-def _ev(e: Expr, b) -> float:
+def eval_on_grid(e: Expr, bindings) -> np.ndarray:
+    """Lenient vectorized evaluation: bindings map names to arrays or
+    scalars (numpy broadcasting applies).  Domain violations surface as
+    non-finite entries, which callers must check."""
+    with np.errstate(all="ignore"):
+        return np.asarray(_ev(e, bindings, None), dtype=float)
+
+
+def eval_checked(e: Expr, bindings):
+    """Strict vectorized evaluation: (values, failed), both broadcast to the
+    bindings' common shape.  failed is True exactly at the points where
+    eval_numeric raises; values there are meaningless."""
+    failed = np.zeros(np.broadcast(*bindings.values()).shape, dtype=bool)
+
+    def note(mask, message, node):
+        np.logical_or(failed, mask, out=failed)
+
+    with np.errstate(all="ignore"):
+        try:
+            values = _ev(e, bindings, note)
+        except EvalError:  # an unbound variable fails at every point
+            values = np.nan
+    values = np.broadcast_to(values, failed.shape)
+    failed |= ~np.isfinite(values)
+    return values, failed
+
+
+def _raise(mask, message, node):
+    if mask:
+        raise EvalError(message, node)
+
+
+def _ev(e: Expr, env, fail):
+    """The tree walker behind every entry point.  Values are floats or
+    float arrays.  fail(mask, message, node) is told where a node is
+    undefined, in evaluation order; with fail None nothing is checked."""
     if isinstance(e, Const):
         return float(e.value)
     if isinstance(e, Var):
         try:
-            return float(b[e.name])
+            return env[e.name]
         except KeyError:
             raise EvalError(f"unbound variable {e.name!r}", e) from None
     if isinstance(e, Add):
-        out = 0.0
-        for t in e.terms:
-            out += _ev(t, b)
-        return out
+        return reduce(operator.add, [_ev(t, env, fail) for t in e.terms])
     if isinstance(e, Mul):
-        out = 1.0
-        for f in e.factors:
-            out *= _ev(f, b)
-        return out
+        return reduce(operator.mul, [_ev(f, env, fail) for f in e.factors])
     if isinstance(e, Neg):
-        return -_ev(e.child, b)
+        return -_ev(e.child, env, fail)
     if isinstance(e, Pow):
-        base = _ev(e.base, b)
-        expo = _ev(e.exponent, b)
-        if base == 0.0 and expo < 0:
-            raise EvalError("zero raised to a negative power", e)
-        try:
-            return math.pow(base, expo)
-        except (ValueError, OverflowError) as err:
-            raise EvalError(str(err), e) from None
+        base, expo = _ev(e.base, env, fail), _ev(e.exponent, env, fail)
+        v = np.power(base, expo)
+        if fail is not None:
+            finite = np.isfinite(base) & np.isfinite(expo)
+            fail((base == 0) & (expo < 0), "zero raised to a negative power", e)
+            fail(finite & (base < 0) & (expo != np.floor(expo)),
+                 "negative base raised to a non-integer power", e)
+            fail(finite & ~np.isfinite(v), "overflow", e)
+        return v
     if isinstance(e, Call):
-        arg = _ev(e.arg, b)
-        if e.fn == "log" and arg <= 0.0:
-            raise EvalError("log of a nonpositive value", e)
-        if e.fn == "sqrt" and arg < 0.0:
-            raise EvalError("sqrt of a negative value", e)
-        fn = getattr(math, e.fn)
-        try:
-            return fn(arg)
-        except (ValueError, OverflowError) as err:
-            raise EvalError(str(err), e) from None
+        arg = _ev(e.arg, env, fail)
+        v = FUNCTIONS[e.fn](arg)
+        if fail is not None:
+            if e.fn == "log":
+                fail(arg <= 0, "log of a nonpositive value", e)
+            elif e.fn == "sqrt":
+                fail(arg < 0, "sqrt of a negative value", e)
+            fail(np.isfinite(arg) & ~np.isfinite(v), "overflow", e)
+        return v
     raise TypeError(f"not an Expr: {e!r}")

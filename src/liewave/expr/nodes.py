@@ -13,9 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+import numpy as np
+
 NumberLike = Union[int, float, Fraction]
 
-FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
+# the grammar's functions with their one numeric meaning (evaluation, folding)
+FUNCTIONS = {fn: getattr(np, fn) for fn in ("exp", "log", "sin", "cos", "sqrt")}
 
 
 class Expr:
@@ -131,17 +134,18 @@ def num(x: NumberLike) -> Const:
     """Exact constant from a number; floats go through their shortest decimal.
 
     Keeps coefficient arithmetic exact even when parameters arrive as floats
-    (Fraction(str(0.1)) is 1/10, not the 2**-55 neighbour).
+    (Fraction(str(0.1)) is 1/10, not the 2**-55 neighbour).  Anything else
+    is malformed input: ValueError.
     """
     if isinstance(x, bool):
-        raise TypeError("bool is not a number here")
+        raise ValueError("bool is not a number here")
     if isinstance(x, (int, Fraction)):
         return Const(Fraction(x))
     if isinstance(x, float):
         if not math.isfinite(x):
             raise ValueError("parameter must be finite")
         return Const(Fraction(str(x)))
-    raise TypeError(f"expected a number, got {type(x).__name__}")
+    raise ValueError(f"expected a number, got {type(x).__name__}")
 
 
 def neg(e: Expr) -> Expr:

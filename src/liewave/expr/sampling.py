@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .calculus import EvalError, eval_numeric
+import numpy as np
+
+from .calculus import EvalError, eval_checked, eval_numeric
 from .nodes import Add, Expr
 from .simplify import simplify
 
@@ -69,16 +71,36 @@ class ZeroSample:
         return self.passed
 
 
+def columns(points):
+    """A list of name -> float points as name -> array columns."""
+    return {k: np.array([p[k] for p in points]) for k in points[0]}
+
+
 def max_abs_sampled(e: Expr, box, *, n: int = 100, seed: int = 0):
     """Plain max |e| over a sampled cloud; returns (max, argmax point).
     Evaluation errors propagate (use is_zero_sampled for tolerant checks)."""
-    best = -1.0
-    where = {}
-    for p in sample_box(box, n, seed):
-        v = abs(eval_numeric(e, p))
-        if v > best:
-            best, where = v, dict(p)
-    return best, where
+    points = sample_box(box, n, seed)
+    values, failed = eval_checked(e, columns(points))
+    if failed.any():
+        eval_numeric(e, points[int(np.argmax(failed))])  # raises there
+    mags = np.abs(values)
+    i = int(np.argmax(mags))
+    return float(mags[i]), dict(points[i])
+
+
+def check_nonvanishing(e: Expr, box, what: str, *, n: int = 100,
+                       seed: int = 0):
+    """Raise ValueError at the first sampled point where |e| < 1e-12, or
+    eval_numeric's EvalError should e be undefined there first."""
+    points = sample_box(box, n, seed)
+    values, failed = eval_checked(e, columns(points))
+    hit = failed | (np.abs(values) < 1e-12)
+    if hit.any():
+        i = int(np.argmax(hit))
+        if failed[i]:
+            eval_numeric(e, points[i])  # raises there
+        where = ", ".join(f"{k} = {v:.6g}" for k, v in points[i].items())
+        raise ValueError(f"{what} vanishes near {where}")
 
 
 def is_zero_sampled(e: Expr, box, *, n: int = 100, tol: float = 1e-9,
@@ -86,7 +108,8 @@ def is_zero_sampled(e: Expr, box, *, n: int = 100, tol: float = 1e-9,
     """Decide whether `e` vanishes identically on the box, by sampling.
 
     A math-domain error at a sample point counts as a failure and is
-    reported through the witness.
+    reported through the witness: the first point, in cloud order, at
+    which eval_numeric raises.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -94,18 +117,27 @@ def is_zero_sampled(e: Expr, box, *, n: int = 100, tol: float = 1e-9,
         if not hi > lo:
             raise ValueError(f"degenerate box interval for {name!r}")
     canon = simplify(e)
-    terms = list(canon.terms) if isinstance(canon, Add) else [canon]
+    terms = canon.terms if isinstance(canon, Add) else (canon,)
     points = sample_box(box, n, seed) + sample_box(box, 2 * n, seed + _SECOND_PASS_SHIFT)
-    max_residual = -1.0
-    witness = {}
-    witness_value = 0.0
-    for p in points:
+    cols = columns(points)
+    # each term once: value = their left-to-right sum, as canon evaluates
+    value, failed = eval_checked(terms[0], cols)
+    scale = np.abs(value)
+    for t in terms[1:]:
+        v, f = eval_checked(t, cols)
+        value = value + v
+        scale = np.maximum(scale, np.abs(v))
+        failed = failed | f
+    failed |= ~np.isfinite(value)
+    if failed.any():
+        p = points[int(np.argmax(failed))]
         try:
-            value = abs(eval_numeric(canon, p))
-            scale = max(abs(eval_numeric(t, p)) for t in terms)
+            eval_numeric(canon, p)
         except EvalError as err:
             return ZeroSample(False, float("inf"), dict(p), float("nan"), str(err))
-        residual = value / max(1.0, scale)
-        if residual > max_residual:
-            max_residual, witness, witness_value = residual, dict(p), value
-    return ZeroSample(max_residual <= tol, max_residual, witness, witness_value)
+    magnitude = np.abs(value)
+    residual = magnitude / np.maximum(1.0, scale)
+    i = int(np.argmax(residual))
+    max_residual = float(residual[i])
+    return ZeroSample(max_residual <= tol, max_residual, dict(points[i]),
+                      float(magnitude[i]))

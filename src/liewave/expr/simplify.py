@@ -17,12 +17,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .nodes import (
-    Add, Call, Const, Expr, Mul, Neg, ONE, Pow, Var, ZERO, sort_key,
-)
+import numpy as np
 
-_MATH_FN = {"exp": math.exp, "log": math.log, "sin": math.sin,
-            "cos": math.cos, "sqrt": math.sqrt}
+from .nodes import (
+    Add, Call, Const, Expr, FUNCTIONS, Mul, Neg, ONE, Pow, Var, ZERO, sort_key,
+)
 
 
 def simplify(e: Expr) -> Expr:
@@ -289,10 +288,8 @@ def _call(fn: str, arg: Expr) -> Expr:
             if hit is not None:
                 return hit
         else:
-            try:
-                v = _MATH_FN[fn](arg.value)
-            except (ValueError, OverflowError):
-                return Call(fn, arg)
+            with np.errstate(all="ignore"):
+                v = float(FUNCTIONS[fn](arg.value))
             if math.isfinite(v):
                 return Const(v)
     return Call(fn, arg)

@@ -16,11 +16,10 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import Expr, diff, free_vars, simplify, substitute, to_text
+from .expr import Expr, eval_on_grid, free_vars, simplify, substitute, to_text
 from .symmetry import PdeSpec, _as_expr, _load_json
 
 _UPWIND_A_THRESHOLD = 1e-14
-_STABILITY_SAFETY = 1.0  # preconditions are exact bounds, not padded
 
 
 class StabilityError(ValueError):
@@ -104,48 +103,6 @@ class Field:
             raise ValueError("field contains non-finite values")
 
 
-def eval_on_grid(e: Expr, bindings) -> np.ndarray:
-    """Vectorized twin of eval_numeric: bindings map names to arrays or
-    scalars (numpy broadcasting applies).  Domain violations surface as
-    non-finite entries, which callers must check."""
-    from .expr.nodes import Add, Call, Const, Mul, Neg, Pow, Var
-
-    def ev(node):
-        if isinstance(node, Const):
-            return float(node.value)
-        if isinstance(node, Var):
-            if node.name not in bindings:
-                raise KeyError(f"unbound variable {node.name!r}")
-            return bindings[node.name]
-        if isinstance(node, Add):
-            out = ev(node.terms[0])
-            for t in node.terms[1:]:
-                out = out + ev(t)
-            return out
-        if isinstance(node, Mul):
-            out = ev(node.factors[0])
-            for f in node.factors[1:]:
-                out = out * ev(f)
-            return out
-        if isinstance(node, Neg):
-            return -ev(node.child)
-        if isinstance(node, Pow):
-            return _np_pow(ev(node.base), ev(node.exponent))
-        if isinstance(node, Call):
-            return getattr(np, node.fn)(ev(node.arg))
-        raise TypeError(f"not an Expr: {node!r}")
-
-    with np.errstate(all="ignore"):
-        return np.asarray(ev(e), dtype=float)
-
-
-def _np_pow(base, expo):
-    if np.isscalar(expo) and float(expo) == round(float(expo)):
-        return np.power(base, int(round(float(expo))), dtype=float) \
-            if isinstance(base, np.ndarray) else float(base) ** int(round(float(expo)))
-    return np.power(base, expo)
-
-
 @dataclass(frozen=True)
 class GridResidual:
     max_abs: float
@@ -159,22 +116,16 @@ def residual_on_grid(p: PdeSpec, u: Expr, g: Grid1D) -> GridResidual:
     extra = free_vars(u) - {"x", "t"}
     if extra:
         raise ValueError(f"u may only use x and t, found {sorted(extra)}")
-    u_t = diff(u, "t")
-    u_x = diff(u, "x")
-    u_2x = diff(u_x, "x")
-    res = simplify(u_t - p.A * u_2x - p.B * u_x - p.C * u)
-    xs = g.xs()[1:-1]
-    best = GridResidual(-1.0, math.nan, math.nan)
-    for t in g.ts():
-        vals = np.broadcast_to(eval_on_grid(res, {"x": xs, "t": t}), xs.shape)
-        if not np.isfinite(vals).all():
-            i = int(np.flatnonzero(~np.isfinite(vals))[0])
-            raise ValueError(f"residual evaluation failed at x = {xs[i]:.6g}, "
-                             f"t = {t:.6g}")
-        i = int(np.argmax(np.abs(vals)))
-        if abs(vals[i]) > best.max_abs:
-            best = GridResidual(float(abs(vals[i])), float(xs[i]), float(t))
-    return best
+    res = p.residual(u)
+    xs, ts = g.xs()[1:-1], g.ts()
+    vals = np.abs(np.broadcast_to(eval_on_grid(res, {"x": xs, "t": ts[:, None]}),
+                                  (len(ts), len(xs))))
+    if not np.isfinite(vals).all():
+        j, i = np.unravel_index(np.flatnonzero(~np.isfinite(vals))[0], vals.shape)
+        raise ValueError(f"residual evaluation failed at x = {xs[i]:.6g}, "
+                         f"t = {ts[j]:.6g}")
+    j, i = np.unravel_index(np.argmax(vals), vals.shape)
+    return GridResidual(float(vals[j, i]), float(xs[i]), float(ts[j]))
 
 
 def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D) -> Field:
@@ -194,23 +145,21 @@ def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D) -> Field:
     max_b = _grid_max_abs(p.B, xs, t_probe)
     advective = max_a < _UPWIND_A_THRESHOLD
     if not advective:
-        dt_req = _STABILITY_SAFETY * dx * dx / (2.0 * max_a)
+        dt_req = dx * dx / (2.0 * max_a)
         if dt > dt_req:
             raise StabilityError(dt, dt_req)
     elif max_b > 0:
-        dt_req = _STABILITY_SAFETY * dx / max_b
+        dt_req = dx / max_b
         if dt > dt_req:
             raise StabilityError(dt, dt_req)
 
-    a_static = "t" not in free_vars(p.A)
-    b_static = "t" not in free_vars(p.B)
-    c_static = "t" not in free_vars(p.C)
     xi = xs[1:-1]
-    a_vals = eval_on_grid(p.A, {"x": xi, "t": ts[0]}) if a_static else None
-    b_vals = eval_on_grid(p.B, {"x": xi, "t": ts[0]}) if b_static else None
-    c_vals = eval_on_grid(p.C, {"x": xi, "t": ts[0]}) if c_static else None
+    # coefficients free of t are evaluated once, the others at every step
+    coeffs = [c if "t" in free_vars(c) else eval_on_grid(c, {"x": xi})
+              for c in (p.A, p.B, p.C)]
 
     values = np.empty((g.nx, g.nt + 1))
+    values[[0, -1], :] = eval_on_grid(bc, {"x": xs[[0, -1], None], "t": ts})
     values[:, 0] = eval_on_grid(ic, {"x": xs})
     if not np.isfinite(values[:, 0]).all():
         raise ValueError("initial condition evaluated to non-finite values")
@@ -218,9 +167,8 @@ def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D) -> Field:
         for n in range(g.nt):
             t = ts[n]
             u = values[:, n]
-            A = a_vals if a_static else eval_on_grid(p.A, {"x": xi, "t": t})
-            B = b_vals if b_static else eval_on_grid(p.B, {"x": xi, "t": t})
-            C = c_vals if c_static else eval_on_grid(p.C, {"x": xi, "t": t})
+            A, B, C = (eval_on_grid(c, {"x": xi, "t": t})
+                       if isinstance(c, Expr) else c for c in coeffs)
             u_2x = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
             if advective:
                 forward = (u[2:] - u[1:-1]) / dx
@@ -230,8 +178,6 @@ def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D) -> Field:
                 u_x = (u[2:] - u[:-2]) / (2.0 * dx)
             values[1:-1, n + 1] = u[1:-1] + dt * (A * u_2x + B * u_x
                                                   + C * u[1:-1])
-            values[0, n + 1] = float(eval_on_grid(bc, {"x": xs[0], "t": ts[n + 1]}))
-            values[-1, n + 1] = float(eval_on_grid(bc, {"x": xs[-1], "t": ts[n + 1]}))
             if not np.isfinite(values[:, n + 1]).all():
                 raise BlowupError(n + 1, float(ts[n + 1]))
     return Field(values, g)

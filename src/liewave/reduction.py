@@ -14,11 +14,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .expr import (
-    Exp, Expr, Var, diff, eval_numeric, expand, free_vars, is_zero_sampled,
-    num, sample_box, simplify, to_text,
+    Exp, Expr, Var, check_nonvanishing, columns, diff, eval_checked,
+    eval_numeric, expand, free_vars, is_zero_sampled, num, sample_box,
+    simplify, to_text,
 )
-from .expr.calculus import EvalError
 from .symmetry import Domain, Generator, PdeSpec, _as_expr, _load_json
 
 PHI0 = Var("Phi0")
@@ -74,15 +76,9 @@ class SeparableAnsatz:
     def validate_on(self, domain: Domain, *, n: int = 100, seed: int = 0):
         """Reject the ansatz if P' vanishes on the x-interval or phi on the
         t-interval (both checked by sampling)."""
-        Pp = diff(self.P, "x")
-        for p in sample_box({"x": domain.x}, n, seed):
-            v = eval_numeric(Pp, p)
-            if abs(v) < 1e-12:
-                raise ValueError(f"dP/dx vanishes near x = {p['x']:.6g}")
-        for p in sample_box({"t": domain.t}, n, seed):
-            v = eval_numeric(self.phi, p)
-            if abs(v) < 1e-12:
-                raise ValueError(f"phi vanishes near t = {p['t']:.6g}")
+        check_nonvanishing(diff(self.P, "x"), {"x": domain.x}, "dP/dx", n=n,
+                           seed=seed)
+        check_nonvanishing(self.phi, {"t": domain.t}, "phi", n=n, seed=seed)
 
     def to_dict(self):
         return {"phi": to_text(self.phi), "P": to_text(self.P),
@@ -122,12 +118,11 @@ def generator_annihilation_check(a: SeparableAnsatz, domain: Domain, *,
 
 @dataclass(frozen=True)
 class ReductionResult:
-    """Raw reduction output: similarity variable, second invariant, and the
+    """Raw reduction output: similarity variable and the
     (x,t)-coefficients of Phi'', Phi', Phi in
     A u_2x + B u_x + C u - u_t after the substitution."""
 
     z_expr: Expr
-    i2_expr: Expr
     c2: Expr
     c1: Expr
     c0: Expr
@@ -161,8 +156,7 @@ def similarity_reduce(p: PdeSpec, a: SeparableAnsatz) -> ReductionResult:
     check = expand(omega - (c2 * PHI2 + c1 * PHI1 + c0 * PHI0))
     if free_vars(check) & {"Phi0", "Phi1", "Phi2"}:
         raise RuntimeError("reduction output is not linear in Phi jets")
-    return ReductionResult(z, simplify(Var("u") * Exp(-(num(a.v) * a.R))),
-                           c2, c1, c0)
+    return ReductionResult(z, c2, c1, c0)
 
 
 @dataclass(frozen=True)
@@ -195,16 +189,13 @@ def classify_target(r: ReductionResult, domain: Domain, *, n: int = 100,
 
 def _constant_ratio(numer: Expr, denom: Expr, box, *, n: int, tol: float,
                     seed: int):
-    """Sampled value of numer/denom if constant over the box, else None."""
-    values = []
-    for pt in sample_box(box, n, seed):
-        try:
-            den = eval_numeric(denom, pt)
-            if abs(den) < 1e-12:
-                continue
-            values.append(eval_numeric(numer, pt) / den)
-        except EvalError:
-            continue
+    """Sampled value of numer/denom if constant over the box, else None;
+    points where either is undefined, or denom is near zero, are skipped."""
+    cols = columns(sample_box(box, n, seed))
+    num_v, num_failed = eval_checked(numer, cols)
+    den_v, den_failed = eval_checked(denom, cols)
+    keep = ~num_failed & ~den_failed & (np.abs(den_v) >= 1e-12)
+    values = (num_v[keep] / den_v[keep]).tolist()
     if len(values) < max(10, n // 4):
         return None
     lo, hi = min(values), max(values)

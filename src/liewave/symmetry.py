@@ -80,6 +80,12 @@ class PdeSpec:
                     f"coefficient {name} has free variables {sorted(extra)}; "
                     "only x and t are allowed (substitute params first)")
 
+    def residual(self, u: Expr) -> Expr:
+        """u_t - A u_2x - B u_x - C u: zero exactly when u solves the PDE."""
+        u_x = diff(u, "x")
+        return simplify(diff(u, "t") - self.A * diff(u_x, "x") - self.B * u_x
+                        - self.C * u)
+
     def rhs_jet(self) -> Expr:
         """A*u_2x + B*u_x + C*u, the elimination target for u_t."""
         return simplify(self.A * U_2X + self.B * U_X + self.C * U)
@@ -132,11 +138,6 @@ class Generator:
             if bad:
                 raise ValueError(
                     f"{name} must depend on x and t only, found {sorted(bad)}")
-
-    def __add__(self, other: "Generator") -> "Generator":
-        return Generator(simplify(self.phi + other.phi),
-                         simplify(self.xi + other.xi),
-                         simplify(self.M + other.M))
 
     def to_dict(self):
         return {"phi": to_text(self.phi), "xi": to_text(self.xi),

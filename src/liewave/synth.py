@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from .expr import (
-    Cos, Exp, Expr, Sin, Var, diff, eval_numeric, free_vars,
-    is_zero_sampled, num, parse, sample_box, simplify, substitute,
+    Cos, Exp, Expr, Sin, Var, check_nonvanishing, diff, eval_numeric,
+    free_vars, is_zero_sampled, num, parse, simplify, substitute,
 )
 from .reduction import SeparableAnsatz
 from .symmetry import (
@@ -38,13 +38,6 @@ def _check_profile_vars(e: Expr, allowed: str, what: str):
     bad = free_vars(e) - {allowed}
     if bad:
         raise ValueError(f"{what} may only use {allowed!r}, found {sorted(bad)}")
-
-
-def _check_nonvanishing(e: Expr, box, what: str, *, n: int = 100, seed: int = 0):
-    for p in sample_box(box, n, seed):
-        if abs(eval_numeric(e, p)) < 1e-12:
-            where = ", ".join(f"{k} = {v:.6g}" for k, v in p.items())
-            raise ValueError(f"{what} vanishes near {where}")
 
 
 @dataclass(frozen=True)
@@ -75,7 +68,7 @@ class WaveFamilyInput:
         _check_profile_vars(self.P, "x", "P")
         _check_profile_vars(self.R, "x", "R")
         _check_profile_vars(self.F, "s", "F")
-        _check_nonvanishing(diff(self.P, "x"), {"x": self.domain.x}, "dP/dx")
+        check_nonvanishing(diff(self.P, "x"), {"x": self.domain.x}, "dP/dx")
 
     def ansatz(self) -> SeparableAnsatz:
         return SeparableAnsatz(parse("1"), self.P, self.R, self.q, self.v)
@@ -175,7 +168,7 @@ class OscFamilyInput:
             raise ValueError("k must be positive")
         _check_profile_vars(self.P, "x", "P")
         _check_profile_vars(self.R, "x", "R")
-        _check_nonvanishing(diff(self.P, "x"), {"x": self.domain.x}, "dP/dx")
+        check_nonvanishing(diff(self.P, "x"), {"x": self.domain.x}, "dP/dx")
 
     def ansatz(self, phi="1") -> SeparableAnsatz:
         return SeparableAnsatz(_as_expr(phi), self.P, self.R, self.q, self.v)

@@ -98,6 +98,20 @@ def test_check_solution_flag(tmp_path):
                  "--solution", "exp(x + t)"]) == 1
 
 
+def test_check_solution_undefined_on_domain_fails(tmp_path):
+    # differentiation removes the log from the residual; sampling the closed
+    # form itself catches it
+    pde = write(tmp_path, "pde.json", HEAT)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "check", pde,
+                 "--solution", "log(x - 2)"]) == 1
+    check = read_report(out)["checks"][0]
+    assert check["status"] == "FAIL"
+    assert check["max_residual"] == float("inf")
+    assert set(check["witness"]) == {"x", "t"}
+    assert check["note"] == "log of a nonpositive value in log(-2 + x)"
+
+
 def test_check_requires_something(tmp_path):
     pde = write(tmp_path, "pde.json", HEAT)
     assert main(["--out", str(tmp_path / "out"), "check", pde]) == 2
@@ -181,6 +195,19 @@ def test_malformed_json_is_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["--out", str(tmp_path / "out"), "synth", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("payload", [
+    dict(HEAT, C=None),
+    dict(HEAT, A="q", params={"q": "fast"}),
+])
+def test_malformed_coefficient_or_param_is_exit_2(tmp_path, capsys, payload):
+    pde = write(tmp_path, "pde.json", payload)
+    gen = write(tmp_path, "gen.json", {"phi": "0", "xi": "0", "M": "0"})
+    assert main(["--out", str(tmp_path / "out"), "check", pde,
+                 "--gen", gen]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: expected ") and err.count("\n") == 1
 
 
 def test_missing_file_is_exit_2(tmp_path):

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from liewave.expr import (
     Add, Call, Const, EvalError, Exp, Mul, Neg, ParseError, Pow, Sin,
-    Var, diff, eval_numeric, expand, free_vars, is_zero_sampled, num, parse,
-    sample_box, simplify, substitute, to_text,
+    Var, ZeroSample, diff, eval_numeric, expand, free_vars, is_zero_sampled,
+    max_abs_sampled, num, parse, sample_box, simplify, substitute, to_text,
 )
+from liewave.expr.sampling import _SECOND_PASS_SHIFT
 
 from conftest import CORPUS
 
@@ -321,6 +322,57 @@ def test_zero_sampled_determinism():
     a = is_zero_sampled(e, {"x": (0, 1)}, seed=7)
     b = is_zero_sampled(e, {"x": (0, 1)}, seed=7)
     assert a == b
+
+
+def _reference_zero_test(e, box, n, tol, seed):
+    """is_zero_sampled written as a loop over eval_numeric, point by point."""
+    canon = simplify(e)
+    terms = canon.terms if isinstance(canon, Add) else (canon,)
+    points = (sample_box(box, n, seed)
+              + sample_box(box, 2 * n, seed + _SECOND_PASS_SHIFT))
+    best, witness, witness_value = -1.0, {}, 0.0
+    for p in points:
+        try:
+            value = abs(eval_numeric(canon, p))
+            scale = max(abs(eval_numeric(t, p)) for t in terms)
+        except EvalError as err:
+            return ZeroSample(False, math.inf, p, math.nan, str(err))
+        if value / max(1.0, scale) > best:
+            best, witness, witness_value = value / max(1.0, scale), p, value
+    return ZeroSample(best <= tol, best, witness, witness_value)
+
+
+def _reference_max_abs(e, box, n, seed):
+    best, where = -1.0, {}
+    for p in sample_box(box, n, seed):
+        v = abs(eval_numeric(e, p))
+        if v > best:
+            best, where = v, p
+    return best, where
+
+
+@pytest.mark.parametrize("text,box", CORPUS + [
+    ("log(x)", {"x": (-1.0, 1.0)}),
+    ("sqrt(x - 0.5)", {"x": (0.0, 1.0)}),
+    ("x^-1", {"x": (-1.0, 1.0)}),
+    # the seed-3 cloud starts at x = 0, a pole the value hides: exp(-inf) = 0
+    ("exp(-(x^-2))", {"x": (-0.25, 1.75)}),
+])
+def test_cloud_evaluation_matches_pointwise_reference(text, box):
+    # the whole-cloud zero test must agree with the per-point scalar path:
+    # residual, witness and, for domain failures, the point and the message
+    e = parse(text)
+    got = is_zero_sampled(e, box, n=40, tol=1e-9, seed=3)
+    # repr compares every field exactly, a nan witness value included
+    assert repr(got) == repr(_reference_zero_test(e, box, 40, 1e-9, 3))
+    try:
+        expected = _reference_max_abs(e, box, 40, 3)
+    except EvalError as err:
+        with pytest.raises(EvalError) as raised:
+            max_abs_sampled(e, box, n=40, seed=3)
+        assert str(raised.value) == str(err)
+    else:
+        assert max_abs_sampled(e, box, n=40, seed=3) == expected
 
 
 def test_sample_box_is_deterministic_and_inside():

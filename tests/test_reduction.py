@@ -138,13 +138,13 @@ def test_reduce_rejects_degenerate_profile():
 # ---------------------------------------------------------- classification
 
 def test_classify_wave_shape(unit_domain):
-    r = ReductionResult(parse("exp(x - t)"), Var("u"),
+    r = ReductionResult(parse("exp(x - t)"),
                         parse("exp(x - t)^2"), parse("0"), parse("0"))
     assert classify_target(r, unit_domain) == Classification(WAVE)
 
 
 def test_classify_oscillator_with_frequency(unit_domain):
-    r = ReductionResult(parse("exp(x - t)"), Var("u"),
+    r = ReductionResult(parse("exp(x - t)"),
                         parse("1"), parse("0"), parse("4"))
     got = classify_target(r, unit_domain)
     assert got.kind == OSCILLATOR
@@ -152,19 +152,19 @@ def test_classify_oscillator_with_frequency(unit_domain):
 
 
 def test_classify_identity(unit_domain):
-    r = ReductionResult(parse("exp(x - t)"), Var("u"),
+    r = ReductionResult(parse("exp(x - t)"),
                         parse("0"), parse("0"), parse("0"))
     assert classify_target(r, unit_domain) == Classification(IDENTITY)
 
 
 def test_classify_other_on_negative_ratio(unit_domain):
-    r = ReductionResult(parse("exp(x - t)"), Var("u"),
+    r = ReductionResult(parse("exp(x - t)"),
                         parse("1"), parse("0"), parse("-4"))
     assert classify_target(r, unit_domain).kind == OTHER
 
 
 def test_classify_other_on_varying_ratio(unit_domain):
-    r = ReductionResult(parse("exp(x - t)"), Var("u"),
+    r = ReductionResult(parse("exp(x - t)"),
                         parse("1"), parse("0"), parse("x + 1"))
     assert classify_target(r, unit_domain).kind == OTHER
 
@@ -179,7 +179,7 @@ def test_z_closure_heat(unit_domain):
 
 def test_z_closure_flags_non_invariant_coefficients(unit_domain):
     # c1/c2 depends on x alone, not on z: closure must fail
-    r = ReductionResult(parse("exp(x - t)"), Var("u"),
+    r = ReductionResult(parse("exp(x - t)"),
                         parse("1"), parse("x"), parse("0"))
     assert not check_z_closure(r, unit_domain, n=20)
 

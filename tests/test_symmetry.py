@@ -147,7 +147,8 @@ def test_determining_additive_in_generator(heat, unit_domain, rng):
     # the determining system is linear in (phi, xi, M)
     g1 = Generator("2*t", "x", "x*t")
     g2 = Generator("t^2 - 1", "x^2 + t", "x + 3")
-    combined = determining_residuals(heat, g1 + g2)
+    g12 = Generator("2*t + t^2 - 1", "x + x^2 + t", "x*t + x + 3")
+    combined = determining_residuals(heat, g12)
     separate = [simplify(a + b) for a, b in
                 zip(determining_residuals(heat, g1),
                     determining_residuals(heat, g2))]
