@@ -22,8 +22,7 @@ import numpy as np
 
 from . import numverify, reduction, symmetry, synth
 from .expr import (
-    EvalError, ParseError, ZeroSample, is_zero_sampled, parse, simplify,
-    substitute, to_text,
+    ZeroSample, is_zero_sampled, parse, simplify, substitute, to_text,
 )
 
 EXIT_OK = 0
@@ -101,6 +100,17 @@ def _write_report(report: RunReport, args):
         status = "PASS" if c.passed else "FAIL"
         print(f"[{status}] {c.name}: max residual {c.max_residual:.3e}")
     print(f"wall time: {report.wall_time_s:.2f}s", file=sys.stderr)
+
+
+def _finish(args, command: list, checks: list, extra: dict, t0: float,
+            inputs=()) -> int:
+    """Write the report of `args.cmd` on the files `command` (digested with
+    `inputs`); exit 0 when every check passed, 1 otherwise."""
+    report = RunReport([args.cmd, *command],
+                       {p: _digest(p) for p in (*command, *inputs)},
+                       checks, extra, time.monotonic() - t0)
+    _write_report(report, args)
+    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
 def _float_fmt(v: float) -> str:
@@ -207,11 +217,7 @@ def cmd_synth(args) -> int:
 
     _write_json(pde.to_dict(), out / "pde.json")
     _write_json(gen.to_dict(), out / "gen.json")
-    report = RunReport([args.cmd, args.family_json],
-                       {args.family_json: _digest(args.family_json)},
-                       checks, extra, time.monotonic() - t0)
-    _write_report(report, args)
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
+    return _finish(args, [args.family_json], checks, extra, t0)
 
 
 def _solution_check(pde, u, tol: float, opts) -> Check:
@@ -227,14 +233,12 @@ def _solution_check(pde, u, tol: float, opts) -> Check:
 def cmd_check(args) -> int:
     t0 = time.monotonic()
     pde = symmetry.load_pde(args.pde_json)
-    inputs = {args.pde_json: _digest(args.pde_json)}
     checks = []
     opts = dict(n=args.samples, seed=args.seed)
     if not args.gen and not args.solution:
         raise ValueError("nothing to check: pass --gen and/or --solution")
     if args.gen:
         gen = symmetry.load_generator(args.gen)
-        inputs[args.gen] = _digest(args.gen)
         for name, zs in zip(("determining_A", "determining_B", "determining_C"),
                             symmetry.symmetry_check(pde, gen, tol=args.tol_sym,
                                                     **opts)):
@@ -242,10 +246,8 @@ def cmd_check(args) -> int:
     if args.solution:
         checks.append(_solution_check(pde, parse(args.solution), args.tol_sol,
                                       opts))
-    report = RunReport([args.cmd, args.pde_json], inputs, checks, {},
-                       time.monotonic() - t0)
-    _write_report(report, args)
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
+    return _finish(args, [args.pde_json], checks, {}, t0,
+                   inputs=[args.gen] if args.gen else [])
 
 
 def cmd_reduce(args) -> int:
@@ -260,14 +262,10 @@ def cmd_reduce(args) -> int:
     if cls.k is not None:
         payload["k"] = cls.k
     _write_json(payload, Path(args.out) / "reduction.json")
-    report = RunReport([args.cmd, args.pde_json, args.ansatz_json],
-                       {args.pde_json: _digest(args.pde_json),
-                        args.ansatz_json: _digest(args.ansatz_json)},
-                       [], {"classification": str(cls)},
-                       time.monotonic() - t0)
-    _write_report(report, args)
+    code = _finish(args, [args.pde_json, args.ansatz_json], [],
+                   {"classification": str(cls)}, t0)
     print(f"classification: {cls}")
-    return EXIT_OK
+    return code
 
 
 def cmd_solve(args) -> int:
@@ -280,7 +278,13 @@ def cmd_solve(args) -> int:
         nt = _auto_nt(pde, dom, args.nx)
     grid = numverify.Grid1D(dom.x[0], dom.x[1], args.nx, dom.t[0], dom.t[1], nt)
     ic = simplify(substitute(closed, {"t": dom.t[0]}))
-    fld = numverify.fd_solve(pde, ic, closed, grid)
+    try:
+        fld = numverify.fd_solve(pde, ic, closed, grid)
+        levels = (numverify.convergence_order(pde, closed, grid, args.levels)
+                  if args.levels >= 3 else None)
+    except numverify.BlowupError as err:  # well-formed input: a FAIL check
+        return _finish(args, [args.pde_json], [Check(
+            "time_stepping", False, math.inf, note=str(err))], {}, t0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_solution_csv(out / "solution.csv", fld, closed)
@@ -288,33 +292,24 @@ def cmd_solve(args) -> int:
     err = float(np.max(np.abs(fld.values[:, -1] - ref)))
     extra = {"grid": {"nx": grid.nx, "nt": grid.nt},
              "final_time_error": err}
-    if args.levels >= 3:
-        levels = numverify.convergence_order(pde, closed, grid, args.levels)
+    if levels is not None:
         extra["convergence"] = [
             {"dx": lv.dx, "error": lv.error,
              "order": lv.order if lv.order is not None else "undefined"}
             for lv in levels]
-    report = RunReport([args.cmd, args.pde_json],
-                       {args.pde_json: _digest(args.pde_json)},
-                       [], extra, time.monotonic() - t0)
-    _write_report(report, args)
+    code = _finish(args, [args.pde_json], [], extra, t0)
     print(f"final-time L_inf error: {err:.3e}")
-    return EXIT_OK
+    return code
 
 
 def _auto_nt(pde, dom, nx: int) -> int:
-    dx = (dom.x[1] - dom.x[0]) / (nx - 1)
     span = dom.t[1] - dom.t[0]
-    xs = np.linspace(dom.x[0], dom.x[1], nx)
-    ts = np.linspace(dom.t[0], dom.t[1], 16)
-    max_a = numverify._grid_max_abs(pde.A, xs, ts)
-    max_b = numverify._grid_max_abs(pde.B, xs, ts)
-    if max_a >= 1e-14:
-        dt = dx * dx / (2.0 * max_a)
-    elif max_b > 0:
-        dt = 0.5 * dx / max_b
-    else:
+    advective, dt = numverify.stable_dt(
+        pde, np.linspace(dom.x[0], dom.x[1], nx), dom.t[0], dom.t[1])
+    if math.isinf(dt):
         dt = span / 16
+    elif advective:
+        dt *= 0.5
     return max(1, int(math.ceil(span / dt)))
 
 
@@ -336,13 +331,8 @@ def cmd_modes(args) -> int:
     try:
         modes = numverify.mode_solve(problem, args.modes)
     except numverify.ModeSearchError as err:
-        report = RunReport([args.cmd, args.profile_json],
-                           {args.profile_json: _digest(args.profile_json)},
-                           [Check("mode_search", False, float("inf"),
-                                  note=str(err))], {},
-                           time.monotonic() - t0)
-        _write_report(report, args)
-        return EXIT_CHECK_FAILED
+        return _finish(args, [args.profile_json], [Check(
+            "mode_search", False, math.inf, note=str(err))], {}, t0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = ["m,C_m,k_m"]
@@ -353,12 +343,8 @@ def cmd_modes(args) -> int:
                     m.interior_zeros() == m.index - 1,
                     float(abs(m.interior_zeros() - (m.index - 1))))
               for m in modes]
-    report = RunReport([args.cmd, args.profile_json],
-                       {args.profile_json: _digest(args.profile_json)},
-                       checks, {"eigenvalues": [m.C for m in modes]},
-                       time.monotonic() - t0)
-    _write_report(report, args)
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
+    return _finish(args, [args.profile_json], checks,
+                   {"eigenvalues": [m.C for m in modes]}, t0)
 
 
 _COMMANDS = {"synth": cmd_synth, "check": cmd_check, "reduce": cmd_reduce,
@@ -369,8 +355,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.cmd](args)
-    except (ParseError, EvalError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as err:
+    except (ValueError, KeyError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -16,7 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import Expr, eval_on_grid, free_vars, simplify, substitute, to_text
+from .expr import (
+    Expr, eval_on_grid, free_vars, num, simplify, substitute, to_text,
+)
 from .symmetry import PdeSpec, _as_expr, _load_json
 
 _UPWIND_A_THRESHOLD = 1e-14
@@ -43,15 +45,12 @@ class BlowupError(RuntimeError):
 
 
 class ModeSearchError(RuntimeError):
-    """Eigenvalue sweep found too few sign changes."""
+    """Too few eigenvalues lie where the RK4 shooting grid resolves them."""
 
-    def __init__(self, found: int, wanted: int, sweep):
+    def __init__(self, found: int, wanted: int, reason: str):
         self.found = found
         self.wanted = wanted
-        self.sweep = sweep
-        super().__init__(
-            f"found {found} of {wanted} eigenvalues; no further sign change "
-            f"of the endpoint shot in the sweep range [{sweep[0]:.3g}, {sweep[1]:.3g}]")
+        super().__init__(f"found {found} of {wanted} eigenvalues: {reason}")
 
 
 @dataclass(frozen=True)
@@ -116,16 +115,44 @@ def residual_on_grid(p: PdeSpec, u: Expr, g: Grid1D) -> GridResidual:
     extra = free_vars(u) - {"x", "t"}
     if extra:
         raise ValueError(f"u may only use x and t, found {sorted(extra)}")
-    res = p.residual(u)
     xs, ts = g.xs()[1:-1], g.ts()
-    vals = np.abs(np.broadcast_to(eval_on_grid(res, {"x": xs, "t": ts[:, None]}),
-                                  (len(ts), len(xs))))
-    if not np.isfinite(vals).all():
-        j, i = np.unravel_index(np.flatnonzero(~np.isfinite(vals))[0], vals.shape)
-        raise ValueError(f"residual evaluation failed at x = {xs[i]:.6g}, "
-                         f"t = {ts[j]:.6g}")
+    vals = np.abs(_on_grid(p.residual(u), xs, ts, "residual"))
     j, i = np.unravel_index(np.argmax(vals), vals.shape)
     return GridResidual(float(vals[j, i]), float(xs[i]), float(ts[j]))
+
+
+def _on_grid(e: Expr, xs, ts, what: str) -> np.ndarray:
+    """e at (xs[i], ts[j]) as [j, i]; ValueError at a non-finite value."""
+    vals = np.broadcast_to(eval_on_grid(e, {"x": xs, "t": ts[:, None]}),
+                           (len(ts), len(xs)))
+    if not np.isfinite(vals).all():
+        j, i = np.unravel_index(np.flatnonzero(~np.isfinite(vals))[0], vals.shape)
+        raise ValueError(f"{what} is not finite at x = {xs[i]:.6g}, "
+                         f"t = {ts[j]:.6g}")
+    return vals
+
+
+def stable_dt(p: PdeSpec, xs: np.ndarray, t0: float, t1: float):
+    """The explicit scheme's one stability rule: (advective, dt_max).
+
+    A and B are probed on the x nodes `xs` at 64 times spanning [t0, t1].
+    A < 0 is backward diffusion: ValueError (ill-posed).  Where A vanishes
+    u_x is upwinded and dt <= dx / max|B| (inf when B vanishes too);
+    otherwise dt <= dx^2 / (2 max|A|).
+    """
+    dx = (xs[-1] - xs[0]) / (len(xs) - 1)
+    ts = np.linspace(t0, t1, 64)
+    a_vals, b_vals = (_on_grid(c, xs, ts, f"coefficient {to_text(c)}")
+                      for c in (p.A, p.B))
+    j, i = np.unravel_index(np.argmin(a_vals), a_vals.shape)
+    if a_vals[j, i] < -_UPWIND_A_THRESHOLD:
+        raise ValueError(
+            f"A = {a_vals[j, i]:.6g} < 0 at x = {xs[i]:.6g}, t = {ts[j]:.6g}: "
+            f"backward diffusion is ill-posed")
+    max_a, max_b = (float(np.max(np.abs(v))) for v in (a_vals, b_vals))
+    if max_a >= _UPWIND_A_THRESHOLD:
+        return False, dx * dx / (2.0 * max_a)
+    return True, dx / max_b if max_b > 0 else math.inf
 
 
 def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D) -> Field:
@@ -133,25 +160,15 @@ def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D) -> Field:
     when A vanishes uniformly, centered otherwise.  Dirichlet boundary
     values come from the closed form bc(x, t).
 
-    Preconditions (enforced): dt <= dx^2 / (2 max|A|) in the diffusive
-    case, dt <= dx / max|B| in the pure-advection case.
+    Preconditions (enforced): those of `stable_dt`, A >= 0 and the step
+    bound of the scheme it picks.
     """
     xs = g.xs()
     ts = g.ts()
     dx, dt = g.dx, g.dt
-
-    t_probe = ts if len(ts) <= 64 else np.linspace(g.t0, g.t1, 64)
-    max_a = _grid_max_abs(p.A, xs, t_probe)
-    max_b = _grid_max_abs(p.B, xs, t_probe)
-    advective = max_a < _UPWIND_A_THRESHOLD
-    if not advective:
-        dt_req = dx * dx / (2.0 * max_a)
-        if dt > dt_req:
-            raise StabilityError(dt, dt_req)
-    elif max_b > 0:
-        dt_req = dx / max_b
-        if dt > dt_req:
-            raise StabilityError(dt, dt_req)
+    advective, dt_req = stable_dt(p, xs, g.t0, g.t1)
+    if dt > dt_req:
+        raise StabilityError(dt, dt_req)
 
     xi = xs[1:-1]
     # coefficients free of t are evaluated once, the others at every step
@@ -183,13 +200,6 @@ def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D) -> Field:
     return Field(values, g)
 
 
-def _grid_max_abs(e: Expr, xs, ts) -> float:
-    vals = eval_on_grid(e, {"x": xs[:, None], "t": np.asarray(ts)[None, :]})
-    if not np.isfinite(vals).all():
-        raise ValueError(f"coefficient {to_text(e)} is not finite on the grid")
-    return float(np.max(np.abs(vals)))
-
-
 @dataclass(frozen=True)
 class ConvergenceLevel:
     dx: float
@@ -203,8 +213,7 @@ def convergence_order(p: PdeSpec, exact: Expr, g0: Grid1D, levels: int):
     final time."""
     if levels < 3:
         raise ValueError("need at least 3 levels")
-    t_probe = np.linspace(g0.t0, g0.t1, 16)
-    advective = _grid_max_abs(p.A, g0.xs(), t_probe) < _UPWIND_A_THRESHOLD
+    advective, _ = stable_dt(p, g0.xs(), g0.t0, g0.t1)
     out = []
     prev_error = None
     for lvl in range(levels):
@@ -251,7 +260,8 @@ class ModeProblem:
                     f"N must be finite and nonnegative on [{z_lo}, {z_hi}]")
             norm.append((float(z_lo), float(z_hi), simplify(e)))
         norm.sort(key=lambda p: p[0])
-        if abs(norm[0][0] + self.H) > 1e-12 or abs(norm[-1][1]) > 1e-12:
+        if (not norm or abs(norm[0][0] + self.H) > 1e-12
+                or abs(norm[-1][1]) > 1e-12):
             raise ValueError("pieces must cover [-H, 0]")
         for (_, hi, _), (lo, _, _) in zip(norm, norm[1:]):
             if abs(hi - lo) > 1e-12:
@@ -267,12 +277,18 @@ def load_profile(source) -> ModeProblem:
     """Schema: {"H": num, "N": "<expr in z>"} or
     {"H": num, "N": [{"z": [lo, hi], "expr": "..."}]}."""
     d = _load_json(source)
-    H = float(d["H"])
+    H = float(num(d["H"]).value)
     n = d["N"]
     if isinstance(n, str):
         return ModeProblem(H, ((-H, 0.0, n),))
-    return ModeProblem(H, tuple((piece["z"][0], piece["z"][1], piece["expr"])
-                                for piece in n))
+    if not (isinstance(n, list) and all(
+            isinstance(piece, dict) and isinstance(piece.get("z"), list)
+            and len(piece["z"]) == 2 for piece in n)):
+        raise ValueError('N must be an expression or a list of '
+                         '{"z": [lo, hi], "expr": ...} pieces')
+    return ModeProblem(H, tuple(
+        (float(num(piece["z"][0]).value), float(num(piece["z"][1]).value),
+         piece["expr"]) for piece in n))
 
 
 @dataclass(frozen=True)
@@ -285,8 +301,13 @@ class Mode:
 
     def interior_zeros(self) -> int:
         vals = self.shape[1:-1]
-        signs = np.sign(vals[np.abs(vals) > 1e-12 * np.max(np.abs(self.shape))])
-        return int(np.sum(signs[1:] != signs[:-1]))
+        scale = np.max(np.abs(self.shape))
+        return _sign_changes(vals[np.abs(vals) > 1e-12 * scale])
+
+
+def _sign_changes(vals: np.ndarray) -> int:
+    signs = np.sign(vals[vals != 0])
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
 class _Shooter:
@@ -295,32 +316,27 @@ class _Shooter:
     new C is then pure arithmetic."""
 
     def __init__(self, problem: ModeProblem, nsteps: int):
-        self.problem = problem
         self.segments = []
+        grids = []
         total = problem.H
         for z_lo, z_hi, n_expr in problem.pieces:
             count = max(16, int(round(nsteps * (z_hi - z_lo) / total)))
-            zs = np.linspace(z_lo, z_hi, count + 1)
-            mids = 0.5 * (zs[:-1] + zs[1:])
-            n_nodes = np.broadcast_to(eval_on_grid(n_expr, {"z": zs}), zs.shape)
-            n_mids = np.broadcast_to(eval_on_grid(n_expr, {"z": mids}), mids.shape)
-            if not (np.isfinite(n_nodes).all() and np.isfinite(n_mids).all()):
+            # nodes and RK4 midpoints: even and odd entries
+            zs = np.linspace(z_lo, z_hi, 2 * count + 1)
+            n2 = np.broadcast_to(eval_on_grid(n_expr, {"z": zs}), zs.shape)**2
+            if not np.isfinite(n2).all():
                 raise ValueError("N(z) is not finite on the integration grid")
-            h = (z_hi - z_lo) / count
-            self.segments.append((h, n_nodes**2, n_mids**2))
+            self.segments.append(((z_hi - z_lo) / count, n2[::2], n2[1::2]))
+            grids.append(zs[2::2] if grids else zs[::2])
+        self.zs = np.concatenate(grids)
 
     def shoot(self, C: float, record: bool = False):
+        """phi(0; C), or (phi(0; C), zs, phi on zs) when recording."""
         inv_c2 = 1.0 / (C * C)
         phi, psi = 0.0, 1.0
-        zs_out = []
-        phis_out = []
-        for (h, n2_nodes, n2_mids), (z_lo, z_hi, _) in zip(self.segments,
-                                                           self.problem.pieces):
-            count = len(n2_mids)
-            if record:
-                zs_out.append(np.linspace(z_lo, z_hi, count + 1))
-            rec = [phi] if record else None
-            for i in range(count):
+        phis = [phi]
+        for h, n2_nodes, n2_mids in self.segments:
+            for i in range(len(n2_mids)):
                 k_lo = -n2_nodes[i] * inv_c2
                 k_mid = -n2_mids[i] * inv_c2
                 k_hi = -n2_nodes[i + 1] * inv_c2
@@ -334,62 +350,54 @@ class _Shooter:
                 dpsi4 = k_hi * (phi + h * dphi3)
                 phi += h / 6.0 * (dphi1 + 2 * dphi2 + 2 * dphi3 + dphi4)
                 psi += h / 6.0 * (dpsi1 + 2 * dpsi2 + 2 * dpsi3 + dpsi4)
-                if rec is not None:
-                    rec.append(phi)
-            if record:
-                phis_out.append(np.array(rec))
+                phis.append(phi)
         if record:
-            zs = np.concatenate([z if i == 0 else z[1:]
-                                 for i, z in enumerate(zs_out)])
-            shape = np.concatenate([p if i == 0 else p[1:]
-                                    for i, p in enumerate(phis_out)])
-            return phi, zs, shape
+            return phi, self.zs, np.array(phis)
         return phi
 
-    def n_max(self) -> float:
-        return math.sqrt(max(float(np.max(n2)) for _, n2, _ in self.segments))
+    def nodes(self, C: float) -> int:
+        """Z(C): the number of sign changes of phi(.; C) on (-H, 0]."""
+        return _sign_changes(self.shoot(C, record=True)[2][1:])
 
 
-def mode_solve(problem: ModeProblem, modes: int, *, sweep=(1e-6, 1e2),
-               brackets: int = 400, nsteps: int = 2000,
-               bisect_rel: float = 1e-12):
+NSTEPS = 2000       # RK4 steps over the column
+BISECT_REL = 1e-12  # relative width of the final eigenvalue bracket
+MAX_KH = 0.5        # largest N_max h / C the RK4 grid is trusted to resolve
+
+
+def mode_solve(problem: ModeProblem, modes: int):
     """Largest `modes` eigenvalues C (descending) with sampled mode shapes.
 
-    The endpoint value phi(0; C) is swept over a logarithmic C grid from the
-    top of the range down; each sign change is bisected.  Raises
-    ModeSearchError when the sweep is exhausted early.
+    The shot's node count Z(C) falls from m to m - 1 at C_m (Sturm
+    oscillation); comparison with constant N_max puts Z < m at
+    N_max H / ((m - 1/2) pi).  Halving from there reaches Z >= m, and
+    bisection on Z closes the bracket.  ModeSearchError: N vanishes, or
+    mode m lies below the smallest C the RK4 grid resolves.
     """
     if modes < 1:
         raise ValueError("modes must be >= 1")
-    shooter = _Shooter(problem, nsteps)
-    n_max = shooter.n_max()
-    grid = np.logspace(math.log10(sweep[1]), math.log10(sweep[0]), brackets + 1)
+    shooter = _Shooter(problem, NSTEPS)
+    n_max = math.sqrt(max(float(np.max(n2)) for _, n2, _ in shooter.segments))
+    if n_max == 0.0:
+        raise ModeSearchError(0, modes, "N vanishes on the whole column")
+    c_min = n_max * max(h for h, _, _ in shooter.segments) / MAX_KH
     found = []
-    c_prev = grid[0]
-    f_prev = shooter.shoot(c_prev)
-    for c_next in grid[1:]:
-        f_next = shooter.shoot(c_next)
-        if np.isfinite(f_prev) and np.isfinite(f_next) and f_prev * f_next < 0:
-            c_star = _bisect(shooter.shoot, c_next, c_prev, f_next, f_prev,
-                             bisect_rel)
-            _, zs, shape = shooter.shoot(c_star, record=True)
-            found.append(Mode(len(found) + 1, c_star,
-                              n_max / c_star if c_star > 0 else math.inf,
-                              zs, shape))
-            if len(found) == modes:
-                return found
-        c_prev, f_prev = c_next, f_next
-    raise ModeSearchError(len(found), modes, sweep)
-
-
-def _bisect(f, lo, hi, f_lo, f_hi, rel_tol):
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0:
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    for m in range(1, modes + 1):
+        hi = n_max * problem.H / ((m - 0.5) * math.pi)
+        lo = max(0.5 * hi, c_min)
+        while shooter.nodes(lo) < m:
+            if lo == c_min:
+                raise ModeSearchError(
+                    m - 1, modes, f"mode {m} has C < {c_min:.3g}, below what "
+                    f"the {NSTEPS}-step shooting grid resolves")
+            hi, lo = lo, max(0.5 * lo, c_min)
+        while hi - lo > BISECT_REL * hi:
+            mid = 0.5 * (lo + hi)
+            if shooter.nodes(mid) >= m:
+                lo = mid
+            else:
+                hi = mid
+        c = 0.5 * (lo + hi)
+        _, zs, shape = shooter.shoot(c, record=True)
+        found.append(Mode(m, c, n_max / c, zs, shape))
+    return found

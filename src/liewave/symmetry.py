@@ -115,7 +115,11 @@ def _load_json(source):
     if isinstance(source, dict):
         return source
     with open(source, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        d = json.load(fh)
+    if not isinstance(d, dict):
+        raise ValueError(f"{source}: expected a JSON object, "
+                         f"got {type(d).__name__}")
+    return d
 
 
 @dataclass(frozen=True)

@@ -174,6 +174,35 @@ def test_solve_rejects_unstable_grid(tmp_path):
                  "--ic", "exp(x - t)", "--nx", "41", "--nt", "10"]) == 2
 
 
+def test_solve_auto_nt_meets_its_own_stability_bound(tmp_path):
+    # A peaks between the time probes an earlier nt choice used
+    pde = write(tmp_path, "pde.json",
+                dict(HEAT, A="1 + exp(-10000*(t - 0.0333)^2)"))
+    assert main(["--out", str(tmp_path / "out"), "solve", pde,
+                 "--ic", "1 + 0*x", "--nx", "11"]) == 0
+
+
+def test_solve_rejects_backward_diffusion(tmp_path, capsys):
+    pde = write(tmp_path, "pde.json", dict(HEAT, A="-1"))
+    assert main(["--out", str(tmp_path / "out"), "solve", pde,
+                 "--ic", "exp(-t)*sin(x)"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: A = -1 < 0") and err.count("\n") == 1
+    assert "ill-posed" in err
+
+
+def test_solve_blowup_is_a_failed_check(tmp_path):
+    # exp(999 t) sin(x) solves u_t = u_2x + 1000 u and overflows at t ~ 0.71
+    pde = write(tmp_path, "pde.json", dict(HEAT, C="1000"))
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "solve", pde, "--ic", "exp(999*t)*sin(x)",
+                 "--nx", "11"]) == 1
+    (check,) = read_report(out)["checks"]
+    assert (check["name"], check["status"]) == ("time_stepping", "FAIL")
+    assert "non-finite" in check["note"]
+    assert not (out / "solution.csv").exists()
+
+
 def test_modes_csv_schema(tmp_path):
     profile = write(tmp_path, "profile.json", {"H": 300.0, "N": "0.0002"})
     out = tmp_path / "out"
@@ -195,6 +224,20 @@ def test_malformed_json_is_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["--out", str(tmp_path / "out"), "synth", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("command, payload", [
+    (["check", "--solution", "x"], [1, 2]),
+    (["modes"], {"H": None, "N": "0.0002"}),
+    (["modes"], {"H": 100.0, "N": 5}),
+    (["modes"], {"H": 100.0, "N": [{"z": [None, 0], "expr": "0.0002"}]}),
+])
+def test_malformed_document_is_exit_2(tmp_path, capsys, command, payload):
+    doc = write(tmp_path, "doc.json", payload)
+    argv = ["--out", str(tmp_path / "out"), command[0], doc] + command[1:]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("payload", [

@@ -7,7 +7,7 @@ from liewave.expr import eval_numeric, parse
 from liewave.numverify import (
     BlowupError, Field, Grid1D, ModeProblem, ModeSearchError,
     StabilityError, convergence_order, eval_on_grid, fd_solve, load_profile,
-    mode_solve, residual_on_grid,
+    mode_solve, residual_on_grid, stable_dt,
 )
 from liewave.symmetry import Domain, PdeSpec
 from liewave.synth import OscFamilyInput, WaveFamilyInput, synth_oscillator, synth_wave
@@ -131,15 +131,31 @@ def test_fd_solve_cfl_bound_for_advection():
 
 
 def test_fd_solve_reports_blowup_step():
-    # backward diffusion passes the forward-case step bound but amplifies
-    # the highest grid mode 3x per step: rounding noise reaches inf
-    backward = PdeSpec(parse("-1"), parse("0"), parse("0"),
-                       Domain((0.0, 1.0), (0.0, 10.0)))
+    # u = exp(999 t) sin(x) solves u_t = u_2x + 1000 u and leaves the
+    # float range at t = 709/999; the step bound holds throughout
+    growth = PdeSpec(parse("1"), parse("0"), parse("1000"),
+                     Domain((0.0, 1.0), (0.0, 1.0)))
     with pytest.raises(BlowupError) as err:
-        fd_solve(backward, parse("sin(3*x)"), parse("0"),
-                 Grid1D(0, 1, 11, 0, 10.0, 2000))
+        fd_solve(growth, parse("sin(x)"), parse("exp(999*t)*sin(x)"),
+                 Grid1D(0, 1, 11, 0, 1.0, 200))
     assert err.value.step >= 1
     assert "non-finite" in str(err.value)
+
+
+def test_fd_solve_rejects_backward_diffusion():
+    backward = PdeSpec(parse("x - 1/2"), parse("0"), parse("0"), DOM)
+    with pytest.raises(ValueError, match="ill-posed") as err:
+        fd_solve(backward, parse("sin(3*x)"), parse("0"),
+                 Grid1D(0, 1, 11, 0, 0.1, 2000))
+    assert "A = -0.5 < 0 at x = 0," in str(err.value)
+
+
+def test_stable_dt_is_one_rule_for_both_schemes():
+    xs = np.linspace(0.0, 1.0, 41)
+    assert stable_dt(WAVE_PDE, xs, 0.0, 0.1) == (False, 0.025**2 / 2.0)
+    assert stable_dt(ADV_PDE, xs, 0.0, 0.1) == (True, 0.025)
+    zero = PdeSpec(parse("0"), parse("0"), parse("0"), DOM)
+    assert stable_dt(zero, xs, 0.0, 0.1) == (True, math.inf)
 
 
 # ----------------------------------------------------------- convergence
@@ -242,16 +258,33 @@ def test_modes_off_eigenvalue_keeps_endpoint_nonzero():
     assert abs(shooter.shoot(1.05 * c1)) > 1e-3
 
 
+def test_modes_two_well_profile_finds_every_mode():
+    # two stratified layers 800 m apart: their modes pair up at nearby C,
+    # which a sweep on the endpoint sign can step over; the node count
+    # cannot
+    problem = ModeProblem(1000.0, ((-1000.0, -900.0, "0.0002"),
+                                   (-900.0, -100.0, "0"),
+                                   (-100.0, 0.0, "0.0002")))
+    found = mode_solve(problem, 4)
+    assert [m.index for m in found] == [1, 2, 3, 4]
+    assert all(a.C > b.C for a, b in zip(found, found[1:]))
+    for m in found:
+        assert m.interior_zeros() == m.index - 1
+
+
 def test_modes_search_error_reports_bounds():
     with pytest.raises(ModeSearchError) as err:
         mode_solve(ModeProblem.constant(0.0, 100.0), 1)
     assert err.value.found == 0
-    assert "1e-06" in str(err.value) or "100" in str(err.value)
+    assert "found 0 of 1" in str(err.value)
 
 
-def test_modes_requested_more_than_available():
-    # sweep floor cuts the spectrum; asking for too many must report count
+def test_modes_below_grid_resolution_reports_count():
+    # N only in a 10 m surface layer: mode m has C ~ 2e-3 / ((m - 1/2) pi),
+    # and modes past the third need k h > 1/2 on the 0.5 m RK4 step
+    problem = ModeProblem(1000.0, ((-1000.0, -10.0, "0"),
+                                   (-10.0, 0.0, "0.0002")))
     with pytest.raises(ModeSearchError) as err:
-        mode_solve(ModeProblem.constant(2e-4, 300.0), 4, sweep=(1e-2, 1e2),
-                   brackets=100)
-    assert 0 < err.value.found < 4
+        mode_solve(problem, 5)
+    assert 0 < err.value.found < 5
+    assert "shooting grid resolves" in str(err.value)
