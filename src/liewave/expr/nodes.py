@@ -1,6 +1,10 @@
 """Expression trees: the symbolic currency of the whole package.
 
 Nodes are immutable and hashable; structural equality is field equality.
+Each node computes its hash and its sort key once, on first use, and keeps
+them in two slots that take no part in equality, repr or pickled state; the
+hash is the dataclass hash of the field tuple, so its values (and with them
+dict and set order) are those of an uncached node.
 Division is spelled Mul(a, Pow(b, -1)) and subtraction Add(a, Neg(b)), so
 there are only seven node kinds.  Exact rationals (fractions.Fraction) are
 kept until numeric evaluation; floats are contagious once introduced.
@@ -24,7 +28,7 @@ FUNCTIONS = {fn: getattr(np, fn) for fn in ("exp", "log", "sin", "cos", "sqrt")}
 class Expr:
     """Base class; arithmetic operators build raw (uncanonicalized) trees."""
 
-    __slots__ = ()
+    __slots__ = ("_hash", "_key")   # filled on first use, see _node and sort_key
 
     def __add__(self, other):
         return Add((self, coerce(other)))
@@ -60,7 +64,28 @@ class Expr:
         return to_text(self)
 
 
-@dataclass(frozen=True, slots=True)
+def _node(cls):
+    """Frozen slotted dataclass whose generated hash is computed only once.
+
+    Without the cache every dict lookup in simplify re-hashed the whole
+    subtree (and every Fraction in it) each time.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class Const(Expr):
     value: Union[Fraction, float]
 
@@ -78,7 +103,7 @@ class Const(Expr):
         return isinstance(self.value, Fraction)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Var(Expr):
     name: str
 
@@ -87,28 +112,28 @@ class Var(Expr):
             raise ValueError(f"invalid variable name {self.name!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Add(Expr):
     terms: tuple
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Mul(Expr):
     factors: tuple
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Pow(Expr):
     base: Expr
     exponent: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Neg(Expr):
     child: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Call(Expr):
     fn: str
     arg: Expr
@@ -217,25 +242,37 @@ def node_count(e: Expr) -> int:
 
 
 def sort_key(e: Expr):
-    """Total order over trees; used to canonicalize Add/Mul child order."""
+    """Total order over trees; used to canonicalize Add/Mul child order.
+
+    Computed once per node and kept flat: the kind tag, then the node's own
+    fields, then its children's keys inline, e.g. (5, k1, k2, ...) for a Mul.
+    """
+    try:
+        return e._key
+    except AttributeError:
+        pass
     if isinstance(e, Const):
         v = e.value
         if isinstance(v, Fraction):
-            return (0, "", (float(v), 0.0, float(v.numerator), float(v.denominator)), ())
-        return (0, "", (v, 1.0, 0.0, 0.0), ())
-    if isinstance(e, Var):
-        return (1, e.name, (), ())
-    if isinstance(e, Call):
-        return (2, e.fn, (), (sort_key(e.arg),))
-    if isinstance(e, Pow):
-        return (3, "", (), (sort_key(e.base), sort_key(e.exponent)))
-    if isinstance(e, Neg):
-        return (4, "", (), (sort_key(e.child),))
-    if isinstance(e, Mul):
-        return (5, "", (), tuple(sort_key(f) for f in e.factors))
-    if isinstance(e, Add):
-        return (6, "", (), tuple(sort_key(t) for t in e.terms))
-    raise TypeError(f"not an Expr: {e!r}")
+            key = (0, float(v), 0.0, float(v.numerator), float(v.denominator))
+        else:
+            key = (0, v, 1.0, 0.0, 0.0)
+    elif isinstance(e, Var):
+        key = (1, e.name)
+    elif isinstance(e, Call):
+        key = (2, e.fn, sort_key(e.arg))
+    elif isinstance(e, Pow):
+        key = (3, sort_key(e.base), sort_key(e.exponent))
+    elif isinstance(e, Neg):
+        key = (4, sort_key(e.child))
+    elif isinstance(e, Mul):
+        key = (5, *map(sort_key, e.factors))
+    elif isinstance(e, Add):
+        key = (6, *map(sort_key, e.terms))
+    else:
+        raise TypeError(f"not an Expr: {e!r}")
+    object.__setattr__(e, "_key", key)
+    return key
 
 
 def _const_text(v) -> str:
