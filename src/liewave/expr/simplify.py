@@ -179,7 +179,10 @@ def _mul(factors: tuple) -> Expr:
     if coeff != 1:
         rest.insert(0, Const(coeff))
     body = rest[0] if len(rest) == 1 else Mul(tuple(rest))
-    return Neg(body) if negative else body
+    if not negative:
+        return body
+    # a negated sum is distributed, as simplify(Neg(sum)) does
+    return _negate(body) if isinstance(body, Add) else Neg(body)
 
 
 def _pow(base: Expr, exponent: Expr) -> Expr:

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liewave.expr import (
@@ -134,6 +134,8 @@ def test_print_parse_roundtrip_random(e):
 
 
 @given(_exprs)
+@example(parse("-1*(x+t)"))  # a negated sum must come out distributed
+@example(parse("-(t + x)"))
 @settings(max_examples=200, deadline=None)
 def test_simplify_idempotent(e):
     s = simplify(e)
