@@ -13,6 +13,7 @@ kept until numeric evaluation; floats are contagious once introduced.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -165,6 +166,8 @@ def num(x: NumberLike) -> Const:
     if isinstance(x, bool):
         raise ValueError("bool is not a number here")
     if isinstance(x, (int, Fraction)):
+        if abs(x) > sys.float_info.max:
+            raise ValueError("number beyond the float range")
         return Const(Fraction(x))
     if isinstance(x, float):
         if not math.isfinite(x):

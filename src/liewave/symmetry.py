@@ -44,11 +44,15 @@ class Domain:
     t: tuple
 
     def __post_init__(self):
-        for name, (lo, hi) in (("x", self.x), ("t", self.t)):
-            if not float(hi) > float(lo):
-                raise ValueError(f"degenerate {name}-interval [{lo}, {hi}]")
-        object.__setattr__(self, "x", (float(self.x[0]), float(self.x[1])))
-        object.__setattr__(self, "t", (float(self.t[0]), float(self.t[1])))
+        for name in ("x", "t"):
+            bounds = getattr(self, name)
+            if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
+                raise ValueError(f"domain {name} must be [lo, hi], got {bounds!r}")
+            lo, hi = (float(num(b).value) for b in bounds)
+            if not hi > lo:
+                raise ValueError(
+                    f"degenerate {name}-interval [{bounds[0]}, {bounds[1]}]")
+            object.__setattr__(self, name, (lo, hi))
 
     def box(self, **extra):
         out = {"x": self.x, "t": self.t}
@@ -60,7 +64,9 @@ class Domain:
 
     @classmethod
     def from_dict(cls, d) -> "Domain":
-        return cls(tuple(d["x"]), tuple(d["t"]))
+        if not isinstance(d, dict):
+            raise ValueError(f"domain must be an object, got {type(d).__name__}")
+        return cls(d["x"], d["t"])
 
 
 @dataclass(frozen=True)
@@ -103,7 +109,10 @@ def load_pde(source) -> PdeSpec:
     params are substituted into A, B, C at load time.
     """
     d = _load_json(source)
-    params = {k: num(v) for k, v in d.get("params", {}).items()}
+    params = d.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError(f"params must be an object, got {type(params).__name__}")
+    params = {k: num(v) for k, v in params.items()}
     coeffs = {}
     for name in ("A", "B", "C"):
         coeffs[name] = simplify(substitute(_as_expr(d[name]), params))

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liewave.cli import main
 
@@ -238,6 +240,61 @@ def test_malformed_document_is_exit_2(tmp_path, capsys, command, payload):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("domain", [
+    {"x": [None, 1], "t": [0, 1]},
+    {"x": 5, "t": [0, 1]},
+    {"x": [0, 10**400], "t": [0, 1]},
+])
+def test_malformed_domain_bound_is_exit_2(tmp_path, capsys, domain):
+    pde = write(tmp_path, "pde.json", dict(HEAT, domain=domain))
+    assert main(["--out", str(tmp_path / "out"), "check", pde,
+                 "--solution", "x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["x", "t", "q"]) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_coefficients = st.sampled_from(
+    ["0", "1", "x", "-2*x", "x*t", "exp(x)", "log(x)", "1/x", "q", "x +"])
+_interval = st.lists(st.integers(-3, 3), min_size=2, max_size=2, unique=True)
+
+
+@st.composite
+def _pde_documents(draw):
+    """A PDE document in which up to two fields (A, B, C, params, domain or
+    one of its intervals) are arbitrary JSON or missing."""
+    doc = {"A": draw(_coefficients), "B": draw(_coefficients),
+           "C": draw(_coefficients),
+           "params": {"q": draw(st.integers(-3, 3) | st.floats())},
+           "domain": {"x": sorted(draw(_interval)), "t": sorted(draw(_interval))}}
+    for name in draw(st.sets(st.sampled_from(
+            ["A", "B", "C", "params", "domain", "x", "t"]), max_size=2)):
+        parent = doc.get("domain") if name in ("x", "t") else doc
+        if not isinstance(parent, dict) or name not in parent:
+            continue
+        if draw(st.booleans()):
+            del parent[name]
+        else:
+            parent[name] = draw(_json_values)
+    return doc
+
+
+@given(doc=_pde_documents())
+@settings(max_examples=150, deadline=None)
+def test_pde_loader_fuzz_never_raises(tmp_path_factory, doc):
+    root = tmp_path_factory.getbasetemp()
+    path = root / "fuzz-pde.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["--out", str(root / "fuzz-out"), "check", str(path),
+               "--solution", "x"])
+    assert rc in (0, 1, 2)
 
 
 @pytest.mark.parametrize("payload", [
