@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from liewave.expr import (
     Var, ZeroSample, diff, eval_numeric, expand, free_vars, is_zero_sampled,
     max_abs_sampled, num, parse, sample_box, simplify, substitute, to_text,
 )
+from liewave.expr.nodes import sort_key
 from liewave.expr.sampling import _SECOND_PASS_SHIFT
 
 from conftest import CORPUS
@@ -174,6 +177,91 @@ def test_canonical_shape_invariants(e):
             assert len(node.factors) >= 2
             assert sum(isinstance(f, Const) for f in node.factors) <= 1
             assert not any(isinstance(f, Const) for f in node.factors[1:])
+
+
+# ------------------------------------------ cached hash and sort key
+
+def _corpus_trees():
+    """Every distinct subtree of the corpus, raw, simplified and expanded,
+    plus float constants (Const(1.0) sorts and hashes next to Const(1))."""
+    out = {}
+    for text, _ in CORPUS:
+        for tree in (parse(text), simplify(parse(text)), expand(parse(text))):
+            for node in _walk(tree):
+                out.setdefault(repr(node), node)
+    for value in (1.0, -0.5, 2.5):
+        out[repr(Const(value))] = Const(value)
+    return list(out.values())
+
+
+def _nested_key(e):
+    """The uncached sort key the flat one replaces: (tag, name, numbers,
+    child keys)."""
+    if isinstance(e, Const):
+        v = e.value
+        if isinstance(v, Fraction):
+            return (0, "", (float(v), 0.0, float(v.numerator), float(v.denominator)), ())
+        return (0, "", (v, 1.0, 0.0, 0.0), ())
+    if isinstance(e, Var):
+        return (1, e.name, (), ())
+    if isinstance(e, Call):
+        return (2, e.fn, (), (_nested_key(e.arg),))
+    if isinstance(e, Pow):
+        return (3, "", (), (_nested_key(e.base), _nested_key(e.exponent)))
+    if isinstance(e, Neg):
+        return (4, "", (), (_nested_key(e.child),))
+    if isinstance(e, Mul):
+        return (5, "", (), tuple(_nested_key(f) for f in e.factors))
+    return (6, "", (), tuple(_nested_key(t) for t in e.terms))
+
+
+def _field_tuple(e):
+    return tuple(getattr(e, f.name) for f in dataclasses.fields(e))
+
+
+def test_cached_hash_is_the_field_tuple_hash():
+    for node in _corpus_trees():
+        assert hash(node) == hash(_field_tuple(node))
+        assert hash(node) == hash(_field_tuple(node))  # cached value
+
+
+def test_equal_trees_built_separately_hash_equal():
+    for text, _ in CORPUS:
+        a, b = simplify(parse(text)), simplify(parse(text))
+        assert a is not b and a == b and hash(a) == hash(b)
+    assert Const(1) == Const(1.0) and hash(Const(1)) == hash(Const(1.0))
+    assert hash(Add((Var("x"), Const(1)))) == hash(Add((Var("x"), Const(1.0))))
+
+
+def test_cached_sort_key_orders_like_the_nested_key():
+    trees = _corpus_trees()
+    nested = [_nested_key(e) for e in trees]
+    flat = [sort_key(e) for e in trees]
+    for i in range(len(trees)):
+        for j in range(len(trees)):
+            assert (flat[i] < flat[j]) == (nested[i] < nested[j])
+            assert (flat[i] == flat[j]) == (nested[i] == nested[j])
+
+
+@given(_exprs, _exprs)
+@settings(max_examples=200, deadline=None)
+def test_cached_sort_key_orders_random_trees_like_the_nested_key(a, b):
+    for x, y in ((a, b), (simplify(a), simplify(b))):
+        assert (sort_key(x) < sort_key(y)) == (_nested_key(x) < _nested_key(y))
+        assert (sort_key(x) == sort_key(y)) == (_nested_key(x) == _nested_key(y))
+
+
+def test_pickle_does_not_carry_the_cache():
+    # str hashes differ between processes, so a cached hash must not travel
+    for text, _ in CORPUS:
+        tree = expand(parse(text))
+        before = pickle.dumps(tree)
+        for node in _walk(tree):
+            hash(node)
+            sort_key(node)
+        assert pickle.dumps(tree) == before
+        copy = pickle.loads(before)
+        assert copy == tree and hash(copy) == hash(tree)
 
 
 # ------------------------------------------------------- differentiation
