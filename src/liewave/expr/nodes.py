@@ -1,10 +1,10 @@
 """Expression trees: the symbolic currency of the whole package.
 
 Nodes are immutable and hashable; structural equality is field equality.
-Each node computes its hash and its sort key once, on first use, and keeps
-them in two slots that take no part in equality, repr or pickled state; the
-hash is the dataclass hash of the field tuple, so its values (and with them
-dict and set order) are those of an uncached node.
+A node with children computes its hash and its sort key once, on first use,
+and keeps them in two slots that take no part in equality, repr or pickled
+state; the hash is the dataclass hash of the field tuple, so its values
+(and with them dict and set order) are those of an uncached node.
 Division is spelled Mul(a, Pow(b, -1)) and subtraction Add(a, Neg(b)), so
 there are only seven node kinds.  Exact rationals (fractions.Fraction) are
 kept until numeric evaluation; floats are contagious once introduced.
@@ -29,7 +29,7 @@ FUNCTIONS = {fn: getattr(np, fn) for fn in ("exp", "log", "sin", "cos", "sqrt")}
 class Expr:
     """Base class; arithmetic operators build raw (uncanonicalized) trees."""
 
-    __slots__ = ("_hash", "_key")   # filled on first use, see _node and sort_key
+    __slots__ = ()
 
     def __add__(self, other):
         return Add((self, coerce(other)))
@@ -65,12 +65,18 @@ class Expr:
         return to_text(self)
 
 
-def _node(cls):
-    """Frozen slotted dataclass whose generated hash is computed only once.
+class _Branch(Expr):
+    """A node with children.  Its hash and sort key walk the whole subtree
+    (with a modular pow for each Fraction in it) and simplify asks for them
+    again and again, so each is kept once computed (see _node, sort_key).
+    Leaves (Const, Var) keep none: theirs cost O(1), and a cache on every
+    leaf would cost memory on ~40% of the live nodes."""
 
-    Without the cache every dict lookup in simplify re-hashed the whole
-    subtree (and every Fraction in it) each time.
-    """
+    __slots__ = ("_hash", "_key")
+
+
+def _node(cls):
+    """Frozen slotted dataclass whose generated hash is computed only once."""
     cls = dataclass(frozen=True, slots=True)(cls)
     field_hash = cls.__hash__
 
@@ -86,7 +92,7 @@ def _node(cls):
     return cls
 
 
-@_node
+@dataclass(frozen=True, slots=True)
 class Const(Expr):
     value: Union[Fraction, float]
 
@@ -104,7 +110,7 @@ class Const(Expr):
         return isinstance(self.value, Fraction)
 
 
-@_node
+@dataclass(frozen=True, slots=True)
 class Var(Expr):
     name: str
 
@@ -114,28 +120,28 @@ class Var(Expr):
 
 
 @_node
-class Add(Expr):
+class Add(_Branch):
     terms: tuple
 
 
 @_node
-class Mul(Expr):
+class Mul(_Branch):
     factors: tuple
 
 
 @_node
-class Pow(Expr):
+class Pow(_Branch):
     base: Expr
     exponent: Expr
 
 
 @_node
-class Neg(Expr):
+class Neg(_Branch):
     child: Expr
 
 
 @_node
-class Call(Expr):
+class Call(_Branch):
     fn: str
     arg: Expr
 
@@ -244,25 +250,33 @@ def node_count(e: Expr) -> int:
     raise TypeError(f"not an Expr: {e!r}")
 
 
+_EXACT_INT = 2**53  # every int up to this magnitude is an exact float
+
+
 def sort_key(e: Expr):
     """Total order over trees; used to canonicalize Add/Mul child order.
 
-    Computed once per node and kept flat: the kind tag, then the node's own
-    fields, then its children's keys inline, e.g. (5, k1, k2, ...) for a Mul.
+    Flat: the kind tag, then the node's own fields, then its children's keys
+    inline, e.g. (5, k1, k2, ...) for a Mul; computed once per branch node.
+    It orders exactly as (tag, name, (numbers), (child keys)) would.
     """
+    if isinstance(e, Const):
+        v = e.value
+        if not isinstance(v, Fraction):
+            return (0, v, 1.0, 0.0, 0.0)
+        n, d = v.numerator, v.denominator
+        if abs(n) <= _EXACT_INT and d <= _EXACT_INT:
+            # such ints compare exactly as their floats do, and need no new
+            # float objects (these keys are held by every keyed parent)
+            return (0, n if d == 1 else float(v), 0.0, n, d)
+        return (0, float(v), 0.0, float(n), float(d))
+    if isinstance(e, Var):
+        return (1, e.name)
     try:
         return e._key
     except AttributeError:
         pass
-    if isinstance(e, Const):
-        v = e.value
-        if isinstance(v, Fraction):
-            key = (0, float(v), 0.0, float(v.numerator), float(v.denominator))
-        else:
-            key = (0, v, 1.0, 0.0, 0.0)
-    elif isinstance(e, Var):
-        key = (1, e.name)
-    elif isinstance(e, Call):
+    if isinstance(e, Call):
         key = (2, e.fn, sort_key(e.arg))
     elif isinstance(e, Pow):
         key = (3, sort_key(e.base), sort_key(e.exponent))
