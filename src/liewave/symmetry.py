@@ -163,21 +163,11 @@ def load_generator(source) -> Generator:
     return Generator(d["phi"], d["xi"], d["M"])
 
 
-@dataclass(frozen=True)
-class Prolongation2:
-    """Second-prolongation coefficients in jet variables.
-
-    eta_x and eta_t are affine in (u, u_x, u_t); eta_2x is affine in
-    (u, u_x, u_2x).  Both facts follow from the reduced dependences.
-    """
-
-    eta_x: Expr
-    eta_t: Expr
-    eta_2x: Expr
-
-
-def prolong2(g: Generator) -> Prolongation2:
-    """Total-derivative prolongation of eta = M*u through second order in x."""
+def prolong2(g: Generator):
+    """Total-derivative prolongation of eta = M*u through second order in x:
+    (eta_x, eta_t, eta_2x) in jet variables.  eta_x and eta_t are affine in
+    (u, u_x, u_t), eta_2x in (u, u_x, u_2x); both facts follow from the
+    reduced dependences."""
     Mx = diff(g.M, "x")
     Mt = diff(g.M, "t")
     M2x = diff(Mx, "x")
@@ -188,7 +178,7 @@ def prolong2(g: Generator) -> Prolongation2:
     eta_x = simplify(Mx * U + (g.M - xi_x) * U_X)
     eta_t = simplify(Mt * U + g.M * U_T - xi_t * U_X - phi_t * U_T)
     eta_2x = simplify(M2x * U + (2 * Mx - xi_2x) * U_X + (g.M - 2 * xi_x) * U_2X)
-    return Prolongation2(eta_x, eta_t, eta_2x)
+    return eta_x, eta_t, eta_2x
 
 
 def invariance_residual(p: PdeSpec, g: Generator) -> Expr:
@@ -197,7 +187,7 @@ def invariance_residual(p: PdeSpec, g: Generator) -> Expr:
     The returned jet-space expression vanishes identically in
     (u, u_x, u_2x) exactly when g generates a symmetry of p.
     """
-    pr = prolong2(g)
+    eta_x, eta_t, eta_2x = prolong2(g)
     At, Ax = diff(p.A, "t"), diff(p.A, "x")
     Bt, Bx = diff(p.B, "t"), diff(p.B, "x")
     Ct, Cx = diff(p.C, "t"), diff(p.C, "x")
@@ -205,7 +195,7 @@ def invariance_residual(p: PdeSpec, g: Generator) -> Expr:
     res = ((g.phi * At + g.xi * Ax) * U_2X
            + (g.phi * Bt + g.xi * Bx) * U_X
            + g.phi * Ct * U + g.xi * Cx * U
-           + p.C * eta + p.B * pr.eta_x - pr.eta_t + p.A * pr.eta_2x)
+           + p.C * eta + p.B * eta_x - eta_t + p.A * eta_2x)
     res = substitute(res, {"u_t": p.rhs_jet()})
     return expand(res)
 
