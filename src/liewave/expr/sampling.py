@@ -25,36 +25,35 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _SECOND_PASS_SHIFT = 7919
 
 
-def radical_inverse(index: int, base: int) -> float:
-    inv = 0.0
-    scale = 1.0 / base
-    while index > 0:
-        inv += (index % base) * scale
-        index //= base
-        scale /= base
-    return inv
-
-
-def halton_point(index: int, dims: int):
-    if dims > len(_PRIMES):
-        raise ValueError(f"at most {len(_PRIMES)} dimensions supported")
-    return tuple(radical_inverse(index, _PRIMES[d]) for d in range(dims))
-
-
 def sample_box(box, n: int, seed: int = 0):
-    """n quasi-random points inside an axis-aligned box {name: (lo, hi)}.
+    """n quasi-random points inside an axis-aligned box {name: (lo, hi)},
+    as columns {name: array}: Halton points seed+1 .. seed+n.
 
     Dimension order follows sorted names so the point cloud does not depend
-    on dict insertion order.
+    on dict insertion order.  Each coordinate is the radical inverse of the
+    point index in that dimension's prime base, digit by digit; an index
+    below 1 (a negative seed) maps to 0.
     """
     names = sorted(box)
-    spans = [(box[k][0], box[k][1] - box[k][0]) for k in names]
-    points = []
-    for i in range(1, n + 1):
-        unit = halton_point(seed + i, len(names))
-        points.append({k: lo + u * width
-                       for k, (lo, width), u in zip(names, spans, unit)})
-    return points
+    if len(names) > len(_PRIMES):
+        raise ValueError(f"at most {len(_PRIMES)} dimensions supported")
+    out = {}
+    for name, base in zip(names, _PRIMES):
+        index = np.arange(seed + 1, seed + n + 1).clip(0)
+        unit = np.zeros(n)
+        scale = 1.0 / base
+        while index.any():
+            unit += (index % base) * scale
+            index //= base
+            scale /= base
+        lo, hi = box[name]
+        out[name] = lo + unit * (hi - lo)
+    return out
+
+
+def _point(cols, i: int) -> dict:
+    """Point i of a column cloud, as name -> float."""
+    return {k: float(v[i]) for k, v in cols.items()}
 
 
 @dataclass(frozen=True)
@@ -71,35 +70,31 @@ class ZeroSample:
         return self.passed
 
 
-def columns(points):
-    """A list of name -> float points as name -> array columns."""
-    return {k: np.array([p[k] for p in points]) for k in points[0]}
-
-
 def max_abs_sampled(e: Expr, box, *, n: int = 100, seed: int = 0):
     """Plain max |e| over a sampled cloud; returns (max, argmax point).
     Evaluation errors propagate (use is_zero_sampled for tolerant checks)."""
-    points = sample_box(box, n, seed)
-    values, failed = eval_checked(e, columns(points))
+    cols = sample_box(box, n, seed)
+    values, failed = eval_checked(e, cols)
     if failed.any():
-        eval_numeric(e, points[int(np.argmax(failed))])  # raises there
+        eval_numeric(e, _point(cols, int(np.argmax(failed))))  # raises there
     mags = np.abs(values)
     i = int(np.argmax(mags))
-    return float(mags[i]), dict(points[i])
+    return float(mags[i]), _point(cols, i)
 
 
 def check_nonvanishing(e: Expr, box, what: str, *, n: int = 100,
                        seed: int = 0):
     """Raise ValueError at the first sampled point where |e| < 1e-12, or
     eval_numeric's EvalError should e be undefined there first."""
-    points = sample_box(box, n, seed)
-    values, failed = eval_checked(e, columns(points))
+    cols = sample_box(box, n, seed)
+    values, failed = eval_checked(e, cols)
     hit = failed | (np.abs(values) < 1e-12)
     if hit.any():
         i = int(np.argmax(hit))
+        p = _point(cols, i)
         if failed[i]:
-            eval_numeric(e, points[i])  # raises there
-        where = ", ".join(f"{k} = {v:.6g}" for k, v in points[i].items())
+            eval_numeric(e, p)  # raises there
+        where = ", ".join(f"{k} = {v:.6g}" for k, v in p.items())
         raise ValueError(f"{what} vanishes near {where}")
 
 
@@ -118,8 +113,9 @@ def is_zero_sampled(e: Expr, box, *, n: int = 100, tol: float = 1e-9,
             raise ValueError(f"degenerate box interval for {name!r}")
     canon = simplify(e)
     terms = canon.terms if isinstance(canon, Add) else (canon,)
-    points = sample_box(box, n, seed) + sample_box(box, 2 * n, seed + _SECOND_PASS_SHIFT)
-    cols = columns(points)
+    coarse = sample_box(box, n, seed)
+    fine = sample_box(box, 2 * n, seed + _SECOND_PASS_SHIFT)
+    cols = {k: np.concatenate((coarse[k], fine[k])) for k in coarse}
     # each term once: value = their left-to-right sum, as canon evaluates
     value, failed = eval_checked(terms[0], cols)
     scale = np.abs(value)
@@ -130,7 +126,7 @@ def is_zero_sampled(e: Expr, box, *, n: int = 100, tol: float = 1e-9,
         failed = failed | f
     failed |= ~np.isfinite(value)
     if failed.any():
-        p = points[int(np.argmax(failed))]
+        p = _point(cols, int(np.argmax(failed)))
         try:
             eval_numeric(canon, p)
         except EvalError as err:
@@ -139,5 +135,5 @@ def is_zero_sampled(e: Expr, box, *, n: int = 100, tol: float = 1e-9,
     residual = magnitude / np.maximum(1.0, scale)
     i = int(np.argmax(residual))
     max_residual = float(residual[i])
-    return ZeroSample(max_residual <= tol, max_residual, dict(points[i]),
+    return ZeroSample(max_residual <= tol, max_residual, _point(cols, i),
                       float(magnitude[i]))

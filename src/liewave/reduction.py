@@ -17,9 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .expr import (
-    Exp, Expr, Var, check_nonvanishing, columns, diff, eval_checked,
-    eval_numeric, expand, free_vars, is_zero_sampled, num, sample_box,
-    simplify, to_text,
+    Exp, Expr, Var, check_nonvanishing, diff, eval_checked, eval_numeric,
+    expand, free_vars, is_zero_sampled, num, sample_box, simplify, to_text,
 )
 from .symmetry import Domain, Generator, PdeSpec, _as_expr, _load_json
 
@@ -191,7 +190,7 @@ def _constant_ratio(numer: Expr, denom: Expr, box, *, n: int, tol: float,
                     seed: int):
     """Sampled value of numer/denom if constant over the box, else None;
     points where either is undefined, or denom is near zero, are skipped."""
-    cols = columns(sample_box(box, n, seed))
+    cols = sample_box(box, n, seed)
     num_v, num_failed = eval_checked(numer, cols)
     den_v, den_failed = eval_checked(denom, cols)
     keep = ~num_failed & ~den_failed & (np.abs(den_v) >= 1e-12)
@@ -220,14 +219,15 @@ def check_z_closure(r: ReductionResult, domain: Domain, *, n: int = 20,
     q = math.log(eval_numeric(r.z_expr, {"x": xm, "t": t0})
                  / eval_numeric(r.z_expr, {"x": xm, "t": t0 + 1.0}))
     pairs = []
-    candidates = sample_box({"x1": (x0, x1), "t1": (t0, t1), "x2": (x0, x1)},
-                            50 * n, seed)
-    for c in candidates:
-        z1v = eval_numeric(r.z_expr, {"x": c["x1"], "t": c["t1"]})
-        z2v = eval_numeric(r.z_expr, {"x": c["x2"], "t": c["t1"]})
-        t2 = c["t1"] + math.log(z2v / z1v) / q
+    c = sample_box({"x1": (x0, x1), "t1": (t0, t1), "x2": (x0, x1)},
+                   50 * n, seed)
+    for xa, ta, xb in zip(c["x1"].tolist(), c["t1"].tolist(),
+                          c["x2"].tolist()):
+        z1v = eval_numeric(r.z_expr, {"x": xa, "t": ta})
+        z2v = eval_numeric(r.z_expr, {"x": xb, "t": ta})
+        t2 = ta + math.log(z2v / z1v) / q
         if t0 <= t2 <= t1:
-            pairs.append(((c["x1"], c["t1"]), (c["x2"], t2)))
+            pairs.append(((xa, ta), (xb, t2)))
         if len(pairs) == n:
             break
     if len(pairs) < n:

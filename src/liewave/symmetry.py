@@ -247,8 +247,9 @@ class JetPoint:
 
 def sample_jets(domain: Domain, n: int, *, seed: int = 0,
                 u_range=JET_RANGE):
-    pts = sample_box(domain.jet_box(u_range), n, seed)
-    return [JetPoint(p["x"], p["t"], p["u"], p["u_x"], p["u_2x"]) for p in pts]
+    cols = sample_box(domain.jet_box(u_range), n, seed)
+    return [JetPoint(*p) for p in zip(*(cols[k].tolist() for k in
+                                         ("x", "t", "u", "u_x", "u_2x")))]
 
 
 def monomial_collect_check(p: PdeSpec, g: Generator, jets, *,

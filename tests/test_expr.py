@@ -420,12 +420,27 @@ def test_zero_sampled_determinism():
     assert a == b
 
 
+def _points(cols):
+    """A column cloud {name: array} as a list of name -> float points."""
+    return [dict(zip(cols, values))
+            for values in zip(*(cols[k].tolist() for k in cols))]
+
+
+def _radical_inverse(index, base):
+    inv, scale = 0.0, 1.0 / base
+    while index > 0:
+        inv += (index % base) * scale
+        index //= base
+        scale /= base
+    return inv
+
+
 def _reference_zero_test(e, box, n, tol, seed):
     """is_zero_sampled written as a loop over eval_numeric, point by point."""
     canon = simplify(e)
     terms = canon.terms if isinstance(canon, Add) else (canon,)
-    points = (sample_box(box, n, seed)
-              + sample_box(box, 2 * n, seed + _SECOND_PASS_SHIFT))
+    points = (_points(sample_box(box, n, seed))
+              + _points(sample_box(box, 2 * n, seed + _SECOND_PASS_SHIFT)))
     best, witness, witness_value = -1.0, {}, 0.0
     for p in points:
         try:
@@ -440,7 +455,7 @@ def _reference_zero_test(e, box, n, tol, seed):
 
 def _reference_max_abs(e, box, n, seed):
     best, where = -1.0, {}
-    for p in sample_box(box, n, seed):
+    for p in _points(sample_box(box, n, seed)):
         v = abs(eval_numeric(e, p))
         if v > best:
             best, where = v, p
@@ -472,9 +487,23 @@ def test_cloud_evaluation_matches_pointwise_reference(text, box):
 
 
 def test_sample_box_is_deterministic_and_inside():
-    pts = sample_box({"x": (0, 1), "t": (2, 3)}, 50, seed=3)
-    assert pts == sample_box({"x": (0, 1), "t": (2, 3)}, 50, seed=3)
+    pts = _points(sample_box({"x": (0, 1), "t": (2, 3)}, 50, seed=3))
+    assert pts == _points(sample_box({"x": (0, 1), "t": (2, 3)}, 50, seed=3))
     assert all(0 <= p["x"] <= 1 and 2 <= p["t"] <= 3 for p in pts)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7919, -4])
+def test_sample_box_matches_scalar_halton(seed):
+    # every coordinate bit for bit as the scalar radical-inverse loop gives it,
+    # in sorted-name dimension order; an index below 1 maps to the lower bound
+    box = {"u": (-2.0, 2.0), "t": (0.5, 1.5), "x": (0, 1)}
+    cols = sample_box(box, 60, seed)
+    assert list(cols) == ["t", "u", "x"]
+    for name, base in zip(cols, (2, 3, 5)):
+        lo, hi = box[name]
+        expected = [lo + _radical_inverse(seed + i, base) * (hi - lo)
+                    for i in range(1, 61)]
+        assert cols[name].tolist() == expected
 
 
 def test_num_uses_shortest_decimal():
