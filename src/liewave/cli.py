@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -273,10 +273,10 @@ def cmd_solve(args) -> int:
     pde = symmetry.load_pde(args.pde_json)
     closed = parse(args.ic)
     dom = pde.domain
-    nt = args.nt
-    if nt <= 0:
-        nt = _auto_nt(pde, dom, args.nx)
-    grid = numverify.Grid1D(dom.x[0], dom.x[1], args.nx, dom.t[0], dom.t[1], nt)
+    grid = numverify.Grid1D(dom.x[0], dom.x[1], args.nx, dom.t[0], dom.t[1],
+                            max(args.nt, 1))
+    if args.nt <= 0:
+        grid = replace(grid, nt=_auto_nt(pde, grid))
     ic = simplify(substitute(closed, {"t": dom.t[0]}))
     try:
         fld = numverify.fd_solve(pde, ic, closed, grid)
@@ -302,10 +302,9 @@ def cmd_solve(args) -> int:
     return code
 
 
-def _auto_nt(pde, dom, nx: int) -> int:
-    span = dom.t[1] - dom.t[0]
-    advective, dt = numverify.stable_dt(
-        pde, np.linspace(dom.x[0], dom.x[1], nx), dom.t[0], dom.t[1])
+def _auto_nt(pde, grid) -> int:
+    span = grid.t1 - grid.t0
+    advective, dt = numverify.stable_dt(pde, grid.xs(), grid.t0, grid.t1)
     if math.isinf(dt):
         dt = span / 16
     elif advective:
@@ -357,6 +356,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.cmd](args)
     except (ValueError, KeyError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except OverflowError as err:  # an exact constant left the float range
+        print(f"error: number beyond the float range ({err})", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

@@ -176,6 +176,15 @@ def test_solve_rejects_unstable_grid(tmp_path):
                  "--ic", "exp(x - t)", "--nx", "41", "--nt", "10"]) == 2
 
 
+@pytest.mark.parametrize("nx", ["0", "1", "2"])
+def test_solve_too_few_nodes_is_exit_2(tmp_path, capsys, nx):
+    # the grid is checked before the stability rule probes it
+    pde = write(tmp_path, "pde.json", HEAT)
+    assert main(["--out", str(tmp_path / "out"), "solve", pde,
+                 "--ic", "sin(x)", "--nx", nx]) == 2
+    assert capsys.readouterr().err == "error: need nx >= 3\n"
+
+
 def test_solve_auto_nt_meets_its_own_stability_bound(tmp_path):
     # A peaks between the time probes an earlier nt choice used
     pde = write(tmp_path, "pde.json",
@@ -242,6 +251,40 @@ def test_malformed_document_is_exit_2(tmp_path, capsys, command, payload):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", [None, [1], True, "1.5"])
+@pytest.mark.parametrize("command, payload, name", [
+    ("reduce", PLAIN_ANSATZ, "q"),
+    ("synth", WAVE_FAMILY, "q"),
+    ("synth", OSC_FAMILY, "k"),
+    ("synth", ROSSBY_PRINTED, "c1"),
+])
+def test_malformed_number_in_ansatz_or_family_is_exit_2(
+        tmp_path, capsys, command, payload, name, value):
+    # numbers are JSON numbers: no null, list, boolean or numeric string
+    doc = write(tmp_path, "doc.json", dict(payload, **{name: value}))
+    inputs = [write(tmp_path, "pde.json", HEAT), doc] if command == "reduce" \
+        else [doc]
+    assert main(["--out", str(tmp_path / "out"), command, *inputs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("reduce", dict(PLAIN_ANSATZ, R="x", v=1e300)),
+    ("synth", dict(ROSSBY_PRINTED, c=1e-300, c1=1e-300, c2=1e-300)),
+])
+def test_constant_beyond_float_range_is_exit_2(tmp_path, capsys, command,
+                                               payload):
+    # in range as read, but v^2 (1e600) or the denominator of 1e-300^2 is not
+    doc = write(tmp_path, "doc.json", payload)
+    inputs = [write(tmp_path, "pde.json", HEAT), doc] if command == "reduce" \
+        else [doc]
+    assert main(["--out", str(tmp_path / "out"), command, *inputs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: number beyond the float range (")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("domain", [
     {"x": [None, 1], "t": [0, 1]},
     {"x": 5, "t": [0, 1]},
@@ -266,6 +309,23 @@ _coefficients = st.sampled_from(
 _interval = st.lists(st.integers(-3, 3), min_size=2, max_size=2, unique=True)
 
 
+def _mutated(draw, doc, fields):
+    """doc with up to two of `fields` (a key, or "domain.x" for an interval)
+    replaced by arbitrary JSON or dropped."""
+    for name in draw(st.sets(st.sampled_from(fields), max_size=2)):
+        *path, key = name.split(".")
+        parent = doc
+        for step in path:
+            parent = parent.get(step) if isinstance(parent, dict) else None
+        if not isinstance(parent, dict) or key not in parent:
+            continue
+        if draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(_json_values)
+    return doc
+
+
 @st.composite
 def _pde_documents(draw):
     """A PDE document in which up to two fields (A, B, C, params, domain or
@@ -274,16 +334,8 @@ def _pde_documents(draw):
            "C": draw(_coefficients),
            "params": {"q": draw(st.integers(-3, 3) | st.floats())},
            "domain": {"x": sorted(draw(_interval)), "t": sorted(draw(_interval))}}
-    for name in draw(st.sets(st.sampled_from(
-            ["A", "B", "C", "params", "domain", "x", "t"]), max_size=2)):
-        parent = doc.get("domain") if name in ("x", "t") else doc
-        if not isinstance(parent, dict) or name not in parent:
-            continue
-        if draw(st.booleans()):
-            del parent[name]
-        else:
-            parent[name] = draw(_json_values)
-    return doc
+    return _mutated(draw, doc, ["A", "B", "C", "params", "domain", "domain.x",
+                                "domain.t"])
 
 
 @given(doc=_pde_documents())
@@ -295,6 +347,56 @@ def test_pde_loader_fuzz_never_raises(tmp_path_factory, doc):
     rc = main(["--out", str(root / "fuzz-out"), "check", str(path),
                "--solution", "x"])
     assert rc in (0, 1, 2)
+
+
+_numbers = st.sampled_from([-1.5, -0.5, 0, 0.5, 1, 2.0])
+_x_profiles = st.sampled_from(["0", "x", "2*x", "x + 0.1*x^2", "log(x)", "x +"])
+_shapes = st.sampled_from(["1", "s", "s^2", "w", "w^2", "exp(w)"])
+
+
+@st.composite
+def _ansatz_documents(draw):
+    doc = {"phi": draw(st.sampled_from(["1", "t + 2", "exp(t)", "x"])),
+           "P": draw(_x_profiles), "R": draw(_x_profiles),
+           "q": draw(_numbers), "v": draw(_numbers)}
+    return _mutated(draw, doc, list(doc))
+
+
+@st.composite
+def _family_documents(draw):
+    kind = draw(st.sampled_from(["wave", "oscillator", "rossby"]))
+    if kind == "rossby":
+        doc = {"F": draw(_shapes), "G": draw(_shapes), "H": draw(_shapes),
+               "c": draw(_numbers), "c1": draw(_numbers), "c2": draw(_numbers),
+               "mode": draw(st.sampled_from(["DERIVED", "as_printed"])),
+               "domain": {"x": [1, 2], "t": [1, 2]}}
+    else:
+        doc = {"P": draw(_x_profiles), "R": draw(_x_profiles),
+               "q": draw(_numbers), "v": draw(_numbers),
+               "a": draw(_numbers), "b": draw(_numbers),
+               "domain": {"x": [0, 1], "t": [0, 1]}}
+        doc.update({"F": draw(_shapes)} if kind == "wave"
+                   else {"k": draw(_numbers)})
+    doc["family"] = kind
+    return _mutated(draw, doc, list(doc) + ["domain.x", "domain.t"])
+
+
+@given(kind=st.sampled_from(["ansatz", "family"]), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_ansatz_and_family_loader_fuzz_never_raises(tmp_path_factory, kind,
+                                                    data):
+    root = tmp_path_factory.getbasetemp()
+    out = ["--out", str(root / "fuzz-out"), "--samples", "10"]
+    if kind == "ansatz":
+        doc = data.draw(_ansatz_documents())
+        heat = root / "fuzz-heat.json"
+        heat.write_text(json.dumps(HEAT))
+        argv = out + ["reduce", str(heat), str(root / "fuzz-doc.json")]
+    else:
+        doc = data.draw(_family_documents())
+        argv = out + ["synth", str(root / "fuzz-doc.json")]
+    (root / "fuzz-doc.json").write_text(json.dumps(doc))
+    assert main(argv) in (0, 1, 2)
 
 
 @pytest.mark.parametrize("payload", [
