@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from liewave.expr import (
-    Exp, Var, diff, is_zero_sampled, num, parse, simplify,
+    Cos, Exp, Sin, Var, ZERO, diff, is_zero_sampled, num, parse, simplify,
 )
 from liewave.reduction import (
     IDENTITY, OSCILLATOR, OTHER, WAVE, Classification, ReductionResult,
@@ -9,6 +11,9 @@ from liewave.reduction import (
     generator_annihilation_check, invariants, load_ansatz, similarity_reduce,
 )
 from liewave.symmetry import Domain, PdeSpec, load_pde
+from liewave.synth import (
+    OscFamilyInput, WaveFamilyInput, synth_oscillator, synth_wave,
+)
 
 
 def pde(a, b, c, dom):
@@ -127,6 +132,76 @@ def test_reduce_heat_keeps_first_order_term(unit_domain):
     assert sampled_equal(r.c1, 2 * r.z_expr, box)
     assert r.c0 == parse("0")
     assert classify_target(r, unit_domain).kind == OTHER
+
+
+def _wave_draws():
+    # the ten draws of acceptance criterion 2
+    rng = random.Random(42)
+    for _ in range(10):
+        P, R = rng.choice(["x", "2*x", "x + 0.1*x^2"]), rng.choice(["0", "x"])
+        q, v = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
+        inp = WaveFamilyInput(P, R, q, v, rng.choice(["1", "s", "s^2"]),
+                              1.0, 1.0, Domain((0.0, 1.0), (0.0, 1.0)))
+        yield synth_wave(inp), inp.ansatz()
+
+
+def _oscillator_draws():
+    # the ten draws of acceptance criterion 3
+    rng = random.Random(43)
+    for _ in range(10):
+        inp = OscFamilyInput(rng.choice(["x", "2*x", "x + 0.1*x^2"]),
+                             rng.choice(["0", "x"]),
+                             rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0),
+                             1.0, 1.0, rng.choice([1.0, 2.0]),
+                             Domain((0.0, 1.0), (0.0, 1.0)))
+        yield synth_oscillator(inp), inp.ansatz()
+
+
+def _reduction_cases():
+    unit = Domain((0.0, 1.0), (0.0, 1.0))
+    plain = SeparableAnsatz("1", "x", "0", 1.0, 0.0)
+    cases = [
+        pytest.param(pde("1", "0", "0", unit), plain, id="heat"),
+        pytest.param(pde("1", "-2", "0", unit), plain, id="drift"),
+        pytest.param(pde("0", "-1", "1", unit),
+                     SeparableAnsatz("1", "x", "x", 1.0, 1.0), id="advection"),
+        # quadratic R with v != 0 (E_2x != 0) on a PDE with no symmetry
+        pytest.param(pde("1 + x^2/4", "x*t", "sin(x)", unit),
+                     SeparableAnsatz("1", "x + 0.1*x^2", "x^2", 1.3, -0.7),
+                     id="quadratic-R"),
+    ]
+    cases += [pytest.param(p, a, id=f"criterion-2-{i}")
+              for i, (p, a) in enumerate(_wave_draws())]
+    cases += [pytest.param(p, a, id=f"criterion-3-{i}")
+              for i, (p, a) in enumerate(_oscillator_draws())]
+    return cases
+
+
+@pytest.mark.parametrize("p, a", _reduction_cases())
+def test_chain_rule_coefficients_match_direct_substitution(p, a):
+    # independent of the chain rule: substitute u = E Phi(z) for two concrete
+    # Phi into the PDE residual u_t - A u_2x - B u_x - C u, which must equal
+    # -(c2 Phi'' + c1 Phi' + c0 Phi)
+    r = similarity_reduce(p, a)
+    z = r.z_expr
+    E = Exp(num(a.v) * a.R)
+    for phi, d1, d2 in ((Sin(z), Cos(z), -Sin(z)),
+                        (z**3, 3 * z**2, 6 * z)):
+        total = p.residual(E * phi) + r.c2 * d2 + r.c1 * d1 + r.c0 * phi
+        assert is_zero_sampled(total, p.domain.box(), n=30).passed
+
+
+@pytest.mark.parametrize("P, R, q, v, F", [
+    ("1/2*x + 3/16*x^2", "-3/4*x", 1.25, 0.5, "3/4 + 5/4*s^2"),
+    ("3/2*x + 1/8*x^2", "1/2*x", 0.75, -0.75, "1/2 + 3/2*s^2"),
+])
+def test_wave_member_coefficients_cancel_exactly(unit_domain, P, R, q, v, F):
+    # quadratic P, linear R, F = f0 + f2 s^2: the Phi' and Phi coefficients
+    # cancel symbolically, not only to sampling accuracy
+    inp = WaveFamilyInput(P, R, q, v, F, 1.0, 1.0, unit_domain)
+    r = similarity_reduce(synth_wave(inp), inp.ansatz())
+    assert (r.c1, r.c0) == (ZERO, ZERO)
+    assert classify_target(r, unit_domain).kind == WAVE
 
 
 def test_reduce_rejects_degenerate_profile():
