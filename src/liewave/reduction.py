@@ -209,10 +209,10 @@ def check_z_closure(r: ReductionResult, domain: Domain, *, n: int = 20,
     q = math.log(eval_numeric(r.z_expr, {"x": xm, "t": t0})
                  / eval_numeric(r.z_expr, {"x": xm, "t": t0 + 1.0}))
     pairs = []
-    c = sample_box({"x1": (x0, x1), "t1": (t0, t1), "x2": (x0, x1)},
-                   50 * n, seed)
-    for xa, ta, xb in zip(c["x1"].tolist(), c["t1"].tolist(),
-                          c["x2"].tolist()):
+    cloud = sample_box({"x1": (x0, x1), "t1": (t0, t1), "x2": (x0, x1)},
+                       50 * n, seed)
+    for xa, ta, xb in zip(cloud["x1"].tolist(), cloud["t1"].tolist(),
+                          cloud["x2"].tolist()):
         z1v = eval_numeric(r.z_expr, {"x": xa, "t": ta})
         z2v = eval_numeric(r.z_expr, {"x": xb, "t": ta})
         t2 = ta + math.log(z2v / z1v) / q
