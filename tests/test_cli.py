@@ -251,6 +251,14 @@ def test_malformed_document_is_exit_2(tmp_path, capsys, command, payload):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _run_document(tmp_path, command, payload):
+    """main() on an ansatz document (reducing HEAT) or a family document."""
+    doc = write(tmp_path, "doc.json", payload)
+    inputs = [write(tmp_path, "pde.json", HEAT), doc] if command == "reduce" \
+        else [doc]
+    return main(["--out", str(tmp_path / "out"), command, *inputs])
+
+
 @pytest.mark.parametrize("value", [None, [1], True, "1.5"])
 @pytest.mark.parametrize("command, payload, name", [
     ("reduce", PLAIN_ANSATZ, "q"),
@@ -261,10 +269,8 @@ def test_malformed_document_is_exit_2(tmp_path, capsys, command, payload):
 def test_malformed_number_in_ansatz_or_family_is_exit_2(
         tmp_path, capsys, command, payload, name, value):
     # numbers are JSON numbers: no null, list, boolean or numeric string
-    doc = write(tmp_path, "doc.json", dict(payload, **{name: value}))
-    inputs = [write(tmp_path, "pde.json", HEAT), doc] if command == "reduce" \
-        else [doc]
-    assert main(["--out", str(tmp_path / "out"), command, *inputs]) == 2
+    assert _run_document(tmp_path, command,
+                         dict(payload, **{name: value})) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -276,10 +282,7 @@ def test_malformed_number_in_ansatz_or_family_is_exit_2(
 def test_constant_beyond_float_range_is_exit_2(tmp_path, capsys, command,
                                                payload):
     # in range as read, but v^2 (1e600) or the denominator of 1e-300^2 is not
-    doc = write(tmp_path, "doc.json", payload)
-    inputs = [write(tmp_path, "pde.json", HEAT), doc] if command == "reduce" \
-        else [doc]
-    assert main(["--out", str(tmp_path / "out"), command, *inputs]) == 2
+    assert _run_document(tmp_path, command, payload) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: number beyond the float range (")
     assert err.count("\n") == 1

@@ -15,6 +15,9 @@ from liewave.synth import (
     OscFamilyInput, WaveFamilyInput, synth_oscillator, synth_wave,
 )
 
+from test_acceptance import SEED as ACCEPTANCE_SEED
+from test_acceptance import _wave_draws as acceptance_wave_draws
+
 
 def pde(a, b, c, dom):
     return PdeSpec(parse(a), parse(b), parse(c), dom)
@@ -136,18 +139,15 @@ def test_reduce_heat_keeps_first_order_term(unit_domain):
 
 def _wave_draws():
     # the ten draws of acceptance criterion 2
-    rng = random.Random(42)
-    for _ in range(10):
-        P, R = rng.choice(["x", "2*x", "x + 0.1*x^2"]), rng.choice(["0", "x"])
-        q, v = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
-        inp = WaveFamilyInput(P, R, q, v, rng.choice(["1", "s", "s^2"]),
-                              1.0, 1.0, Domain((0.0, 1.0), (0.0, 1.0)))
+    for P, R, q, v, F in acceptance_wave_draws(10):
+        inp = WaveFamilyInput(P, R, q, v, F, 1.0, 1.0,
+                              Domain((0.0, 1.0), (0.0, 1.0)))
         yield synth_wave(inp), inp.ansatz()
 
 
 def _oscillator_draws():
-    # the ten draws of acceptance criterion 3
-    rng = random.Random(43)
+    # the ten draws of acceptance criterion 3, which draws them inline
+    rng = random.Random(ACCEPTANCE_SEED + 1)
     for _ in range(10):
         inp = OscFamilyInput(rng.choice(["x", "2*x", "x + 0.1*x^2"]),
                              rng.choice(["0", "x"]),
