@@ -2,9 +2,11 @@
 
 Nodes are immutable and hashable; structural equality is field equality.
 A node with children computes its hash and its sort key once, on first use,
-and keeps them in two slots that take no part in equality, repr or pickled
-state; the hash is the dataclass hash of the field tuple, so its values
-(and with them dict and set order) are those of an uncached node.
+and keeps them in two slots; a third slot marks a node that simplify has
+returned, so simplify hands it back as it is.  None of the three takes part
+in equality, repr or pickled state; the hash is the dataclass hash of the
+field tuple, so its values (and with them dict and set order) are those of
+an uncached node.
 Division is spelled Mul(a, Pow(b, -1)) and subtraction Add(a, Neg(b)), so
 there are only seven node kinds.  Exact rationals (fractions.Fraction) are
 kept until numeric evaluation; floats are contagious once introduced.
@@ -69,10 +71,12 @@ class _Branch(Expr):
     """A node with children.  Its hash and sort key walk the whole subtree
     (with a modular pow for each Fraction in it) and simplify asks for them
     again and again, so each is kept once computed (see _node, sort_key).
+    _canon is set on every node simplify returns: simplify is idempotent, so
+    a marked tree is its own canonical form (see simplify.simplify).
     Leaves (Const, Var) keep none: theirs cost O(1), and a cache on every
     leaf would cost memory on ~40% of the live nodes."""
 
-    __slots__ = ("_hash", "_key")
+    __slots__ = ("_hash", "_key", "_canon")
 
 
 def _node(cls):

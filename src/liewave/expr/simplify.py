@@ -7,7 +7,8 @@ merge like terms with rational coefficients, hoist signs so a canonical Mul
 has at most one leading positive constant.
 
 This is a single bottom-up pass over the tree, so it terminates trivially;
-idempotence (simplify . simplify == simplify) is covered by property tests.
+idempotence (simplify . simplify == simplify) is covered by property tests,
+and it is what lets simplify return a tree it has returned before as it is.
 It is NOT a canonical form for transcendental identities — numeric sampling
 is the project's zero test.
 """
@@ -25,19 +26,26 @@ from .nodes import (
 
 
 def simplify(e: Expr) -> Expr:
-    if isinstance(e, (Const, Var)):
+    """Canonical form of e.  Every branch node returned is marked (the
+    _canon slot), and a marked argument is returned as it is: by idempotence
+    it is already its own canonical form."""
+    if isinstance(e, (Const, Var)) or hasattr(e, "_canon"):
         return e
     if isinstance(e, Add):
-        return _add(tuple(simplify(t) for t in e.terms))
-    if isinstance(e, Mul):
-        return _mul(tuple(simplify(f) for f in e.factors))
-    if isinstance(e, Pow):
-        return _pow(simplify(e.base), simplify(e.exponent))
-    if isinstance(e, Neg):
-        return _negate(simplify(e.child))
-    if isinstance(e, Call):
-        return _call(e.fn, simplify(e.arg))
-    raise TypeError(f"not an Expr: {e!r}")
+        out = _add(tuple(simplify(t) for t in e.terms))
+    elif isinstance(e, Mul):
+        out = _mul(tuple(simplify(f) for f in e.factors))
+    elif isinstance(e, Pow):
+        out = _pow(simplify(e.base), simplify(e.exponent))
+    elif isinstance(e, Neg):
+        out = _negate(simplify(e.child))
+    elif isinstance(e, Call):
+        out = _call(e.fn, simplify(e.arg))
+    else:
+        raise TypeError(f"not an Expr: {e!r}")
+    if not isinstance(out, (Const, Var)):
+        object.__setattr__(out, "_canon", True)
+    return out
 
 
 def _negate(e: Expr) -> Expr:

@@ -270,6 +270,57 @@ def test_pickle_does_not_carry_the_cache():
         assert copy == tree and hash(copy) == hash(tree)
 
 
+# ------------------------------------------------ the canonical mark
+
+def _unmarked(e):
+    """Structural copy without the cache slots (pickle drops them)."""
+    return pickle.loads(pickle.dumps(e))
+
+
+def _marked(e):
+    return [n for n in _walk(e) if hasattr(n, "_canon")]
+
+
+def _check_canonical_mark(e):
+    """simplify of trees holding marked nodes gives the same text as
+    simplify of their unmarked copies; trees are compared by repr, not ==,
+    because Const(1) == Const(1.0)."""
+    s = simplify(e)
+    copy = _unmarked(s)
+    assert not _marked(copy)
+    assert isinstance(s, (Const, Var)) or _marked(s)[0] is s
+    # the mark is invisible to equality, hash, repr, text and pickle
+    assert s == copy and hash(s) == hash(copy)
+    assert repr(s) == repr(copy) and to_text(s) == to_text(copy)
+    assert pickle.dumps(s) == pickle.dumps(copy)
+    assert simplify(s) is s
+    assert repr(simplify(copy)) == repr(s)
+    # e itself was simplified once above and must not pass for canonical
+    assert repr(simplify(e)) == repr(simplify(_unmarked(e))) == repr(s)
+    mixed = Add((e, s, Mul((s, e)), Neg(Pow(s, Const(2)))))
+    assert repr(simplify(mixed)) == repr(simplify(_unmarked(mixed)))
+    x = expand(mixed)
+    assert repr(x) == repr(expand(_unmarked(mixed)))
+    assert repr(diff(mixed, "x")) == repr(diff(_unmarked(mixed), "x"))
+
+
+@pytest.mark.parametrize("text", [t for t, _ in CORPUS])
+def test_canonical_mark_corpus(text):
+    _check_canonical_mark(parse(text))
+
+
+# float constants too: Const(1.0) equals Const(1) but prints apart
+_float_leaves = st.sampled_from([0.5, 1.0, -1.0, 2.5, 0.1]).map(Const)
+_exprs_with_floats = st.recursive(_leaves | _float_leaves, _branch,
+                                  max_leaves=20)
+
+
+@given(_exprs_with_floats)
+@settings(max_examples=250, deadline=None)
+def test_canonical_mark_random(e):
+    _check_canonical_mark(e)
+
+
 # ------------------------------------------------------- differentiation
 
 def test_diff_power_rule():
