@@ -166,24 +166,26 @@ def coerce(x) -> Expr:
     raise TypeError(f"cannot coerce {type(x).__name__} to Expr")
 
 
-def num(x: NumberLike) -> Const:
+def num(x: NumberLike, name: str = "") -> Const:
     """Exact constant from a number; floats go through their shortest decimal.
 
     Keeps coefficient arithmetic exact even when parameters arrive as floats
     (Fraction(str(0.1)) is 1/10, not the 2**-55 neighbour).  Anything else
-    is malformed input: ValueError.
+    is malformed input: ValueError, its message prefixed with `name` (the
+    input field being read) when one is given.
     """
+    where = f"{name}: " if name else ""
     if isinstance(x, bool):
-        raise ValueError("bool is not a number here")
+        raise ValueError(f"{where}bool is not a number here")
     if isinstance(x, (int, Fraction)):
         if abs(x) > sys.float_info.max:
-            raise ValueError("number beyond the float range")
+            raise ValueError(f"{where}number beyond the float range")
         return Const(Fraction(x))
     if isinstance(x, float):
         if not math.isfinite(x):
-            raise ValueError("parameter must be finite")
+            raise ValueError(f"{where}parameter must be finite")
         return Const(Fraction(str(x)))
-    raise ValueError(f"expected a number, got {type(x).__name__}")
+    raise ValueError(f"{where}expected a number, got {type(x).__name__}")
 
 
 def neg(e: Expr) -> Expr:

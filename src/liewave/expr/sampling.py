@@ -121,7 +121,8 @@ def is_zero_sampled(e: Expr, box, *, n: int = 100, tol: float = 1e-9,
     scale = np.abs(value)
     for t in terms[1:]:
         v, f = eval_checked(t, cols)
-        value = value + v
+        with np.errstate(all="ignore"):  # inf - inf is a failed point
+            value = value + v
         scale = np.maximum(scale, np.abs(v))
         failed = failed | f
     failed |= ~np.isfinite(value)

@@ -277,7 +277,7 @@ def load_profile(source) -> ModeProblem:
     """Schema: {"H": num, "N": "<expr in z>"} or
     {"H": num, "N": [{"z": [lo, hi], "expr": "..."}]}."""
     d = _load_json(source)
-    H = float(num(d["H"]).value)
+    H = float(num(d["H"], "H").value)
     n = d["N"]
     if isinstance(n, str):
         return ModeProblem(H, ((-H, 0.0, n),))
@@ -287,7 +287,8 @@ def load_profile(source) -> ModeProblem:
         raise ValueError('N must be an expression or a list of '
                          '{"z": [lo, hi], "expr": ...} pieces')
     return ModeProblem(H, tuple(
-        (float(num(piece["z"][0]).value), float(num(piece["z"][1]).value),
+        (float(num(piece["z"][0], "N.z").value),
+         float(num(piece["z"][1], "N.z").value),
          piece["expr"]) for piece in n))
 
 

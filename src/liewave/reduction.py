@@ -52,8 +52,8 @@ class SeparableAnsatz:
         object.__setattr__(self, "phi", _as_expr(self.phi))
         object.__setattr__(self, "P", _as_expr(self.P))
         object.__setattr__(self, "R", _as_expr(self.R))
-        object.__setattr__(self, "q", float(num(self.q).value))
-        object.__setattr__(self, "v", float(num(self.v).value))
+        object.__setattr__(self, "q", float(num(self.q, "q").value))
+        object.__setattr__(self, "v", float(num(self.v, "v").value))
         if self.q == 0.0:
             raise ValueError("q must be nonzero")
         bad = free_vars(self.phi) - {"t"}

@@ -48,7 +48,7 @@ class Domain:
             bounds = getattr(self, name)
             if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
                 raise ValueError(f"domain {name} must be [lo, hi], got {bounds!r}")
-            lo, hi = (float(num(b).value) for b in bounds)
+            lo, hi = (float(num(b, f"domain.{name}").value) for b in bounds)
             if not hi > lo:
                 raise ValueError(
                     f"degenerate {name}-interval [{bounds[0]}, {bounds[1]}]")
@@ -216,10 +216,10 @@ def determining_residuals(p: PdeSpec, g: Generator):
     xi_t = diff(g.xi, "t")
     xi_2x = diff(xi_x, "x")
     phi_t = diff(g.phi, "t")
-    r1 = expand(g.phi * At + g.xi * Ax + p.A * phi_t - 2 * p.A * xi_x)
-    r2 = expand(-g.phi * Bt - g.xi * Bx + p.B * xi_x - xi_t - p.B * phi_t
+    r1 = simplify(g.phi * At + g.xi * Ax + p.A * phi_t - 2 * p.A * xi_x)
+    r2 = simplify(-g.phi * Bt - g.xi * Bx + p.B * xi_x - xi_t - p.B * phi_t
                 - 2 * p.A * Mx + p.A * xi_2x)
-    r3 = expand(-g.phi * Ct - g.xi * Cx - p.B * Mx + Mt - phi_t * p.C
+    r3 = simplify(-g.phi * Ct - g.xi * Cx - p.B * Mx + Mt - phi_t * p.C
                 - p.A * M2x)
     return r1, r2, r3
 

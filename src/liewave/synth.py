@@ -60,7 +60,8 @@ class WaveFamilyInput:
         object.__setattr__(self, "R", _as_expr(self.R))
         object.__setattr__(self, "F", _as_expr(self.F))
         for name in ("q", "v", "a", "b"):
-            object.__setattr__(self, name, float(num(getattr(self, name)).value))
+            object.__setattr__(self, name,
+                               float(num(getattr(self, name), name).value))
         if self.q == 0.0:
             raise ValueError("q must be nonzero")
         _check_profile_vars(self.P, "x", "P")
@@ -159,7 +160,8 @@ class OscFamilyInput:
         object.__setattr__(self, "P", _as_expr(self.P))
         object.__setattr__(self, "R", _as_expr(self.R))
         for name in ("q", "v", "a", "b", "k"):
-            object.__setattr__(self, name, float(num(getattr(self, name)).value))
+            object.__setattr__(self, name,
+                               float(num(getattr(self, name), name).value))
         if self.q == 0.0:
             raise ValueError("q must be nonzero")
         if not self.k > 0:
@@ -246,7 +248,8 @@ class RossbyFamilyInput:
         object.__setattr__(self, "G", _as_expr(self.G))
         object.__setattr__(self, "H", _as_expr(self.H))
         for name in ("c", "c1", "c2"):
-            object.__setattr__(self, name, float(num(getattr(self, name)).value))
+            object.__setattr__(self, name,
+                               float(num(getattr(self, name), name).value))
         mode = str(self.mode).upper()
         if mode not in (DERIVED, AS_PRINTED):
             raise ValueError(f"mode must be DERIVED or AS_PRINTED, got {self.mode!r}")

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import liewave
 from liewave.cli import main
 
 WAVE_FAMILY = {"family": "wave", "P": "x", "R": "0", "q": 1.0, "v": 0.0,
@@ -272,20 +277,62 @@ def test_malformed_number_in_ansatz_or_family_is_exit_2(
     assert _run_document(tmp_path, command,
                          dict(payload, **{name: value})) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {name}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command, payload", [
     ("reduce", dict(PLAIN_ANSATZ, R="x", v=1e300)),
-    ("synth", dict(ROSSBY_PRINTED, c=1e-300, c1=1e-300, c2=1e-300)),
 ])
 def test_constant_beyond_float_range_is_exit_2(tmp_path, capsys, command,
                                                payload):
-    # in range as read, but v^2 (1e600) or the denominator of 1e-300^2 is not
+    # in range as read, but v^2 (1e600) is not
     assert _run_document(tmp_path, command, payload) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: number beyond the float range (")
     assert err.count("\n") == 1
+
+
+TINY_ROSSBY = dict(ROSSBY_PRINTED, c=1e-300, c1=1e-300, c2=1e-300)
+
+
+def test_tiny_rossby_constants_are_evaluated(tmp_path, capsys):
+    # each constant is in range, but 1/(c t + c1)^2 is not: the determining
+    # residuals overflow at the sample points, which is a FAIL with a
+    # witness, not malformed input
+    assert _run_document(tmp_path, "synth", TINY_ROSSBY) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wall time: ") and err.count("\n") == 1
+    checks = read_report(tmp_path / "out")["checks"]
+    determining = [c for c in checks if "_determining_" in c["name"]]
+    assert len(determining) == len(checks) == 6
+    derived = [c for c in determining if c["name"].startswith("rossby_derived")
+               and c["status"] == "FAIL"]
+    assert derived
+    assert all(c["note"].startswith("overflow in ") for c in derived)
+    assert all(c["status"] == "FAIL" for c in determining
+               if c["name"].startswith("rossby_as_printed"))
+    for c in determining:
+        if c["status"] == "FAIL":
+            assert sorted(c["witness"]) == ["t", "x"]
+            assert 1 <= c["witness"]["x"] <= 2 and 1 <= c["witness"]["t"] <= 2
+
+
+@pytest.mark.parametrize("command", [
+    ["check", HEAT, "--solution", "exp(1000*x) - exp(1000*t)"],
+    ["synth", TINY_ROSSBY],
+])
+def test_overflow_prints_no_warning(tmp_path, command):
+    # a fresh interpreter: pytest would capture the warning, not stderr
+    doc = write(tmp_path, "doc.json", command[1])
+    src = Path(liewave.__file__).resolve().parent.parent
+    run = subprocess.run(
+        [sys.executable, "-m", "liewave.cli", "--out", str(tmp_path / "out"),
+         command[0], doc, *command[2:]],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert run.returncode == 1
+    assert "FAIL" in run.stdout
+    assert "Warning" not in run.stderr and "Traceback" not in run.stderr
 
 
 @pytest.mark.parametrize("domain", [
