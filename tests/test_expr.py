@@ -403,6 +403,87 @@ def test_expand_distributes():
     assert expand(parse("(x + y)^2")) == simplify(parse("x^2 + 2*x*y + y^2"))
 
 
+# ------------------------------------------- sympy as an outside oracle
+
+@pytest.fixture(scope="module")
+def sp():
+    # a test-only oracle: sympy is not a runtime dependency
+    return pytest.importorskip("sympy")
+
+
+def _to_sympy(sp, e):
+    if isinstance(e, Const):
+        v = e.value
+        if isinstance(v, Fraction):
+            return sp.Rational(v.numerator, v.denominator)
+        return sp.Float(v)
+    if isinstance(e, Var):
+        return sp.Symbol(e.name)
+    if isinstance(e, Add):
+        return sp.Add(*(_to_sympy(sp, t) for t in e.terms))
+    if isinstance(e, Mul):
+        return sp.Mul(*(_to_sympy(sp, f) for f in e.factors))
+    if isinstance(e, Pow):
+        return sp.Pow(_to_sympy(sp, e.base), _to_sympy(sp, e.exponent))
+    if isinstance(e, Neg):
+        return -_to_sympy(sp, e.child)
+    return getattr(sp, e.fn)(_to_sympy(sp, e.arg))
+
+
+# the corpora's variables at three points inside (0, 2); exact decimals
+_ORACLE_POINTS = [
+    dict(zip("abkqtuvx", ("0.3", "1.4", "0.8", "1.9", "1.3", "0.45", "0.35", "0.7"))),
+    dict(zip("abkqtuvx", ("1.2", "0.25", "1.5", "0.6", "0.2", "1.1", "1.75", "1.55"))),
+    dict(zip("abkqtuvx", ("0.65", "0.9", "0.4", "1.2", "0.85", "1.6", "0.9", "0.15"))),
+]
+
+
+def _agree_with_sympy(sp, ours, reference):
+    """ours (an Expr) and reference (a sympy expression) take the same value,
+    at 60 digits, at every oracle point where both are real and defined.
+    Both sides are evaluated by mpmath, so float rounding in liewave's own
+    evaluator plays no part; only exact constants occur in the corpora."""
+    import mpmath
+    if reference.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
+        return
+    names = sorted(_ORACLE_POINTS[0])
+    symbols = [sp.Symbol(n) for n in names]
+    f = sp.lambdify(symbols, _to_sympy(sp, ours), "mpmath")
+    g = sp.lambdify(symbols, reference, "mpmath")
+    with mpmath.workdps(60):
+        for point in _ORACLE_POINTS:
+            args = [mpmath.mpf(point[n]) for n in names]
+            try:
+                a, b = f(*args), g(*args)
+            except (ZeroDivisionError, ValueError):
+                continue
+            if isinstance(a, mpmath.mpc) or isinstance(b, mpmath.mpc):
+                continue
+            assert abs(a - b) <= mpmath.mpf(10)**-30 * max(1, abs(a), abs(b))
+
+
+def _check_against_sympy(sp, e):
+    """diff, expand and simplify of e against sympy's diff, its expand and
+    its own automatic canonical form of e."""
+    reference = _to_sympy(sp, e)
+    for var in ("x", "t"):
+        _agree_with_sympy(sp, diff(e, var),
+                          sp.diff(reference, sp.Symbol(var)))
+    _agree_with_sympy(sp, expand(e), sp.expand(reference))
+    _agree_with_sympy(sp, simplify(e), reference)
+
+
+@pytest.mark.parametrize("text", [t for t, _ in CORPUS])
+def test_calculus_agrees_with_sympy_corpus(sp, text):
+    _check_against_sympy(sp, parse(text))
+
+
+@given(_exprs)
+@settings(max_examples=200, deadline=None)
+def test_calculus_agrees_with_sympy_random(sp, e):
+    _check_against_sympy(sp, e)
+
+
 # ------------------------------------------------------------ evaluation
 
 def test_eval_examples():
