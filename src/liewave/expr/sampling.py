@@ -102,6 +102,10 @@ def is_zero_sampled(e: Expr, box, *, n: int = 100, tol: float = 1e-9,
                     seed: int = 0) -> ZeroSample:
     """Decide whether `e` vanishes identically on the box, by sampling.
 
+    The scale in |e| <= tol * max(1, scale) is taken over the top-level
+    terms of simplify(e), which does not expand products: for a
+    determining residual they are the named terms of the determining
+    equation (phi*A_t, xi*A_x, ...), not the monomials of its expansion.
     A math-domain error at a sample point counts as a failure and is
     reported through the witness: the first point, in cloud order, at
     which eval_numeric raises.

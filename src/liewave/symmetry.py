@@ -205,6 +205,11 @@ def determining_residuals(p: PdeSpec, g: Generator):
     symmetry of p.  Note r2 and r3 carry the conventional opposite sign of
     the direct jet-monomial coefficients: the residual identity is
     invariance_residual == r1*u_2x - r2*u_x - r3*u.
+
+    Each is simplified, not expanded, so it stays a sum of the equation's
+    named terms (phi*A_t, xi*A_x, A*phi_t, -2*A*xi_x, ...) with like terms
+    merged.  The sampled zero test scales by the largest of those terms at
+    each point, not by the largest monomial.
     """
     At, Ax = diff(p.A, "t"), diff(p.A, "x")
     Bt, Bx = diff(p.B, "t"), diff(p.B, "x")
