@@ -223,9 +223,9 @@ def determining_residuals(p: PdeSpec, g: Generator):
     phi_t = diff(g.phi, "t")
     r1 = simplify(g.phi * At + g.xi * Ax + p.A * phi_t - 2 * p.A * xi_x)
     r2 = simplify(-g.phi * Bt - g.xi * Bx + p.B * xi_x - xi_t - p.B * phi_t
-                - 2 * p.A * Mx + p.A * xi_2x)
+                  - 2 * p.A * Mx + p.A * xi_2x)
     r3 = simplify(-g.phi * Ct - g.xi * Cx - p.B * Mx + Mt - phi_t * p.C
-                - p.A * M2x)
+                  - p.A * M2x)
     return r1, r2, r3
 
 

@@ -288,7 +288,7 @@ def _check_canonical_mark(e):
     s = simplify(e)
     copy = _unmarked(s)
     assert not _marked(copy)
-    assert isinstance(s, (Const, Var)) or _marked(s)[0] is s
+    assert isinstance(s, (Const, Var)) or hasattr(s, "_canon")
     # the mark is invisible to equality, hash, repr, text and pickle
     assert s == copy and hash(s) == hash(copy)
     assert repr(s) == repr(copy) and to_text(s) == to_text(copy)
