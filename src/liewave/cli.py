@@ -183,8 +183,9 @@ def cmd_synth(args) -> int:
             for i, zs in enumerate(mode_rep.residuals, start=1):
                 checks.append(Check.from_sample(
                     f"rossby_{mode_rep.mode.lower()}_determining_{i}", zs))
-                if expected:
-                    checks[-1].note = expected
+                if expected:  # keep the zero test's own reason after it
+                    checks[-1].note = "; ".join(
+                        filter(None, (expected, checks[-1].note)))
         extra["mode"] = inp.mode
     else:
         if isinstance(inp, synth.WaveFamilyInput):
@@ -313,15 +314,18 @@ def _auto_nt(pde, grid) -> int:
 
 
 def _write_solution_csv(path, fld, closed):
+    """One row per (t, x), written one time level at a time."""
     xs, ts = fld.grid.xs(), fld.grid.ts()
     ref = np.broadcast_to(numverify.eval_on_grid(closed, {"x": xs[:, None], "t": ts}),
                           fld.values.shape)
-    rows = ["x,t,u_numeric,u_closed,abs_err"]
-    for j, t in enumerate(ts):
-        for i, x in enumerate(xs):
-            u, r = fld.values[i, j], ref[i, j]
-            rows.append(",".join(_float_fmt(v) for v in (x, t, u, r, abs(u - r))))
-    path.write_text("\n".join(rows) + "\n")
+    x_texts = [_float_fmt(x) for x in xs.tolist()]
+    with open(path, "w") as fh:
+        fh.write("x,t,u_numeric,u_closed,abs_err\n")
+        for t, us, rs in zip(ts.tolist(), fld.values.T, ref.T):
+            t_text = _float_fmt(t)
+            fh.write("".join(
+                f"{x},{t_text},{u:.17g},{r:.17g},{abs(u - r):.17g}\n"
+                for x, u, r in zip(x_texts, us.tolist(), rs.tolist())))
 
 
 def cmd_modes(args) -> int:

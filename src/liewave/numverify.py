@@ -22,6 +22,7 @@ from .expr import (
 from .symmetry import PdeSpec, _as_expr, _load_json
 
 _UPWIND_A_THRESHOLD = 1e-14
+BLOCK = 256  # time steps whose t-dependent coefficients are evaluated at once
 
 
 class StabilityError(ValueError):
@@ -163,6 +164,16 @@ def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D) -> Field:
     Preconditions (enforced): those of `stable_dt`, A >= 0 and the step
     bound of the scheme it picks.
     """
+    values = np.empty((g.nx, g.nt + 1))
+    for n, u in enumerate(_euler_levels(p, ic, bc, g)):
+        values[:, n] = u
+    return Field(values, g)
+
+
+def _euler_levels(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D):
+    """The scheme of `fd_solve`: yields u at t_0, ..., t_nt, each level in
+    memory of its own.  Raises as `fd_solve` does; a BlowupError is raised
+    before the earlier levels of its block of steps are yielded."""
     xs = g.xs()
     ts = g.ts()
     dx, dt = g.dx, g.dt
@@ -171,33 +182,41 @@ def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D) -> Field:
         raise StabilityError(dt, dt_req)
 
     xi = xs[1:-1]
-    # coefficients free of t are evaluated once, the others at every step
-    coeffs = [c if "t" in free_vars(c) else eval_on_grid(c, {"x": xi})
+    # coefficients free of t are evaluated once, the others once per block
+    steady = [None if "t" in free_vars(c) else eval_on_grid(c, {"x": xi})
               for c in (p.A, p.B, p.C)]
-
-    values = np.empty((g.nx, g.nt + 1))
-    values[[0, -1], :] = eval_on_grid(bc, {"x": xs[[0, -1], None], "t": ts})
-    values[:, 0] = eval_on_grid(ic, {"x": xs})
-    if not np.isfinite(values[:, 0]).all():
+    edges = np.broadcast_to(
+        eval_on_grid(bc, {"x": xs[[0, -1], None], "t": ts}), (2, g.nt + 1))
+    u = np.empty(g.nx)
+    u[:] = eval_on_grid(ic, {"x": xs})
+    if not np.isfinite(u).all():
         raise ValueError("initial condition evaluated to non-finite values")
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(g.nt):
-            t = ts[n]
-            u = values[:, n]
-            A, B, C = (eval_on_grid(c, {"x": xi, "t": t})
-                       if isinstance(c, Expr) else c for c in coeffs)
-            u_2x = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
-            if advective:
-                forward = (u[2:] - u[1:-1]) / dx
-                backward = (u[1:-1] - u[:-2]) / dx
-                u_x = np.where(B >= 0, forward, backward)
-            else:
-                u_x = (u[2:] - u[:-2]) / (2.0 * dx)
-            values[1:-1, n + 1] = u[1:-1] + dt * (A * u_2x + B * u_x
-                                                  + C * u[1:-1])
-            if not np.isfinite(values[:, n + 1]).all():
-                raise BlowupError(n + 1, float(ts[n + 1]))
-    return Field(values, g)
+    yield u
+    dx2, two_dx = dx * dx, 2.0 * dx
+    for n0 in range(0, g.nt, BLOCK):
+        n1 = min(n0 + BLOCK, g.nt)
+        A, B, C = (eval_on_grid(c, {"x": xi, "t": ts[n0:n1, None]})
+                   if s is None else np.broadcast_to(s, (n1 - n0, *s.shape))
+                   for c, s in zip((p.A, p.B, p.C), steady))
+        block = np.empty((n1 - n0, g.nx))
+        block[:, 0], block[:, -1] = edges[:, n0 + 1:n1 + 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for new, a, b, c in zip(block, A, B, C):
+                inner = u[1:-1]
+                u_2x = (u[2:] - 2.0 * inner + u[:-2]) / dx2
+                if advective:
+                    u_x = np.where(b >= 0, (u[2:] - inner) / dx,
+                                   (inner - u[:-2]) / dx)
+                else:
+                    u_x = (u[2:] - u[:-2]) / two_dx
+                np.add(inner, dt * (a * u_2x + b * u_x + c * inner),
+                       out=new[1:-1])
+                u = new
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            n = n0 + 1 + int(np.argmin(finite))
+            raise BlowupError(n, float(ts[n]))
+        yield from block
 
 
 @dataclass(frozen=True)
@@ -220,9 +239,10 @@ def convergence_order(p: PdeSpec, exact: Expr, g0: Grid1D, levels: int):
         factor = 2**lvl
         g = Grid1D(g0.x0, g0.x1, (g0.nx - 1) * factor + 1,
                    g0.t0, g0.t1, g0.nt * (factor if advective else factor * factor))
-        field = fd_solve(p, substitute(exact, {"t": g.t0}), exact, g)
+        for u in _euler_levels(p, substitute(exact, {"t": g.t0}), exact, g):
+            pass  # only the final level is compared
         ref = eval_on_grid(exact, {"x": g.xs(), "t": g.t1})
-        error = float(np.max(np.abs(field.values[:, -1] - ref)))
+        error = float(np.max(np.abs(u - ref)))
         order = None
         if prev_error is not None and error > 1e-13 and prev_error > 1e-13:
             order = math.log2(prev_error / error)
@@ -314,7 +334,8 @@ def _sign_changes(vals: np.ndarray) -> int:
 class _Shooter:
     """RK4 shooting for phi'' = -(N(z)/C)^2 phi from z = -H with phi = 0,
     phi' = 1.  N^2 is cached on the integration grid once; every shot for a
-    new C is then pure arithmetic."""
+    new C is then pure arithmetic.  It runs on Python floats: the same
+    arithmetic on numpy float64 scalars costs about three times as much."""
 
     def __init__(self, problem: ModeProblem, nsteps: int):
         self.segments = []
@@ -327,31 +348,36 @@ class _Shooter:
             n2 = np.broadcast_to(eval_on_grid(n_expr, {"z": zs}), zs.shape)**2
             if not np.isfinite(n2).all():
                 raise ValueError("N(z) is not finite on the integration grid")
-            self.segments.append(((z_hi - z_lo) / count, n2[::2], n2[1::2]))
+            self.segments.append(((z_hi - z_lo) / count, n2[::2].tolist(),
+                                  n2[1::2].tolist()))
             grids.append(zs[2::2] if grids else zs[::2])
         self.zs = np.concatenate(grids)
 
     def shoot(self, C: float, record: bool = False):
         """phi(0; C), or (phi(0; C), zs, phi on zs) when recording."""
-        inv_c2 = 1.0 / (C * C)
+        # n2 * (-1/C^2) is -(n2/C^2) bit for bit: a product's sign is exact
+        minus_inv_c2 = -1.0 / (C * C)
         phi, psi = 0.0, 1.0
         phis = [phi]
+        append = phis.append
         for h, n2_nodes, n2_mids in self.segments:
-            for i in range(len(n2_mids)):
-                k_lo = -n2_nodes[i] * inv_c2
-                k_mid = -n2_mids[i] * inv_c2
-                k_hi = -n2_nodes[i + 1] * inv_c2
-                dphi1 = psi
+            half, sixth = 0.5 * h, h / 6.0
+            k_hi = n2_nodes[0] * minus_inv_c2
+            for n2_mid, n2_hi in zip(n2_mids, n2_nodes[1:]):
+                k_lo = k_hi
+                k_mid = n2_mid * minus_inv_c2
+                k_hi = n2_hi * minus_inv_c2
+                # stage slopes; the first one of phi is psi itself
                 dpsi1 = k_lo * phi
-                dphi2 = psi + 0.5 * h * dpsi1
-                dpsi2 = k_mid * (phi + 0.5 * h * dphi1)
-                dphi3 = psi + 0.5 * h * dpsi2
-                dpsi3 = k_mid * (phi + 0.5 * h * dphi2)
+                dphi2 = psi + half * dpsi1
+                dpsi2 = k_mid * (phi + half * psi)
+                dphi3 = psi + half * dpsi2
+                dpsi3 = k_mid * (phi + half * dphi2)
                 dphi4 = psi + h * dpsi3
                 dpsi4 = k_hi * (phi + h * dphi3)
-                phi += h / 6.0 * (dphi1 + 2 * dphi2 + 2 * dphi3 + dphi4)
-                psi += h / 6.0 * (dpsi1 + 2 * dpsi2 + 2 * dpsi3 + dpsi4)
-                phis.append(phi)
+                phi += sixth * (psi + 2.0 * dphi2 + 2.0 * dphi3 + dphi4)
+                psi += sixth * (dpsi1 + 2.0 * dpsi2 + 2.0 * dpsi3 + dpsi4)
+                append(phi)
         if record:
             return phi, self.zs, np.array(phis)
         return phi
@@ -378,7 +404,7 @@ def mode_solve(problem: ModeProblem, modes: int):
     if modes < 1:
         raise ValueError("modes must be >= 1")
     shooter = _Shooter(problem, NSTEPS)
-    n_max = math.sqrt(max(float(np.max(n2)) for _, n2, _ in shooter.segments))
+    n_max = math.sqrt(max(max(n2) for _, n2, _ in shooter.segments))
     if n_max == 0.0:
         raise ModeSearchError(0, modes, "N vanishes on the whole column")
     c_min = n_max * max(h for h, _, _ in shooter.segments) / MAX_KH

@@ -112,7 +112,7 @@ def load_pde(source) -> PdeSpec:
     params = d.get("params", {})
     if not isinstance(params, dict):
         raise ValueError(f"params must be an object, got {type(params).__name__}")
-    params = {k: num(v) for k, v in params.items()}
+    params = {k: num(v, f"params.{k}") for k, v in params.items()}
     coeffs = {}
     for name in ("A", "B", "C"):
         coeffs[name] = simplify(substitute(_as_expr(d[name]), params))

@@ -173,6 +173,32 @@ def test_solve_writes_csv_and_convergence(tmp_path):
     assert report["final_time_error"] <= 1e-3
 
 
+def test_solution_csv_matches_row_list_writer(tmp_path):
+    # x = 0.1 is where .17g ("0.10000000000000001") and repr ("0.1") differ;
+    # u holds -0.0 and values far from the closed form
+    import numpy as np
+    from liewave.cli import _write_solution_csv
+    from liewave.expr import parse
+    from liewave.numverify import Field, Grid1D, eval_on_grid
+    grid = Grid1D(0.0, 1.0, 11, 0.0, 0.1, 7)
+    values = np.random.default_rng(3).normal(size=(11, 8)) * 1e3
+    values[2, 3] = -0.0
+    fld, closed = Field(values, grid), parse("exp(x - t)/3")
+    xs, ts = grid.xs(), grid.ts()
+    assert f"{xs[1]:.17g}" != repr(float(xs[1]))
+    # the writer as it was: every row in one list, joined once
+    ref = np.broadcast_to(eval_on_grid(closed, {"x": xs[:, None], "t": ts}),
+                          values.shape)
+    rows = ["x,t,u_numeric,u_closed,abs_err"]
+    for j, t in enumerate(ts):
+        for i, x in enumerate(xs):
+            u, r = values[i, j], ref[i, j]
+            rows.append(",".join(f"{v:.17g}" for v in (x, t, u, r, abs(u - r))))
+    _write_solution_csv(tmp_path / "solution.csv", fld, closed)
+    assert (tmp_path / "solution.csv").read_bytes() == \
+        ("\n".join(rows) + "\n").encode()
+
+
 def test_solve_rejects_unstable_grid(tmp_path):
     pde = write(tmp_path, "pde.json",
                 {"A": "1", "B": "-2", "C": "0",
@@ -309,8 +335,13 @@ def test_tiny_rossby_constants_are_evaluated(tmp_path, capsys):
                and c["status"] == "FAIL"]
     assert derived
     assert all(c["note"].startswith("overflow in ") for c in derived)
-    assert all(c["status"] == "FAIL" for c in determining
-               if c["name"].startswith("rossby_as_printed"))
+    printed = [c for c in determining
+               if c["name"].startswith("rossby_as_printed")]
+    assert all(c["status"] == "FAIL" for c in printed)
+    # the exhibit text comes first, the zero test's own reason after it
+    exhibit = "falsification exhibit; expected to fail for c != 0; "
+    assert all(c["note"].startswith(exhibit) for c in printed)
+    assert any("overflow in " in c["note"] for c in printed)
     for c in determining:
         if c["status"] == "FAIL":
             assert sorted(c["witness"]) == ["t", "x"]
@@ -459,7 +490,8 @@ def test_malformed_coefficient_or_param_is_exit_2(tmp_path, capsys, payload):
     assert main(["--out", str(tmp_path / "out"), "check", pde,
                  "--gen", gen]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: expected ") and err.count("\n") == 1
+    field = "params.q: " if "params" in payload else ""
+    assert err.startswith(f"error: {field}expected ") and err.count("\n") == 1
 
 
 def test_missing_file_is_exit_2(tmp_path):

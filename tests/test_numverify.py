@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from liewave.expr import eval_numeric, parse
+from liewave.expr import Expr, eval_numeric, free_vars, parse, substitute
 from liewave.numverify import (
-    BlowupError, Field, Grid1D, ModeProblem, ModeSearchError,
+    BLOCK, BlowupError, Field, Grid1D, ModeProblem, ModeSearchError,
     StabilityError, convergence_order, eval_on_grid, fd_solve, load_profile,
     mode_solve, residual_on_grid, stable_dt,
 )
@@ -158,6 +158,67 @@ def test_stable_dt_is_one_rule_for_both_schemes():
     assert stable_dt(zero, xs, 0.0, 0.1) == (True, math.inf)
 
 
+def _per_step_reference(p, ic, bc, g):
+    """fd_solve as it was written before blocks: every coefficient that
+    depends on t evaluated at every step, levels written into one array."""
+    xs, ts = g.xs(), g.ts()
+    dx, dt = g.dx, g.dt
+    advective, _ = stable_dt(p, xs, g.t0, g.t1)
+    xi = xs[1:-1]
+    coeffs = [c if "t" in free_vars(c) else eval_on_grid(c, {"x": xi})
+              for c in (p.A, p.B, p.C)]
+    values = np.empty((g.nx, g.nt + 1))
+    values[[0, -1], :] = eval_on_grid(bc, {"x": xs[[0, -1], None], "t": ts})
+    values[:, 0] = eval_on_grid(ic, {"x": xs})
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(g.nt):
+            u = values[:, n]
+            A, B, C = (eval_on_grid(c, {"x": xi, "t": ts[n]})
+                       if isinstance(c, Expr) else c for c in coeffs)
+            u_2x = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
+            if advective:
+                forward = (u[2:] - u[1:-1]) / dx
+                backward = (u[1:-1] - u[:-2]) / dx
+                u_x = np.where(B >= 0, forward, backward)
+            else:
+                u_x = (u[2:] - u[:-2]) / (2.0 * dx)
+            values[1:-1, n + 1] = u[1:-1] + dt * (A * u_2x + B * u_x
+                                                  + C * u[1:-1])
+            if not np.isfinite(values[:, n + 1]).all():
+                raise BlowupError(n + 1, float(ts[n + 1]))
+    return values
+
+
+@pytest.mark.parametrize("coeffs, advective", [
+    # C depends on t alone, B on both, A on both
+    (("1 + t*x", "x*cos(t)", "t"), False),
+    # A = 0 upwinds u_x by the sign of B, which changes sign at x = 1/2
+    (("0", "(x - 1/2)*(1 + t)", "-t*x"), True),
+])
+def test_fd_solve_matches_per_step_reference(coeffs, advective):
+    p = PdeSpec(*(parse(c) for c in coeffs), Domain((0.0, 1.0), (0.0, 0.4)))
+    # two full blocks and a short last one
+    g = Grid1D(0.0, 1.0, 21, 0.0, 0.4, 2 * BLOCK + 3)
+    assert stable_dt(p, g.xs(), g.t0, g.t1)[0] is advective
+    ic, bc = parse("cos(3*x) + x"), parse("exp(-t)*cos(3*x) + x")
+    values = fd_solve(p, ic, bc, g).values
+    assert values.tobytes() == _per_step_reference(p, ic, bc, g).tobytes()
+
+
+def test_fd_solve_blowup_matches_per_step_reference():
+    # the first non-finite level lies in the second block of steps
+    growth = PdeSpec(parse("1"), parse("0"), parse("1000"),
+                     Domain((0.0, 1.0), (0.0, 1.0)))
+    ic, bc = parse("sin(x)"), parse("exp(999*t)*sin(x)")
+    g = Grid1D(0, 1, 11, 0, 1.0, 600)
+    with pytest.raises(BlowupError) as ref:
+        _per_step_reference(growth, ic, bc, g)
+    with pytest.raises(BlowupError) as err:
+        fd_solve(growth, ic, bc, g)
+    assert BLOCK < err.value.step <= 2 * BLOCK
+    assert (err.value.step, err.value.time) == (ref.value.step, ref.value.time)
+
+
 # ----------------------------------------------------------- convergence
 
 def test_convergence_requires_three_levels():
@@ -185,6 +246,23 @@ def test_convergence_constant_solution_reports_undefined_order():
     levels = convergence_order(zero, parse("2"), g0, 3)
     assert all(lv.error <= 1e-13 for lv in levels)
     assert all(lv.order is None for lv in levels)
+
+
+@pytest.mark.parametrize("p, exact, nx, nt", [
+    (WAVE_PDE, "exp(x - t)", 11, 40),
+    (ADV_PDE, "sin(exp(x - t))", 21, 8),
+])
+def test_convergence_errors_match_fd_solve(p, exact, nx, nt):
+    exact = parse(exact)
+    g0 = Grid1D(0.0, 1.0, nx, 0.0, 0.1, nt)
+    advective, _ = stable_dt(p, g0.xs(), g0.t0, g0.t1)
+    for lvl, level in enumerate(convergence_order(p, exact, g0, 3)):
+        f = 2**lvl
+        g = Grid1D(0.0, 1.0, (nx - 1) * f + 1, 0.0, 0.1,
+                   nt * (f if advective else f * f))
+        u = fd_solve(p, substitute(exact, {"t": 0.0}), exact, g).values[:, -1]
+        ref = eval_on_grid(exact, {"x": g.xs(), "t": g.t1})
+        assert level.error == float(np.max(np.abs(u - ref)))
 
 
 # ----------------------------------------------------------------- modes
@@ -256,6 +334,51 @@ def test_modes_off_eigenvalue_keeps_endpoint_nonzero():
     c1 = 0.06 / math.pi
     assert abs(shooter.shoot(c1)) < 1e-6
     assert abs(shooter.shoot(1.05 * c1)) > 1e-3
+
+
+def _numpy_scalar_shot(problem, C):
+    """The RK4 shot as it was written on numpy float64 scalars: phi at
+    every node of the 2000-step grid."""
+    inv_c2 = 1.0 / (C * C)
+    phi, psi = 0.0, 1.0
+    phis = [phi]
+    for z_lo, z_hi, n_expr in problem.pieces:
+        count = max(16, int(round(2000 * (z_hi - z_lo) / problem.H)))
+        zs = np.linspace(z_lo, z_hi, 2 * count + 1)
+        n2 = np.broadcast_to(eval_on_grid(n_expr, {"z": zs}), zs.shape)**2
+        h, n2_nodes, n2_mids = (z_hi - z_lo) / count, n2[::2], n2[1::2]
+        for i in range(len(n2_mids)):
+            k_lo = -n2_nodes[i] * inv_c2
+            k_mid = -n2_mids[i] * inv_c2
+            k_hi = -n2_nodes[i + 1] * inv_c2
+            dphi1 = psi
+            dpsi1 = k_lo * phi
+            dphi2 = psi + 0.5 * h * dpsi1
+            dpsi2 = k_mid * (phi + 0.5 * h * dphi1)
+            dphi3 = psi + 0.5 * h * dpsi2
+            dpsi3 = k_mid * (phi + 0.5 * h * dphi2)
+            dphi4 = psi + h * dpsi3
+            dpsi4 = k_hi * (phi + h * dphi3)
+            phi += h / 6.0 * (dphi1 + 2 * dphi2 + 2 * dphi3 + dphi4)
+            psi += h / 6.0 * (dpsi1 + 2 * dpsi2 + 2 * dpsi3 + dpsi4)
+            phis.append(phi)
+    return np.array(phis)
+
+
+@pytest.mark.parametrize("problem", [
+    ModeProblem.constant(2e-4, 300.0),
+    ModeProblem(1000.0, ((-1000.0, -300.0, "0"), (-300.0, 0.0, "0.0002"))),
+    ModeProblem(1000.0, ((-1000.0, -900.0, "0.0002"), (-900.0, -100.0, "0"),
+                         (-100.0, 0.0, "0.0002"))),
+], ids=["constant", "piecewise", "two-well"])
+@pytest.mark.parametrize("C", [0.004, 0.0123, 0.06 / math.pi, 0.05, 1.0])
+def test_shoot_matches_numpy_scalar_reference(problem, C):
+    from liewave.numverify import _Shooter
+    shooter = _Shooter(problem, 2000)
+    phi, zs, phis = shooter.shoot(C, record=True)
+    ref = _numpy_scalar_shot(problem, C)
+    assert phis.tobytes() == ref.tobytes() and len(zs) == len(ref)
+    assert shooter.shoot(C) == phi == ref[-1]
 
 
 def test_modes_two_well_profile_finds_every_mode():
