@@ -281,7 +281,8 @@ def cmd_solve(args) -> int:
     ic = simplify(substitute(closed, {"t": dom.t[0]}))
     try:
         fld = numverify.fd_solve(pde, ic, closed, grid)
-        levels = (numverify.convergence_order(pde, closed, grid, args.levels)
+        levels = (numverify.convergence_order(pde, closed, grid, args.levels,
+                                              fld.values[:, -1])
                   if args.levels >= 3 else None)
     except numverify.BlowupError as err:  # well-formed input: a FAIL check
         return _finish(args, [args.pde_json], [Check(

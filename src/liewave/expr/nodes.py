@@ -303,8 +303,9 @@ def _const_text(v) -> str:
         return repr(v)
     if v.denominator == 1:
         return str(v.numerator)
-    # exact decimal when the denominator is 2^a * 5^b, else p/q (reparses
-    # as Mul(p, Pow(q, -1)), numerically equal)
+    # exact decimal when the denominator is 2^a * 5^b (as <digits>e-<k>
+    # when that is shorter), else p/q (reparses as Mul(p, Pow(q, -1)),
+    # numerically equal)
     den = v.denominator
     twos = fives = 0
     while den % 2 == 0:
@@ -318,8 +319,11 @@ def _const_text(v) -> str:
     k = max(twos, fives)
     scaled = v.numerator * 10**k // v.denominator
     sign = "-" if scaled < 0 else ""
-    digits = str(abs(scaled)).rjust(k + 1, "0")
-    return f"{sign}{digits[:-k]}.{digits[-k:]}" if k else f"{sign}{digits}"
+    digits = str(abs(scaled))
+    if len(digits) + 2 + len(str(k)) < max(len(digits), k + 1) + 1:
+        return f"{sign}{digits}e-{k}"
+    digits = digits.rjust(k + 1, "0")
+    return f"{sign}{digits[:-k]}.{digits[-k:]}"
 
 
 def _atom_text(e: Expr) -> str:

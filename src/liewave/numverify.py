@@ -226,10 +226,12 @@ class ConvergenceLevel:
     order: Optional[float]  # None on the coarsest level or at rounding floor
 
 
-def convergence_order(p: PdeSpec, exact: Expr, g0: Grid1D, levels: int):
+def convergence_order(p: PdeSpec, exact: Expr, g0: Grid1D, levels: int,
+                      base: Optional[np.ndarray] = None):
     """Refinement study: halve dx per level with dt scaled by 1/4 (diffusive)
     or 1/2 (pure advection); errors are L-infinity against `exact` at the
-    final time."""
+    final time.  When the caller has run g0 already, from `exact` at g0.t0,
+    `base` (its u at g0.t1) stands in for level 0's run."""
     if levels < 3:
         raise ValueError("need at least 3 levels")
     advective, _ = stable_dt(p, g0.xs(), g0.t0, g0.t1)
@@ -239,8 +241,10 @@ def convergence_order(p: PdeSpec, exact: Expr, g0: Grid1D, levels: int):
         factor = 2**lvl
         g = Grid1D(g0.x0, g0.x1, (g0.nx - 1) * factor + 1,
                    g0.t0, g0.t1, g0.nt * (factor if advective else factor * factor))
-        for u in _euler_levels(p, substitute(exact, {"t": g.t0}), exact, g):
-            pass  # only the final level is compared
+        u = base
+        if lvl or base is None:
+            for u in _euler_levels(p, substitute(exact, {"t": g.t0}), exact, g):
+                pass  # only the final level is compared
         ref = eval_on_grid(exact, {"x": g.xs(), "t": g.t1})
         error = float(np.max(np.abs(u - ref)))
         order = None
@@ -382,10 +386,6 @@ class _Shooter:
             return phi, self.zs, np.array(phis)
         return phi
 
-    def nodes(self, C: float) -> int:
-        """Z(C): the number of sign changes of phi(.; C) on (-H, 0]."""
-        return _sign_changes(self.shoot(C, record=True)[2][1:])
-
 
 NSTEPS = 2000       # RK4 steps over the column
 BISECT_REL = 1e-12  # relative width of the final eigenvalue bracket
@@ -395,11 +395,16 @@ MAX_KH = 0.5        # largest N_max h / C the RK4 grid is trusted to resolve
 def mode_solve(problem: ModeProblem, modes: int):
     """Largest `modes` eigenvalues C (descending) with sampled mode shapes.
 
-    The shot's node count Z(C) falls from m to m - 1 at C_m (Sturm
-    oscillation); comparison with constant N_max puts Z < m at
-    N_max H / ((m - 1/2) pi).  Halving from there reaches Z >= m, and
-    bisection on Z closes the bracket.  ModeSearchError: N vanishes, or
-    mode m lies below the smallest C the RK4 grid resolves.
+    The shot's node count Z(C), its sign changes on (-H, 0], falls from m
+    to m - 1 at C_m (Sturm oscillation), and sign phi(0; C) = (-1)^Z(C).
+    Every Z found is kept, so mode m starts from the tightest bracket the
+    earlier modes left: the smallest C with Z <= m - 1 (at first the
+    Sturm comparison bound N_max H / ((m - 1/2) pi)) and the largest C
+    with Z >= m (else halving down from the upper end until Z >= m).
+    Bisection on Z isolates C_m, Z(lo) = m and Z(hi) = m - 1, and Brent's
+    method on phi(0; C) closes the bracket to BISECT_REL relative width.
+    ModeSearchError: N vanishes, or mode m lies below the smallest C the
+    RK4 grid resolves.
     """
     if modes < 1:
         raise ValueError("modes must be >= 1")
@@ -408,23 +413,82 @@ def mode_solve(problem: ModeProblem, modes: int):
     if n_max == 0.0:
         raise ModeSearchError(0, modes, "N vanishes on the whole column")
     c_min = n_max * max(h for h, _, _ in shooter.segments) / MAX_KH
+    shots = {}  # C -> (Z(C), phi(0; C)) of every C shot so far
+
+    def count(c: float) -> int:
+        phi0, _, phis = shooter.shoot(c, record=True)
+        shots[c] = (_sign_changes(phis[1:]), phi0)
+        return shots[c][0]
+
     found = []
     for m in range(1, modes + 1):
-        hi = n_max * problem.H / ((m - 0.5) * math.pi)
-        lo = max(0.5 * hi, c_min)
-        while shooter.nodes(lo) < m:
-            if lo == c_min:
-                raise ModeSearchError(
-                    m - 1, modes, f"mode {m} has C < {c_min:.3g}, below what "
-                    f"the {NSTEPS}-step shooting grid resolves")
-            hi, lo = lo, max(0.5 * lo, c_min)
-        while hi - lo > BISECT_REL * hi:
+        hi = min((c for c, (z, _) in shots.items() if z < m),
+                 default=n_max * problem.H / ((m - 0.5) * math.pi))
+        lo = max((c for c, (z, _) in shots.items() if z >= m), default=None)
+        if lo is None:
+            lo = max(0.5 * hi, c_min)
+            while count(lo) < m:
+                if lo == c_min:
+                    raise ModeSearchError(
+                        m - 1, modes, f"mode {m} has C < {c_min:.3g}, below "
+                        f"what the {NSTEPS}-step shooting grid resolves")
+                hi, lo = lo, max(0.5 * lo, c_min)
+        if hi not in shots:
+            count(hi)
+        # isolate C_m; the width bound only ends a search whose node
+        # counts never settle
+        while ((shots[lo][0] > m or shots[hi][0] < m - 1)
+               and hi - lo > BISECT_REL * hi):
             mid = 0.5 * (lo + hi)
-            if shooter.nodes(mid) >= m:
+            if count(mid) >= m:
                 lo = mid
             else:
                 hi = mid
-        c = 0.5 * (lo + hi)
+        # one eigenvalue in [lo, hi]: phi(0) changes sign there once
+        c = _zeroin(shooter.shoot, lo, shots[lo][1], hi, shots[hi][1],
+                    BISECT_REL)
         _, zs, shape = shooter.shoot(c, record=True)
         found.append(Mode(m, c, n_max / c, zs, shape))
     return found
+
+
+def _zeroin(f, a: float, fa: float, b: float, fb: float, rel: float) -> float:
+    """Brent's zeroin (Algorithms for Minimization without Derivatives,
+    1973, ch. 4): a zero of f between a and b, where f(a) = fa and
+    f(b) = fb differ in sign, returned once the bracket around it is at
+    most rel * |b| wide.  Each step interpolates (secant or inverse
+    quadratic) and falls back to bisection whenever the interpolated point
+    would not shrink the bracket fast enough."""
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if abs(fc) < abs(fb):  # b is the best estimate, c the other end
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 0.5 * rel * abs(b)
+        half = 0.5 * (c - b)
+        if abs(half) <= tol or fb == 0.0:
+            return b
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * half * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = half
+        else:
+            d = e = half
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, half)
+        fb = f(b)
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a

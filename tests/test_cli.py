@@ -173,6 +173,28 @@ def test_solve_writes_csv_and_convergence(tmp_path):
     assert report["final_time_error"] <= 1e-3
 
 
+def test_solve_integrates_the_base_grid_once(tmp_path, monkeypatch):
+    # the refinement study's level 0 is the main run's grid: three levels
+    # take three integrations, and level 0's error is the final-time error
+    from liewave import numverify
+    grids = []
+    euler_levels = numverify._euler_levels
+
+    def counted(p, ic, bc, g):
+        grids.append((g.nx, g.nt))
+        return euler_levels(p, ic, bc, g)
+
+    monkeypatch.setattr(numverify, "_euler_levels", counted)
+    pde = write(tmp_path, "pde.json",
+                {"A": "1", "B": "-2", "C": "0",
+                 "domain": {"x": [0, 1], "t": [0, 0.1]}})
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "solve", pde, "--ic", "exp(x - t)",
+                 "--nx", "11", "--levels", "3"]) == 0
+    assert len(grids) == len(set(grids)) == 3
+    report = read_report(out)
+    assert report["final_time_error"] == report["convergence"][0]["error"]
+
 def test_solution_csv_matches_row_list_writer(tmp_path):
     # x = 0.1 is where .17g ("0.10000000000000001") and repr ("0.1") differ;
     # u holds -0.0 and values far from the closed form
@@ -347,6 +369,28 @@ def test_tiny_rossby_constants_are_evaluated(tmp_path, capsys):
             assert sorted(c["witness"]) == ["t", "x"]
             assert 1 <= c["witness"]["x"] <= 2 and 1 <= c["witness"]["t"] <= 2
 
+
+def test_tiny_rossby_constants_print_short_and_exact(tmp_path):
+    # 1e-300 is spelled with its exponent, not as 300 decimal places, and
+    # every printed expression parses back to the tree it came from
+    from liewave.expr import parse, to_text
+    from liewave.synth import load_family, synth_rossby
+    assert _run_document(tmp_path, "synth", TINY_ROSSBY) == 1
+    pde_text = (tmp_path / "out" / "pde.json").read_text()
+    assert len(pde_text) < 1000
+    expected = synth_rossby(load_family(str(tmp_path / "doc.json")))
+    pde = json.loads(pde_text)
+    for name in ("A", "B", "C"):
+        assert "1e-300" in pde[name]
+        assert parse(pde[name]) == getattr(expected, name)
+        assert to_text(parse(pde[name])) == pde[name]
+    notes = [c["note"] for c in read_report(tmp_path / "out")["checks"]
+             if "note" in c]
+    assert notes and all(len(note) < 200 for note in notes)
+    for note in notes:
+        if " in " in note:
+            text = note.rsplit(" in ", 1)[1]
+            assert to_text(parse(text)) == text
 
 @pytest.mark.parametrize("command", [
     ["check", HEAT, "--solution", "exp(1000*x) - exp(1000*t)"],

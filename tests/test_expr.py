@@ -100,6 +100,21 @@ def test_roundtrip_exact_for_decimal_rationals():
     assert parse(to_text(s)) == s
 
 
+@pytest.mark.parametrize("value, text", [
+    (Fraction(1, 10**300), "1e-300"),
+    (Fraction(-3, 10**300), "-3e-300"),
+    (Fraction(3, 1000), "3e-3"),              # shorter than 0.003
+    (Fraction(1, 1024), "9765625e-10"),       # shorter than 0.0009765625
+    (Fraction(1, 20), "0.05"),                # as long as 5e-2: decimal
+    (Fraction(-123, 100), "-1.23"),
+])
+def test_const_text_uses_exponent_only_when_shorter(value, text):
+    assert to_text(Const(value)) == text
+    assert parse(text) == Const(value)
+    e = Mul((Var("x"), Pow(Var("t"), Const(value)), Add((Var("t"), Const(value)))))
+    assert parse(to_text(e)) == e
+
+
 _names = st.sampled_from(["x", "t", "u", "q", "v"])
 _decimal_fractions = st.builds(
     Fraction,

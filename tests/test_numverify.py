@@ -265,6 +265,17 @@ def test_convergence_errors_match_fd_solve(p, exact, nx, nt):
         assert level.error == float(np.max(np.abs(u - ref)))
 
 
+@pytest.mark.parametrize("p, exact, nx, nt", [
+    (WAVE_PDE, "exp(x - t)", 11, 40),
+    (ADV_PDE, "sin(exp(x - t))", 21, 8),
+])
+def test_convergence_study_takes_level_0_from_the_base_run(p, exact, nx, nt):
+    exact = parse(exact)
+    g0 = Grid1D(0.0, 1.0, nx, 0.0, 0.1, nt)
+    base = fd_solve(p, substitute(exact, {"t": 0.0}), exact, g0).values[:, -1]
+    assert (convergence_order(p, exact, g0, 3, base)
+            == convergence_order(p, exact, g0, 3))
+
 # ----------------------------------------------------------------- modes
 
 def test_mode_problem_validation():
@@ -411,3 +422,88 @@ def test_modes_below_grid_resolution_reports_count():
         mode_solve(problem, 5)
     assert 0 < err.value.found < 5
     assert "shooting grid resolves" in str(err.value)
+
+
+BENCH_PROFILES = [
+    ModeProblem.constant(2e-4, 300.0),
+    ModeProblem(1000.0, ((-1000.0, -300.0, "0"), (-300.0, 0.0, "0.0002"))),
+]
+TWO_WELL = ModeProblem(1000.0, ((-1000.0, -900.0, "0.0002"),
+                                (-900.0, -100.0, "0"), (-100.0, 0.0, "0.0002")))
+
+
+def test_mode_search_shot_budget(monkeypatch):
+    # five modes of each benchmark profile; bisection to 1e-12 on the node
+    # count alone took 210 + 215 shots
+    from liewave.numverify import _Shooter
+    shots = []
+    shoot = _Shooter.shoot
+
+    def counted(self, C, record=False):
+        shots.append(C)
+        return shoot(self, C, record)
+
+    monkeypatch.setattr(_Shooter, "shoot", counted)
+    for problem in BENCH_PROFILES:
+        assert [m.index for m in mode_solve(problem, 5)] == [1, 2, 3, 4, 5]
+    assert len(shots) <= 120
+
+
+@pytest.mark.parametrize("problem", [*BENCH_PROFILES, TWO_WELL],
+                         ids=["constant", "piecewise", "two-well"])
+def test_modes_agree_with_scipy_brentq(problem):
+    # a test-only oracle: scipy is not a runtime dependency
+    optimize = pytest.importorskip("scipy.optimize")
+    from liewave.numverify import _Shooter, _sign_changes
+    shooter = _Shooter(problem, 2000)
+    for m in mode_solve(problem, 5):
+        lo, hi = m.C * (1 - 1e-3), m.C * (1 + 1e-3)
+        # the bracket holds C_m and no other eigenvalue
+        assert [_sign_changes(shooter.shoot(c, record=True)[2][1:])
+                for c in (lo, hi)] == [m.index, m.index - 1]
+        root = optimize.brentq(shooter.shoot, lo, hi, xtol=1e-20,
+                               rtol=4 * np.finfo(float).eps)
+        assert abs(m.C - root) <= 1e-12 * root
+
+
+def _fd_matrix_eigenvalues(problem, cells, modes):
+    """Largest `modes` C of N^2 phi = C^2 (-D2) phi, the second-order
+    difference on `cells` equal cells with phi = 0 at both ends; N^2 at a
+    node where two pieces meet is the mean of both sides.  With -D2 = L L^T
+    and W = diag(N^2), C^2 are the eigenvalues of L^-1 W L^-T, also where
+    N vanishes."""
+    h = problem.H / cells
+    z = -problem.H + h * np.arange(1, cells)
+    n2 = np.zeros(cells - 1)
+    for z_lo, z_hi, n_expr in problem.pieces:
+        weight = np.where(np.isclose(z, z_lo) | np.isclose(z, z_hi), 0.5,
+                          (z > z_lo) & (z < z_hi))
+        n2 += weight * np.broadcast_to(eval_on_grid(n_expr, {"z": z}),
+                                       z.shape) ** 2
+    minus_d2 = (2.0 * np.eye(cells - 1) - np.eye(cells - 1, k=1)
+                - np.eye(cells - 1, k=-1)) / (h * h)
+    l_inv = np.linalg.inv(np.linalg.cholesky(minus_d2))
+    c2 = np.linalg.eigvalsh((l_inv * n2) @ l_inv.T)[::-1][:modes]
+    return np.sqrt(c2)
+
+
+def test_modes_agree_with_fd_matrix_at_second_order():
+    # the leading error of the difference eigenvalue is (k h)^2 / 24
+    n_bar, depth, cells = 2e-4, 300.0, 1000
+    found = mode_solve(ModeProblem.constant(n_bar, depth), 5)
+    fd = _fd_matrix_eigenvalues(ModeProblem.constant(n_bar, depth), cells, 5)
+    for m, c in zip(found, fd):
+        kh = n_bar / m.C * depth / cells
+        assert abs(c - m.C) / m.C <= kh * kh / 12
+
+
+@pytest.mark.parametrize("problem", [
+    ModeProblem(1000.0, ((-1000.0, 0.0, "0.0002*exp(z/400)"),)),
+    BENCH_PROFILES[1],
+], ids=["smooth", "piecewise"])
+def test_fd_matrix_error_falls_fourfold_per_halving(problem):
+    # independent of RK4: the shot's own error is far below the matrix's
+    found = np.array([m.C for m in mode_solve(problem, 5)])
+    coarse, fine = (np.abs(_fd_matrix_eigenvalues(problem, cells, 5) - found)
+                    for cells in (200, 400))
+    assert np.all((3.6 < coarse / fine) & (coarse / fine < 4.4))
