@@ -273,8 +273,12 @@ def test_convergence_study_takes_level_0_from_the_base_run(p, exact, nx, nt):
     exact = parse(exact)
     g0 = Grid1D(0.0, 1.0, nx, 0.0, 0.1, nt)
     base = fd_solve(p, substitute(exact, {"t": 0.0}), exact, g0).values[:, -1]
-    assert (convergence_order(p, exact, g0, 3, base)
-            == convergence_order(p, exact, g0, 3))
+    levels = convergence_order(p, exact, g0, 3, base)
+    assert levels == convergence_order(p, exact, g0, 3)
+    # level 0 is `base` itself, not a second run on g0
+    shifted = convergence_order(p, exact, g0, 3, base + 1.0)
+    assert shifted[0].error != levels[0].error and shifted[1:] != levels[1:]
+
 
 # ----------------------------------------------------------------- modes
 
