@@ -195,6 +195,7 @@ def test_solve_integrates_the_base_grid_once(tmp_path, monkeypatch):
     report = read_report(out)
     assert report["final_time_error"] == report["convergence"][0]["error"]
 
+
 def test_solution_csv_matches_row_list_writer(tmp_path):
     # x = 0.1 is where .17g ("0.10000000000000001") and repr ("0.1") differ;
     # u holds -0.0 and values far from the closed form
@@ -391,6 +392,7 @@ def test_tiny_rossby_constants_print_short_and_exact(tmp_path):
         if " in " in note:
             text = note.rsplit(" in ", 1)[1]
             assert to_text(parse(text)) == text
+
 
 @pytest.mark.parametrize("command", [
     ["check", HEAT, "--solution", "exp(1000*x) - exp(1000*t)"],
