@@ -10,8 +10,7 @@ from .nodes import (
 )
 from .parser import ParseError, parse
 from .sampling import (
-    ZeroSample, check_nonvanishing, is_zero_sampled, max_abs_sampled,
-    sample_box,
+    ZeroSample, check_nonvanishing, is_zero_sampled, sample_box,
 )
 from .simplify import expand, simplify
 
@@ -20,7 +19,6 @@ __all__ = [
     "Neg", "ONE", "ParseError", "Pow", "Sin", "Sqrt", "Var", "ZERO",
     "ZeroSample", "check_nonvanishing", "coerce", "diff", "eval_checked",
     "eval_numeric", "eval_on_grid", "expand", "free_vars", "is_zero_sampled",
-    "max_abs_sampled", "neg",
-    "node_count", "num", "parse", "sample_box", "simplify", "substitute",
+    "neg", "node_count", "num", "parse", "sample_box", "simplify", "substitute",
     "to_text",
 ]

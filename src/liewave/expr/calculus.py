@@ -11,7 +11,7 @@ from functools import reduce
 import numpy as np
 
 from .nodes import (
-    Add, Call, Const, Expr, FUNCTIONS, Mul, Neg, Pow, Var, ZERO, coerce,
+    Add, Call, Const, Expr, FUNCTIONS, Mul, Neg, ONE, Pow, Var, ZERO, coerce,
     to_text,
 )
 from .simplify import simplify
@@ -27,34 +27,53 @@ class EvalError(ValueError):
 
 def diff(e: Expr, var: str) -> Expr:
     """Exact derivative with respect to `var`, canonically simplified."""
-    return simplify(_d(e, var))
+    d = _d(e, var)
+    return ZERO if d is None else simplify(d)
 
 
-def _d(e: Expr, var: str) -> Expr:
+def _d(e: Expr, var: str):
+    """Unsimplified derivative, or None where it is structurally zero: a
+    constant, another variable, or a node none of whose children depend on
+    `var`.  The product rule writes no term for a factor whose derivative
+    is None; each such term would be a product with a 0 factor, which
+    simplify folds to 0, so simplify gives the same tree without them."""
     if isinstance(e, Const):
-        return ZERO
+        return None
     if isinstance(e, Var):
-        return Const(Fraction(1 if e.name == var else 0))
+        return ONE if e.name == var else None
     if isinstance(e, Add):
-        return Add(tuple(_d(t, var) for t in e.terms))
+        terms = tuple(d for d in (_d(t, var) for t in e.terms) if d is not None)
+        return Add(terms) if terms else None
     if isinstance(e, Neg):
-        return Neg(_d(e.child, var))
+        d = _d(e.child, var)
+        return None if d is None else Neg(d)
     if isinstance(e, Mul):
         terms = []
         for i, f in enumerate(e.factors):
-            terms.append(Mul(e.factors[:i] + (_d(f, var),) + e.factors[i + 1:]))
-        return Add(tuple(terms))
+            d = _d(f, var)
+            if d is not None:
+                terms.append(Mul(e.factors[:i] + (d,) + e.factors[i + 1:]))
+        return Add(tuple(terms)) if terms else None
     if isinstance(e, Pow):
         b, x = e.base, e.exponent
+        db, dx = _d(b, var), _d(x, var)
         if isinstance(x, Const):
-            return Mul((x, Pow(b, Const(x.value - 1)), _d(b, var)))
+            if db is None:
+                return None
+            return Mul((x, Pow(b, Const(x.value - 1)), db))
         if isinstance(b, Const):
-            return Mul((e, Call("log", b), _d(x, var)))
+            return None if dx is None else Mul((e, Call("log", b), dx))
         # general exponent: b^x * (x' log b + x b'/b)
-        return Mul((e, Add((Mul((_d(x, var), Call("log", b))),
-                            Mul((x, _d(b, var), Pow(b, Const(Fraction(-1)))))))))
+        terms = []
+        if dx is not None:
+            terms.append(Mul((dx, Call("log", b))))
+        if db is not None:
+            terms.append(Mul((x, db, Pow(b, Const(Fraction(-1))))))
+        return Mul((e, Add(tuple(terms)))) if terms else None
     if isinstance(e, Call):
         u, du = e.arg, _d(e.arg, var)
+        if du is None:
+            return None
         if e.fn == "exp":
             return Mul((e, du))
         if e.fn == "log":

@@ -6,12 +6,17 @@ passes when, at every sample point, |e| <= tol * max(1, scale) with scale
 the largest magnitude among e's top-level additive terms at that point.
 Points come from a Halton sequence (deterministic; the seed is an index
 offset), drawn at two densities (n and 2n points) so a lucky coarse cloud
-cannot hide a nonzero residual.
+cannot hide a nonzero residual.  The two-density cloud depends only on the
+box, n and the seed; it is computed once per process (a small LRU cache)
+and shared read-only by every zero test that asks for it again, so the
+three determining residuals of one generator sample a single cloud.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -51,6 +56,21 @@ def sample_box(box, n: int, seed: int = 0):
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _cloud(box_items: tuple, n: int, seed: int) -> MappingProxyType:
+    """The zero test's two-density cloud on the box given by its sorted
+    (name, (lo, hi)) items: n points from seed, then 2n from seed +
+    _SECOND_PASS_SHIFT.  Every caller gets the same object, so it is
+    read-only: a mapping proxy over read-only arrays."""
+    box = dict(box_items)
+    coarse = sample_box(box, n, seed)
+    fine = sample_box(box, 2 * n, seed + _SECOND_PASS_SHIFT)
+    cols = {k: np.concatenate((coarse[k], fine[k])) for k in coarse}
+    for column in cols.values():
+        column.flags.writeable = False
+    return MappingProxyType(cols)
+
+
 def _point(cols, i: int) -> dict:
     """Point i of a column cloud, as name -> float."""
     return {k: float(v[i]) for k, v in cols.items()}
@@ -68,18 +88,6 @@ class ZeroSample:
 
     def __bool__(self):
         return self.passed
-
-
-def max_abs_sampled(e: Expr, box, *, n: int = 100, seed: int = 0):
-    """Plain max |e| over a sampled cloud; returns (max, argmax point).
-    Evaluation errors propagate (use is_zero_sampled for tolerant checks)."""
-    cols = sample_box(box, n, seed)
-    values, failed = eval_checked(e, cols)
-    if failed.any():
-        eval_numeric(e, _point(cols, int(np.argmax(failed))))  # raises there
-    mags = np.abs(values)
-    i = int(np.argmax(mags))
-    return float(mags[i]), _point(cols, i)
 
 
 def check_nonvanishing(e: Expr, box, what: str, *, n: int = 100,
@@ -117,9 +125,8 @@ def is_zero_sampled(e: Expr, box, *, n: int = 100, tol: float = 1e-9,
             raise ValueError(f"degenerate box interval for {name!r}")
     canon = simplify(e)
     terms = canon.terms if isinstance(canon, Add) else (canon,)
-    coarse = sample_box(box, n, seed)
-    fine = sample_box(box, 2 * n, seed + _SECOND_PASS_SHIFT)
-    cols = {k: np.concatenate((coarse[k], fine[k])) for k in coarse}
+    cols = _cloud(tuple(sorted((k, tuple(v)) for k, v in box.items())), n,
+                  seed)
     # each term once: value = their left-to-right sum, as canon evaluates
     value, failed = eval_checked(terms[0], cols)
     scale = np.abs(value)

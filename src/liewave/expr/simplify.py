@@ -149,8 +149,8 @@ def _mul(factors: tuple) -> Expr:
         negative = not negative
         coeff = -coeff
     # merge repeated bases with integer exponents: x * x^2 -> x^3
-    powers = {}
-    order = {}
+    powers = {}   # base -> exponent sum
+    single = {}   # base -> its factor, while the base has occurred once
     rest = []
     for f in raw:
         split = _split_factor(f)
@@ -160,11 +160,18 @@ def _mul(factors: tuple) -> Expr:
         base, expo = split
         if base in powers:
             powers[base] += expo
+            single.pop(base, None)
         else:
             powers[base] = expo
-            order[base] = len(order)
-    for base in sorted(powers, key=lambda b: order[b]):
-        merged = _pow(base, Const(Fraction(powers[base])))
+            single[base] = f
+    for base, expo in powers.items():
+        f = single.get(base)
+        if f is not None and not isinstance(base, (Const, Mul)):
+            # a lone factor is already canonical: keep the node (and its
+            # cached hash, sort key and mark) instead of rebuilding it
+            rest.append(f)
+            continue
+        merged = _pow(base, Const(Fraction(expo)))
         if isinstance(merged, Const):
             coeff = coeff * abs(merged.value)
             if merged.value < 0:

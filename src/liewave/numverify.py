@@ -1,7 +1,6 @@
-"""Numerical ground truth: grid residuals, explicit finite-difference
-integration against closed forms, convergence-order measurement, and the
-vertical-mode eigenproblem phi'' + (N(z)/C)^2 phi = 0 with phi(-H) = 0 and
-phi(0) = 0.
+"""Numerical ground truth: explicit finite-difference integration against
+closed forms, convergence-order measurement, and the vertical-mode
+eigenproblem phi'' + (N(z)/C)^2 phi = 0 with phi(-H) = 0 and phi(0) = 0.
 
 Schemes are deliberately plain (forward Euler in time, centered second
 difference, sign-aware upwind first difference when A vanishes) so their
@@ -101,25 +100,6 @@ class Field:
             raise ValueError(f"field shape {self.values.shape} != {expected}")
         if not np.isfinite(self.values).all():
             raise ValueError("field contains non-finite values")
-
-
-@dataclass(frozen=True)
-class GridResidual:
-    max_abs: float
-    x: float
-    t: float
-
-
-def residual_on_grid(p: PdeSpec, u: Expr, g: Grid1D) -> GridResidual:
-    """Max |u_t - A u_2x - B u_x - C u| over interior x nodes and all time
-    levels, with the derivatives taken symbolically."""
-    extra = free_vars(u) - {"x", "t"}
-    if extra:
-        raise ValueError(f"u may only use x and t, found {sorted(extra)}")
-    xs, ts = g.xs()[1:-1], g.ts()
-    vals = np.abs(_on_grid(p.residual(u), xs, ts, "residual"))
-    j, i = np.unravel_index(np.argmax(vals), vals.shape)
-    return GridResidual(float(vals[j, i]), float(xs[i]), float(ts[j]))
 
 
 def _on_grid(e: Expr, xs, ts, what: str) -> np.ndarray:
@@ -413,15 +393,21 @@ def mode_solve(problem: ModeProblem, modes: int):
     if n_max == 0.0:
         raise ModeSearchError(0, modes, "N vanishes on the whole column")
     c_min = n_max * max(h for h, _, _ in shooter.segments) / MAX_KH
-    shots = {}  # C -> (Z(C), phi(0; C)) of every C shot so far
+    shots = {}   # C -> (Z(C), phi(0; C)) of every C shot so far
+    shapes = {}  # C -> phi on the grid, of the current mode's shots only
+
+    def shoot(c: float) -> float:
+        phi0, _, shapes[c] = shooter.shoot(c, record=True)
+        return phi0
 
     def count(c: float) -> int:
-        phi0, _, phis = shooter.shoot(c, record=True)
-        shots[c] = (_sign_changes(phis[1:]), phi0)
+        phi0 = shoot(c)
+        shots[c] = (_sign_changes(shapes[c][1:]), phi0)
         return shots[c][0]
 
     found = []
     for m in range(1, modes + 1):
+        shapes.clear()
         hi = min((c for c, (z, _) in shots.items() if z < m),
                  default=n_max * problem.H / ((m - 0.5) * math.pi))
         lo = max((c for c, (z, _) in shots.items() if z >= m), default=None)
@@ -445,10 +431,10 @@ def mode_solve(problem: ModeProblem, modes: int):
             else:
                 hi = mid
         # one eigenvalue in [lo, hi]: phi(0) changes sign there once
-        c = _zeroin(shooter.shoot, lo, shots[lo][1], hi, shots[hi][1],
-                    BISECT_REL)
-        _, zs, shape = shooter.shoot(c, record=True)
-        found.append(Mode(m, c, n_max / c, zs, shape))
+        c = _zeroin(shoot, lo, shots[lo][1], hi, shots[hi][1], BISECT_REL)
+        if c not in shapes:  # Brent returned an end shot for an earlier mode
+            shoot(c)
+        found.append(Mode(m, c, n_max / c, shooter.zs, shapes[c]))
     return found
 
 

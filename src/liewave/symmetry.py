@@ -2,9 +2,8 @@
 u_t = A(x,t) u_2x + B(x,t) u_x + C(x,t) u.
 
 Generators carry the reduced dependences phi(t), xi(x,t), eta = M(x,t)*u;
-their second prolongation and the resulting determining residuals are
-computed symbolically.  u_t is always eliminated through the equation, so
-jet space is (x, t, u, u_x, u_2x).
+the determining residuals of their second prolongation, with u_t
+eliminated through the equation, are computed symbolically.
 """
 
 from __future__ import annotations
@@ -14,18 +13,9 @@ from dataclasses import dataclass
 from typing import Union
 
 from .expr import (
-    Expr, Var, diff, eval_numeric, expand, free_vars, is_zero_sampled, num,
-    parse, sample_box, simplify, substitute, to_text,
+    Expr, diff, free_vars, is_zero_sampled, num, parse, simplify, substitute,
+    to_text,
 )
-
-X = Var("x")
-T = Var("t")
-U = Var("u")
-U_X = Var("u_x")
-U_T = Var("u_t")
-U_2X = Var("u_2x")
-
-JET_RANGE = (-2.0, 2.0)
 
 
 def _as_expr(e: Union[Expr, str, int, float]) -> Expr:
@@ -59,9 +49,6 @@ class Domain:
         out.update(extra)
         return out
 
-    def jet_box(self, u_range=JET_RANGE):
-        return self.box(u=u_range, u_x=u_range, u_2x=u_range)
-
     @classmethod
     def from_dict(cls, d) -> "Domain":
         if not isinstance(d, dict):
@@ -91,10 +78,6 @@ class PdeSpec:
         u_x = diff(u, "x")
         return simplify(diff(u, "t") - self.A * diff(u_x, "x") - self.B * u_x
                         - self.C * u)
-
-    def rhs_jet(self) -> Expr:
-        """A*u_2x + B*u_x + C*u, the elimination target for u_t."""
-        return simplify(self.A * U_2X + self.B * U_X + self.C * U)
 
     def to_dict(self):
         return {"A": to_text(self.A), "B": to_text(self.B), "C": to_text(self.C),
@@ -163,48 +146,11 @@ def load_generator(source) -> Generator:
     return Generator(d["phi"], d["xi"], d["M"])
 
 
-def prolong2(g: Generator):
-    """Total-derivative prolongation of eta = M*u through second order in x:
-    (eta_x, eta_t, eta_2x) in jet variables.  eta_x and eta_t are affine in
-    (u, u_x, u_t), eta_2x in (u, u_x, u_2x); both facts follow from the
-    reduced dependences."""
-    Mx = diff(g.M, "x")
-    Mt = diff(g.M, "t")
-    M2x = diff(Mx, "x")
-    xi_x = diff(g.xi, "x")
-    xi_t = diff(g.xi, "t")
-    xi_2x = diff(xi_x, "x")
-    phi_t = diff(g.phi, "t")
-    eta_x = simplify(Mx * U + (g.M - xi_x) * U_X)
-    eta_t = simplify(Mt * U + g.M * U_T - xi_t * U_X - phi_t * U_T)
-    eta_2x = simplify(M2x * U + (2 * Mx - xi_2x) * U_X + (g.M - 2 * xi_x) * U_2X)
-    return eta_x, eta_t, eta_2x
-
-
-def invariance_residual(p: PdeSpec, g: Generator) -> Expr:
-    """Action of the prolonged generator on the equation, on-shell.
-
-    The returned jet-space expression vanishes identically in
-    (u, u_x, u_2x) exactly when g generates a symmetry of p.
-    """
-    eta_x, eta_t, eta_2x = prolong2(g)
-    At, Ax = diff(p.A, "t"), diff(p.A, "x")
-    Bt, Bx = diff(p.B, "t"), diff(p.B, "x")
-    Ct, Cx = diff(p.C, "t"), diff(p.C, "x")
-    eta = g.M * U
-    res = ((g.phi * At + g.xi * Ax) * U_2X
-           + (g.phi * Bt + g.xi * Bx) * U_X
-           + g.phi * Ct * U + g.xi * Cx * U
-           + p.C * eta + p.B * eta_x - eta_t + p.A * eta_2x)
-    res = substitute(res, {"u_t": p.rhs_jet()})
-    return expand(res)
-
-
 def determining_residuals(p: PdeSpec, g: Generator):
     """The three determining expressions in (x, t); all vanish iff g is a
     symmetry of p.  Note r2 and r3 carry the conventional opposite sign of
-    the direct jet-monomial coefficients: the residual identity is
-    invariance_residual == r1*u_2x - r2*u_x - r3*u.
+    the direct jet-monomial coefficients: the on-shell action of the
+    prolonged generator on the equation is r1*u_2x - r2*u_x - r3*u.
 
     Each is simplified, not expanded, so it stays a sum of the equation's
     named terms (phi*A_t, xi*A_x, A*phi_t, -2*A*xi_x, ...) with like terms
@@ -237,41 +183,3 @@ def symmetry_check(p: PdeSpec, g: Generator, *, n: int = 100,
                  for r in determining_residuals(p, g))
 
 
-@dataclass(frozen=True)
-class JetPoint:
-    x: float
-    t: float
-    u: float
-    u_x: float
-    u_2x: float
-
-    def bindings(self):
-        return {"x": self.x, "t": self.t, "u": self.u,
-                "u_x": self.u_x, "u_2x": self.u_2x}
-
-
-def sample_jets(domain: Domain, n: int, *, seed: int = 0,
-                u_range=JET_RANGE):
-    cols = sample_box(domain.jet_box(u_range), n, seed)
-    return [JetPoint(*p) for p in zip(*(cols[k].tolist() for k in
-                                         ("x", "t", "u", "u_x", "u_2x")))]
-
-
-def monomial_collect_check(p: PdeSpec, g: Generator, jets, *,
-                           tol: float = 1e-9) -> bool:
-    """Cross-validate the monomial collection step on concrete jet points:
-    the on-shell residual must equal r1*u_2x - r2*u_x - r3*u everywhere.
-    """
-    jets = list(jets)
-    if len(jets) < 20:
-        raise ValueError(f"need at least 20 jet points, got {len(jets)}")
-    res = invariance_residual(p, g)
-    r1, r2, r3 = determining_residuals(p, g)
-    collected = expand(r1 * U_2X - r2 * U_X - r3 * U)
-    for jp in jets:
-        b = jp.bindings()
-        lhs = eval_numeric(res, b)
-        rhs = eval_numeric(collected, b)
-        if abs(lhs - rhs) > tol * max(1.0, abs(lhs), abs(rhs)):
-            return False
-    return True

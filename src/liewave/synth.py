@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from .expr import (
-    Cos, Exp, Expr, Sin, Var, check_nonvanishing, diff, eval_numeric,
-    free_vars, is_zero_sampled, num, parse, simplify, substitute,
+    Cos, Exp, Expr, Sin, Var, check_nonvanishing, diff, free_vars,
+    is_zero_sampled, num, parse, simplify, substitute,
 )
 from .reduction import SeparableAnsatz
 from .symmetry import (
@@ -336,41 +336,6 @@ def rossby_residual_report(inp: RossbyFamilyInput, *, n: int = 100,
                    for r in determining_residuals(pde, g))
         reports[mode] = RossbyModeReport(mode, pde, rs)
     return RossbyReport(reports[DERIVED], reports[AS_PRINTED])
-
-
-def probe_gauge_time_dependence(P: Expr, phi: Expr, q: float, *,
-                                x_ref: float, x_probe: float, t_values,
-                                n_quad: int = 400):
-    """Numeric probe for the general-phi gauge candidate.
-
-    Integrates  [2 P''(a) phi(tau) q + P'(a)^2 phi'(tau)] /
-                [P'(a) phi(tau) q],   tau = (P(a) + q t - P(x))/q
-    over a in [x_ref, x_probe] by Simpson's rule, for each t.  A spread
-    across t means the candidate gauge is not a function of x alone, which
-    is why wave synthesis keeps phi frozen to 1.
-    Returns {t: -integral}.
-    """
-    Pp = diff(P, "x")
-    Ppp = diff(Pp, "x")
-    phit = diff(phi, "t")
-    qe = num(q)
-    tau = simplify((substitute(P, {"x": Var("a")}) + qe * T - P) / qe)
-    integrand = simplify(
-        (2 * substitute(Ppp, {"x": Var("a")}) * substitute(phi, {"t": tau}) * qe
-         + substitute(Pp, {"x": Var("a")})**2 * substitute(phit, {"t": tau}))
-        / (substitute(Pp, {"x": Var("a")}) * substitute(phi, {"t": tau}) * qe))
-    if n_quad % 2:
-        n_quad += 1
-    h = (x_probe - x_ref) / n_quad
-    out = {}
-    for t in t_values:
-        total = 0.0
-        for i in range(n_quad + 1):
-            a_i = x_ref + i * h
-            w = 1 if i in (0, n_quad) else (4 if i % 2 else 2)
-            total += w * eval_numeric(integrand, {"a": a_i, "x": x_probe, "t": t})
-        out[t] = -total * h / 3.0
-    return out
 
 
 def load_family(source):

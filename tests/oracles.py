@@ -1,0 +1,190 @@
+"""Test-only oracles: independent routes to what the program computes.
+
+None of this is called by the program.  The jet-space residual of a
+generator (prolongation, on-shell substitution, expansion) cross-checks the
+determining residuals; the grid residual of a closed form cross-checks the
+sampled zero test; the Simpson probe shows why wave synthesis freezes phi;
+and a plain max |e| over a cloud checks printed residual figures.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from liewave.expr import (
+    Expr, Var, diff, eval_checked, eval_numeric, expand, free_vars, num,
+    sample_box, simplify, substitute,
+)
+from liewave.expr.sampling import _point
+from liewave.numverify import Grid1D, _on_grid
+from liewave.symmetry import (
+    Domain, Generator, PdeSpec, determining_residuals,
+)
+
+T = Var("t")
+U = Var("u")
+U_X = Var("u_x")
+U_T = Var("u_t")
+U_2X = Var("u_2x")
+
+JET_RANGE = (-2.0, 2.0)
+
+
+# ------------------------------------------------------------ jet space
+
+def jet_box(domain: Domain, u_range=JET_RANGE):
+    return domain.box(u=u_range, u_x=u_range, u_2x=u_range)
+
+
+def rhs_jet(p: PdeSpec) -> Expr:
+    """A*u_2x + B*u_x + C*u, the elimination target for u_t."""
+    return simplify(p.A * U_2X + p.B * U_X + p.C * U)
+
+
+def prolong2(g: Generator):
+    """Total-derivative prolongation of eta = M*u through second order in x:
+    (eta_x, eta_t, eta_2x) in jet variables.  eta_x and eta_t are affine in
+    (u, u_x, u_t), eta_2x in (u, u_x, u_2x); both facts follow from the
+    reduced dependences."""
+    Mx = diff(g.M, "x")
+    Mt = diff(g.M, "t")
+    M2x = diff(Mx, "x")
+    xi_x = diff(g.xi, "x")
+    xi_t = diff(g.xi, "t")
+    xi_2x = diff(xi_x, "x")
+    phi_t = diff(g.phi, "t")
+    eta_x = simplify(Mx * U + (g.M - xi_x) * U_X)
+    eta_t = simplify(Mt * U + g.M * U_T - xi_t * U_X - phi_t * U_T)
+    eta_2x = simplify(M2x * U + (2 * Mx - xi_2x) * U_X + (g.M - 2 * xi_x) * U_2X)
+    return eta_x, eta_t, eta_2x
+
+
+def invariance_residual(p: PdeSpec, g: Generator) -> Expr:
+    """Action of the prolonged generator on the equation, on-shell.
+
+    The returned jet-space expression vanishes identically in
+    (u, u_x, u_2x) exactly when g generates a symmetry of p.
+    """
+    eta_x, eta_t, eta_2x = prolong2(g)
+    At, Ax = diff(p.A, "t"), diff(p.A, "x")
+    Bt, Bx = diff(p.B, "t"), diff(p.B, "x")
+    Ct, Cx = diff(p.C, "t"), diff(p.C, "x")
+    eta = g.M * U
+    res = ((g.phi * At + g.xi * Ax) * U_2X
+           + (g.phi * Bt + g.xi * Bx) * U_X
+           + g.phi * Ct * U + g.xi * Cx * U
+           + p.C * eta + p.B * eta_x - eta_t + p.A * eta_2x)
+    res = substitute(res, {"u_t": rhs_jet(p)})
+    return expand(res)
+
+
+@dataclass(frozen=True)
+class JetPoint:
+    x: float
+    t: float
+    u: float
+    u_x: float
+    u_2x: float
+
+    def bindings(self):
+        return {"x": self.x, "t": self.t, "u": self.u,
+                "u_x": self.u_x, "u_2x": self.u_2x}
+
+
+def sample_jets(domain: Domain, n: int, *, seed: int = 0,
+                u_range=JET_RANGE):
+    cols = sample_box(jet_box(domain, u_range), n, seed)
+    return [JetPoint(*p) for p in zip(*(cols[k].tolist() for k in
+                                         ("x", "t", "u", "u_x", "u_2x")))]
+
+
+def monomial_collect_check(p: PdeSpec, g: Generator, jets, *,
+                           tol: float = 1e-9) -> bool:
+    """Cross-validate the monomial collection step on concrete jet points:
+    the on-shell residual must equal r1*u_2x - r2*u_x - r3*u everywhere.
+    """
+    jets = list(jets)
+    if len(jets) < 20:
+        raise ValueError(f"need at least 20 jet points, got {len(jets)}")
+    res = invariance_residual(p, g)
+    r1, r2, r3 = determining_residuals(p, g)
+    collected = expand(r1 * U_2X - r2 * U_X - r3 * U)
+    for jp in jets:
+        b = jp.bindings()
+        lhs = eval_numeric(res, b)
+        rhs = eval_numeric(collected, b)
+        if abs(lhs - rhs) > tol * max(1.0, abs(lhs), abs(rhs)):
+            return False
+    return True
+
+
+# ------------------------------------------------------ residual figures
+
+@dataclass(frozen=True)
+class GridResidual:
+    max_abs: float
+    x: float
+    t: float
+
+
+def residual_on_grid(p: PdeSpec, u: Expr, g: Grid1D) -> GridResidual:
+    """Max |u_t - A u_2x - B u_x - C u| over interior x nodes and all time
+    levels, with the derivatives taken symbolically."""
+    extra = free_vars(u) - {"x", "t"}
+    if extra:
+        raise ValueError(f"u may only use x and t, found {sorted(extra)}")
+    xs, ts = g.xs()[1:-1], g.ts()
+    vals = np.abs(_on_grid(p.residual(u), xs, ts, "residual"))
+    j, i = np.unravel_index(np.argmax(vals), vals.shape)
+    return GridResidual(float(vals[j, i]), float(xs[i]), float(ts[j]))
+
+
+def max_abs_sampled(e: Expr, box, *, n: int = 100, seed: int = 0):
+    """Plain max |e| over a sampled cloud; returns (max, argmax point).
+    Evaluation errors propagate (use is_zero_sampled for tolerant checks)."""
+    cols = sample_box(box, n, seed)
+    values, failed = eval_checked(e, cols)
+    if failed.any():
+        eval_numeric(e, _point(cols, int(np.argmax(failed))))  # raises there
+    mags = np.abs(values)
+    i = int(np.argmax(mags))
+    return float(mags[i]), _point(cols, i)
+
+
+# ---------------------------------------------------- wave gauge probe
+
+def probe_gauge_time_dependence(P: Expr, phi: Expr, q: float, *,
+                                x_ref: float, x_probe: float, t_values,
+                                n_quad: int = 400):
+    """Numeric probe for the general-phi gauge candidate.
+
+    Integrates  [2 P''(a) phi(tau) q + P'(a)^2 phi'(tau)] /
+                [P'(a) phi(tau) q],   tau = (P(a) + q t - P(x))/q
+    over a in [x_ref, x_probe] by Simpson's rule, for each t.  A spread
+    across t means the candidate gauge is not a function of x alone, which
+    is why wave synthesis keeps phi frozen to 1.
+    Returns {t: -integral}.
+    """
+    Pp = diff(P, "x")
+    Ppp = diff(Pp, "x")
+    phit = diff(phi, "t")
+    qe = num(q)
+    tau = simplify((substitute(P, {"x": Var("a")}) + qe * T - P) / qe)
+    integrand = simplify(
+        (2 * substitute(Ppp, {"x": Var("a")}) * substitute(phi, {"t": tau}) * qe
+         + substitute(Pp, {"x": Var("a")})**2 * substitute(phit, {"t": tau}))
+        / (substitute(Pp, {"x": Var("a")}) * substitute(phi, {"t": tau}) * qe))
+    if n_quad % 2:
+        n_quad += 1
+    h = (x_probe - x_ref) / n_quad
+    out = {}
+    for t in t_values:
+        total = 0.0
+        for i in range(n_quad + 1):
+            a_i = x_ref + i * h
+            w = 1 if i in (0, n_quad) else (4 if i % 2 else 2)
+            total += w * eval_numeric(integrand, {"a": a_i, "x": x_probe, "t": t})
+        out[t] = -total * h / 3.0
+    return out

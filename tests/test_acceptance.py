@@ -9,7 +9,7 @@ import random
 import numpy as np
 
 from liewave.cli import main as cli_main
-from liewave.expr import diff, is_zero_sampled, max_abs_sampled, parse, simplify
+from liewave.expr import diff, is_zero_sampled, parse, simplify
 from liewave.numverify import Grid1D, ModeProblem, convergence_order, mode_solve
 from liewave.reduction import (
     IDENTITY, WAVE, SeparableAnsatz, classify_target,
@@ -22,6 +22,8 @@ from liewave.synth import (
     rossby_residual_report, synth_oscillator, synth_rossby, synth_wave,
     wave_consistency_residuals, wave_solution,
 )
+
+from oracles import max_abs_sampled
 
 UNIT = Domain((0.0, 1.0), (0.0, 1.0))
 SEED = 42

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from liewave.expr import (
     Add, Call, Const, EvalError, Exp, Mul, Neg, ParseError, Pow, Sin,
     Var, ZeroSample, diff, eval_numeric, expand, free_vars, is_zero_sampled,
-    max_abs_sampled, num, parse, sample_box, simplify, substitute, to_text,
+    num, parse, sample_box, simplify, substitute, to_text,
 )
 from liewave.expr.nodes import sort_key
-from liewave.expr.sampling import _SECOND_PASS_SHIFT
+from liewave.expr.sampling import _SECOND_PASS_SHIFT, _cloud
+from liewave.expr.simplify import _mul
 
 from conftest import CORPUS
+from oracles import max_abs_sampled
 
 
 # ---------------------------------------------------------------- parsing
@@ -369,6 +371,61 @@ def test_diff_matches_central_differences(text, box):
             assert abs(sym - fd) <= 1e-6 * max(1.0, abs(sym), abs(fd))
 
 
+def _d_full(e, var):
+    """The derivative with a product-rule term for every factor, zero or
+    not: the reference for diff, which writes no structurally zero term."""
+    if isinstance(e, Const):
+        return Const(0)
+    if isinstance(e, Var):
+        return Const(1 if e.name == var else 0)
+    if isinstance(e, Add):
+        return Add(tuple(_d_full(t, var) for t in e.terms))
+    if isinstance(e, Neg):
+        return Neg(_d_full(e.child, var))
+    if isinstance(e, Mul):
+        return Add(tuple(
+            Mul(e.factors[:i] + (_d_full(f, var),) + e.factors[i + 1:])
+            for i, f in enumerate(e.factors)))
+    if isinstance(e, Pow):
+        b, x = e.base, e.exponent
+        if isinstance(x, Const):
+            return Mul((x, Pow(b, Const(x.value - 1)), _d_full(b, var)))
+        if isinstance(b, Const):
+            return Mul((e, Call("log", b), _d_full(x, var)))
+        return Mul((e, Add((Mul((_d_full(x, var), Call("log", b))),
+                            Mul((x, _d_full(b, var), Pow(b, Const(-1))))))))
+    u, du = e.arg, _d_full(e.arg, var)
+    return {
+        "exp": lambda: Mul((e, du)),
+        "log": lambda: Mul((du, Pow(u, Const(-1)))),
+        "sin": lambda: Mul((Call("cos", u), du)),
+        "cos": lambda: Neg(Mul((Call("sin", u), du))),
+        "sqrt": lambda: Mul((du, Pow(Mul((Const(2), e)), Const(-1)))),
+    }[e.fn]()
+
+
+@given(_exprs)
+@example(parse("x*y*sin(t)"))
+@example(parse("exp(y)^x + x^y + 2^t"))
+@settings(max_examples=300, deadline=None)
+def test_diff_is_the_full_product_rule_simplified(e):
+    for var in ("x", "t"):
+        got, want = diff(e, var), simplify(_d_full(e, var))
+        # repr also tells Const(1) from Const(1.0)
+        assert got == want and repr(got) == repr(want)
+
+
+def test_mul_keeps_canonical_factors_as_they_are():
+    p, c = simplify(parse("y^2")), simplify(parse("exp(t)"))
+    out = _mul((Var("x"), p, c))
+    assert isinstance(out, Mul)
+    assert any(f is p for f in out.factors)
+    assert any(f is c for f in out.factors)
+    # a repeated base still merges
+    assert _mul((Var("x"), simplify(parse("x^2")))) == Pow(Var("x"), Const(3))
+    assert simplify(parse("x*x^2")) == parse("x^3")
+
+
 # ------------------------------------------------------------ substitute
 
 def test_substitute_is_simultaneous():
@@ -631,6 +688,39 @@ def test_cloud_evaluation_matches_pointwise_reference(text, box):
         assert str(raised.value) == str(err)
     else:
         assert max_abs_sampled(e, box, n=40, seed=3) == expected
+
+
+def test_cached_cloud_gives_the_cold_result():
+    e, box = parse("sin(x)*cos(t) - x/3"), {"x": (0.0, 1.0), "t": (-1.0, 2.0)}
+    _cloud.cache_clear()
+    cold = is_zero_sampled(e, box, n=30, seed=5)
+    warm = is_zero_sampled(e, box, n=30, seed=5)
+    info = _cloud.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert warm == cold and repr(warm) == repr(cold)
+
+
+def test_cached_cloud_is_both_passes_and_read_only():
+    box = {"x": (0.0, 1.0), "t": (-1.0, 2.0)}
+    cols = _cloud(tuple(sorted(box.items())), 30, 5)
+    coarse = sample_box(box, 30, 5)
+    fine = sample_box(box, 60, 5 + _SECOND_PASS_SHIFT)
+    for name in box:
+        assert cols[name].tolist() == (coarse[name].tolist()
+                                       + fine[name].tolist())
+        with pytest.raises(ValueError):
+            cols[name][0] = 0.5
+    with pytest.raises(TypeError):
+        cols["x"] = coarse["x"]
+
+
+def test_cloud_cache_keys_on_box_n_and_seed():
+    box = (("t", (-1.0, 2.0)), ("x", (0.0, 1.0)))
+    ref = _cloud(box, 30, 5)
+    for other in (_cloud((("t", (-1.0, 2.0)), ("x", (0.0, 1.5))), 30, 5),
+                  _cloud(box, 31, 5), _cloud(box, 30, 6)):
+        assert other is not ref
+        assert any(other[k].tolist() != ref[k].tolist() for k in ref)
 
 
 def test_sample_box_is_deterministic_and_inside():

@@ -1,16 +1,19 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from liewave.expr import Expr, eval_numeric, free_vars, parse, substitute
 from liewave.numverify import (
-    BLOCK, BlowupError, Field, Grid1D, ModeProblem, ModeSearchError,
+    BLOCK, NSTEPS, BlowupError, Field, Grid1D, ModeProblem, ModeSearchError,
     StabilityError, convergence_order, eval_on_grid, fd_solve, load_profile,
-    mode_solve, residual_on_grid, stable_dt,
+    mode_solve, stable_dt,
 )
 from liewave.symmetry import Domain, PdeSpec
 from liewave.synth import OscFamilyInput, WaveFamilyInput, synth_oscillator, synth_wave
+
+from oracles import residual_on_grid
 
 DOM = Domain((0.0, 1.0), (0.0, 0.1))
 WAVE_PDE = synth_wave(WaveFamilyInput("x", "0", 1, 0, "1", 1, 0, DOM))
@@ -451,6 +454,41 @@ def test_mode_search_shot_budget(monkeypatch):
     for problem in BENCH_PROFILES:
         assert [m.index for m in mode_solve(problem, 5)] == [1, 2, 3, 4, 5]
     assert len(shots) <= 120
+
+
+def test_traced_fd_modes_pass_shoots_no_converged_eigenvalue_twice(
+        tmp_path, monkeypatch):
+    # Brent's last shot carries the mode shape, so no mode is shot once
+    # more for it: 79 shots a pass became 69
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import oracle
+    import tracing
+    import workloads
+    import liewave.cli
+
+    monkeypatch.chdir(tmp_path)
+    jobs = workloads.build("fd-modes", 1, Path("in"))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for i, job in enumerate(jobs):
+            out = Path(f"out-{i}")
+            rc = liewave.cli.main(["--out", str(out), "--seed", "1"] + job.argv)
+            assert oracle.verify(job, rc, out) == []
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["numverify.mode_solve"] == 2
+    assert tracer.calls["numverify.shoot"] <= 70
+
+
+def test_mode_shapes_are_those_of_a_fresh_shot():
+    from liewave.numverify import _Shooter
+    for problem in BENCH_PROFILES:
+        shooter = _Shooter(problem, NSTEPS)
+        for m in mode_solve(problem, 5):
+            _, zs, shape = shooter.shoot(m.C, record=True)
+            assert m.zs.tolist() == zs.tolist()
+            assert m.shape.tolist() == shape.tolist()
 
 
 @pytest.mark.parametrize("problem", [*BENCH_PROFILES, TWO_WELL],

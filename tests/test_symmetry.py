@@ -1,10 +1,15 @@
 import pytest
 
 from liewave.expr import is_zero_sampled, parse, simplify
+from liewave.expr.sampling import _cloud
 from liewave.symmetry import (
-    Generator, JetPoint, PdeSpec, determining_residuals,
-    invariance_residual, load_generator, load_pde, monomial_collect_check,
-    prolong2, sample_jets, symmetry_check,
+    Generator, PdeSpec, determining_residuals, load_generator, load_pde,
+    symmetry_check,
+)
+
+from oracles import (
+    JetPoint, invariance_residual, jet_box, monomial_collect_check, prolong2,
+    sample_jets,
 )
 
 ZERO = parse("0")
@@ -97,12 +102,12 @@ def test_invariance_residual_time_translation(heat):
 
 def test_invariance_residual_galilean(heat, unit_domain):
     res = invariance_residual(heat, Generator("0", "2*t", "-x"))
-    assert is_zero_sampled(res, unit_domain.jet_box(), n=50).passed
+    assert is_zero_sampled(res, jet_box(unit_domain), n=50).passed
 
 
 def test_invariance_residual_nonsymmetry(heat, unit_domain):
     res = invariance_residual(heat, Generator("0", "0", "x"))
-    zs = is_zero_sampled(res, unit_domain.jet_box(), n=50)
+    zs = is_zero_sampled(res, jet_box(unit_domain), n=50)
     assert not zs.passed
     assert zs.max_residual > 0.1
 
@@ -139,6 +144,15 @@ def test_symmetry_check_wraps_sampling(heat):
     bad = symmetry_check(heat, Generator("t", "0", "0"))
     assert not bad[0].passed
     assert bad[0].max_residual >= 0.9
+
+
+def test_symmetry_check_samples_one_cloud(heat):
+    # the three residuals share one domain, n and seed: one cloud
+    _cloud.cache_clear()
+    results = symmetry_check(heat, Generator("0", "2*t", "-x"), n=37, seed=11)
+    assert len(results) == 3 and all(results)
+    info = _cloud.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_determining_additive_in_generator(heat, unit_domain, rng):

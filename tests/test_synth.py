@@ -2,9 +2,7 @@ import math
 
 import pytest
 
-from liewave.expr import (
-    diff, eval_numeric, is_zero_sampled, max_abs_sampled, parse, simplify,
-)
+from liewave.expr import diff, eval_numeric, is_zero_sampled, parse, simplify
 from liewave.reduction import (
     IDENTITY, WAVE, SeparableAnsatz, classify_target, similarity_reduce,
 )
@@ -13,9 +11,11 @@ from liewave.synth import (
     AS_PRINTED, DERIVED, OscFamilyInput, RossbyFamilyInput, WaveFamilyInput,
     load_family, oscillator_consistency_residuals,
     oscillator_defining_relations, oscillator_solution,
-    probe_gauge_time_dependence, rossby_residual_report, synth_oscillator,
-    synth_rossby, synth_wave, wave_consistency_residuals, wave_solution,
+    rossby_residual_report, synth_oscillator, synth_rossby, synth_wave,
+    wave_consistency_residuals, wave_solution,
 )
+
+from oracles import max_abs_sampled, probe_gauge_time_dependence
 
 DOM = Domain((0.0, 1.0), (0.0, 1.0))
 RDOM = Domain((1.0, 2.0), (1.0, 2.0))
