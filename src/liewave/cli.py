@@ -174,36 +174,32 @@ def cmd_synth(args) -> int:
     opts = dict(n=args.samples, seed=args.seed)
 
     if isinstance(inp, synth.RossbyFamilyInput):
-        rep = synth.rossby_residual_report(inp, tol=args.tol_sym, **opts)
-        pde = synth.synth_rossby(inp)
+        readings = synth.rossby_residual_report(inp, tol=args.tol_sym, **opts)
+        pde = readings[inp.mode][0]
         gen = inp.generator()
-        for mode_rep in (rep.derived, rep.as_printed):
-            expected = "" if mode_rep.mode == synth.DERIVED else \
-                "falsification exhibit; expected to fail for c != 0"
-            for i, zs in enumerate(mode_rep.residuals, start=1):
-                checks.append(Check.from_sample(
-                    f"rossby_{mode_rep.mode.lower()}_determining_{i}", zs))
-                if expected:  # keep the zero test's own reason after it
-                    checks[-1].note = "; ".join(
-                        filter(None, (expected, checks[-1].note)))
+        for mode, (_, samples) in readings.items():
+            for i, zs in enumerate(samples, start=1):
+                check = Check.from_sample(
+                    f"rossby_{mode.lower()}_determining_{i}", zs)
+                # the exhibit text first, the zero test's own reason after it
+                if mode == synth.AS_PRINTED:
+                    check.note = "; ".join(filter(None, (
+                        "falsification exhibit; expected to fail for c != 0",
+                        check.note)))
+                checks.append(check)
         extra["mode"] = inp.mode
     else:
         if isinstance(inp, synth.WaveFamilyInput):
             pde = synth.synth_wave(inp)
             solution = synth.wave_solution(inp)
-            ansatz = inp.ansatz()
-            system = synth.wave_consistency_residuals(pde, ansatz)
-            names = ("solution_system_1", "solution_system_2",
-                     "determining_A", "determining_B", "determining_C")
+            system = synth.wave_solution_system(pde, inp.ansatz())
+            names = ("solution_system_1", "solution_system_2")
         else:
             pde = synth.synth_oscillator(inp)
             solution = synth.oscillator_solution(inp)
-            ansatz = inp.ansatz()
-            system = (synth.oscillator_defining_relations(pde, ansatz)
-                      + synth.oscillator_consistency_residuals(pde, ansatz))
-            names = ("defining_A", "defining_B", "defining_C",
-                     "determining_B", "determining_C")
-        gen = ansatz.generator()
+            system = synth.oscillator_defining_relations(pde, inp.ansatz())
+            names = ("defining_A", "defining_B", "defining_C")
+        gen = inp.generator()
         box = pde.domain.box()
         checks.append(_solution_check(pde, solution, args.tol_sol, opts))
         for name, r in zip(names, system):

@@ -6,7 +6,7 @@ from .calculus import (
 )
 from .nodes import (
     Add, Call, Const, Cos, Exp, Expr, Log, Mul, Neg, ONE, Pow, Sin, Sqrt,
-    Var, ZERO, coerce, free_vars, neg, node_count, num, to_text,
+    Var, ZERO, check_vars, coerce, free_vars, neg, node_count, num, to_text,
 )
 from .parser import ParseError, parse
 from .sampling import (
@@ -17,8 +17,8 @@ from .simplify import expand, simplify
 __all__ = [
     "Add", "Call", "Const", "Cos", "EvalError", "Exp", "Expr", "Log", "Mul",
     "Neg", "ONE", "ParseError", "Pow", "Sin", "Sqrt", "Var", "ZERO",
-    "ZeroSample", "check_nonvanishing", "coerce", "diff", "eval_checked",
-    "eval_numeric", "eval_on_grid", "expand", "free_vars", "is_zero_sampled",
-    "neg", "node_count", "num", "parse", "sample_box", "simplify", "substitute",
-    "to_text",
+    "ZeroSample", "check_nonvanishing", "check_vars", "coerce", "diff",
+    "eval_checked", "eval_numeric", "eval_on_grid", "expand", "free_vars",
+    "is_zero_sampled", "neg", "node_count", "num", "parse", "sample_box",
+    "simplify", "substitute", "to_text",
 ]

@@ -241,6 +241,14 @@ def free_vars(e: Expr) -> frozenset:
     raise TypeError(f"not an Expr: {e!r}")
 
 
+def check_vars(e: Expr, allowed: tuple, what: str) -> None:
+    """Raise ValueError unless every free variable of e is in `allowed`."""
+    bad = free_vars(e) - set(allowed)
+    if bad:
+        raise ValueError(f"{what} may only use {' and '.join(allowed)}, "
+                         f"found {sorted(bad)}")
+
+
 def node_count(e: Expr) -> int:
     if isinstance(e, (Const, Var)):
         return 1

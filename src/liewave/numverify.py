@@ -16,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .expr import (
-    Expr, eval_on_grid, free_vars, num, simplify, substitute, to_text,
+    Expr, check_vars, eval_on_grid, free_vars, num, simplify, substitute,
+    to_text,
 )
 from .symmetry import PdeSpec, _as_expr, _load_json
 
@@ -254,9 +255,7 @@ class ModeProblem:
         norm = []
         for z_lo, z_hi, n_expr in self.pieces:
             e = _as_expr(n_expr)
-            bad = free_vars(e) - {"z"}
-            if bad:
-                raise ValueError(f"N may only use z, found {sorted(bad)}")
+            check_vars(e, ("z",), "N")
             probe = eval_on_grid(e, {"z": np.linspace(float(z_lo),
                                                       float(z_hi), 33)})
             if not np.isfinite(probe).all() or np.min(probe) < -1e-12:
@@ -383,8 +382,8 @@ def mode_solve(problem: ModeProblem, modes: int):
     with Z >= m (else halving down from the upper end until Z >= m).
     Bisection on Z isolates C_m, Z(lo) = m and Z(hi) = m - 1, and Brent's
     method on phi(0; C) closes the bracket to BISECT_REL relative width.
-    ModeSearchError: N vanishes, or mode m lies below the smallest C the
-    RK4 grid resolves.
+    ModeSearchError: N vanishes, C^2 underflows at the smallest C the RK4
+    grid resolves, or mode m lies below that C.
     """
     if modes < 1:
         raise ValueError("modes must be >= 1")
@@ -393,6 +392,9 @@ def mode_solve(problem: ModeProblem, modes: int):
     if n_max == 0.0:
         raise ModeSearchError(0, modes, "N vanishes on the whole column")
     c_min = n_max * max(h for h, _, _ in shooter.segments) / MAX_KH
+    if c_min * c_min == 0.0:  # every shot divides by C^2
+        raise ModeSearchError(0, modes, f"C^2 underflows at C = {c_min:.3g}, "
+                              "the smallest C the shooting grid resolves")
     shots = {}   # C -> (Z(C), phi(0; C)) of every C shot so far
     shapes = {}  # C -> phi on the grid, of the current mode's shots only
 

@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .expr import (
-    Exp, Expr, Var, check_nonvanishing, diff, eval_checked, eval_numeric,
-    expand, free_vars, is_zero_sampled, num, sample_box, simplify, to_text,
+    Exp, Expr, Var, check_nonvanishing, check_vars, diff, eval_checked,
+    eval_numeric, expand, is_zero_sampled, num, sample_box, simplify, to_text,
 )
 from .symmetry import Domain, Generator, PdeSpec, _as_expr, _load_json
 
@@ -56,13 +56,9 @@ class SeparableAnsatz:
         object.__setattr__(self, "v", float(num(self.v, "v").value))
         if self.q == 0.0:
             raise ValueError("q must be nonzero")
-        bad = free_vars(self.phi) - {"t"}
-        if bad:
-            raise ValueError(f"phi must depend on t only, found {sorted(bad)}")
-        for name in ("P", "R"):
-            bad = free_vars(getattr(self, name)) - {"x"}
-            if bad:
-                raise ValueError(f"{name} must depend on x only, found {sorted(bad)}")
+        check_vars(self.phi, ("t",), "phi")
+        check_vars(self.P, ("x",), "P")
+        check_vars(self.R, ("x",), "R")
 
     def xi(self) -> Expr:
         return simplify(num(self.q) * self.phi / diff(self.P, "x"))

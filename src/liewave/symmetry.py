@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Union
 
 from .expr import (
-    Expr, diff, free_vars, is_zero_sampled, num, parse, simplify, substitute,
-    to_text,
+    Expr, check_vars, diff, is_zero_sampled, num, parse, simplify,
+    substitute, to_text,
 )
 
 
@@ -67,11 +67,8 @@ class PdeSpec:
 
     def __post_init__(self):
         for name in ("A", "B", "C"):
-            extra = free_vars(getattr(self, name)) - {"x", "t"}
-            if extra:
-                raise ValueError(
-                    f"coefficient {name} has free variables {sorted(extra)}; "
-                    "only x and t are allowed (substitute params first)")
+            check_vars(getattr(self, name), ("x", "t"),
+                       f"coefficient {name} (after params are substituted)")
 
     def residual(self, u: Expr) -> Expr:
         """u_t - A u_2x - B u_x - C u: zero exactly when u solves the PDE."""
@@ -126,14 +123,9 @@ class Generator:
         object.__setattr__(self, "phi", _as_expr(self.phi))
         object.__setattr__(self, "xi", _as_expr(self.xi))
         object.__setattr__(self, "M", _as_expr(self.M))
-        bad = free_vars(self.phi) - {"t"}
-        if bad:
-            raise ValueError(f"phi must depend on t only, found {sorted(bad)}")
-        for name in ("xi", "M"):
-            bad = free_vars(getattr(self, name)) - {"x", "t"}
-            if bad:
-                raise ValueError(
-                    f"{name} must depend on x and t only, found {sorted(bad)}")
+        check_vars(self.phi, ("t",), "phi")
+        check_vars(self.xi, ("x", "t"), "xi")
+        check_vars(self.M, ("x", "t"), "M")
 
     def to_dict(self):
         return {"phi": to_text(self.phi), "xi": to_text(self.xi),

@@ -4,7 +4,9 @@ None of this is called by the program.  The jet-space residual of a
 generator (prolongation, on-shell substitution, expansion) cross-checks the
 determining residuals; the grid residual of a closed form cross-checks the
 sampled zero test; the Simpson probe shows why wave synthesis freezes phi;
-and a plain max |e| over a cloud checks printed residual figures.
+a plain max |e| over a cloud checks printed residual figures; and the
+determining system written through P and R, as the paper states it for the
+wave and oscillator families, checks those families term by term.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from liewave.expr import (
 )
 from liewave.expr.sampling import _point
 from liewave.numverify import Grid1D, _on_grid
+from liewave.reduction import SeparableAnsatz
 from liewave.symmetry import (
     Domain, Generator, PdeSpec, determining_residuals,
 )
@@ -151,6 +154,67 @@ def max_abs_sampled(e: Expr, box, *, n: int = 100, seed: int = 0):
     mags = np.abs(values)
     i = int(np.argmax(mags))
     return float(mags[i]), _point(cols, i)
+
+
+# ------------------------------------ determining system through P and R
+
+def wave_determining_forms(p: PdeSpec, a: SeparableAnsatz):
+    """The three determining equations of the separable generator `a`
+    (general phi(t)) rewritten through P and R; they equal
+    P'^2 r1, -P'^4 r2 and -P'^4 r3 of `determining_residuals`."""
+    q, v = num(a.q), num(a.v)
+    phi = a.phi
+    phit = diff(phi, "t")
+    Pp = diff(a.P, "x")
+    Ppp = diff(Pp, "x")
+    Pppp = diff(Ppp, "x")
+    Rp = diff(a.R, "x")
+    Rpp = diff(Rp, "x")
+    Rppp = diff(Rpp, "x")
+    A, B, C = p.A, p.B, p.C
+    At, Ax = diff(A, "t"), diff(A, "x")
+    Bt, Bx = diff(B, "t"), diff(B, "x")
+    Ct, Cx = diff(C, "t"), diff(C, "x")
+    det1 = simplify(phi * At * Pp**2 + q * phi * Ax * Pp + phit * A * Pp**2
+                    + 2 * q * phi * A * Ppp)
+    det2 = simplify(phi * Bt * Pp**4 + q * phi * Bx * Pp**3
+                    + q * phi * B * Ppp * Pp**2 + q * phit * Pp**3
+                    + phit * B * Pp**4 + 2 * v * q * phi * A * Rpp * Pp**3
+                    - 2 * v * q * phi * A * Rp * Ppp * Pp**2
+                    + q * phi * A * Pppp * Pp**2
+                    - 2 * q * phi * A * Pp * Ppp**2)
+    det3 = simplify(phi * Ct * Pp**4 + q * phi * Cx * Pp**3
+                    + q * v * phi * B * Rpp * Pp**3
+                    - q * v * phi * B * Rp * Ppp * Pp**2
+                    + phit * C * Pp**4 + v * q * phi * A * Rppp * Pp**3
+                    - v * q * phi * A * Rp * Pppp * Pp**2
+                    - 2 * v * q * phi * A * Rpp * Ppp * Pp**2
+                    + 2 * q * v * phi * A * Rp * Pp * Ppp**2
+                    - q * v * phit * Rp * Pp**3)
+    return det1, det2, det3
+
+
+def oscillator_determining_forms(p: PdeSpec, a: SeparableAnsatz):
+    """The two determining equations (P, R form) that remain when A = 0;
+    they equal -P'^4 r2 and -P'^4 r3 of `determining_residuals`."""
+    q, v = num(a.q), num(a.v)
+    phi = a.phi
+    phit = diff(phi, "t")
+    Pp = diff(a.P, "x")
+    Ppp = diff(Pp, "x")
+    Rp = diff(a.R, "x")
+    Rpp = diff(Rp, "x")
+    B, C = p.B, p.C
+    Bt, Bx = diff(B, "t"), diff(B, "x")
+    Ct, Cx = diff(C, "t"), diff(C, "x")
+    eq1 = simplify(phi * Bt * Pp**4 + q * phi * Bx * Pp**3
+                   + q * phi * B * Ppp * Pp**2 + q * phit * Pp**3
+                   + phit * B * Pp**4)
+    eq2 = simplify(phi * Ct * Pp**4 + q * phi * Cx * Pp**3
+                   + q * v * phi * B * Rpp * Pp**3
+                   - q * v * phi * B * Rp * Ppp * Pp**2
+                   + phit * C * Pp**4 - q * v * phit * Rp * Pp**3)
+    return eq1, eq2
 
 
 # ---------------------------------------------------- wave gauge probe

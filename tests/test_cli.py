@@ -44,6 +44,9 @@ def test_synth_wave_writes_artifacts(tmp_path, capsys):
     assert gen == {"phi": "1", "xi": "1", "M": "0"}
     assert (out / "solution.txt").read_text().strip() == "exp(-t + x)"
     report = read_report(out)
+    assert [c["name"] for c in report["checks"]] == [
+        "solution_residual", "solution_system_1", "solution_system_2",
+        "symmetry_A", "symmetry_B", "symmetry_C"]
     assert all(c["status"] == "PASS" for c in report["checks"])
     assert "wall_time" not in json.dumps(report)
     assert "[PASS] solution_residual" in capsys.readouterr().out
@@ -53,9 +56,11 @@ def test_synth_oscillator_all_pass(tmp_path):
     family = write(tmp_path, "osc.json", OSC_FAMILY)
     out = tmp_path / "out"
     assert main(["--out", str(out), "synth", family]) == 0
-    names = {c["name"] for c in read_report(out)["checks"]}
-    assert {"defining_A", "defining_B", "defining_C",
-            "solution_residual"} <= names
+    checks = read_report(out)["checks"]
+    assert [c["name"] for c in checks] == [
+        "solution_residual", "defining_A", "defining_B", "defining_C",
+        "symmetry_A", "symmetry_B", "symmetry_C"]
+    assert all(c["status"] == "PASS" for c in checks)
 
 
 def test_synth_rossby_printed_fails_with_witness(tmp_path):
@@ -63,6 +68,9 @@ def test_synth_rossby_printed_fails_with_witness(tmp_path):
     out = tmp_path / "out"
     assert main(["--out", str(out), "synth", family]) == 1
     report = read_report(out)
+    assert [c["name"] for c in report["checks"]] == [
+        f"rossby_{mode}_determining_{i}"
+        for mode in ("derived", "as_printed") for i in (1, 2, 3)]
     failures = [c for c in report["checks"] if c["status"] == "FAIL"]
     assert failures
     assert all(c["name"].startswith("rossby_as_printed") for c in failures)
@@ -283,6 +291,20 @@ def test_modes_csv_schema(tmp_path):
 def test_modes_failure_path(tmp_path):
     profile = write(tmp_path, "profile.json", {"H": 100.0, "N": "0"})
     assert main(["--out", str(tmp_path / "out"), "modes", profile]) == 1
+
+
+@pytest.mark.parametrize("profile", [
+    {"H": 1e-300, "N": "0.0002"},
+    {"H": 5e-324, "N": "0.0002"},
+])
+def test_modes_unresolvable_scale_is_a_failed_check(tmp_path, profile):
+    # C^2 underflows to 0 at the smallest C the shooting grid resolves
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "modes",
+                 write(tmp_path, "profile.json", profile)]) == 1
+    (check,) = read_report(out)["checks"]
+    assert (check["name"], check["status"]) == ("mode_search", "FAIL")
+    assert "underflows" in check["note"]
 
 
 def test_malformed_json_is_exit_2(tmp_path):
@@ -523,6 +545,48 @@ def test_ansatz_and_family_loader_fuzz_never_raises(tmp_path_factory, kind,
         doc = data.draw(_family_documents())
         argv = out + ["synth", str(root / "fuzz-doc.json")]
     (root / "fuzz-doc.json").write_text(json.dumps(doc))
+    assert main(argv) in (0, 1, 2)
+
+
+@st.composite
+def _generator_documents(draw):
+    doc = {"phi": draw(st.sampled_from(["0", "1", "2*t", "t^2", "x", "t +"])),
+           "xi": draw(_coefficients), "M": draw(_coefficients)}
+    return _mutated(draw, doc, list(doc))
+
+
+_buoyancy = st.sampled_from(
+    ["0.0002", "0.0002*(1 + z/1000)", "exp(z/100)/1000", "0", "-0.0002",
+     "1/z", "x", "z +"])
+
+
+@st.composite
+def _profile_documents(draw):
+    depth = draw(st.sampled_from([100.0, 300, 1e-300, 0, -100.0]))
+    if draw(st.booleans()):
+        profile = draw(_buoyancy)
+    else:
+        cut = draw(st.sampled_from([-50.0, -depth / 2]))
+        profile = [{"z": [-depth, cut], "expr": draw(_buoyancy)},
+                   {"z": [cut, 0], "expr": draw(_buoyancy)}]
+    return _mutated(draw, {"H": depth, "N": profile}, ["H", "N"])
+
+
+@given(kind=st.sampled_from(["generator", "profile"]), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_generator_and_profile_fuzz_never_raises(tmp_path_factory, kind,
+                                                 data):
+    root = tmp_path_factory.getbasetemp()
+    out = ["--out", str(root / "fuzz-out"), "--samples", "10"]
+    doc = root / "fuzz-doc.json"
+    if kind == "generator":
+        doc.write_text(json.dumps(data.draw(_generator_documents())))
+        heat = root / "fuzz-heat.json"
+        heat.write_text(json.dumps(HEAT))
+        argv = out + ["check", str(heat), "--gen", str(doc)]
+    else:
+        doc.write_text(json.dumps(data.draw(_profile_documents())))
+        argv = out + ["modes", str(doc), "--modes", "2"]
     assert main(argv) in (0, 1, 2)
 
 
