@@ -113,6 +113,14 @@ def _finish(args, command: list, checks: list, extra: dict, t0: float,
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
+def _load(loader, path: str):
+    """loader(path); a malformed document's error names its file first."""
+    try:
+        return loader(path)
+    except (ValueError, KeyError) as err:
+        raise ValueError(f"{path}: {err}") from err
+
+
 def _float_fmt(v: float) -> str:
     return f"{v:.17g}"
 
@@ -167,7 +175,7 @@ def _build_parser():
 
 def cmd_synth(args) -> int:
     t0 = time.monotonic()
-    inp = synth.load_family(args.family_json)
+    inp = _load(synth.load_family, args.family_json)
     out = Path(args.out)
     checks = []
     extra = {}
@@ -229,13 +237,13 @@ def _solution_check(pde, u, tol: float, opts) -> Check:
 
 def cmd_check(args) -> int:
     t0 = time.monotonic()
-    pde = symmetry.load_pde(args.pde_json)
+    pde = _load(symmetry.load_pde, args.pde_json)
     checks = []
     opts = dict(n=args.samples, seed=args.seed)
     if not args.gen and not args.solution:
         raise ValueError("nothing to check: pass --gen and/or --solution")
     if args.gen:
-        gen = symmetry.load_generator(args.gen)
+        gen = _load(symmetry.load_generator, args.gen)
         for name, zs in zip(("determining_A", "determining_B", "determining_C"),
                             symmetry.symmetry_check(pde, gen, tol=args.tol_sym,
                                                     **opts)):
@@ -249,8 +257,8 @@ def cmd_check(args) -> int:
 
 def cmd_reduce(args) -> int:
     t0 = time.monotonic()
-    pde = symmetry.load_pde(args.pde_json)
-    ansatz = reduction.load_ansatz(args.ansatz_json)
+    pde = _load(symmetry.load_pde, args.pde_json)
+    ansatz = _load(reduction.load_ansatz, args.ansatz_json)
     result = reduction.similarity_reduce(pde, ansatz)
     cls = reduction.classify_target(result, pde.domain, n=args.samples,
                                     tol=args.tol_sym, seed=args.seed)
@@ -267,7 +275,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_solve(args) -> int:
     t0 = time.monotonic()
-    pde = symmetry.load_pde(args.pde_json)
+    pde = _load(symmetry.load_pde, args.pde_json)
     closed = parse(args.ic)
     dom = pde.domain
     grid = numverify.Grid1D(dom.x[0], dom.x[1], args.nx, dom.t[0], dom.t[1],
@@ -327,7 +335,7 @@ def _write_solution_csv(path, fld, closed):
 
 def cmd_modes(args) -> int:
     t0 = time.monotonic()
-    problem = numverify.load_profile(args.profile_json)
+    problem = _load(numverify.load_profile, args.profile_json)
     try:
         modes = numverify.mode_solve(problem, args.modes)
     except numverify.ModeSearchError as err:

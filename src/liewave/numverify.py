@@ -142,6 +142,16 @@ def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D) -> Field:
     when A vanishes uniformly, centered otherwise.  Dirichlet boundary
     values come from the closed form bc(x, t).
 
+    Each step is one three-point update per interior node,
+    u_i <- lo u_{i-1} + mid u_i + hi u_{i+1}, with d = dt A / dx^2:
+      centered, w = dt B / (2 dx):  lo = d - w, hi = d + w,
+                                    mid = 1 + dt C - 2d;
+      upwind, b+ = dt max(B, 0) / dx, b- = dt min(B, 0) / dx:
+                                    lo = d - b-, hi = d + b+,
+                                    mid = 1 + dt C - 2d - b+ + b-.
+    Under upwinding the sign of B picks the side per node inside the
+    weights: one of b+ and b- is zero there.
+
     Preconditions (enforced): those of `stable_dt`, A >= 0 and the step
     bound of the scheme it picks.
     """
@@ -153,8 +163,11 @@ def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D) -> Field:
 
 def _euler_levels(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D):
     """The scheme of `fd_solve`: yields u at t_0, ..., t_nt, each level in
-    memory of its own.  Raises as `fd_solve` does; a BlowupError is raised
-    before the earlier levels of its block of steps are yielded."""
+    memory of its own.  The weights lo, mid, hi of `fd_solve`'s update are
+    computed for a block of steps at once from that block's A, B and C;
+    a step is then u_i <- lo u_{i-1} + mid u_i + hi u_{i+1}.  Raises as
+    `fd_solve` does; a BlowupError is raised before the earlier levels of
+    its block of steps are yielded."""
     xs = g.xs()
     ts = g.ts()
     dx, dt = g.dx, g.dt
@@ -173,31 +186,39 @@ def _euler_levels(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D):
     if not np.isfinite(u).all():
         raise ValueError("initial condition evaluated to non-finite values")
     yield u
-    dx2, two_dx = dx * dx, 2.0 * dx
     for n0 in range(0, g.nt, BLOCK):
         n1 = min(n0 + BLOCK, g.nt)
         A, B, C = (eval_on_grid(c, {"x": xi, "t": ts[n0:n1, None]})
-                   if s is None else np.broadcast_to(s, (n1 - n0, *s.shape))
+                   if s is None else s
                    for c, s in zip((p.A, p.B, p.C), steady))
+        lo, mid, hi = (np.broadcast_to(w, (n1 - n0, g.nx - 2))
+                       for w in _weights(A, B, C, dt, dx, advective))
         block = np.empty((n1 - n0, g.nx))
         block[:, 0], block[:, -1] = edges[:, n0 + 1:n1 + 1]
         with np.errstate(over="ignore", invalid="ignore"):
-            for new, a, b, c in zip(block, A, B, C):
-                inner = u[1:-1]
-                u_2x = (u[2:] - 2.0 * inner + u[:-2]) / dx2
-                if advective:
-                    u_x = np.where(b >= 0, (u[2:] - inner) / dx,
-                                   (inner - u[:-2]) / dx)
-                else:
-                    u_x = (u[2:] - u[:-2]) / two_dx
-                np.add(inner, dt * (a * u_2x + b * u_x + c * inner),
-                       out=new[1:-1])
+            for new, w_lo, w_mid, w_hi in zip(block, lo, mid, hi):
+                inner = new[1:-1]
+                np.multiply(w_mid, u[1:-1], out=inner)
+                inner += w_lo * u[:-2]
+                inner += w_hi * u[2:]
                 u = new
         finite = np.isfinite(block).all(axis=1)
         if not finite.all():
             n = n0 + 1 + int(np.argmin(finite))
             raise BlowupError(n, float(ts[n]))
         yield from block
+
+
+def _weights(A, B, C, dt: float, dx: float, advective: bool):
+    """(lo, mid, hi) of the update in `fd_solve`'s docstring."""
+    d = dt * A / (dx * dx)
+    mid = 1.0 + dt * C - 2.0 * d
+    if advective:
+        b_plus = dt * np.maximum(B, 0.0) / dx
+        b_minus = dt * np.minimum(B, 0.0) / dx
+        return d - b_minus, mid - b_plus + b_minus, d + b_plus
+    w = dt * B / (2.0 * dx)
+    return d - w, mid, d + w
 
 
 @dataclass(frozen=True)

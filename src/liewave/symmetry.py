@@ -106,8 +106,7 @@ def _load_json(source):
     with open(source, "r", encoding="utf-8") as fh:
         d = json.load(fh)
     if not isinstance(d, dict):
-        raise ValueError(f"{source}: expected a JSON object, "
-                         f"got {type(d).__name__}")
+        raise ValueError(f"expected a JSON object, got {type(d).__name__}")
     return d
 
 

@@ -131,7 +131,11 @@ def wave_solution_system(p: PdeSpec, a: SeparableAnsatz):
 
 @dataclass(frozen=True)
 class OscFamilyInput(_SeparableFamily):
-    """Data for the Phi'' + k^2 Phi = 0 family (degenerate reduction)."""
+    """Data for the oscillator family: the advection class (A = 0).
+
+    Its closed form oscillates in k exp(P - q t), but the reduction is not
+    Phi'' + k^2 Phi = 0: A = 0 gives c2 = c1 = c0 = 0, so `reduce`
+    classifies the family IDENTITY (every Phi solves it)."""
 
     a: float
     b: float

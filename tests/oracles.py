@@ -3,10 +3,12 @@
 None of this is called by the program.  The jet-space residual of a
 generator (prolongation, on-shell substitution, expansion) cross-checks the
 determining residuals; the grid residual of a closed form cross-checks the
-sampled zero test; the Simpson probe shows why wave synthesis freezes phi;
-a plain max |e| over a cloud checks printed residual figures; and the
-determining system written through P and R, as the paper states it for the
-wave and oscillator families, checks those families term by term.
+sampled zero test; forward Euler written as the textbook increment
+cross-checks the three-weight update of `fd_solve`; the Simpson probe shows
+why wave synthesis freezes phi; a plain max |e| over a cloud checks printed
+residual figures; and the determining system written through P and R, as
+the paper states it for the wave and oscillator families, checks those
+families term by term.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from liewave.expr import (
-    Expr, Var, diff, eval_checked, eval_numeric, expand, free_vars, num,
-    sample_box, simplify, substitute,
+    Expr, Var, diff, eval_checked, eval_numeric, eval_on_grid, expand,
+    free_vars, num, sample_box, simplify, substitute,
 )
 from liewave.expr.sampling import _point
-from liewave.numverify import Grid1D, _on_grid
+from liewave.numverify import Grid1D, _on_grid, stable_dt
 from liewave.reduction import SeparableAnsatz
 from liewave.symmetry import (
     Domain, Generator, PdeSpec, determining_residuals,
@@ -142,6 +144,33 @@ def residual_on_grid(p: PdeSpec, u: Expr, g: Grid1D) -> GridResidual:
     vals = np.abs(_on_grid(p.residual(u), xs, ts, "residual"))
     j, i = np.unravel_index(np.argmax(vals), vals.shape)
     return GridResidual(float(vals[j, i]), float(xs[i]), float(ts[j]))
+
+
+def euler_incremental(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D):
+    """Forward Euler as the textbook increment u + dt (A u_2x + B u_x + C u),
+    with the scheme `fd_solve` picks (u_x upwinded by the sign of B where A
+    vanishes, centered otherwise) and every coefficient evaluated per step;
+    returns values[i, n] like `Field.values`."""
+    xs, ts = g.xs(), g.ts()
+    dx, dt = g.dx, g.dt
+    advective, _ = stable_dt(p, xs, g.t0, g.t1)
+    xi = xs[1:-1]
+    values = np.empty((g.nx, g.nt + 1))
+    values[[0, -1], :] = eval_on_grid(bc, {"x": xs[[0, -1], None], "t": ts})
+    values[:, 0] = eval_on_grid(ic, {"x": xs})
+    for n in range(g.nt):
+        u = values[:, n]
+        A, B, C = (eval_on_grid(c, {"x": xi, "t": ts[n]})
+                   for c in (p.A, p.B, p.C))
+        u_2x = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
+        if advective:
+            u_x = np.where(B >= 0, (u[2:] - u[1:-1]) / dx,
+                           (u[1:-1] - u[:-2]) / dx)
+        else:
+            u_x = (u[2:] - u[:-2]) / (2.0 * dx)
+        values[1:-1, n + 1] = u[1:-1] + dt * (A * u_2x + B * u_x
+                                              + C * u[1:-1])
+    return values
 
 
 def max_abs_sampled(e: Expr, box, *, n: int = 100, seed: int = 0):

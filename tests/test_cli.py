@@ -348,7 +348,26 @@ def test_malformed_number_in_ansatz_or_family_is_exit_2(
     assert _run_document(tmp_path, command,
                          dict(payload, **{name: value})) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {name}: ") and err.count("\n") == 1
+    doc = tmp_path / "doc.json"
+    assert err.startswith(f"error: {doc}: {name}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, payload, name", [
+    ("check", dict(HEAT, A="q", params={"q": "a"}), "params.q"),
+    ("reduce", dict(PLAIN_ANSATZ, q="a"), "q"),
+    ("synth", dict(WAVE_FAMILY, q="a"), "q"),
+    ("modes", {"H": "a", "N": "0.0002"}, "H"),
+])
+def test_malformed_number_names_its_file(tmp_path, capsys, command, payload,
+                                         name):
+    # reduce reads two documents: the error names the ansatz, not the PDE
+    doc = write(tmp_path, "doc.json", payload)
+    argv = {"check": ["check", doc, "--solution", "x"],
+            "reduce": ["reduce", write(tmp_path, "pde.json", HEAT), doc]
+            }.get(command, [command, doc])
+    assert main(["--out", str(tmp_path / "out"), *argv]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {doc}: {name}: expected a number, got str\n")
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -601,7 +620,8 @@ def test_malformed_coefficient_or_param_is_exit_2(tmp_path, capsys, payload):
                  "--gen", gen]) == 2
     err = capsys.readouterr().err
     field = "params.q: " if "params" in payload else ""
-    assert err.startswith(f"error: {field}expected ") and err.count("\n") == 1
+    assert err.startswith(f"error: {pde}: {field}expected ")
+    assert err.count("\n") == 1
 
 
 def test_missing_file_is_exit_2(tmp_path):

@@ -13,7 +13,7 @@ from liewave.numverify import (
 from liewave.symmetry import Domain, PdeSpec
 from liewave.synth import OscFamilyInput, WaveFamilyInput, synth_oscillator, synth_wave
 
-from oracles import residual_on_grid
+from oracles import euler_incremental, residual_on_grid
 
 DOM = Domain((0.0, 1.0), (0.0, 0.1))
 WAVE_PDE = synth_wave(WaveFamilyInput("x", "0", 1, 0, "1", 1, 0, DOM))
@@ -163,7 +163,9 @@ def test_stable_dt_is_one_rule_for_both_schemes():
 
 def _per_step_reference(p, ic, bc, g):
     """fd_solve as it was written before blocks: every coefficient that
-    depends on t evaluated at every step, levels written into one array."""
+    depends on t evaluated at every step, levels written into one array.
+    The update is fd_solve's three-weight form, so the two agree bit for
+    bit; `oracles.euler_incremental` keeps the textbook increment."""
     xs, ts = g.xs(), g.ts()
     dx, dt = g.dx, g.dt
     advective, _ = stable_dt(p, xs, g.t0, g.t1)
@@ -178,34 +180,54 @@ def _per_step_reference(p, ic, bc, g):
             u = values[:, n]
             A, B, C = (eval_on_grid(c, {"x": xi, "t": ts[n]})
                        if isinstance(c, Expr) else c for c in coeffs)
-            u_2x = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
+            d = dt * A / (dx * dx)
+            mid = 1.0 + dt * C - 2.0 * d
             if advective:
-                forward = (u[2:] - u[1:-1]) / dx
-                backward = (u[1:-1] - u[:-2]) / dx
-                u_x = np.where(B >= 0, forward, backward)
+                b_plus = dt * np.maximum(B, 0.0) / dx
+                b_minus = dt * np.minimum(B, 0.0) / dx
+                lo, hi = d - b_minus, d + b_plus
+                mid = mid - b_plus + b_minus
             else:
-                u_x = (u[2:] - u[:-2]) / (2.0 * dx)
-            values[1:-1, n + 1] = u[1:-1] + dt * (A * u_2x + B * u_x
-                                                  + C * u[1:-1])
+                w = dt * B / (2.0 * dx)
+                lo, hi = d - w, d + w
+            values[1:-1, n + 1] = mid * u[1:-1] + lo * u[:-2] + hi * u[2:]
             if not np.isfinite(values[:, n + 1]).all():
                 raise BlowupError(n + 1, float(ts[n + 1]))
     return values
 
 
-@pytest.mark.parametrize("coeffs, advective", [
+BLOCKED_CASES = pytest.mark.parametrize("coeffs, advective", [
     # C depends on t alone, B on both, A on both
     (("1 + t*x", "x*cos(t)", "t"), False),
     # A = 0 upwinds u_x by the sign of B, which changes sign at x = 1/2
     (("0", "(x - 1/2)*(1 + t)", "-t*x"), True),
 ])
-def test_fd_solve_matches_per_step_reference(coeffs, advective):
+
+
+def _blocked_case(coeffs, advective):
     p = PdeSpec(*(parse(c) for c in coeffs), Domain((0.0, 1.0), (0.0, 0.4)))
     # two full blocks and a short last one
     g = Grid1D(0.0, 1.0, 21, 0.0, 0.4, 2 * BLOCK + 3)
     assert stable_dt(p, g.xs(), g.t0, g.t1)[0] is advective
-    ic, bc = parse("cos(3*x) + x"), parse("exp(-t)*cos(3*x) + x")
+    return p, parse("cos(3*x) + x"), parse("exp(-t)*cos(3*x) + x"), g
+
+
+@BLOCKED_CASES
+def test_fd_solve_matches_per_step_reference(coeffs, advective):
+    p, ic, bc, g = _blocked_case(coeffs, advective)
     values = fd_solve(p, ic, bc, g).values
     assert values.tobytes() == _per_step_reference(p, ic, bc, g).tobytes()
+
+
+@BLOCKED_CASES
+def test_fd_solve_matches_incremental_euler(coeffs, advective):
+    # the weights regroup u + dt (A u_2x + B u_x + C u); each step may move
+    # u by a few roundings of max|u|, and nt steps add up at most that
+    p, ic, bc, g = _blocked_case(coeffs, advective)
+    values = fd_solve(p, ic, bc, g).values
+    ref = euler_incremental(p, ic, bc, g)
+    bound = g.nt * 8 * np.finfo(float).eps * float(np.max(np.abs(ref)))
+    assert float(np.max(np.abs(values - ref))) <= bound
 
 
 def test_fd_solve_blowup_matches_per_step_reference():
