@@ -22,7 +22,8 @@ import numpy as np
 
 from . import numverify, reduction, symmetry, synth
 from .expr import (
-    ZeroSample, is_zero_sampled, parse, simplify, substitute, to_text,
+    ZeroSample, is_zero_sampled, memo_scope, parse, simplify, substitute,
+    to_text,
 )
 
 EXIT_OK = 0
@@ -117,7 +118,9 @@ def _load(loader, path: str):
     """loader(path); a malformed document's error names its file first."""
     try:
         return loader(path)
-    except (ValueError, KeyError) as err:
+    except KeyError as err:
+        raise ValueError(f"{path}: missing key {err}") from err
+    except ValueError as err:
         raise ValueError(f"{path}: {err}") from err
 
 
@@ -362,7 +365,8 @@ _COMMANDS = {"synth": cmd_synth, "check": cmd_check, "reduce": cmd_reduce,
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.cmd](args)
+        with memo_scope():  # one job: its memo starts and ends empty
+            return _COMMANDS[args.cmd](args)
     except (ValueError, KeyError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -12,13 +12,13 @@ from .parser import ParseError, parse
 from .sampling import (
     ZeroSample, check_nonvanishing, is_zero_sampled, sample_box,
 )
-from .simplify import expand, simplify
+from .simplify import expand, memo_scope, simplify
 
 __all__ = [
     "Add", "Call", "Const", "Cos", "EvalError", "Exp", "Expr", "Log", "Mul",
     "Neg", "ONE", "ParseError", "Pow", "Sin", "Sqrt", "Var", "ZERO",
     "ZeroSample", "check_nonvanishing", "check_vars", "coerce", "diff",
     "eval_checked", "eval_numeric", "eval_on_grid", "expand", "free_vars",
-    "is_zero_sampled", "neg", "node_count", "num", "parse", "sample_box",
-    "simplify", "substitute", "to_text",
+    "is_zero_sampled", "memo_scope", "neg", "node_count", "num", "parse",
+    "sample_box", "simplify", "substitute", "to_text",
 ]

@@ -264,26 +264,24 @@ def node_count(e: Expr) -> int:
     raise TypeError(f"not an Expr: {e!r}")
 
 
-_EXACT_INT = 2**53  # every int up to this magnitude is an exact float
-
-
 def sort_key(e: Expr):
     """Total order over trees; used to canonicalize Add/Mul child order.
 
     Flat: the kind tag, then the node's own fields, then its children's keys
     inline, e.g. (5, k1, k2, ...) for a Mul; computed once per branch node.
     It orders exactly as (tag, name, (numbers), (child keys)) would.
+    Exact: two trees have equal keys only when they are the same tree down
+    to the type of each constant, so Const(0.5) and Const(Fraction(1, 2)),
+    or 0.0 and -0.0, differ here although they are == (see simplify's memo).
     """
     if isinstance(e, Const):
         v = e.value
         if not isinstance(v, Fraction):
-            return (0, v, 1.0, 0.0, 0.0)
+            return (0, v, 1.0, math.copysign(1.0, v), 0.0)
         n, d = v.numerator, v.denominator
-        if abs(n) <= _EXACT_INT and d <= _EXACT_INT:
-            # such ints compare exactly as their floats do, and need no new
-            # float objects (these keys are held by every keyed parent)
-            return (0, n if d == 1 else float(v), 0.0, n, d)
-        return (0, float(v), 0.0, float(n), float(d))
+        # Fractions, ints and floats compare exactly with one another; an
+        # int compares faster than the Fraction equal to it
+        return (0, n if d == 1 else v, 0.0, n, d)
     if isinstance(e, Var):
         return (1, e.name)
     try:

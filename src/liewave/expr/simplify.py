@@ -11,10 +11,23 @@ idempotence (simplify . simplify == simplify) is covered by property tests,
 and it is what lets simplify return a tree it has returned before as it is.
 It is NOT a canonical form for transcendental identities — numeric sampling
 is the project's zero test.
+
+Two things spare simplify work it has done before:
+- the canonical mark (the _canon slot): a tree simplify has returned is
+  handed back at once.  It costs O(1), needs no table and holds everywhere.
+- the memo, live only inside `memo_scope()`, which `cli.main` enters once
+  around a command: it maps each branch tree simplify has canonicalized to
+  the result, so an equal tree built anew as another object (which the
+  mark cannot see) is not simplified again.  Its key is the tree's exact
+  structure: the cached hash, with equality of `nodes.sort_key`, which tells
+  Const(0.5) from Const(Fraction(1, 2)) and 0.0 from -0.0 where == does
+  not.  It starts and ends empty with the scope, so a job shares no tree
+  with another job, and outside a scope simplify keeps no table at all.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from fractions import Fraction
 
@@ -25,12 +38,50 @@ from .nodes import (
 )
 
 
+_memo = None  # _Exact(tree) -> canonical form, inside memo_scope() only
+
+
+class _Exact:
+    """A tree as a memo key: equal to another only if their sort keys are
+    equal, i.e. the same tree down to each constant's type and sign."""
+
+    __slots__ = ("tree",)
+
+    def __init__(self, tree: Expr):
+        self.tree = tree
+
+    def __hash__(self):
+        return hash(self.tree)  # cached per node; equal sort keys hash equal
+
+    def __eq__(self, other):
+        return sort_key(self.tree) == sort_key(other.tree)
+
+
+@contextlib.contextmanager
+def memo_scope():
+    """Memoize simplify for the duration of the block (one CLI job); the
+    memo is dropped on exit, also when the block raises."""
+    global _memo
+    _memo = {}
+    try:
+        yield
+    finally:
+        _memo = None
+
+
 def simplify(e: Expr) -> Expr:
     """Canonical form of e.  Every branch node returned is marked (the
     _canon slot), and a marked argument is returned as it is: by idempotence
-    it is already its own canonical form."""
+    it is already its own canonical form.  Inside memo_scope() a tree equal
+    to one already simplified there gets the same result back."""
     if isinstance(e, (Const, Var)) or hasattr(e, "_canon"):
         return e
+    memo = _memo
+    if memo is not None:
+        key = _Exact(e)
+        out = memo.get(key)
+        if out is not None:
+            return out
     if isinstance(e, Add):
         out = _add(tuple(simplify(t) for t in e.terms))
     elif isinstance(e, Mul):
@@ -45,6 +96,8 @@ def simplify(e: Expr) -> Expr:
         raise TypeError(f"not an Expr: {e!r}")
     if not isinstance(out, (Const, Var)):
         object.__setattr__(out, "_canon", True)
+    if memo is not None:
+        memo[key] = out
     return out
 
 

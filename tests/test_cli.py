@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 import liewave
 from liewave.cli import main
+
+simplify_module = importlib.import_module("liewave.expr.simplify")
 
 WAVE_FAMILY = {"family": "wave", "P": "x", "R": "0", "q": 1.0, "v": 0.0,
                "F": "1", "a": 1.0, "b": 0.0,
@@ -352,11 +355,20 @@ def test_malformed_number_in_ansatz_or_family_is_exit_2(
     assert err.startswith(f"error: {doc}: {name}: ") and err.count("\n") == 1
 
 
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
 @pytest.mark.parametrize("command, payload, name", [
     ("check", dict(HEAT, A="q", params={"q": "a"}), "params.q"),
     ("reduce", dict(PLAIN_ANSATZ, q="a"), "q"),
     ("synth", dict(WAVE_FAMILY, q="a"), "q"),
     ("modes", {"H": "a", "N": "0.0002"}, "H"),
+    # documents that lack the field altogether
+    ("check", _without(HEAT, "C"), "C"),
+    ("reduce", _without(PLAIN_ANSATZ, "v"), "v"),
+    ("synth", _without(WAVE_FAMILY, "q"), "q"),
+    ("modes", {"N": "0.0002"}, "H"),
 ])
 def test_malformed_number_names_its_file(tmp_path, capsys, command, payload,
                                          name):
@@ -366,8 +378,9 @@ def test_malformed_number_names_its_file(tmp_path, capsys, command, payload,
             "reduce": ["reduce", write(tmp_path, "pde.json", HEAT), doc]
             }.get(command, [command, doc])
     assert main(["--out", str(tmp_path / "out"), *argv]) == 2
-    assert capsys.readouterr().err == (
-        f"error: {doc}: {name}: expected a number, got str\n")
+    problem = (f"{name}: expected a number, got str"
+               if name.split(".")[0] in payload else f"missing key {name!r}")
+    assert capsys.readouterr().err == f"error: {doc}: {problem}\n"
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -607,6 +620,98 @@ def test_generator_and_profile_fuzz_never_raises(tmp_path_factory, kind,
         doc.write_text(json.dumps(data.draw(_profile_documents())))
         argv = out + ["modes", str(doc), "--modes", "2"]
     assert main(argv) in (0, 1, 2)
+
+
+_ARGV_DOCS = {
+    "pde.json": HEAT, "gen.json": {"phi": "0", "xi": "2*t", "M": "-x"},
+    "ansatz.json": PLAIN_ANSATZ, "family.json": WAVE_FAMILY,
+    "profile.json": {"H": 300.0, "N": "0.0002"}, "nokey.json": {"N": "0.0002"},
+    "list.json": [1], "broken.json": "{",
+}
+# every document above, one that is not there and a directory
+_ARGV_FILES = [*_ARGV_DOCS, "absent.json", "."]
+_argv_expressions = st.sampled_from(
+    ["x", "exp(x - t)", "sin(x)*exp(-t)", "x +", "1/x", "log(x - 2)", "q"])
+
+
+def _file_for(role):
+    """The document the argument expects, or any other file."""
+    return st.just(role) | st.sampled_from(_ARGV_FILES)
+
+
+def _option(name, values):
+    return st.tuples(st.just(name), values).map(list)
+
+
+_argv_globals = st.lists(st.one_of(
+    _option("--seed", st.sampled_from(["0", "3", "-4", "x"])),
+    _option("--samples", st.sampled_from(["1", "10", "0", "-3"])),
+    _option("--tol-sym", st.sampled_from(["1e-9", "0", "-1", "nan", "inf"])),
+    _option("--tol-sol", st.sampled_from(["1e-10", "1", "nan"])),
+    _option("--format", st.sampled_from(["json", "csv", "xml"])),
+), max_size=2)
+# per subcommand: the documents its positionals read, and its options
+_ARGV_COMMANDS = {
+    "synth": (["family.json"], {}),
+    "check": (["pde.json"], {"--gen": _file_for("gen.json"),
+                             "--solution": _argv_expressions}),
+    "reduce": (["pde.json", "ansatz.json"], {}),
+    "solve": (["pde.json"], {
+        "--ic": _argv_expressions, "--nx": st.sampled_from(["3", "11", "0"]),
+        "--nt": st.sampled_from(["0", "40", "-1"]),
+        "--levels": st.sampled_from(["0", "3", "x"])}),
+    "modes": (["profile.json"], {"--modes": st.sampled_from(["1", "2", "0",
+                                                             "-1"])}),
+}
+_argv_stray = st.sampled_from([["--modes", "2"], ["--gen", "gen.json"],
+                               ["--nx", "11"], ["pde.json"], ["-v"]])
+
+
+def _rarely(draw):
+    # hypothesis leans to False, the simplest boolean: well under 1 in 8
+    return all(draw(st.booleans()) for _ in range(3))
+
+
+@st.composite
+def _argvs(draw):
+    """Global options, then a subcommand (perhaps unknown or missing), its
+    files and options in any order, each right or wrong, and now and then
+    an argument that does not belong."""
+    argv = [t for option in draw(_argv_globals) for t in option]
+    command = draw(st.sampled_from([*_ARGV_COMMANDS] * 2 + ["frobnicate",
+                                                             None]))
+    docs, options = _ARGV_COMMANDS.get(command, ([], {}))
+    groups = [[draw(_file_for(doc))] for doc in docs]
+    names = set(draw(st.sets(st.sampled_from(sorted(options))))
+                if options else ())
+    if command == "solve" and not _rarely(draw):
+        names.add("--ic")  # required
+    groups += [[name, draw(options[name])] for name in sorted(names)]
+    if groups and _rarely(draw):
+        groups.pop(draw(st.integers(0, len(groups) - 1)))
+    if _rarely(draw):
+        groups.append(draw(_argv_stray))
+    argv += [command] if command else []
+    return argv + [t for group in draw(st.permutations(groups)) for t in group]
+
+
+@given(argv=_argvs())
+@settings(max_examples=150, deadline=None)
+def test_argv_fuzz_keeps_the_exit_code_contract(tmp_path_factory, argv):
+    root = tmp_path_factory.getbasetemp() / "fuzz-argv"
+    root.mkdir(exist_ok=True)
+    for name, payload in _ARGV_DOCS.items():
+        (root / name).write_text(payload if isinstance(payload, str)
+                                 else json.dumps(payload))
+    argv = ["--out", str(root / "out")] + [
+        str(root / t) if t in _ARGV_FILES else t for t in argv]
+    try:
+        rc = main(argv)
+    except SystemExit as stop:  # argparse rejects the command line
+        assert stop.code == 2
+    else:
+        assert rc in (0, 1, 2)
+    assert simplify_module._memo is None
 
 
 @pytest.mark.parametrize("payload", [

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 import pickle
 import random
@@ -13,12 +14,15 @@ from liewave.expr import (
     Var, ZeroSample, diff, eval_numeric, expand, free_vars, is_zero_sampled,
     num, parse, sample_box, simplify, substitute, to_text,
 )
+from liewave.expr import memo_scope
 from liewave.expr.nodes import sort_key
 from liewave.expr.sampling import _SECOND_PASS_SHIFT, _cloud
 from liewave.expr.simplify import _mul
 
 from conftest import CORPUS
 from oracles import max_abs_sampled
+
+simplify_module = importlib.import_module("liewave.expr.simplify")
 
 
 # ---------------------------------------------------------------- parsing
@@ -201,8 +205,8 @@ def test_canonical_shape_invariants(e):
 def _corpus_trees():
     """Every distinct subtree of the corpus, raw, simplified and expanded,
     plus float constants (Const(1.0) sorts and hashes next to Const(1)),
-    rationals on both sides of 2**53, where floats stop being exact, and one
-    that rounds to the same float as 1/3."""
+    rationals on both sides of 2**53, where floats stop being exact, one
+    that rounds to the same float as 1/3, and both zeros."""
     out = {}
     for text, _ in CORPUS:
         for tree in (parse(text), simplify(parse(text)), expand(parse(text))):
@@ -211,7 +215,8 @@ def _corpus_trees():
     for value in (1.0, -0.5, 2.5, Fraction(1, 3), Fraction(-7, 2), 2**53,
                   2**53 + 1, -2**60, 2**60 + 1, float(2**60), Fraction(1, 2**60 + 1),
                   Fraction(2**60 + 3, 2**60 + 1), Fraction(2**60 + 5, 2**60 + 1),
-                  Fraction(3002399751580314, 9007199254740943)):
+                  Fraction(3002399751580314, 9007199254740943), 2**60,
+                  Fraction(1, 10**400), 0.0, -0.0):
         out[repr(Const(value))] = Const(value)
     return list(out.values())
 
@@ -221,8 +226,8 @@ def _nested_key(e):
     if isinstance(e, Const):
         v = e.value
         if isinstance(v, Fraction):
-            return (0, "", (float(v), 0.0, float(v.numerator), float(v.denominator)), ())
-        return (0, "", (v, 1.0, 0.0, 0.0), ())
+            return (0, "", (v, 0.0, v.numerator, v.denominator), ())
+        return (0, "", (v, 1.0, math.copysign(1.0, v), 0.0), ())
     if isinstance(e, Var):
         return (1, e.name, (), ())
     if isinstance(e, Call):
@@ -336,6 +341,63 @@ _exprs_with_floats = st.recursive(_leaves | _float_leaves, _branch,
 @settings(max_examples=250, deadline=None)
 def test_canonical_mark_random(e):
     _check_canonical_mark(e)
+
+
+# ------------------------------------------------- the job-scoped memo
+
+def _calls(e):
+    """simplify, expand and diff of fresh (unmarked) copies of e, by repr."""
+    return (repr(simplify(_unmarked(e))), repr(expand(_unmarked(e))),
+            repr(diff(_unmarked(e), "x")), repr(diff(_unmarked(e), "t")))
+
+
+def _check_memo_is_invisible(e):
+    outside = _calls(e)
+    with memo_scope():
+        assert _calls(e) == outside
+        assert _calls(e) == outside  # now served from the memo
+        assert simplify_module._memo or isinstance(e, (Const, Var))
+
+
+@pytest.mark.parametrize("text", [t for t, _ in CORPUS])
+def test_memo_gives_the_results_of_no_memo_corpus(text):
+    _check_memo_is_invisible(parse(text))
+
+
+@given(_exprs_with_floats)
+@settings(max_examples=250, deadline=None)
+def test_memo_gives_the_results_of_no_memo_random(e):
+    _check_memo_is_invisible(e)
+
+
+# each pair is one tree under ==, or was one under the inexact sort key
+@pytest.mark.parametrize("a, b", [
+    (Mul((Var("x"), Const(2**60))), Mul((Var("x"), Const(2**60 + 1)))),
+    (Mul((Var("x"), Const(0.5))), Mul((Var("x"), Const(Fraction(1, 2))))),
+    (Call("sin", Const(0.0)), Call("sin", Const(-0.0))),
+])
+def test_memo_keeps_apart_trees_that_only_look_alike(a, b):
+    expected = repr(simplify(_unmarked(a))), repr(simplify(_unmarked(b)))
+    assert expected[0] != expected[1]
+    for first, second in ((a, b), (b, a)):
+        with memo_scope():
+            got = {repr(first): repr(simplify(_unmarked(first))),
+                   repr(second): repr(simplify(_unmarked(second)))}
+        assert (got[repr(a)], got[repr(b)]) == expected
+    assert sort_key(a) != sort_key(b)
+
+
+def test_memo_lives_only_inside_its_scope():
+    assert simplify_module._memo is None
+    with memo_scope():
+        simplify(parse("x*(1 + x) + 2*x"))
+        assert simplify_module._memo
+    assert simplify_module._memo is None
+    with pytest.raises(ZeroDivisionError):
+        with memo_scope():
+            simplify(parse("x*(1 + x)"))
+            1 / 0
+    assert simplify_module._memo is None
 
 
 # ------------------------------------------------------- differentiation
