@@ -128,6 +128,16 @@ def _float_fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _tolerance(text: str) -> float:
+    """A tolerance option's value: a finite number >= 0."""
+    try:
+        if 0.0 <= float(text) < math.inf:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"need a finite number >= 0, got {text!r}")
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="liewave",
@@ -137,9 +147,9 @@ def _build_parser():
     ap.add_argument("--seed", type=int, default=0, help="sampling offset")
     ap.add_argument("--samples", type=int, default=100,
                     help="points per zero test")
-    ap.add_argument("--tol-sym", type=float, default=1e-9,
+    ap.add_argument("--tol-sym", type=_tolerance, default=1e-9,
                     help="tolerance for symmetry/system residuals")
-    ap.add_argument("--tol-sol", type=float, default=1e-10,
+    ap.add_argument("--tol-sol", type=_tolerance, default=1e-10,
                     help="tolerance for closed-form solution residuals")
     ap.add_argument("--out", default=".", help="output directory")
     ap.add_argument("--format", choices=("json", "csv"), default="json")
@@ -287,18 +297,20 @@ def cmd_solve(args) -> int:
         grid = replace(grid, nt=_auto_nt(pde, grid))
     ic = simplify(substitute(closed, {"t": dom.t[0]}))
     try:
-        fld = numverify.fd_solve(pde, ic, closed, grid)
+        us = list(numverify.fd_solve(pde, ic, closed, grid))
         levels = (numverify.convergence_order(pde, closed, grid, args.levels,
-                                              fld.values[:, -1])
+                                              us[-1])
                   if args.levels >= 3 else None)
     except numverify.BlowupError as err:  # well-formed input: a FAIL check
         return _finish(args, [args.pde_json], [Check(
             "time_stepping", False, math.inf, note=str(err))], {}, t0)
+    ref = np.broadcast_to(numverify.eval_on_grid(
+        closed, {"x": grid.xs()[:, None], "t": grid.ts()}),
+        (grid.nx, grid.nt + 1))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_solution_csv(out / "solution.csv", fld, closed)
-    ref = numverify.eval_on_grid(closed, {"x": grid.xs(), "t": grid.t1})
-    err = float(np.max(np.abs(fld.values[:, -1] - ref)))
+    _write_solution_csv(out / "solution.csv", grid, us, ref)
+    err = float(np.max(np.abs(us[-1] - ref[:, -1])))
     extra = {"grid": {"nx": grid.nx, "nt": grid.nt},
              "final_time_error": err}
     if levels is not None:
@@ -321,19 +333,17 @@ def _auto_nt(pde, grid) -> int:
     return max(1, int(math.ceil(span / dt)))
 
 
-def _write_solution_csv(path, fld, closed):
-    """One row per (t, x), written one time level at a time."""
-    xs, ts = fld.grid.xs(), fld.grid.ts()
-    ref = np.broadcast_to(numverify.eval_on_grid(closed, {"x": xs[:, None], "t": ts}),
-                          fld.values.shape)
-    x_texts = [_float_fmt(x) for x in xs.tolist()]
+def _write_solution_csv(path, grid, us, ref):
+    """One row per (t, x), written one time level at a time: us[n] is the
+    numeric solution at t_n, ref[:, n] the closed form there."""
+    x_texts = [_float_fmt(x) for x in grid.xs().tolist()]
     with open(path, "w") as fh:
         fh.write("x,t,u_numeric,u_closed,abs_err\n")
-        for t, us, rs in zip(ts.tolist(), fld.values.T, ref.T):
+        for t, u_n, ref_n in zip(grid.ts().tolist(), us, ref.T):
             t_text = _float_fmt(t)
             fh.write("".join(
                 f"{x},{t_text},{u:.17g},{r:.17g},{abs(u - r):.17g}\n"
-                for x, u, r in zip(x_texts, us.tolist(), rs.tolist())))
+                for x, u, r in zip(x_texts, u_n.tolist(), ref_n.tolist())))
 
 
 def cmd_modes(args) -> int:

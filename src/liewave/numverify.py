@@ -88,21 +88,6 @@ class Grid1D:
         return np.linspace(self.t0, self.t1, self.nt + 1)
 
 
-@dataclass
-class Field:
-    """values[i, n] is the solution at (x_i, t_n); shape (nx, nt+1)."""
-
-    values: np.ndarray
-    grid: Grid1D
-
-    def __post_init__(self):
-        expected = (self.grid.nx, self.grid.nt + 1)
-        if self.values.shape != expected:
-            raise ValueError(f"field shape {self.values.shape} != {expected}")
-        if not np.isfinite(self.values).all():
-            raise ValueError("field contains non-finite values")
-
-
 def _on_grid(e: Expr, xs, ts, what: str) -> np.ndarray:
     """e at (xs[i], ts[j]) as [j, i]; ValueError at a non-finite value."""
     vals = np.broadcast_to(eval_on_grid(e, {"x": xs, "t": ts[:, None]}),
@@ -137,10 +122,11 @@ def stable_dt(p: PdeSpec, xs: np.ndarray, t0: float, t1: float):
     return True, dx / max_b if max_b > 0 else math.inf
 
 
-def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D) -> Field:
+def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D):
     """Forward Euler with centered u_2x; u_x is upwinded (by the sign of B)
     when A vanishes uniformly, centered otherwise.  Dirichlet boundary
-    values come from the closed form bc(x, t).
+    values come from the closed form bc(x, t).  Yields u at t_0, ..., t_nt;
+    no level is written again once it has been yielded.
 
     Each step is one three-point update per interior node,
     u_i <- lo u_{i-1} + mid u_i + hi u_{i+1}, with d = dt A / dx^2:
@@ -150,26 +136,15 @@ def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D) -> Field:
                                     lo = d - b-, hi = d + b+,
                                     mid = 1 + dt C - 2d - b+ + b-.
     Under upwinding the sign of B picks the side per node inside the
-    weights: one of b+ and b- is zero there.
+    weights: one of b+ and b- is zero there.  A block of steps takes its
+    weights at once from the block's A, B and C.
 
-    Preconditions (enforced): those of `stable_dt`, A >= 0 and the step
-    bound of the scheme it picks.
+    Preconditions, enforced when the first level is asked for: those of
+    `stable_dt`, A >= 0 and the step bound of the scheme it picks.  A
+    BlowupError comes before the earlier levels of its block of steps are
+    yielded.
     """
-    values = np.empty((g.nx, g.nt + 1))
-    for n, u in enumerate(_euler_levels(p, ic, bc, g)):
-        values[:, n] = u
-    return Field(values, g)
-
-
-def _euler_levels(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D):
-    """The scheme of `fd_solve`: yields u at t_0, ..., t_nt, each level in
-    memory of its own.  The weights lo, mid, hi of `fd_solve`'s update are
-    computed for a block of steps at once from that block's A, B and C;
-    a step is then u_i <- lo u_{i-1} + mid u_i + hi u_{i+1}.  Raises as
-    `fd_solve` does; a BlowupError is raised before the earlier levels of
-    its block of steps are yielded."""
-    xs = g.xs()
-    ts = g.ts()
+    xs, ts = g.xs(), g.ts()
     dx, dt = g.dx, g.dt
     advective, dt_req = stable_dt(p, xs, g.t0, g.t1)
     if dt > dt_req:
@@ -245,7 +220,7 @@ def convergence_order(p: PdeSpec, exact: Expr, g0: Grid1D, levels: int,
                    g0.t0, g0.t1, g0.nt * (factor if advective else factor * factor))
         u = base
         if lvl or base is None:
-            for u in _euler_levels(p, substitute(exact, {"t": g.t0}), exact, g):
+            for u in fd_solve(p, substitute(exact, {"t": g.t0}), exact, g):
                 pass  # only the final level is compared
         ref = eval_on_grid(exact, {"x": g.xs(), "t": g.t1})
         error = float(np.max(np.abs(u - ref)))

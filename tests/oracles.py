@@ -150,7 +150,8 @@ def euler_incremental(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D):
     """Forward Euler as the textbook increment u + dt (A u_2x + B u_x + C u),
     with the scheme `fd_solve` picks (u_x upwinded by the sign of B where A
     vanishes, centered otherwise) and every coefficient evaluated per step;
-    returns values[i, n] like `Field.values`."""
+    returns values[i, n], the u at x_i of the level `fd_solve` yields
+    n-th."""
     xs, ts = g.xs(), g.ts()
     dx, dt = g.dx, g.dt
     advective, _ = stable_dt(p, xs, g.t0, g.t1)

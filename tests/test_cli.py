@@ -189,13 +189,13 @@ def test_solve_integrates_the_base_grid_once(tmp_path, monkeypatch):
     # take three integrations, and level 0's error is the final-time error
     from liewave import numverify
     grids = []
-    euler_levels = numverify._euler_levels
+    fd_solve = numverify.fd_solve
 
     def counted(p, ic, bc, g):
         grids.append((g.nx, g.nt))
-        return euler_levels(p, ic, bc, g)
+        return fd_solve(p, ic, bc, g)
 
-    monkeypatch.setattr(numverify, "_euler_levels", counted)
+    monkeypatch.setattr(numverify, "fd_solve", counted)
     pde = write(tmp_path, "pde.json",
                 {"A": "1", "B": "-2", "C": "0",
                  "domain": {"x": [0, 1], "t": [0, 0.1]}})
@@ -213,11 +213,11 @@ def test_solution_csv_matches_row_list_writer(tmp_path):
     import numpy as np
     from liewave.cli import _write_solution_csv
     from liewave.expr import parse
-    from liewave.numverify import Field, Grid1D, eval_on_grid
+    from liewave.numverify import Grid1D, eval_on_grid
     grid = Grid1D(0.0, 1.0, 11, 0.0, 0.1, 7)
     values = np.random.default_rng(3).normal(size=(11, 8)) * 1e3
     values[2, 3] = -0.0
-    fld, closed = Field(values, grid), parse("exp(x - t)/3")
+    closed = parse("exp(x - t)/3")
     xs, ts = grid.xs(), grid.ts()
     assert f"{xs[1]:.17g}" != repr(float(xs[1]))
     # the writer as it was: every row in one list, joined once
@@ -228,7 +228,7 @@ def test_solution_csv_matches_row_list_writer(tmp_path):
         for i, x in enumerate(xs):
             u, r = values[i, j], ref[i, j]
             rows.append(",".join(f"{v:.17g}" for v in (x, t, u, r, abs(u - r))))
-    _write_solution_csv(tmp_path / "solution.csv", fld, closed)
+    _write_solution_csv(tmp_path / "solution.csv", grid, list(values.T), ref)
     assert (tmp_path / "solution.csv").read_bytes() == \
         ("\n".join(rows) + "\n").encode()
 
@@ -727,6 +727,25 @@ def test_malformed_coefficient_or_param_is_exit_2(tmp_path, capsys, payload):
     field = "params.q: " if "params" in payload else ""
     assert err.startswith(f"error: {pde}: {field}expected ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("option", ["--tol-sym", "--tol-sol"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, option,
+                                                  value):
+    # with inf the wrong closed form x*t would PASS; with nan or -1 every
+    # check would FAIL at residual 0
+    pde = write(tmp_path, "pde.json", HEAT)
+    gen = write(tmp_path, "gen.json", {"phi": "0", "xi": "2*t", "M": "-x"})
+    argv = ["--out", str(tmp_path / "out"), option, value, "check", pde,
+            "--gen", gen, "--solution", "x*t"]
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    assert f"argument {option}: need a finite number >= 0" in \
+        capsys.readouterr().err
+    argv[3] = "0"  # zero is a valid tolerance: x*t is no solution
+    assert main(argv) == 1
 
 
 def test_missing_file_is_exit_2(tmp_path):

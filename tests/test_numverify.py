@@ -6,7 +6,7 @@ import pytest
 
 from liewave.expr import Expr, eval_numeric, free_vars, parse, substitute
 from liewave.numverify import (
-    BLOCK, NSTEPS, BlowupError, Field, Grid1D, ModeProblem, ModeSearchError,
+    BLOCK, NSTEPS, BlowupError, Grid1D, ModeProblem, ModeSearchError,
     StabilityError, convergence_order, eval_on_grid, fd_solve, load_profile,
     mode_solve, stable_dt,
 )
@@ -49,12 +49,6 @@ def test_grid_validation(kwargs):
         Grid1D(**kwargs)
 
 
-def test_field_shape_check():
-    g = Grid1D(0, 1, 5, 0, 1, 3)
-    with pytest.raises(ValueError):
-        Field(np.zeros((5, 3)), g)
-
-
 def test_eval_on_grid_matches_scalar_eval():
     e = parse("exp(x - q*t)*sin(x) + x^2/3")
     xs = np.linspace(0.1, 0.9, 7)
@@ -95,42 +89,58 @@ def test_residual_rejects_stray_variables():
 
 # -------------------------------------------------------------- fd_solve
 
+def test_fd_solve_yields_every_level():
+    p = PdeSpec(parse("1 + t*x"), parse("x*cos(t)"), parse("t"), DOM)
+    ic, bc = parse("cos(3*x) + x"), parse("exp(-t)*cos(3*x) + x")
+    g = Grid1D(0.0, 1.0, 11, 0.0, 0.1, BLOCK + 3)
+    us = list(fd_solve(p, ic, bc, g))
+    assert len(us) == g.nt + 1
+    assert all(u.shape == (g.nx,) for u in us)
+    assert np.array_equal(us[0], eval_on_grid(ic, {"x": g.xs()}))
+    # the boundary values are bc at each level's time, up to how numpy and
+    # the scalar evaluator round exp and cos
+    for u, t in zip(us[1:], g.ts()[1:]):
+        ends = [eval_numeric(bc, {"x": x, "t": t}) for x in (g.x0, g.x1)]
+        np.testing.assert_allclose(u[[0, -1]], ends, rtol=4e-16, atol=0)
+
+
 def test_fd_solve_wave_accuracy():
     g = stable_grid(41)
-    f = fd_solve(WAVE_PDE, parse("exp(x)"), parse("exp(x - t)"), g)
+    *_, u = fd_solve(WAVE_PDE, parse("exp(x)"), parse("exp(x - t)"), g)
     ref = eval_on_grid(parse("exp(x - t)"), {"x": g.xs(), "t": 0.1})
-    assert float(np.max(np.abs(f.values[:, -1] - ref))) <= 1e-3
+    assert float(np.max(np.abs(u - ref))) <= 1e-3
 
 
 def test_fd_solve_upwind_error_decreases():
     errors = []
     for nx in (21, 41, 81):
         g = stable_grid(nx, diffusive=False)
-        f = fd_solve(ADV_PDE, parse("sin(exp(x))"), parse("sin(exp(x - t))"), g)
+        *_, u = fd_solve(ADV_PDE, parse("sin(exp(x))"),
+                         parse("sin(exp(x - t))"), g)
         ref = eval_on_grid(parse("sin(exp(x - t))"), {"x": g.xs(), "t": 0.1})
-        errors.append(float(np.max(np.abs(f.values[:, -1] - ref))))
+        errors.append(float(np.max(np.abs(u - ref))))
     assert errors[0] > errors[1] > errors[2]
 
 
 def test_fd_solve_zero_pde_preserves_initial_data():
     zero = PdeSpec(parse("0"), parse("0"), parse("0"), DOM)
     g = Grid1D(0, 1, 21, 0, 0.1, 40)
-    f = fd_solve(zero, parse("sin(3*x)"), parse("sin(3*x)"), g)
-    assert np.array_equal(f.values[:, 0], f.values[:, -1])
+    us = list(fd_solve(zero, parse("sin(3*x)"), parse("sin(3*x)"), g))
+    assert np.array_equal(us[0], us[-1])
 
 
 def test_fd_solve_rejects_unstable_step():
     with pytest.raises(StabilityError) as err:
-        fd_solve(WAVE_PDE, parse("exp(x)"), parse("exp(x - t)"),
-                 Grid1D(0, 1, 41, 0, 0.1, 10))
+        list(fd_solve(WAVE_PDE, parse("exp(x)"), parse("exp(x - t)"),
+                      Grid1D(0, 1, 41, 0, 0.1, 10)))
     assert err.value.dt_required == pytest.approx(0.025**2 / 2.0)
 
 
 def test_fd_solve_cfl_bound_for_advection():
     # dt > dx / max|B| must be rejected when A == 0
     with pytest.raises(StabilityError):
-        fd_solve(ADV_PDE, parse("sin(exp(x))"), parse("sin(exp(x - t))"),
-                 Grid1D(0, 1, 41, 0, 0.1, 2))
+        list(fd_solve(ADV_PDE, parse("sin(exp(x))"), parse("sin(exp(x - t))"),
+                      Grid1D(0, 1, 41, 0, 0.1, 2)))
 
 
 def test_fd_solve_reports_blowup_step():
@@ -139,8 +149,8 @@ def test_fd_solve_reports_blowup_step():
     growth = PdeSpec(parse("1"), parse("0"), parse("1000"),
                      Domain((0.0, 1.0), (0.0, 1.0)))
     with pytest.raises(BlowupError) as err:
-        fd_solve(growth, parse("sin(x)"), parse("exp(999*t)*sin(x)"),
-                 Grid1D(0, 1, 11, 0, 1.0, 200))
+        list(fd_solve(growth, parse("sin(x)"), parse("exp(999*t)*sin(x)"),
+                      Grid1D(0, 1, 11, 0, 1.0, 200)))
     assert err.value.step >= 1
     assert "non-finite" in str(err.value)
 
@@ -148,8 +158,8 @@ def test_fd_solve_reports_blowup_step():
 def test_fd_solve_rejects_backward_diffusion():
     backward = PdeSpec(parse("x - 1/2"), parse("0"), parse("0"), DOM)
     with pytest.raises(ValueError, match="ill-posed") as err:
-        fd_solve(backward, parse("sin(3*x)"), parse("0"),
-                 Grid1D(0, 1, 11, 0, 0.1, 2000))
+        list(fd_solve(backward, parse("sin(3*x)"), parse("0"),
+                      Grid1D(0, 1, 11, 0, 0.1, 2000)))
     assert "A = -0.5 < 0 at x = 0," in str(err.value)
 
 
@@ -215,7 +225,7 @@ def _blocked_case(coeffs, advective):
 @BLOCKED_CASES
 def test_fd_solve_matches_per_step_reference(coeffs, advective):
     p, ic, bc, g = _blocked_case(coeffs, advective)
-    values = fd_solve(p, ic, bc, g).values
+    values = np.column_stack(list(fd_solve(p, ic, bc, g)))
     assert values.tobytes() == _per_step_reference(p, ic, bc, g).tobytes()
 
 
@@ -224,7 +234,7 @@ def test_fd_solve_matches_incremental_euler(coeffs, advective):
     # the weights regroup u + dt (A u_2x + B u_x + C u); each step may move
     # u by a few roundings of max|u|, and nt steps add up at most that
     p, ic, bc, g = _blocked_case(coeffs, advective)
-    values = fd_solve(p, ic, bc, g).values
+    values = np.column_stack(list(fd_solve(p, ic, bc, g)))
     ref = euler_incremental(p, ic, bc, g)
     bound = g.nt * 8 * np.finfo(float).eps * float(np.max(np.abs(ref)))
     assert float(np.max(np.abs(values - ref))) <= bound
@@ -239,7 +249,7 @@ def test_fd_solve_blowup_matches_per_step_reference():
     with pytest.raises(BlowupError) as ref:
         _per_step_reference(growth, ic, bc, g)
     with pytest.raises(BlowupError) as err:
-        fd_solve(growth, ic, bc, g)
+        list(fd_solve(growth, ic, bc, g))
     assert BLOCK < err.value.step <= 2 * BLOCK
     assert (err.value.step, err.value.time) == (ref.value.step, ref.value.time)
 
@@ -285,7 +295,7 @@ def test_convergence_errors_match_fd_solve(p, exact, nx, nt):
         f = 2**lvl
         g = Grid1D(0.0, 1.0, (nx - 1) * f + 1, 0.0, 0.1,
                    nt * (f if advective else f * f))
-        u = fd_solve(p, substitute(exact, {"t": 0.0}), exact, g).values[:, -1]
+        *_, u = fd_solve(p, substitute(exact, {"t": 0.0}), exact, g)
         ref = eval_on_grid(exact, {"x": g.xs(), "t": g.t1})
         assert level.error == float(np.max(np.abs(u - ref)))
 
@@ -297,7 +307,7 @@ def test_convergence_errors_match_fd_solve(p, exact, nx, nt):
 def test_convergence_study_takes_level_0_from_the_base_run(p, exact, nx, nt):
     exact = parse(exact)
     g0 = Grid1D(0.0, 1.0, nx, 0.0, 0.1, nt)
-    base = fd_solve(p, substitute(exact, {"t": 0.0}), exact, g0).values[:, -1]
+    *_, base = fd_solve(p, substitute(exact, {"t": 0.0}), exact, g0)
     levels = convergence_order(p, exact, g0, 3, base)
     assert levels == convergence_order(p, exact, g0, 3)
     # level 0 is `base` itself, not a second run on g0
