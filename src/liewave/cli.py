@@ -22,8 +22,7 @@ import numpy as np
 
 from . import numverify, reduction, symmetry, synth
 from .expr import (
-    ZeroSample, is_zero_sampled, memo_scope, parse, simplify, substitute,
-    to_text,
+    ZeroSample, is_zero_sampled, memo_scope, parse, substitute, to_text,
 )
 
 EXIT_OK = 0
@@ -43,35 +42,18 @@ class Check:
     def from_sample(cls, name: str, zs: ZeroSample) -> "Check":
         return cls(name, zs.passed, zs.max_residual, zs.witness, zs.failure)
 
+    @property
+    def status(self) -> str:
+        return "PASS" if self.passed else "FAIL"
+
     def to_payload(self):
-        out = {"name": self.name,
-               "status": "PASS" if self.passed else "FAIL",
+        out = {"name": self.name, "status": self.status,
                "max_residual": self.max_residual}
         if self.witness:
-            out["witness"] = {k: self.witness[k] for k in sorted(self.witness)}
+            out["witness"] = self.witness
         if self.note:
             out["note"] = self.note
         return out
-
-
-@dataclass
-class RunReport:
-    command: list
-    inputs: dict          # path -> sha256
-    checks: list
-    extra: dict = field(default_factory=dict)
-    wall_time_s: float = 0.0  # console only; kept out of the serialized report
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_payload(self):
-        payload = {"command": self.command,
-                   "inputs": self.inputs,
-                   "checks": [c.to_payload() for c in self.checks]}
-        payload.update(self.extra)
-        return payload
 
 
 def _digest(path: str) -> str:
@@ -86,32 +68,24 @@ def _write_json(payload, path):
         fh.write("\n")
 
 
-def _write_report(report: RunReport, args):
+def _finish(args, command: list, checks: list, extra: dict, inputs=()) -> int:
+    """Write the report of `args.cmd` on the files `command` (digested with
+    `inputs`) and print its checks; exit 0 when every check passed, 1
+    otherwise."""
     out = Path(args.out)
     if args.format == "csv":
         lines = ["name,status,max_residual"]
-        for c in report.checks:
-            lines.append(f"{c.name},{'PASS' if c.passed else 'FAIL'},"
-                         f"{c.max_residual:.17g}")
+        lines += [f"{c.name},{c.status},{c.max_residual:.17g}" for c in checks]
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.csv").write_text("\n".join(lines) + "\n")
     else:
-        _write_json(report.to_payload(), out / "report.json")
-    for c in report.checks:
-        status = "PASS" if c.passed else "FAIL"
-        print(f"[{status}] {c.name}: max residual {c.max_residual:.3e}")
-    print(f"wall time: {report.wall_time_s:.2f}s", file=sys.stderr)
-
-
-def _finish(args, command: list, checks: list, extra: dict, t0: float,
-            inputs=()) -> int:
-    """Write the report of `args.cmd` on the files `command` (digested with
-    `inputs`); exit 0 when every check passed, 1 otherwise."""
-    report = RunReport([args.cmd, *command],
-                       {p: _digest(p) for p in (*command, *inputs)},
-                       checks, extra, time.monotonic() - t0)
-    _write_report(report, args)
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
+        _write_json({"command": [args.cmd, *command],
+                     "inputs": {p: _digest(p) for p in (*command, *inputs)},
+                     "checks": [c.to_payload() for c in checks], **extra},
+                    out / "report.json")
+    for c in checks:
+        print(f"[{c.status}] {c.name}: max residual {c.max_residual:.3e}")
+    return EXIT_OK if all(c.passed for c in checks) else EXIT_CHECK_FAILED
 
 
 def _load(loader, path: str):
@@ -128,14 +102,20 @@ def _float_fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _tolerance(text: str) -> float:
-    """A tolerance option's value: a finite number >= 0."""
-    try:
-        if 0.0 <= float(text) < math.inf:
-            return float(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"need a finite number >= 0, got {text!r}")
+def _ranged(convert, ok, need: str):
+    """An argparse type: convert(text), accepted only where ok says so."""
+    def parse_option(text: str):
+        try:
+            if ok(convert(text)):
+                return convert(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"need {need}, got {text!r}")
+    return parse_option
+
+
+_tolerance = _ranged(float, lambda v: 0.0 <= v < math.inf,
+                     "a finite number >= 0")
 
 
 def _build_parser():
@@ -175,9 +155,12 @@ def _build_parser():
                     help="closed form u(x,t); supplies initial and boundary "
                          "values and the error reference")
     vp.add_argument("--nx", type=int, default=41)
-    vp.add_argument("--nt", type=int, default=0,
+    vp.add_argument("--nt", default=0,
+                    type=_ranged(int, lambda n: n >= 0, "an integer >= 0"),
                     help="0 = choose from the stability bound")
-    vp.add_argument("--levels", type=int, default=0,
+    vp.add_argument("--levels", default=0,
+                    type=_ranged(int, lambda n: n == 0 or n >= 3,
+                                 "0 or an integer >= 3"),
                     help=">= 3 runs a refinement study")
 
     mp = sub.add_parser("modes", help="vertical-mode eigenvalues")
@@ -187,7 +170,6 @@ def _build_parser():
 
 
 def cmd_synth(args) -> int:
-    t0 = time.monotonic()
     inp = _load(synth.load_family, args.family_json)
     out = Path(args.out)
     checks = []
@@ -235,7 +217,7 @@ def cmd_synth(args) -> int:
 
     _write_json(pde.to_dict(), out / "pde.json")
     _write_json(gen.to_dict(), out / "gen.json")
-    return _finish(args, [args.family_json], checks, extra, t0)
+    return _finish(args, [args.family_json], checks, extra)
 
 
 def _solution_check(pde, u, tol: float, opts) -> Check:
@@ -249,7 +231,6 @@ def _solution_check(pde, u, tol: float, opts) -> Check:
 
 
 def cmd_check(args) -> int:
-    t0 = time.monotonic()
     pde = _load(symmetry.load_pde, args.pde_json)
     checks = []
     opts = dict(n=args.samples, seed=args.seed)
@@ -264,12 +245,11 @@ def cmd_check(args) -> int:
     if args.solution:
         checks.append(_solution_check(pde, parse(args.solution), args.tol_sol,
                                       opts))
-    return _finish(args, [args.pde_json], checks, {}, t0,
+    return _finish(args, [args.pde_json], checks, {},
                    inputs=[args.gen] if args.gen else [])
 
 
 def cmd_reduce(args) -> int:
-    t0 = time.monotonic()
     pde = _load(symmetry.load_pde, args.pde_json)
     ansatz = _load(reduction.load_ansatz, args.ansatz_json)
     result = reduction.similarity_reduce(pde, ansatz)
@@ -281,32 +261,30 @@ def cmd_reduce(args) -> int:
         payload["k"] = cls.k
     _write_json(payload, Path(args.out) / "reduction.json")
     code = _finish(args, [args.pde_json, args.ansatz_json], [],
-                   {"classification": str(cls)}, t0)
+                   {"classification": str(cls)})
     print(f"classification: {cls}")
     return code
 
 
 def cmd_solve(args) -> int:
-    t0 = time.monotonic()
     pde = _load(symmetry.load_pde, args.pde_json)
     closed = parse(args.ic)
     dom = pde.domain
     grid = numverify.Grid1D(dom.x[0], dom.x[1], args.nx, dom.t[0], dom.t[1],
                             max(args.nt, 1))
-    if args.nt <= 0:
-        grid = replace(grid, nt=_auto_nt(pde, grid))
-    ic = simplify(substitute(closed, {"t": dom.t[0]}))
+    if not args.nt:
+        grid = replace(grid, nt=numverify.auto_nt(pde, grid))
+    ref = numverify._on_grid(closed, grid.xs(), grid.ts(),
+                             f"closed form {to_text(closed)}").T
     try:
-        us = list(numverify.fd_solve(pde, ic, closed, grid))
+        us = list(numverify.fd_solve(
+            pde, substitute(closed, {"t": dom.t[0]}), closed, grid))
         levels = (numverify.convergence_order(pde, closed, grid, args.levels,
                                               us[-1])
-                  if args.levels >= 3 else None)
+                  if args.levels else None)
     except numverify.BlowupError as err:  # well-formed input: a FAIL check
         return _finish(args, [args.pde_json], [Check(
-            "time_stepping", False, math.inf, note=str(err))], {}, t0)
-    ref = np.broadcast_to(numverify.eval_on_grid(
-        closed, {"x": grid.xs()[:, None], "t": grid.ts()}),
-        (grid.nx, grid.nt + 1))
+            "time_stepping", False, math.inf, note=str(err))], {})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_solution_csv(out / "solution.csv", grid, us, ref)
@@ -318,19 +296,9 @@ def cmd_solve(args) -> int:
             {"dx": lv.dx, "error": lv.error,
              "order": lv.order if lv.order is not None else "undefined"}
             for lv in levels]
-    code = _finish(args, [args.pde_json], [], extra, t0)
+    code = _finish(args, [args.pde_json], [], extra)
     print(f"final-time L_inf error: {err:.3e}")
     return code
-
-
-def _auto_nt(pde, grid) -> int:
-    span = grid.t1 - grid.t0
-    advective, dt = numverify.stable_dt(pde, grid.xs(), grid.t0, grid.t1)
-    if math.isinf(dt):
-        dt = span / 16
-    elif advective:
-        dt *= 0.5
-    return max(1, int(math.ceil(span / dt)))
 
 
 def _write_solution_csv(path, grid, us, ref):
@@ -347,13 +315,12 @@ def _write_solution_csv(path, grid, us, ref):
 
 
 def cmd_modes(args) -> int:
-    t0 = time.monotonic()
     problem = _load(numverify.load_profile, args.profile_json)
     try:
         modes = numverify.mode_solve(problem, args.modes)
     except numverify.ModeSearchError as err:
         return _finish(args, [args.profile_json], [Check(
-            "mode_search", False, math.inf, note=str(err))], {}, t0)
+            "mode_search", False, math.inf, note=str(err))], {})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = ["m,C_m,k_m"]
@@ -365,7 +332,7 @@ def cmd_modes(args) -> int:
                     float(abs(m.interior_zeros() - (m.index - 1))))
               for m in modes]
     return _finish(args, [args.profile_json], checks,
-                   {"eigenvalues": [m.C for m in modes]}, t0)
+                   {"eigenvalues": [m.C for m in modes]})
 
 
 _COMMANDS = {"synth": cmd_synth, "check": cmd_check, "reduce": cmd_reduce,
@@ -374,15 +341,18 @@ _COMMANDS = {"synth": cmd_synth, "check": cmd_check, "reduce": cmd_reduce,
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    t0 = time.monotonic()
     try:
         with memo_scope():  # one job: its memo starts and ends empty
-            return _COMMANDS[args.cmd](args)
+            code = _COMMANDS[args.cmd](args)
     except (ValueError, KeyError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except OverflowError as err:  # an exact constant left the float range
         print(f"error: number beyond the float range ({err})", file=sys.stderr)
         return EXIT_BAD_INPUT
+    print(f"wall time: {time.monotonic() - t0:.2f}s", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -122,6 +122,18 @@ def stable_dt(p: PdeSpec, xs: np.ndarray, t0: float, t1: float):
     return True, dx / max_b if max_b > 0 else math.inf
 
 
+def auto_nt(pde: PdeSpec, grid: Grid1D) -> int:
+    """The step count `solve` picks without --nt: the span over the
+    `stable_dt` bound, halved for upwind; span / 16 where no bound holds."""
+    span = grid.t1 - grid.t0
+    advective, dt = stable_dt(pde, grid.xs(), grid.t0, grid.t1)
+    if math.isinf(dt):
+        dt = span / 16
+    elif advective:
+        dt *= 0.5
+    return max(1, int(math.ceil(span / dt)))
+
+
 def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D):
     """Forward Euler with centered u_2x; u_x is upwinded (by the sign of B)
     when A vanishes uniformly, centered otherwise.  Dirichlet boundary
@@ -207,8 +219,9 @@ def convergence_order(p: PdeSpec, exact: Expr, g0: Grid1D, levels: int,
                       base: Optional[np.ndarray] = None):
     """Refinement study: halve dx per level with dt scaled by 1/4 (diffusive)
     or 1/2 (pure advection); errors are L-infinity against `exact` at the
-    final time.  When the caller has run g0 already, from `exact` at g0.t0,
-    `base` (its u at g0.t1) stands in for level 0's run."""
+    final time, where `exact` must be finite (ValueError).  When the caller
+    has run g0 already, from `exact` at g0.t0, `base` (its u at g0.t1)
+    stands in for level 0's run."""
     if levels < 3:
         raise ValueError("need at least 3 levels")
     advective, _ = stable_dt(p, g0.xs(), g0.t0, g0.t1)
@@ -218,11 +231,12 @@ def convergence_order(p: PdeSpec, exact: Expr, g0: Grid1D, levels: int,
         factor = 2**lvl
         g = Grid1D(g0.x0, g0.x1, (g0.nx - 1) * factor + 1,
                    g0.t0, g0.t1, g0.nt * (factor if advective else factor * factor))
+        ref = _on_grid(exact, g.xs(), np.array([g.t1]),
+                       f"closed form {to_text(exact)}")[0]
         u = base
         if lvl or base is None:
             for u in fd_solve(p, substitute(exact, {"t": g.t0}), exact, g):
                 pass  # only the final level is compared
-        ref = eval_on_grid(exact, {"x": g.xs(), "t": g.t1})
         error = float(np.max(np.abs(u - ref)))
         order = None
         if prev_error is not None and error > 1e-13 and prev_error > 1e-13:

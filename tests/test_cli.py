@@ -268,15 +268,55 @@ def test_solve_rejects_backward_diffusion(tmp_path, capsys):
 
 
 def test_solve_blowup_is_a_failed_check(tmp_path):
-    # exp(999 t) sin(x) solves u_t = u_2x + 1000 u and overflows at t ~ 0.71
-    pde = write(tmp_path, "pde.json", dict(HEAT, C="1000"))
+    # exp(-100001 t) sin(x) solves u_t = u_2x - 100000 u and stays finite;
+    # the step bound leaves C out, so forward Euler grows by |1 + C dt|
+    pde = write(tmp_path, "pde.json", dict(HEAT, C="-100000"))
     out = tmp_path / "out"
-    assert main(["--out", str(out), "solve", pde, "--ic", "exp(999*t)*sin(x)",
-                 "--nx", "11"]) == 1
+    assert main(["--out", str(out), "solve", pde,
+                 "--ic", "exp(-100001*t)*sin(x)", "--nx", "11"]) == 1
     (check,) = read_report(out)["checks"]
     assert (check["name"], check["status"]) == ("time_stepping", "FAIL")
     assert "non-finite" in check["note"]
     assert not (out / "solution.csv").exists()
+
+
+@pytest.mark.parametrize("study", [[], ["--levels", "3"]])
+@pytest.mark.parametrize("C, closed, node", [
+    ("0", "exp(-t)*sin(x) + 1/((x - 0.5)^2 + (t - 1)^2)", "x = 0.5, t = 1"),
+    # solves u_t = u_2x + 1000 u; exp(999 t) overflows at t ~ 0.71
+    ("1000", "exp(999*t)*sin(x)", "x = 0, t = 0.715"),
+])
+def test_solve_closed_form_not_finite_on_the_grid_is_exit_2(
+        tmp_path, capsys, C, closed, node, study):
+    pde = write(tmp_path, "pde.json", dict(HEAT, C=C))
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "solve", pde, "--ic", closed,
+                 "--nx", "11", *study]) == 2
+    assert capsys.readouterr().err == \
+        f"error: closed form {closed} is not finite at {node}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--levels", "1"), ("--levels", "2"), ("--levels", "-1"), ("--nt", "-1"),
+])
+def test_solve_count_out_of_range_is_exit_2(tmp_path, capsys, option, value):
+    # these ran no study, or chose nt from the bound, without a word
+    pde = write(tmp_path, "pde.json", HEAT)
+    out = tmp_path / "out"
+    argv = ["--out", str(out), "solve", pde, "--ic", "exp(-t)*sin(x)",
+            "--nx", "11", option, value]
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    assert f"argument {option}: need " in capsys.readouterr().err
+    for valid in ("0", "3") if option == "--levels" else ("0", "400"):
+        argv[-1] = valid
+        assert main(argv) == 0
+        report = read_report(out)
+        assert len(report.get("convergence", ())) == (
+            int(valid) if option == "--levels" else 0)
+        assert report["grid"]["nt"] == (400 if valid == "400" else 200)
 
 
 def test_modes_csv_schema(tmp_path):
@@ -771,6 +811,36 @@ def test_csv_report_format(tmp_path):
     lines = (out / "report.csv").read_text().splitlines()
     assert lines[0] == "name,status,max_residual"
     assert all(line.split(",")[1] == "PASS" for line in lines[1:])
+
+
+@pytest.mark.parametrize("command", [
+    ["synth", WAVE_FAMILY],
+    ["check", HEAT, "--gen", {"phi": "t", "xi": "0", "M": "0"},
+     "--solution", "exp(-t)*sin(x)"],
+    ["reduce", HEAT, PLAIN_ANSATZ],
+    ["solve", dict(HEAT, C="-100000"), "--ic", "exp(-100001*t)*sin(x)",
+     "--nx", "11"],
+    ["modes", {"H": 300.0, "N": "0.0002"}, "--modes", "3"],
+], ids=lambda command: command[0])
+def test_report_path_of_every_command(tmp_path, capsys, command):
+    argv = [write(tmp_path, f"doc{i}.json", a) if isinstance(a, dict) else a
+            for i, a in enumerate(command)]
+    out = tmp_path / "out"
+    code = main(["--out", str(out), *argv])
+    checks = read_report(out)["checks"]
+    assert code == (1 if any(c["status"] == "FAIL" for c in checks) else 0)
+    printed = capsys.readouterr()
+    assert printed.err.startswith("wall time: ")
+    assert printed.err.endswith("s\n") and printed.err.count("\n") == 1
+    assert [line.split(":")[0] for line in printed.out.splitlines()
+            if line.startswith(("[PASS] ", "[FAIL] "))] == \
+        [f"[{c['status']}] {c['name']}" for c in checks]
+    # a malformed first document: its error line is all there is
+    Path(argv[1]).write_text("{not json")
+    assert main(["--out", str(tmp_path / "bad"), *argv]) == 2
+    printed = capsys.readouterr()
+    assert printed.err.startswith(f"error: {argv[1]}: ")
+    assert printed.err.count("\n") == 1 and printed.out == ""
 
 
 def test_reports_are_seed_deterministic(tmp_path):

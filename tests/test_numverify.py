@@ -7,8 +7,8 @@ import pytest
 from liewave.expr import Expr, eval_numeric, free_vars, parse, substitute
 from liewave.numverify import (
     BLOCK, NSTEPS, BlowupError, Grid1D, ModeProblem, ModeSearchError,
-    StabilityError, convergence_order, eval_on_grid, fd_solve, load_profile,
-    mode_solve, stable_dt,
+    StabilityError, auto_nt, convergence_order, eval_on_grid, fd_solve,
+    load_profile, mode_solve, stable_dt,
 )
 from liewave.symmetry import Domain, PdeSpec
 from liewave.synth import OscFamilyInput, WaveFamilyInput, synth_oscillator, synth_wave
@@ -171,6 +171,14 @@ def test_stable_dt_is_one_rule_for_both_schemes():
     assert stable_dt(zero, xs, 0.0, 0.1) == (True, math.inf)
 
 
+def test_auto_nt_takes_the_bound_halved_for_upwind():
+    g = Grid1D(0.0, 1.0, 41, 0.0, 0.1, 1)
+    assert auto_nt(WAVE_PDE, g) == math.ceil(0.1 / (0.025**2 / 2.0))
+    assert auto_nt(ADV_PDE, g) == math.ceil(0.1 / (0.5 * 0.025))
+    zero = PdeSpec(parse("0"), parse("0"), parse("0"), DOM)
+    assert auto_nt(zero, g) == 16  # no bound: a sixteenth of the span
+
+
 def _per_step_reference(p, ic, bc, g):
     """fd_solve as it was written before blocks: every coefficient that
     depends on t evaluated at every step, levels written into one array.
@@ -281,6 +289,13 @@ def test_convergence_constant_solution_reports_undefined_order():
     levels = convergence_order(zero, parse("2"), g0, 3)
     assert all(lv.error <= 1e-13 for lv in levels)
     assert all(lv.order is None for lv in levels)
+
+
+def test_convergence_rejects_a_closed_form_not_finite_on_a_level():
+    # x = 0.55 is a node of the second level only, where u is 1/0 at t1
+    exact = parse("exp(x - t) + 1/((x - 0.55)^2 + (t - 0.1)^2)")
+    with pytest.raises(ValueError, match="is not finite at x = 0.55, t = 0.1"):
+        convergence_order(WAVE_PDE, exact, stable_grid(11), 3)
 
 
 @pytest.mark.parametrize("p, exact, nx, nt", [
