@@ -122,18 +122,24 @@ def eval_numeric(e: Expr, bindings) -> float:
     or all of `e` when the result is otherwise non-finite."""
     env = {name: float(value) for name, value in bindings.items()}
     with np.errstate(all="ignore"):
-        v = float(_ev(e, env, _raise))
+        v = float(_ev(e, env, _raise, _shared((e,))))
     if not math.isfinite(v):
         raise EvalError("non-finite result", e)
     return v
 
 
-def eval_on_grid(e: Expr, bindings) -> np.ndarray:
+def eval_on_grid(e, bindings):
     """Lenient vectorized evaluation: bindings map names to arrays or
     scalars (numpy broadcasting applies).  Domain violations surface as
-    non-finite entries, which callers must check."""
+    non-finite entries, which callers must check.  Given a tuple of
+    expressions, returns the tuple of their values; a subtree they share
+    is evaluated once."""
+    roots = e if isinstance(e, tuple) else (e,)
+    memo = _shared(roots)
     with np.errstate(all="ignore"):
-        return np.asarray(_ev(e, bindings, None), dtype=float)
+        values = tuple(np.asarray(_ev(c, bindings, None, memo), dtype=float)
+                       for c in roots)
+    return values if isinstance(e, tuple) else values[0]
 
 
 def eval_checked(e: Expr, bindings):
@@ -147,7 +153,7 @@ def eval_checked(e: Expr, bindings):
 
     with np.errstate(all="ignore"):
         try:
-            values = _ev(e, bindings, note)
+            values = _ev(e, bindings, note, _shared((e,)))
         except EvalError:  # an unbound variable fails at every point
             values = np.nan
     values = np.broadcast_to(values, failed.shape)
@@ -160,10 +166,38 @@ def _raise(mask, message, node):
         raise EvalError(message, node)
 
 
-def _ev(e: Expr, env, fail):
-    """The tree walker behind every entry point.  Values are floats or
-    float arrays.  fail(mask, message, node) is told where a node is
-    undefined, in evaluation order; with fail None nothing is checked."""
+def _shared(roots) -> dict:
+    """The memo for one evaluation of `roots`: a slot, keyed by id, for each
+    branch node that more than one parent (or root) holds.  Only values that
+    are asked for again are kept; the ids stay valid while the caller holds
+    the roots."""
+    seen, memo = set(), {}
+    stack = list(roots)
+    while stack:
+        e = stack.pop()
+        if isinstance(e, (Const, Var)):
+            continue
+        if id(e) in seen:
+            memo[id(e)] = None
+            continue
+        seen.add(id(e))
+        if isinstance(e, Add):
+            stack.extend(e.terms)
+        elif isinstance(e, Mul):
+            stack.extend(e.factors)
+        elif isinstance(e, Pow):
+            stack += (e.base, e.exponent)
+        else:
+            stack.append(e.child if isinstance(e, Neg) else e.arg)
+    return memo
+
+
+def _ev(e: Expr, env, fail, memo):
+    """The walker behind every entry point.  Values are floats or float
+    arrays.  fail(mask, message, node) is told where a node is undefined, in
+    evaluation order; with fail None nothing is checked.  A node with a slot
+    in memo (see _shared) is evaluated, and reported to fail, once: its
+    value fills the slot and is handed to each later parent."""
     if isinstance(e, Const):
         return float(e.value)
     if isinstance(e, Var):
@@ -171,14 +205,18 @@ def _ev(e: Expr, env, fail):
             return env[e.name]
         except KeyError:
             raise EvalError(f"unbound variable {e.name!r}", e) from None
+    v = memo.get(id(e))
+    if v is not None:
+        return v
     if isinstance(e, Add):
-        return reduce(operator.add, [_ev(t, env, fail) for t in e.terms])
-    if isinstance(e, Mul):
-        return reduce(operator.mul, [_ev(f, env, fail) for f in e.factors])
-    if isinstance(e, Neg):
-        return -_ev(e.child, env, fail)
-    if isinstance(e, Pow):
-        base, expo = _ev(e.base, env, fail), _ev(e.exponent, env, fail)
+        v = reduce(operator.add, [_ev(t, env, fail, memo) for t in e.terms])
+    elif isinstance(e, Mul):
+        v = reduce(operator.mul, [_ev(f, env, fail, memo) for f in e.factors])
+    elif isinstance(e, Neg):
+        v = -_ev(e.child, env, fail, memo)
+    elif isinstance(e, Pow):
+        base = _ev(e.base, env, fail, memo)
+        expo = _ev(e.exponent, env, fail, memo)
         v = np.power(base, expo)
         if fail is not None:
             finite = np.isfinite(base) & np.isfinite(expo)
@@ -186,9 +224,8 @@ def _ev(e: Expr, env, fail):
             fail(finite & (base < 0) & (expo != np.floor(expo)),
                  "negative base raised to a non-integer power", e)
             fail(finite & ~np.isfinite(v), "overflow", e)
-        return v
-    if isinstance(e, Call):
-        arg = _ev(e.arg, env, fail)
+    elif isinstance(e, Call):
+        arg = _ev(e.arg, env, fail, memo)
         v = FUNCTIONS[e.fn](arg)
         if fail is not None:
             if e.fn == "log":
@@ -196,5 +233,8 @@ def _ev(e: Expr, env, fail):
             elif e.fn == "sqrt":
                 fail(arg < 0, "sqrt of a negative value", e)
             fail(np.isfinite(arg) & ~np.isfinite(v), "overflow", e)
-        return v
-    raise TypeError(f"not an Expr: {e!r}")
+    else:
+        raise TypeError(f"not an Expr: {e!r}")
+    if id(e) in memo:
+        memo[id(e)] = v
+    return v

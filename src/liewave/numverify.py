@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .expr import (
     Expr, check_vars, eval_on_grid, free_vars, num, simplify, substitute,
@@ -149,7 +150,9 @@ def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D):
                                     mid = 1 + dt C - 2d - b+ + b-.
     Under upwinding the sign of B picks the side per node inside the
     weights: one of b+ and b- is zero there.  A block of steps takes its
-    weights at once from the block's A, B and C.
+    weights at once from the block's A, B and C, evaluated in one call.  A
+    step is one multiply of the rows (lo, mid, hi) by the rows (u_{i-1},
+    u_i, u_{i+1}) and one sum over the rows, in that order.
 
     Preconditions, enforced when the first level is asked for: those of
     `stable_dt`, A >= 0 and the step bound of the scheme it picks.  A
@@ -163,9 +166,12 @@ def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D):
         raise StabilityError(dt, dt_req)
 
     xi = xs[1:-1]
-    # coefficients free of t are evaluated once, the others once per block
-    steady = [None if "t" in free_vars(c) else eval_on_grid(c, {"x": xi})
-              for c in (p.A, p.B, p.C)]
+    # coefficients free of t are evaluated once, the others once per block,
+    # in one call so that a subtree they share is evaluated once
+    coeffs = (p.A, p.B, p.C)
+    timed = tuple(c for c in coeffs if "t" in free_vars(c))
+    steady = tuple(c for c in coeffs if "t" not in free_vars(c))
+    values = dict(zip(map(id, steady), eval_on_grid(steady, {"x": xi})))
     edges = np.broadcast_to(
         eval_on_grid(bc, {"x": xs[[0, -1], None], "t": ts}), (2, g.nt + 1))
     u = np.empty(g.nx)
@@ -173,39 +179,56 @@ def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D):
     if not np.isfinite(u).all():
         raise ValueError("initial condition evaluated to non-finite values")
     yield u
+    prods = np.empty((3, g.nx - 2))
     for n0 in range(0, g.nt, BLOCK):
         n1 = min(n0 + BLOCK, g.nt)
-        A, B, C = (eval_on_grid(c, {"x": xi, "t": ts[n0:n1, None]})
-                   if s is None else s
-                   for c, s in zip((p.A, p.B, p.C), steady))
-        lo, mid, hi = (np.broadcast_to(w, (n1 - n0, g.nx - 2))
-                       for w in _weights(A, B, C, dt, dx, advective))
-        block = np.empty((n1 - n0, g.nx))
-        block[:, 0], block[:, -1] = edges[:, n0 + 1:n1 + 1]
+        if timed:
+            values.update(zip(map(id, timed), eval_on_grid(
+                timed, {"x": xi, "t": ts[n0:n1, None]})))
+        # weights[n] is (lo, mid, hi) of step n0 + n as rows, and
+        # windows[n] is (u_{i-1}, u_i, u_{i+1}) of the level before it:
+        # row 0 of block holds that level, row n + 1 the level step n makes
+        weights = np.broadcast_to(
+            _weights(*(values[id(c)] for c in coeffs), dt, dx, advective,
+                     g.nx - 2),
+            (n1 - n0, 3, g.nx - 2))
+        block = np.empty((n1 - n0 + 1, g.nx))
+        block[0] = u
+        block[1:, 0], block[1:, -1] = edges[:, n0 + 1:n1 + 1]
+        windows = sliding_window_view(block, 3, axis=1).swapaxes(1, 2)
         with np.errstate(over="ignore", invalid="ignore"):
-            for new, w_lo, w_mid, w_hi in zip(block, lo, mid, hi):
-                inner = new[1:-1]
-                np.multiply(w_mid, u[1:-1], out=inner)
-                inner += w_lo * u[:-2]
-                inner += w_hi * u[2:]
-                u = new
-        finite = np.isfinite(block).all(axis=1)
+            for w, window, inner in zip(weights, windows, block[1:, 1:-1]):
+                np.multiply(w, window, out=prods)
+                np.add.reduce(prods, axis=0, out=inner)
+        u = block[-1]
+        finite = np.isfinite(block[1:]).all(axis=1)
         if not finite.all():
             n = n0 + 1 + int(np.argmin(finite))
             raise BlowupError(n, float(ts[n]))
-        yield from block
+        yield from block[1:]
 
 
-def _weights(A, B, C, dt: float, dx: float, advective: bool):
-    """(lo, mid, hi) of the update in `fd_solve`'s docstring."""
+def _weights(A, B, C, dt: float, dx: float, advective: bool, m: int):
+    """The update's lo, mid and hi (see `fd_solve`) as the rows of one
+    array of m columns; each is written into it, so no second copy of the
+    three is held."""
+    shape = np.broadcast_shapes(np.shape(A), np.shape(B), np.shape(C), (m,))
+    out = np.empty(shape[:-1] + (3, m))
+    lo, mid, hi = np.moveaxis(out, -2, 0)
     d = dt * A / (dx * dx)
-    mid = 1.0 + dt * C - 2.0 * d
+    np.subtract(1.0 + dt * C, 2.0 * d, out=mid)
     if advective:
         b_plus = dt * np.maximum(B, 0.0) / dx
         b_minus = dt * np.minimum(B, 0.0) / dx
-        return d - b_minus, mid - b_plus + b_minus, d + b_plus
-    w = dt * B / (2.0 * dx)
-    return d - w, mid, d + w
+        np.subtract(d, b_minus, out=lo)
+        np.add(d, b_plus, out=hi)
+        mid -= b_plus
+        mid += b_minus
+    else:
+        w = dt * B / (2.0 * dx)
+        np.subtract(d, w, out=lo)
+        np.add(d, w, out=hi)
+    return out
 
 
 @dataclass(frozen=True)

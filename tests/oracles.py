@@ -2,7 +2,9 @@
 
 None of this is called by the program.  The jet-space residual of a
 generator (prolongation, on-shell substitution, expansion) cross-checks the
-determining residuals; the grid residual of a closed form cross-checks the
+determining residuals; the evaluator as it was, a plain tree walk that
+evaluates a shared subtree once per parent, cross-checks the evaluator that
+evaluates it once; the grid residual of a closed form cross-checks the
 sampled zero test; forward Euler written as the textbook increment
 cross-checks the three-weight update of `fd_solve`; the Simpson probe shows
 why wave synthesis freezes phi; a plain max |e| over a cloud checks printed
@@ -13,14 +15,19 @@ families term by term.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from liewave.expr import (
-    Expr, Var, diff, eval_checked, eval_numeric, eval_on_grid, expand,
-    free_vars, num, sample_box, simplify, substitute,
+    Add, Call, Const, EvalError, Expr, Mul, Neg, Pow, Var, diff,
+    eval_checked, eval_numeric, eval_on_grid, expand, free_vars, num,
+    sample_box, simplify, substitute,
 )
+from liewave.expr.nodes import FUNCTIONS
 from liewave.expr.sampling import _point
 from liewave.numverify import Grid1D, _on_grid, stable_dt
 from liewave.reduction import SeparableAnsatz
@@ -35,6 +42,86 @@ U_T = Var("u_t")
 U_2X = Var("u_2x")
 
 JET_RANGE = (-2.0, 2.0)
+
+
+# ------------------------------------------------------------ tree walk
+
+def tree_walk_numeric(e: Expr, bindings) -> float:
+    """eval_numeric through the evaluator as it was."""
+    env = {name: float(value) for name, value in bindings.items()}
+    with np.errstate(all="ignore"):
+        v = float(_ev(e, env, _raise))
+    if not math.isfinite(v):
+        raise EvalError("non-finite result", e)
+    return v
+
+
+def tree_walk_on_grid(e: Expr, bindings) -> np.ndarray:
+    """eval_on_grid of one expression through the evaluator as it was."""
+    with np.errstate(all="ignore"):
+        return np.asarray(_ev(e, bindings, None), dtype=float)
+
+
+def tree_walk_checked(e: Expr, bindings):
+    """eval_checked through the evaluator as it was."""
+    failed = np.zeros(np.broadcast(*bindings.values()).shape, dtype=bool)
+
+    def note(mask, message, node):
+        np.logical_or(failed, mask, out=failed)
+
+    with np.errstate(all="ignore"):
+        try:
+            values = _ev(e, bindings, note)
+        except EvalError:
+            values = np.nan
+    values = np.broadcast_to(values, failed.shape)
+    failed |= ~np.isfinite(values)
+    return values, failed
+
+
+def _raise(mask, message, node):
+    if mask:
+        raise EvalError(message, node)
+
+
+def _ev(e: Expr, env, fail):
+    """The tree walker behind every entry point.  Values are floats or
+    float arrays.  fail(mask, message, node) is told where a node is
+    undefined, in evaluation order; with fail None nothing is checked."""
+    if isinstance(e, Const):
+        return float(e.value)
+    if isinstance(e, Var):
+        try:
+            return env[e.name]
+        except KeyError:
+            raise EvalError(f"unbound variable {e.name!r}", e) from None
+    if isinstance(e, Add):
+        return reduce(operator.add, [_ev(t, env, fail) for t in e.terms])
+    if isinstance(e, Mul):
+        return reduce(operator.mul, [_ev(f, env, fail) for f in e.factors])
+    if isinstance(e, Neg):
+        return -_ev(e.child, env, fail)
+    if isinstance(e, Pow):
+        base, expo = _ev(e.base, env, fail), _ev(e.exponent, env, fail)
+        v = np.power(base, expo)
+        if fail is not None:
+            finite = np.isfinite(base) & np.isfinite(expo)
+            fail((base == 0) & (expo < 0), "zero raised to a negative power", e)
+            fail(finite & (base < 0) & (expo != np.floor(expo)),
+                 "negative base raised to a non-integer power", e)
+            fail(finite & ~np.isfinite(v), "overflow", e)
+        return v
+    if isinstance(e, Call):
+        arg = _ev(e.arg, env, fail)
+        v = FUNCTIONS[e.fn](arg)
+        if fail is not None:
+            if e.fn == "log":
+                fail(arg <= 0, "log of a nonpositive value", e)
+            elif e.fn == "sqrt":
+                fail(arg < 0, "sqrt of a negative value", e)
+            fail(np.isfinite(arg) & ~np.isfinite(v), "overflow", e)
+        return v
+    raise TypeError(f"not an Expr: {e!r}")
 
 
 # ------------------------------------------------------------ jet space

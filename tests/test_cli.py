@@ -208,29 +208,37 @@ def test_solve_integrates_the_base_grid_once(tmp_path, monkeypatch):
 
 
 def test_solution_csv_matches_row_list_writer(tmp_path):
-    # x = 0.1 is where .17g ("0.10000000000000001") and repr ("0.1") differ;
-    # u holds -0.0 and values far from the closed form
+    # x = 0.1 is where .17g ("0.10000000000000001") and repr ("0.1") differ,
+    # and on [0, 1e-5] every inner x is written with an exponent; u and the
+    # closed form hold -0.0, values at both ends of the float range and
+    # values far from each other; the second grid has one step
     import numpy as np
     from liewave.cli import _write_solution_csv
     from liewave.expr import parse
     from liewave.numverify import Grid1D, eval_on_grid
-    grid = Grid1D(0.0, 1.0, 11, 0.0, 0.1, 7)
-    values = np.random.default_rng(3).normal(size=(11, 8)) * 1e3
-    values[2, 3] = -0.0
     closed = parse("exp(x - t)/3")
-    xs, ts = grid.xs(), grid.ts()
-    assert f"{xs[1]:.17g}" != repr(float(xs[1]))
-    # the writer as it was: every row in one list, joined once
-    ref = np.broadcast_to(eval_on_grid(closed, {"x": xs[:, None], "t": ts}),
-                          values.shape)
-    rows = ["x,t,u_numeric,u_closed,abs_err"]
-    for j, t in enumerate(ts):
-        for i, x in enumerate(xs):
-            u, r = values[i, j], ref[i, j]
-            rows.append(",".join(f"{v:.17g}" for v in (x, t, u, r, abs(u - r))))
-    _write_solution_csv(tmp_path / "solution.csv", grid, list(values.T), ref)
-    assert (tmp_path / "solution.csv").read_bytes() == \
-        ("\n".join(rows) + "\n").encode()
+    for x1, nt in ((1.0, 7), (1e-5, 1)):
+        grid = Grid1D(0.0, x1, 11, 0.0, 0.1, nt)
+        values = np.random.default_rng(3).normal(size=(11, nt + 1)) * 1e3
+        values[2, 1] = -0.0
+        values[3, 0], values[4, 1], values[5, 0] = 1e-300, 1e300, 5e-324
+        xs, ts = grid.xs(), grid.ts()
+        x_text = f"{xs[1]:.17g}"
+        assert "e-" in x_text if x1 < 1 else x_text != repr(float(xs[1]))
+        ref = np.array(np.broadcast_to(
+            eval_on_grid(closed, {"x": xs[:, None], "t": ts}), values.shape))
+        ref[6, 0], ref[7, 1], ref[8, 0] = -0.0, -1e300, 5e-324
+        ref[5, 1] = 1e-300
+        # the writer as it was: every row in one list, joined once
+        rows = ["x,t,u_numeric,u_closed,abs_err"]
+        for j, t in enumerate(ts):
+            for i, x in enumerate(xs):
+                u, r = values[i, j], ref[i, j]
+                rows.append(",".join(f"{v:.17g}"
+                                     for v in (x, t, u, r, abs(u - r))))
+        path = tmp_path / f"solution-{nt}.csv"
+        _write_solution_csv(path, grid, list(values.T), ref)
+        assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
 
 
 def test_solve_rejects_unstable_grid(tmp_path):

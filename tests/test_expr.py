@@ -5,6 +5,7 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,13 +15,17 @@ from liewave.expr import (
     Var, ZeroSample, diff, eval_numeric, expand, free_vars, is_zero_sampled,
     num, parse, sample_box, simplify, substitute, to_text,
 )
-from liewave.expr import memo_scope
+from liewave.expr import eval_checked, eval_on_grid, memo_scope
+from liewave.expr.calculus import _ev, _shared
 from liewave.expr.nodes import sort_key
 from liewave.expr.sampling import _SECOND_PASS_SHIFT, _cloud
 from liewave.expr.simplify import _mul
 
 from conftest import CORPUS
-from oracles import max_abs_sampled
+from oracles import _ev as tree_walk_ev
+from oracles import (
+    max_abs_sampled, tree_walk_checked, tree_walk_numeric, tree_walk_on_grid,
+)
 
 simplify_module = importlib.import_module("liewave.expr.simplify")
 
@@ -644,6 +649,87 @@ def test_eval_domain_errors_name_subtree(text, binding):
     with pytest.raises(EvalError) as err:
         eval_numeric(parse(text), binding)
     assert err.value.expr is not None
+
+
+@st.composite
+def _shared_dags(draw):
+    """Three roots over one pool of nodes, where each new node takes its
+    children from the pool: one object sits under several parents."""
+    pool = draw(st.lists(_leaves, min_size=2, max_size=4))
+    for _ in range(draw(st.integers(3, 12))):
+        # the newest nodes are picked most, so sharing nests
+        pick = st.integers(0, len(pool) - 1).map(
+            lambda i: pool[max(i, len(pool) - 1 - i)])
+        kind = draw(st.sampled_from(["add", "mul", "pow", "neg", "call"]))
+        if kind in ("add", "mul"):
+            children = tuple(draw(st.lists(pick, min_size=2, max_size=3)))
+            node = (Add if kind == "add" else Mul)(children)
+        elif kind == "pow":
+            node = Pow(draw(pick), draw(st.one_of(pick, _leaves)))
+        elif kind == "neg":
+            node = Neg(draw(pick))
+        else:
+            node = Call(draw(st.sampled_from(["exp", "log", "sin", "cos",
+                                              "sqrt"])), draw(pick))
+        pool.append(node)
+    return tuple(pool[-3:])
+
+
+# x and t span a 7 x 5 grid through 0; the other names are scalars or rows
+_GRID = {"x": np.linspace(-2.0, 2.0, 7)[:, None],
+         "t": np.linspace(-1.0, 3.0, 5), "u": 0.5,
+         "q": np.array([0.25, -3.0, 0.0, 1.5, 2.0]), "v": -1.5}
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+@given(_shared_dags())
+@settings(max_examples=300, deadline=None)
+def test_shared_subtrees_evaluate_as_the_tree_walk(roots):
+    for e in roots:
+        assert _bits(eval_on_grid(e, _GRID)) == \
+            _bits(tree_walk_on_grid(e, _GRID))
+        values, failed = eval_checked(e, _GRID)
+        want_values, want_failed = tree_walk_checked(e, _GRID)
+        assert _bits(values) == _bits(want_values)
+        assert failed.tobytes() == want_failed.tobytes()
+        for i, j in ((0, 0), (3, 2), (5, 4)):
+            point = {k: float(np.broadcast_to(v, (7, 5))[i, j])
+                     for k, v in _GRID.items()}
+            try:
+                want = tree_walk_numeric(e, point)
+            except EvalError as err:
+                with pytest.raises(EvalError) as raised:
+                    eval_numeric(e, point)
+                assert str(raised.value) == str(err)
+            else:
+                assert _bits(eval_numeric(e, point)) == _bits(want)
+    # a tuple shares one memo across its roots and gives each its own value
+    assert [_bits(v) for v in eval_on_grid(roots, _GRID)] == \
+        [_bits(eval_on_grid(e, _GRID)) for e in roots]
+
+
+def test_shared_failing_subtree_raises_as_the_tree_walk():
+    bad = parse("log(x - 1/2)")
+    e = Add((Mul((bad, Var("t"))), Call("sin", bad)))
+    point = {"x": 0.25, "t": 1.0}
+    with pytest.raises(EvalError) as want:
+        tree_walk_numeric(e, point)
+    with pytest.raises(EvalError) as got:
+        eval_numeric(e, point)
+    assert str(got.value) == str(want.value) == \
+        "log of a nonpositive value in log(x - 1/2)"
+    # fail hears of the shared node once, not once per parent
+    told, walk_told = [], []
+    with np.errstate(all="ignore"):
+        _ev(e, point, lambda mask, message, node:
+            mask and told.append((message, node)), _shared((e,)))
+        tree_walk_ev(e, point, lambda mask, message, node:
+                     mask and walk_told.append((message, node)))
+    assert told == [("log of a nonpositive value", bad), ("overflow", bad)]
+    assert walk_told == told * 2
 
 
 # ---------------------------------------------------------- zero testing

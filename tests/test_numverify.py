@@ -4,7 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liewave.expr import Expr, eval_numeric, free_vars, parse, substitute
+from liewave.expr import (
+    Expr, eval_numeric, free_vars, memo_scope, parse, simplify, substitute,
+)
+from liewave.expr.calculus import _shared
 from liewave.numverify import (
     BLOCK, NSTEPS, BlowupError, Grid1D, ModeProblem, ModeSearchError,
     StabilityError, auto_nt, convergence_order, eval_on_grid, fd_solve,
@@ -214,20 +217,37 @@ def _per_step_reference(p, ic, bc, g):
     return values
 
 
+# a wave-type member: B and C are built from A, as the imposed ODE builds
+# them, so inside one job's memo scope both hold A's object
+WAVE_TYPE = ("1 + (t - x)^2/2", "-1 - 1.5*(1 + (t - x)^2/2)",
+             "-(0.5*(0.5*(-1 - 1.5*(1 + (t - x)^2/2)) + 0.125*(1 + (t - x)^2/2)))")
+
 BLOCKED_CASES = pytest.mark.parametrize("coeffs, advective", [
     # C depends on t alone, B on both, A on both
     (("1 + t*x", "x*cos(t)", "t"), False),
     # A = 0 upwinds u_x by the sign of B, which changes sign at x = 1/2
     (("0", "(x - 1/2)*(1 + t)", "-t*x"), True),
+    # constant heat: every weight is one number for the whole run
+    (("1", "0", "0"), False),
+    # A and B steady, C depends on t
+    (("1 - x/2", "x", "t*cos(x)"), False),
+    (WAVE_TYPE, False),
 ])
 
 
 def _blocked_case(coeffs, advective):
-    p = PdeSpec(*(parse(c) for c in coeffs), Domain((0.0, 1.0), (0.0, 0.4)))
+    with memo_scope():
+        A, B, C = (simplify(parse(c)) for c in coeffs)
+    p = PdeSpec(A, B, C, Domain((0.0, 1.0), (0.0, 0.4)))
     # two full blocks and a short last one
     g = Grid1D(0.0, 1.0, 21, 0.0, 0.4, 2 * BLOCK + 3)
     assert stable_dt(p, g.xs(), g.t0, g.t1)[0] is advective
     return p, parse("cos(3*x) + x"), parse("exp(-t)*cos(3*x) + x"), g
+
+
+def test_wave_type_case_shares_a_subtree():
+    p = _blocked_case(WAVE_TYPE, False)[0]
+    assert id(p.A) in _shared((p.A, p.B, p.C))
 
 
 @BLOCKED_CASES
