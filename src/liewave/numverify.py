@@ -47,7 +47,8 @@ class BlowupError(RuntimeError):
 
 
 class ModeSearchError(RuntimeError):
-    """Too few eigenvalues lie where the RK4 shooting grid resolves them."""
+    """N vanishes on the whole column, or an eigenvalue leaves the normal
+    float range."""
 
     def __init__(self, found: int, wanted: int, reason: str):
         self.found = found
@@ -152,7 +153,7 @@ def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D):
     weights: one of b+ and b- is zero there.  A block of steps takes its
     weights at once from the block's A, B and C, evaluated in one call.  A
     step is one multiply of the rows (lo, mid, hi) by the rows (u_{i-1},
-    u_i, u_{i+1}) and one sum over the rows, in that order.
+    u_i, u_{i+1}) and a sum over the rows, in that order.
 
     Preconditions, enforced when the first level is asked for: those of
     `stable_dt`, A >= 0 and the step bound of the scheme it picks.  A
@@ -199,7 +200,8 @@ def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D):
         with np.errstate(over="ignore", invalid="ignore"):
             for w, window, inner in zip(weights, windows, block[1:, 1:-1]):
                 np.multiply(w, window, out=prods)
-                np.add.reduce(prods, axis=0, out=inner)
+                np.add(prods[0], prods[1], out=inner)
+                inner += prods[2]
         u = block[-1]
         finite = np.isfinite(block[1:]).all(axis=1)
         if not finite.all():
@@ -338,138 +340,147 @@ class Mode:
 
     def interior_zeros(self) -> int:
         vals = self.shape[1:-1]
-        scale = np.max(np.abs(self.shape))
-        return _sign_changes(vals[np.abs(vals) > 1e-12 * scale])
+        signs = np.sign(vals[np.abs(vals) > 1e-12 * np.max(np.abs(self.shape))])
+        return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
-def _sign_changes(vals: np.ndarray) -> int:
-    signs = np.sign(vals[vals != 0])
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+NSTEPS = 2000  # cells across the column before merging; shape intervals
+ROOT_REL = 4 * np.finfo(float).eps  # final bracket of u = 1/c, relative
 
 
 class _Shooter:
-    """RK4 shooting for phi'' = -(N(z)/C)^2 phi from z = -H with phi = 0,
-    phi' = 1.  N^2 is cached on the integration grid once; every shot for a
-    new C is then pure arithmetic.  It runs on Python floats: the same
-    arithmetic on numpy float64 scalars costs about three times as much."""
+    """Prufer shots in nondimensional variables: zeta = z/H in [-1, 0],
+    N~ = |N|/N_max and c = C/(N_max H), so phi'' + (N~/c)^2 phi = 0.
 
-    def __init__(self, problem: ModeProblem, nsteps: int):
-        self.segments = []
-        grids = []
-        total = problem.H
+    Each piece of width w is cut into refine * max(16, NSTEPS w) cells with
+    N~ at their midpoint, and adjacent cells of equal N~ are merged, so a
+    constant piece is one cell.  N_max, unless given, is the largest |N| on
+    the cells' nodes and midpoints.
+
+    On a cell with k = N~/c > 0, theta is the angle of (k phi, phi') and
+    advances by exactly k w; where N = 0 it is the angle of (phi, phi'),
+    and tan(theta) grows by w.  A cell edge rescales phi by a positive
+    factor, so theta, re-read there, keeps its quadrant and its winding:
+    the multiples of pi it passes are the zeros of phi."""
+
+    def __init__(self, problem: ModeProblem, refine: int = 1, n_max=None):
+        edges, values = [], []
         for z_lo, z_hi, n_expr in problem.pieces:
-            count = max(16, int(round(nsteps * (z_hi - z_lo) / total)))
-            # nodes and RK4 midpoints: even and odd entries
-            zs = np.linspace(z_lo, z_hi, 2 * count + 1)
-            n2 = np.broadcast_to(eval_on_grid(n_expr, {"z": zs}), zs.shape)**2
-            if not np.isfinite(n2).all():
-                raise ValueError("N(z) is not finite on the integration grid")
-            self.segments.append(((z_hi - z_lo) / count, n2[::2].tolist(),
-                                  n2[1::2].tolist()))
-            grids.append(zs[2::2] if grids else zs[::2])
-        self.zs = np.concatenate(grids)
+            lo, hi = z_lo / problem.H, z_hi / problem.H
+            count = refine * max(16, round(NSTEPS * (hi - lo)))
+            # cell edges and midpoints: even and odd entries
+            zeta = np.linspace(lo, hi, 2 * count + 1)
+            n = np.abs(np.broadcast_to(
+                eval_on_grid(n_expr, {"z": problem.H * zeta}), zeta.shape))
+            if not np.isfinite(n).all():
+                raise ValueError("N(z) is not finite on the mode mesh")
+            edges.append(zeta[2::2] if edges else zeta[::2])
+            values.append(n)
+        self.n_max = n_max or max(float(np.max(n)) for n in values)
+        # where N vanishes on every sample, N~ = 0 too
+        mids = np.concatenate([n[1::2] for n in values]) / (self.n_max or 1.0)
+        edges = np.concatenate(edges)
+        starts = np.flatnonzero(np.r_[True, mids[1:] != mids[:-1]])
+        self.edges = edges[np.r_[starts, len(mids)]].tolist()
+        self.ns = mids[starts].tolist()
+        self.widths = np.diff(self.edges).tolist()
 
-    def shoot(self, C: float, record: bool = False):
-        """phi(0; C), or (phi(0; C), zs, phi on zs) when recording."""
-        # n2 * (-1/C^2) is -(n2/C^2) bit for bit: a product's sign is exact
-        minus_inv_c2 = -1.0 / (C * C)
-        phi, psi = 0.0, 1.0
-        phis = [phi]
-        append = phis.append
-        for h, n2_nodes, n2_mids in self.segments:
-            half, sixth = 0.5 * h, h / 6.0
-            k_hi = n2_nodes[0] * minus_inv_c2
-            for n2_mid, n2_hi in zip(n2_mids, n2_nodes[1:]):
-                k_lo = k_hi
-                k_mid = n2_mid * minus_inv_c2
-                k_hi = n2_hi * minus_inv_c2
-                # stage slopes; the first one of phi is psi itself
-                dpsi1 = k_lo * phi
-                dphi2 = psi + half * dpsi1
-                dpsi2 = k_mid * (phi + half * psi)
-                dphi3 = psi + half * dpsi2
-                dpsi3 = k_mid * (phi + half * dphi2)
-                dphi4 = psi + h * dpsi3
-                dpsi4 = k_hi * (phi + h * dphi3)
-                phi += sixth * (psi + 2.0 * dphi2 + 2.0 * dphi3 + dphi4)
-                psi += sixth * (dpsi1 + 2.0 * dpsi2 + 2.0 * dpsi3 + dpsi4)
-                append(phi)
-        if record:
-            return phi, self.zs, np.array(phis)
-        return phi
+    def shoot(self, c: float) -> float:
+        """theta(0; c), from theta(-1) = 0."""
+        u = 1.0 / c
+        theta, scale = 0.0, 1.0  # theta = 0 is phi = 0 in any plane
+        for w, n in zip(self.widths, self.ns):
+            k = n * u
+            # re-read theta, as turns + r with |r| <= pi/2, in the plane
+            # (k phi, phi'), or (phi, phi') where N = 0
+            turns = round(theta / math.pi) * math.pi
+            r = math.atan2((k or 1.0) * math.sin(theta - turns),
+                           scale * math.cos(theta - turns))
+            scale = k or 1.0
+            if k:
+                theta = turns + r + k * w
+            else:
+                theta = turns + math.atan2(math.sin(r) + w * math.cos(r),
+                                           math.cos(r))
+        return theta
+
+    def sample(self, c: float) -> np.ndarray:
+        """phi on NSTEPS + 1 equally spaced zeta, in closed form per cell,
+        for phi(-1) = 0 and phi'(-1) = 1."""
+        u = 1.0 / c
+        cells = []  # lower edge, k, phi and phi' of each cell
+        phi, dphi = 0.0, 1.0
+        for edge, w, n in zip(self.edges, self.widths, self.ns):
+            k = n * u
+            cells.append((edge, k, phi, dphi))
+            cos, sin = math.cos(k * w), math.sin(k * w)
+            phi, dphi = (phi * cos + dphi * (sin / k if k else w),
+                         dphi * cos - k * phi * sin)
+        zeta = np.linspace(-1.0, 0.0, NSTEPS + 1)
+        edge, k, phi0, dphi0 = np.array(cells)[
+            np.searchsorted(self.edges[1:-1], zeta, side="right")].T
+        s = zeta - edge
+        # sin(k s) / k, and s where k = 0
+        sin_k = np.divide(np.sin(k * s), k, out=s.copy(), where=k > 0)
+        return phi0 * np.cos(k * s) + dphi0 * sin_k
 
 
-NSTEPS = 2000       # RK4 steps over the column
-BISECT_REL = 1e-12  # relative width of the final eigenvalue bracket
-MAX_KH = 0.5        # largest N_max h / C the RK4 grid is trusted to resolve
+def _roots(shooter: _Shooter, modes: int) -> list:
+    """u_1 < ... < u_modes, where theta(0; 1/u_m) = m pi.
+
+    theta(0; 1/u) >= m pi exactly where u >= u_m.  The first shot lies
+    below u_1, as phi has no zero on (-1, 0] for u < pi / max N~ (Sturm
+    comparison).  Mode m doubles u from u_{m-1} until theta(0) reaches m pi,
+    and Brent's method closes the bracket to ROOT_REL relative width.
+    ModeSearchError: u overflows, so C_m underflows."""
+    lo = 0.5 * math.pi / max(shooter.ns)
+    theta_lo = shooter.shoot(1.0 / lo)
+    roots = []
+    for m in range(1, modes + 1):
+        target = m * math.pi
+        hi, theta_hi = lo, theta_lo
+        while theta_hi < target:
+            lo, theta_lo, hi = hi, theta_hi, 2.0 * hi
+            if math.isinf(hi):
+                raise ModeSearchError(m - 1, modes, f"C_{m} underflows: "
+                                      f"theta(0) < {m} pi down to C = 0")
+            theta_hi = shooter.shoot(1.0 / hi)
+        lo = _zeroin(lambda u: shooter.shoot(1.0 / u) - target, lo,
+                     theta_lo - target, hi, theta_hi - target, ROOT_REL)
+        theta_lo = target
+        roots.append(lo)
+    return roots
 
 
 def mode_solve(problem: ModeProblem, modes: int):
     """Largest `modes` eigenvalues C (descending) with sampled mode shapes.
 
-    The shot's node count Z(C), its sign changes on (-H, 0], falls from m
-    to m - 1 at C_m (Sturm oscillation), and sign phi(0; C) = (-1)^Z(C).
-    Every Z found is kept, so mode m starts from the tightest bracket the
-    earlier modes left: the smallest C with Z <= m - 1 (at first the
-    Sturm comparison bound N_max H / ((m - 1/2) pi)) and the largest C
-    with Z >= m (else halving down from the upper end until Z >= m).
-    Bisection on Z isolates C_m, Z(lo) = m and Z(hi) = m - 1, and Brent's
-    method on phi(0; C) closes the bracket to BISECT_REL relative width.
-    ModeSearchError: N vanishes, C^2 underflows at the smallest C the RK4
-    grid resolves, or mode m lies below that C.
+    The eigenvalues are those of the midpoint-N cells of `_Shooter`; a
+    constant piece is exact.  Where N varies within a piece, the mesh
+    doubled (N_max kept) gives C_2M, and C is the Richardson value
+    (4 C_2M - C_M) / 3; where both meshes merge to the same cells, C_M
+    stands.  Each shape is sampled on the finer of the meshes used.
+    ModeSearchError: N vanishes, or a C is not a normal float.
     """
     if modes < 1:
         raise ValueError("modes must be >= 1")
-    shooter = _Shooter(problem, NSTEPS)
-    n_max = math.sqrt(max(max(n2) for _, n2, _ in shooter.segments))
-    if n_max == 0.0:
-        raise ModeSearchError(0, modes, "N vanishes on the whole column")
-    c_min = n_max * max(h for h, _, _ in shooter.segments) / MAX_KH
-    if c_min * c_min == 0.0:  # every shot divides by C^2
-        raise ModeSearchError(0, modes, f"C^2 underflows at C = {c_min:.3g}, "
-                              "the smallest C the shooting grid resolves")
-    shots = {}   # C -> (Z(C), phi(0; C)) of every C shot so far
-    shapes = {}  # C -> phi on the grid, of the current mode's shots only
-
-    def shoot(c: float) -> float:
-        phi0, _, shapes[c] = shooter.shoot(c, record=True)
-        return phi0
-
-    def count(c: float) -> int:
-        phi0 = shoot(c)
-        shots[c] = (_sign_changes(shapes[c][1:]), phi0)
-        return shots[c][0]
-
+    shooter = _Shooter(problem)
+    fine = _Shooter(problem, 2, shooter.n_max)
+    if not (max(shooter.ns) > 0 and max(fine.ns) > 0):
+        raise ModeSearchError(0, modes, "N vanishes on every cell of a mesh")
+    cs = [1.0 / u for u in _roots(shooter, modes)]
+    if (fine.edges, fine.ns) != (shooter.edges, shooter.ns):
+        cs = [(4.0 / u - c) / 3.0 for c, u in zip(cs, _roots(fine, modes))]
+        shooter = fine
+    zs = problem.H * np.linspace(-1.0, 0.0, NSTEPS + 1)
     found = []
-    for m in range(1, modes + 1):
-        shapes.clear()
-        hi = min((c for c, (z, _) in shots.items() if z < m),
-                 default=n_max * problem.H / ((m - 0.5) * math.pi))
-        lo = max((c for c, (z, _) in shots.items() if z >= m), default=None)
-        if lo is None:
-            lo = max(0.5 * hi, c_min)
-            while count(lo) < m:
-                if lo == c_min:
-                    raise ModeSearchError(
-                        m - 1, modes, f"mode {m} has C < {c_min:.3g}, below "
-                        f"what the {NSTEPS}-step shooting grid resolves")
-                hi, lo = lo, max(0.5 * lo, c_min)
-        if hi not in shots:
-            count(hi)
-        # isolate C_m; the width bound only ends a search whose node
-        # counts never settle
-        while ((shots[lo][0] > m or shots[hi][0] < m - 1)
-               and hi - lo > BISECT_REL * hi):
-            mid = 0.5 * (lo + hi)
-            if count(mid) >= m:
-                lo = mid
-            else:
-                hi = mid
-        # one eigenvalue in [lo, hi]: phi(0) changes sign there once
-        c = _zeroin(shoot, lo, shots[lo][1], hi, shots[hi][1], BISECT_REL)
-        if c not in shapes:  # Brent returned an end shot for an earlier mode
-            shoot(c)
-        found.append(Mode(m, c, n_max / c, shooter.zs, shapes[c]))
+    for m, c in enumerate(cs, 1):
+        C = c * shooter.n_max * problem.H
+        if not np.finfo(float).tiny <= C < math.inf:
+            raise ModeSearchError(m - 1, modes, f"C_{m} = {C:.3g} "
+                                  f"{'underflows' if C < 1 else 'overflows'}"
+                                  " the normal float range")
+        found.append(Mode(m, C, shooter.n_max / C, zs, shooter.sample(c)))
     return found
 
 

@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -345,17 +346,38 @@ def test_modes_failure_path(tmp_path):
 
 
 @pytest.mark.parametrize("profile", [
-    {"H": 1e-300, "N": "0.0002"},
+    {"H": 1e-306, "N": "0.0002"},
     {"H": 5e-324, "N": "0.0002"},
+    {"H": 1.0, "N": [{"z": [-1, -1e-310], "expr": "0"},
+                     {"z": [-1e-310, 0], "expr": "1"}]},
 ])
 def test_modes_unresolvable_scale_is_a_failed_check(tmp_path, profile):
-    # C^2 underflows to 0 at the smallest C the shooting grid resolves
+    # C_1 lies below the smallest normal float: N H / pi, or, under a layer
+    # 1e-310 thick, below any C whose shot float arithmetic can reach
     out = tmp_path / "out"
     assert main(["--out", str(out), "modes",
                  write(tmp_path, "profile.json", profile)]) == 1
     (check,) = read_report(out)["checks"]
     assert (check["name"], check["status"]) == ("mode_search", "FAIL")
     assert "underflows" in check["note"]
+
+
+@pytest.mark.parametrize("profile", [
+    {"H": 1e308, "N": "0.0002"},
+    {"H": 1e-150, "N": "0.0002"},
+    {"H": 1e-300, "N": "0.0002"},
+    {"H": 300, "N": "1e-160"},
+])
+def test_modes_rescaled_constant_profile_keeps_the_sine_series(tmp_path,
+                                                               profile):
+    # the H = 300, N = 2e-4 problem rescaled: C_m = N H / (m pi) still
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "modes",
+                 write(tmp_path, "profile.json", profile)]) == 0
+    n_bar = float(profile["N"])
+    for m, c in enumerate(read_report(out)["eigenvalues"], 1):
+        exact = n_bar * profile["H"] / (m * math.pi)
+        assert abs(c - exact) <= 1e-13 * exact
 
 
 def test_malformed_json_is_exit_2(tmp_path):

@@ -382,72 +382,72 @@ def test_modes_constant_profile_matches_sine_series():
     found = mode_solve(ModeProblem.constant(n_bar, depth), 5)
     for m in found:
         exact = n_bar * depth / (m.index * math.pi)
-        assert abs(m.C - exact) / exact <= 1e-6
+        assert abs(m.C - exact) / exact <= 1e-13
         assert m.interior_zeros() == m.index - 1
-    assert found[0].C == pytest.approx(0.06 / math.pi, rel=1e-9)
-    assert found[0].k == pytest.approx(math.pi / 300.0, rel=1e-9)
+    assert found[0].C == pytest.approx(0.06 / math.pi, rel=1e-13)
+    assert found[0].k == pytest.approx(math.pi / 300.0, rel=1e-13)
+
+
+def _layer_oracle(n_bar, layer, below, modes):
+    """C_m for N = n_bar on a top layer of thickness `layer` and zero on the
+    `below` beneath it: matching a sine above to a linear ramp below gives
+    k layer + atan(k below) = m pi, C = n_bar / k (bisection to the last
+    representable k)."""
+    out = []
+    for m in range(1, modes + 1):
+        def condition(k):
+            return k * layer + math.atan(k * below) - m * math.pi
+        lo, hi = 0.0, m * math.pi / layer
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            lo, hi = (mid, hi) if condition(mid) < 0 else (lo, mid)
+            mid = 0.5 * (lo + hi)
+        out.append(n_bar / mid)
+    return out
 
 
 def test_modes_piecewise_profile_matches_transcendental_oracle():
-    # N = n_bar on the top layer of thickness L_a, zero below (thickness
-    # L_b): matching a sine above to a linear ramp below gives
-    # k L_a + atan(k L_b) = m pi, C = n_bar / k
     n_bar, depth, layer = 2e-4, 1000.0, 300.0
     problem = ModeProblem(depth, ((-depth, -layer, "0"),
                                   (-layer, 0.0, repr(n_bar))))
     found = mode_solve(problem, 3)
-    L_b = depth - layer
-    for m in found:
-        def condition(k):
-            return k * layer + math.atan(k * L_b) - m.index * math.pi
-        lo, hi = 1e-8, 1.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if condition(lo) * condition(mid) <= 0:
-                hi = mid
-            else:
-                lo = mid
-        exact = n_bar / (0.5 * (lo + hi))
-        assert abs(m.C - exact) / exact <= 1e-6
+    for m, exact in zip(found, _layer_oracle(n_bar, layer, depth - layer, 3)):
+        assert abs(m.C - exact) / exact <= 1e-13
         assert m.interior_zeros() == m.index - 1
 
 
 def test_modes_off_eigenvalue_keeps_endpoint_nonzero():
-    problem = ModeProblem.constant(2e-4, 300.0)
+    # one exact cell: theta(0; c) = 1/c, so theta = pi at C_1 = N H / pi
+    # and phi(0) != 0 off it
     from liewave.numverify import _Shooter
-    shooter = _Shooter(problem, 2000)
-    c1 = 0.06 / math.pi
-    assert abs(shooter.shoot(c1)) < 1e-6
-    assert abs(shooter.shoot(1.05 * c1)) > 1e-3
+    shooter = _Shooter(ModeProblem.constant(2e-4, 300.0))
+    assert shooter.shoot(1.0 / math.pi) == pytest.approx(math.pi, rel=1e-15)
+    assert abs(shooter.shoot(1.05 / math.pi) - math.pi) > 0.1
 
 
 def _numpy_scalar_shot(problem, C):
-    """The RK4 shot as it was written on numpy float64 scalars: phi at
-    every node of the 2000-step grid."""
-    inv_c2 = 1.0 / (C * C)
-    phi, psi = 0.0, 1.0
-    phis = [phi]
+    """theta(0; C) recomputed on numpy float64 scalars for a profile of
+    constant pieces: phi and phi' are carried through each piece in closed
+    form, the zeros of phi inside it are counted, and theta(0) is pi times
+    that count plus the angle of (k phi(0), phi'(0)) taken in [0, pi)."""
+    n_max = max(float(np.max(eval_on_grid(e, {"z": np.array([lo, hi])})))
+                for lo, hi, e in problem.pieces)
+    phi, dphi, zeros, k = np.float64(0.0), np.float64(1.0), 0, 0.0
     for z_lo, z_hi, n_expr in problem.pieces:
-        count = max(16, int(round(2000 * (z_hi - z_lo) / problem.H)))
-        zs = np.linspace(z_lo, z_hi, 2 * count + 1)
-        n2 = np.broadcast_to(eval_on_grid(n_expr, {"z": zs}), zs.shape)**2
-        h, n2_nodes, n2_mids = (z_hi - z_lo) / count, n2[::2], n2[1::2]
-        for i in range(len(n2_mids)):
-            k_lo = -n2_nodes[i] * inv_c2
-            k_mid = -n2_mids[i] * inv_c2
-            k_hi = -n2_nodes[i + 1] * inv_c2
-            dphi1 = psi
-            dpsi1 = k_lo * phi
-            dphi2 = psi + 0.5 * h * dpsi1
-            dpsi2 = k_mid * (phi + 0.5 * h * dphi1)
-            dphi3 = psi + 0.5 * h * dpsi2
-            dpsi3 = k_mid * (phi + 0.5 * h * dphi2)
-            dphi4 = psi + h * dpsi3
-            dpsi4 = k_hi * (phi + h * dphi3)
-            phi += h / 6.0 * (dphi1 + 2 * dphi2 + 2 * dphi3 + dphi4)
-            psi += h / 6.0 * (dpsi1 + 2 * dpsi2 + 2 * dpsi3 + dpsi4)
-            phis.append(phi)
-    return np.array(phis)
+        k = np.float64(float(eval_numeric(n_expr, {"z": z_lo})) / C)
+        w = np.float64(z_hi - z_lo)
+        if k > 0:  # phi = R sin(k s + delta) on the piece
+            delta = np.arctan2(k * phi, dphi)
+            zeros += int(np.floor((k * w + delta) / np.pi)
+                         - np.floor(delta / np.pi))
+            phi, dphi = (phi * np.cos(k * w) + dphi * np.sin(k * w) / k,
+                         dphi * np.cos(k * w) - k * phi * np.sin(k * w))
+        else:  # a linear ramp crosses zero at most once
+            end = phi + dphi * w
+            zeros += int(phi != 0 and np.sign(end) != np.sign(phi))
+            phi = end
+    angle = np.arctan2((k if k > 0 else 1.0 / n_max) * phi, dphi) % np.pi
+    return zeros * np.pi + angle
 
 
 @pytest.mark.parametrize("problem", [
@@ -459,24 +459,42 @@ def _numpy_scalar_shot(problem, C):
 @pytest.mark.parametrize("C", [0.004, 0.0123, 0.06 / math.pi, 0.05, 1.0])
 def test_shoot_matches_numpy_scalar_reference(problem, C):
     from liewave.numverify import _Shooter
-    shooter = _Shooter(problem, 2000)
-    phi, zs, phis = shooter.shoot(C, record=True)
-    ref = _numpy_scalar_shot(problem, C)
-    assert phis.tobytes() == ref.tobytes() and len(zs) == len(ref)
-    assert shooter.shoot(C) == phi == ref[-1]
+    shooter = _Shooter(problem)
+    theta = shooter.shoot(C / (shooter.n_max * problem.H))
+    assert theta == pytest.approx(_numpy_scalar_shot(problem, C), rel=1e-12)
+
+
+def _two_well_oracle(n_bar, modes):
+    """C_m for N = n_bar on [-1000, -900] and [-100, 0], zero between:
+    with x = 100 k the shot reaches phi(0) = 0 where
+    cos(x) (sin(x) + 4 x cos(x)) = 0, so x is an odd multiple of pi/2 or
+    a root of sin(x) + 4 x cos(x) between (j + 1/2) pi and (j + 1) pi."""
+    xs = []
+    for j in range(modes):
+        xs.append((j + 0.5) * math.pi)
+        lo, hi = (j + 0.5) * math.pi, (j + 1.0) * math.pi
+        sign_lo = math.sin(lo) + 4 * lo * math.cos(lo) > 0
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            if (math.sin(mid) + 4 * mid * math.cos(mid) > 0) == sign_lo:
+                lo = mid
+            else:
+                hi = mid
+            mid = 0.5 * (lo + hi)
+        xs.append(mid)
+    return [n_bar * 100.0 / x for x in sorted(xs)[:modes]]
 
 
 def test_modes_two_well_profile_finds_every_mode():
     # two stratified layers 800 m apart: their modes pair up at nearby C,
-    # which a sweep on the endpoint sign can step over; the node count
-    # cannot
+    # which a sweep on the endpoint sign can step over; theta cannot
     problem = ModeProblem(1000.0, ((-1000.0, -900.0, "0.0002"),
                                    (-900.0, -100.0, "0"),
                                    (-100.0, 0.0, "0.0002")))
     found = mode_solve(problem, 4)
     assert [m.index for m in found] == [1, 2, 3, 4]
-    assert all(a.C > b.C for a, b in zip(found, found[1:]))
-    for m in found:
+    for m, exact in zip(found, _two_well_oracle(2e-4, 4)):
+        assert abs(m.C - exact) / exact <= 1e-13
         assert m.interior_zeros() == m.index - 1
 
 
@@ -487,15 +505,15 @@ def test_modes_search_error_reports_bounds():
     assert "found 0 of 1" in str(err.value)
 
 
-def test_modes_below_grid_resolution_reports_count():
+def test_modes_thin_surface_layer_matches_transcendental_oracle():
     # N only in a 10 m surface layer: mode m has C ~ 2e-3 / ((m - 1/2) pi),
-    # and modes past the third need k h > 1/2 on the 0.5 m RK4 step
+    # every one of them inside the layer's one exact cell
     problem = ModeProblem(1000.0, ((-1000.0, -10.0, "0"),
                                    (-10.0, 0.0, "0.0002")))
-    with pytest.raises(ModeSearchError) as err:
-        mode_solve(problem, 5)
-    assert 0 < err.value.found < 5
-    assert "shooting grid resolves" in str(err.value)
+    found = mode_solve(problem, 5)
+    for m, exact in zip(found, _layer_oracle(2e-4, 10.0, 990.0, 5)):
+        assert abs(m.C - exact) / exact <= 1e-13
+        assert m.interior_zeros() == m.index - 1
 
 
 BENCH_PROFILES = [
@@ -513,9 +531,9 @@ def test_mode_search_shot_budget(monkeypatch):
     shots = []
     shoot = _Shooter.shoot
 
-    def counted(self, C, record=False):
-        shots.append(C)
-        return shoot(self, C, record)
+    def counted(self, c):
+        shots.append(c)
+        return shoot(self, c)
 
     monkeypatch.setattr(_Shooter, "shoot", counted)
     for problem in BENCH_PROFILES:
@@ -525,8 +543,7 @@ def test_mode_search_shot_budget(monkeypatch):
 
 def test_traced_fd_modes_pass_shoots_no_converged_eigenvalue_twice(
         tmp_path, monkeypatch):
-    # Brent's last shot carries the mode shape, so no mode is shot once
-    # more for it: 79 shots a pass became 69
+    # every shot is kept across the modes, so no C is shot twice
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import oracle
     import tracing
@@ -551,11 +568,19 @@ def test_traced_fd_modes_pass_shoots_no_converged_eigenvalue_twice(
 def test_mode_shapes_are_those_of_a_fresh_shot():
     from liewave.numverify import _Shooter
     for problem in BENCH_PROFILES:
-        shooter = _Shooter(problem, NSTEPS)
+        shooter = _Shooter(problem)
         for m in mode_solve(problem, 5):
-            _, zs, shape = shooter.shoot(m.C, record=True)
-            assert m.zs.tolist() == zs.tolist()
-            assert m.shape.tolist() == shape.tolist()
+            shape = shooter.sample(m.C / (shooter.n_max * problem.H))
+            assert m.zs.tolist() == (
+                problem.H * np.linspace(-1.0, 0.0, NSTEPS + 1)).tolist()
+            np.testing.assert_allclose(m.shape, shape, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(shape)))
+    # the constant profile's shapes are sin(m pi (zeta + 1)) / (m pi)
+    for m in mode_solve(BENCH_PROFILES[0], 5):
+        zeta = m.zs / 300.0
+        np.testing.assert_allclose(
+            m.shape, np.sin(m.index * math.pi * (zeta + 1)) / (m.index * math.pi),
+            rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("problem", [*BENCH_PROFILES, TWO_WELL],
@@ -563,16 +588,19 @@ def test_mode_shapes_are_those_of_a_fresh_shot():
 def test_modes_agree_with_scipy_brentq(problem):
     # a test-only oracle: scipy is not a runtime dependency
     optimize = pytest.importorskip("scipy.optimize")
-    from liewave.numverify import _Shooter, _sign_changes
-    shooter = _Shooter(problem, 2000)
+    from liewave.numverify import _Shooter
+    shooter = _Shooter(problem)
+    scale = shooter.n_max * problem.H
     for m in mode_solve(problem, 5):
-        lo, hi = m.C * (1 - 1e-3), m.C * (1 + 1e-3)
-        # the bracket holds C_m and no other eigenvalue
-        assert [_sign_changes(shooter.shoot(c, record=True)[2][1:])
-                for c in (lo, hi)] == [m.index, m.index - 1]
-        root = optimize.brentq(shooter.shoot, lo, hi, xtol=1e-20,
-                               rtol=4 * np.finfo(float).eps)
-        assert abs(m.C - root) <= 1e-12 * root
+        target = m.index * math.pi
+        lo, hi = m.C / scale * (1 - 1e-3), m.C / scale * (1 + 1e-3)
+        # the bracket holds C_m and no other eigenvalue: theta falls as c
+        # grows, from below (m + 1) pi to above (m - 1) pi
+        assert target < shooter.shoot(lo) < target + math.pi
+        assert target - math.pi < shooter.shoot(hi) < target
+        root = optimize.brentq(lambda c: shooter.shoot(c) - target, lo, hi,
+                               xtol=1e-20, rtol=4 * np.finfo(float).eps)
+        assert abs(m.C - root * scale) <= 1e-14 * m.C
 
 
 def _fd_matrix_eigenvalues(problem, cells, modes):
@@ -611,7 +639,7 @@ def test_modes_agree_with_fd_matrix_at_second_order():
     BENCH_PROFILES[1],
 ], ids=["smooth", "piecewise"])
 def test_fd_matrix_error_falls_fourfold_per_halving(problem):
-    # independent of RK4: the shot's own error is far below the matrix's
+    # independent of the shooter: its own error is far below the matrix's
     found = np.array([m.C for m in mode_solve(problem, 5)])
     coarse, fine = (np.abs(_fd_matrix_eigenvalues(problem, cells, 5) - found)
                     for cells in (200, 400))
