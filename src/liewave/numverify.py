@@ -47,8 +47,8 @@ class BlowupError(RuntimeError):
 
 
 class ModeSearchError(RuntimeError):
-    """N vanishes on the whole column, or an eigenvalue leaves the normal
-    float range."""
+    """N vanishes on every cell of a mode mesh, or an eigenvalue leaves
+    the normal float range."""
 
     def __init__(self, found: int, wanted: int, reason: str):
         self.found = found
@@ -340,12 +340,14 @@ class Mode:
 
     def interior_zeros(self) -> int:
         vals = self.shape[1:-1]
-        signs = np.sign(vals[np.abs(vals) > 1e-12 * np.max(np.abs(self.shape))])
+        scale = np.max(np.abs(self.shape))
+        signs = np.sign(vals[np.abs(vals) > 1e-12 * scale])
         return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
 NSTEPS = 2000  # cells across the column before merging; shape intervals
 ROOT_REL = 4 * np.finfo(float).eps  # final bracket of u = 1/c, relative
+MESH_REL = 1e-3  # largest relative move of C_m when the cells are halved
 
 
 class _Shooter:
@@ -391,12 +393,12 @@ class _Shooter:
         theta, scale = 0.0, 1.0  # theta = 0 is phi = 0 in any plane
         for w, n in zip(self.widths, self.ns):
             k = n * u
+            prev, scale = scale, k or 1.0
             # re-read theta, as turns + r with |r| <= pi/2, in the plane
             # (k phi, phi'), or (phi, phi') where N = 0
             turns = round(theta / math.pi) * math.pi
-            r = math.atan2((k or 1.0) * math.sin(theta - turns),
-                           scale * math.cos(theta - turns))
-            scale = k or 1.0
+            r = math.atan2(scale * math.sin(theta - turns),
+                           prev * math.cos(theta - turns))
             if k:
                 theta = turns + r + k * w
             else:
@@ -460,7 +462,8 @@ def mode_solve(problem: ModeProblem, modes: int):
     doubled (N_max kept) gives C_2M, and C is the Richardson value
     (4 C_2M - C_M) / 3; where both meshes merge to the same cells, C_M
     stands.  Each shape is sampled on the finer of the meshes used.
-    ModeSearchError: N vanishes, or a C is not a normal float.
+    ModeSearchError: N vanishes, C_2M differs from C_M by more than
+    MESH_REL (the mesh does not resolve N), or a C is not a normal float.
     """
     if modes < 1:
         raise ValueError("modes must be >= 1")
@@ -470,7 +473,13 @@ def mode_solve(problem: ModeProblem, modes: int):
         raise ModeSearchError(0, modes, "N vanishes on every cell of a mesh")
     cs = [1.0 / u for u in _roots(shooter, modes)]
     if (fine.edges, fine.ns) != (shooter.edges, shooter.ns):
-        cs = [(4.0 / u - c) / 3.0 for c, u in zip(cs, _roots(fine, modes))]
+        fine_cs = [1.0 / u for u in _roots(fine, modes)]
+        for m, (c, f) in enumerate(zip(cs, fine_cs), 1):
+            if abs(f - c) > MESH_REL * f:
+                raise ModeSearchError(m - 1, modes, f"C_{m} is not resolved: "
+                                      f"halving the cells moves it by "
+                                      f"{abs(f - c) / f:.2g} relative")
+        cs = [(4.0 * f - c) / 3.0 for c, f in zip(cs, fine_cs)]
         shooter = fine
     zs = problem.H * np.linspace(-1.0, 0.0, NSTEPS + 1)
     found = []

@@ -352,8 +352,8 @@ def test_modes_failure_path(tmp_path):
                      {"z": [-1e-310, 0], "expr": "1"}]},
 ])
 def test_modes_unresolvable_scale_is_a_failed_check(tmp_path, profile):
-    # C_1 lies below the smallest normal float: N H / pi, or, under a layer
-    # 1e-310 thick, below any C whose shot float arithmetic can reach
+    # C_1 is below the smallest normal float: N H / pi itself, or, with N
+    # only in a surface layer 1e-310 thick, so small that u = 1/c overflows
     out = tmp_path / "out"
     assert main(["--out", str(out), "modes",
                  write(tmp_path, "profile.json", profile)]) == 1

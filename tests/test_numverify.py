@@ -427,12 +427,11 @@ def test_modes_off_eigenvalue_keeps_endpoint_nonzero():
 
 def _numpy_scalar_shot(problem, C):
     """theta(0; C) recomputed on numpy float64 scalars for a profile of
-    constant pieces: phi and phi' are carried through each piece in closed
-    form, the zeros of phi inside it are counted, and theta(0) is pi times
-    that count plus the angle of (k phi(0), phi'(0)) taken in [0, pi)."""
-    n_max = max(float(np.max(eval_on_grid(e, {"z": np.array([lo, hi])})))
-                for lo, hi, e in problem.pieces)
-    phi, dphi, zeros, k = np.float64(0.0), np.float64(1.0), 0, 0.0
+    constant pieces, stratified at the top: phi and phi' are carried
+    through each piece in closed form, the zeros of phi inside it are
+    counted, and theta(0) is pi times that count plus the angle of
+    (k phi(0), phi'(0)) taken in [0, pi)."""
+    phi, dphi, zeros = np.float64(0.0), np.float64(1.0), 0
     for z_lo, z_hi, n_expr in problem.pieces:
         k = np.float64(float(eval_numeric(n_expr, {"z": z_lo})) / C)
         w = np.float64(z_hi - z_lo)
@@ -446,8 +445,7 @@ def _numpy_scalar_shot(problem, C):
             end = phi + dphi * w
             zeros += int(phi != 0 and np.sign(end) != np.sign(phi))
             phi = end
-    angle = np.arctan2((k if k > 0 else 1.0 / n_max) * phi, dphi) % np.pi
-    return zeros * np.pi + angle
+    return zeros * np.pi + np.arctan2(k * phi, dphi) % np.pi
 
 
 @pytest.mark.parametrize("problem", [
@@ -516,6 +514,37 @@ def test_modes_thin_surface_layer_matches_transcendental_oracle():
         assert m.interior_zeros() == m.index - 1
 
 
+def test_modes_exponential_profile_matches_bessel_oracle():
+    # N = n_bar exp(z/b): with x = (n_bar b / C) exp(z/b) the shot is a
+    # combination of J0(x) and Y0(x), and phi(-H) = phi(0) = 0 gives
+    # J0(x_0) Y0(x_H) = J0(x_H) Y0(x_0); N varies in every cell, so C is
+    # the Richardson value
+    special = pytest.importorskip("scipy.special")
+    optimize = pytest.importorskip("scipy.optimize")
+    n_bar, b, depth = 2e-4, 100.0, 1000.0
+
+    def condition(C):
+        x0 = n_bar * b / C
+        xh = x0 * math.exp(-depth / b)
+        return (special.j0(x0) * special.y0(xh)
+                - special.j0(xh) * special.y0(x0))
+
+    problem = ModeProblem(depth, ((-depth, 0.0, "0.0002*exp(z/100)"),))
+    for m in mode_solve(problem, 5):
+        exact = optimize.brentq(condition, 0.99 * m.C, 1.01 * m.C, xtol=1e-300,
+                                rtol=4 * np.finfo(float).eps)
+        assert abs(m.C - exact) <= 1e-9 * exact
+        assert m.interior_zeros() == m.index - 1
+
+
+def test_modes_unresolved_smooth_layer_is_a_search_error():
+    # the same layer under a 1e6 m column: 500 m cells cannot see it, and
+    # the midpoint value puts C_1 26 % above its Bessel value 0.0083
+    problem = ModeProblem(1e6, ((-1e6, 0.0, "0.0002*exp(z/100)"),))
+    with pytest.raises(ModeSearchError, match="C_1 is not resolved"):
+        mode_solve(problem, 1)
+
+
 BENCH_PROFILES = [
     ModeProblem.constant(2e-4, 300.0),
     ModeProblem(1000.0, ((-1000.0, -300.0, "0"), (-300.0, 0.0, "0.0002"))),
@@ -578,9 +607,9 @@ def test_mode_shapes_are_those_of_a_fresh_shot():
     # the constant profile's shapes are sin(m pi (zeta + 1)) / (m pi)
     for m in mode_solve(BENCH_PROFILES[0], 5):
         zeta = m.zs / 300.0
-        np.testing.assert_allclose(
-            m.shape, np.sin(m.index * math.pi * (zeta + 1)) / (m.index * math.pi),
-            rtol=0, atol=1e-13)
+        k = m.index * math.pi
+        np.testing.assert_allclose(m.shape, np.sin(k * (zeta + 1)) / k,
+                                   rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("problem", [*BENCH_PROFILES, TWO_WELL],
