@@ -428,7 +428,7 @@ class _Shooter:
 
 
 def _roots(shooter: _Shooter, modes: int) -> list:
-    """u_1 < ... < u_modes, where theta(0; 1/u_m) = m pi.
+    """c_1 > ... > c_modes, where theta(0; c_m) = m pi, found in u = 1/c.
 
     theta(0; 1/u) >= m pi exactly where u >= u_m.  The first shot lies
     below u_1, as phi has no zero on (-1, 0] for u < pi / max N~ (Sturm
@@ -451,7 +451,7 @@ def _roots(shooter: _Shooter, modes: int) -> list:
                      theta_lo - target, hi, theta_hi - target, ROOT_REL)
         theta_lo = target
         roots.append(lo)
-    return roots
+    return [1.0 / u for u in roots]
 
 
 def mode_solve(problem: ModeProblem, modes: int):
@@ -471,9 +471,9 @@ def mode_solve(problem: ModeProblem, modes: int):
     fine = _Shooter(problem, 2, shooter.n_max)
     if not (max(shooter.ns) > 0 and max(fine.ns) > 0):
         raise ModeSearchError(0, modes, "N vanishes on every cell of a mesh")
-    cs = [1.0 / u for u in _roots(shooter, modes)]
+    cs = _roots(shooter, modes)
     if (fine.edges, fine.ns) != (shooter.edges, shooter.ns):
-        fine_cs = [1.0 / u for u in _roots(fine, modes)]
+        fine_cs = _roots(fine, modes)
         for m, (c, f) in enumerate(zip(cs, fine_cs), 1):
             if abs(f - c) > MESH_REL * f:
                 raise ModeSearchError(m - 1, modes, f"C_{m} is not resolved: "
