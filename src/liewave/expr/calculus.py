@@ -3,6 +3,7 @@ evaluator behind eval_numeric, eval_checked and eval_on_grid."""
 
 from __future__ import annotations
 
+import importlib
 import math
 import operator
 from fractions import Fraction
@@ -16,6 +17,9 @@ from .nodes import (
 )
 from .simplify import simplify
 
+# the simplify module: its memo_scope() sets the derivative table `_derived`
+_memos = importlib.import_module(".simplify", __package__)
+
 
 class EvalError(ValueError):
     """Numeric evaluation failure; carries the offending subtree."""
@@ -26,37 +30,57 @@ class EvalError(ValueError):
 
 
 def diff(e: Expr, var: str) -> Expr:
-    """Exact derivative with respect to `var`, canonically simplified."""
-    d = _d(e, var)
+    """Exact derivative with respect to `var`, canonically simplified.
+    Inside memo_scope() the raw derivative of each branch object is
+    computed once per variable."""
+    derived = _memos._derived
+    memo = None if derived is None else derived.setdefault(var, {})
+    d = _d(e, var, memo)
     return ZERO if d is None else simplify(d)
 
 
-def _d(e: Expr, var: str):
+def _d(e: Expr, var: str, memo):
     """Unsimplified derivative, or None where it is structurally zero: a
     constant, another variable, or a node none of whose children depend on
     `var`.  The product rule writes no term for a factor whose derivative
     is None; each such term would be a product with a 0 factor, which
-    simplify folds to 0, so simplify gives the same tree without them."""
+    simplify folds to 0, so simplify gives the same tree without them.
+    memo is the scope's table for `var`, id(tree) -> (tree, derivative),
+    or None; the pair is never None, so a stored None derivative is a
+    hit."""
     if isinstance(e, Const):
         return None
     if isinstance(e, Var):
         return ONE if e.name == var else None
+    if memo is not None:
+        hit = memo.get(id(e))
+        if hit is not None:
+            return hit[1]
+    d = _d_rule(e, var, memo)
+    if memo is not None:
+        memo[id(e)] = (e, d)
+    return d
+
+
+def _d_rule(e: Expr, var: str, memo):
+    """The derivative rule for branch node e; children go through _d."""
     if isinstance(e, Add):
-        terms = tuple(d for d in (_d(t, var) for t in e.terms) if d is not None)
+        terms = tuple(d for d in (_d(t, var, memo) for t in e.terms)
+                      if d is not None)
         return Add(terms) if terms else None
     if isinstance(e, Neg):
-        d = _d(e.child, var)
+        d = _d(e.child, var, memo)
         return None if d is None else Neg(d)
     if isinstance(e, Mul):
         terms = []
         for i, f in enumerate(e.factors):
-            d = _d(f, var)
+            d = _d(f, var, memo)
             if d is not None:
                 terms.append(Mul(e.factors[:i] + (d,) + e.factors[i + 1:]))
         return Add(tuple(terms)) if terms else None
     if isinstance(e, Pow):
         b, x = e.base, e.exponent
-        db, dx = _d(b, var), _d(x, var)
+        db, dx = _d(b, var, memo), _d(x, var, memo)
         if isinstance(x, Const):
             if db is None:
                 return None
@@ -71,7 +95,7 @@ def _d(e: Expr, var: str):
             terms.append(Mul((x, db, Pow(b, Const(Fraction(-1))))))
         return Mul((e, Add(tuple(terms)))) if terms else None
     if isinstance(e, Call):
-        u, du = e.arg, _d(e.arg, var)
+        u, du = e.arg, _d(e.arg, var, memo)
         if du is None:
             return None
         if e.fn == "exp":
@@ -142,23 +166,31 @@ def eval_on_grid(e, bindings):
     return values if isinstance(e, tuple) else values[0]
 
 
-def eval_checked(e: Expr, bindings):
+def eval_checked(e, bindings):
     """Strict vectorized evaluation: (values, failed), both broadcast to the
     bindings' common shape.  failed is True exactly at the points where
-    eval_numeric raises; values there are meaningless."""
+    eval_numeric raises; values there are meaningless.  Given a tuple of
+    expressions, values is the tuple of their values and failed the one
+    mask of the points where any of them fails; a subtree they share is
+    evaluated, and checked, once."""
+    roots = e if isinstance(e, tuple) else (e,)
     failed = np.zeros(np.broadcast(*bindings.values()).shape, dtype=bool)
 
     def note(mask, message, node):
         np.logical_or(failed, mask, out=failed)
 
+    memo = _shared(roots)
+    values = []
     with np.errstate(all="ignore"):
-        try:
-            values = _ev(e, bindings, note, _shared((e,)))
-        except EvalError:  # an unbound variable fails at every point
-            values = np.nan
-    values = np.broadcast_to(values, failed.shape)
-    failed |= ~np.isfinite(values)
-    return values, failed
+        for root in roots:
+            try:
+                v = _ev(root, bindings, note, memo)
+            except EvalError:  # an unbound variable fails at every point
+                v = np.nan
+            v = np.broadcast_to(v, failed.shape)
+            failed |= ~np.isfinite(v)
+            values.append(v)
+    return (tuple(values) if isinstance(e, tuple) else values[0]), failed
 
 
 def _raise(mask, message, node):

@@ -127,15 +127,15 @@ def is_zero_sampled(e: Expr, box, *, n: int = 100, tol: float = 1e-9,
     terms = canon.terms if isinstance(canon, Add) else (canon,)
     cols = _cloud(tuple(sorted((k, tuple(v)) for k, v in box.items())), n,
                   seed)
-    # each term once: value = their left-to-right sum, as canon evaluates
-    value, failed = eval_checked(terms[0], cols)
+    # all terms in one evaluation, so a subtree they share is evaluated
+    # once; value = their left-to-right sum, as canon evaluates
+    values, failed = eval_checked(terms, cols)
+    value = values[0]
     scale = np.abs(value)
-    for t in terms[1:]:
-        v, f = eval_checked(t, cols)
+    for v in values[1:]:
         with np.errstate(all="ignore"):  # inf - inf is a failed point
             value = value + v
         scale = np.maximum(scale, np.abs(v))
-        failed = failed | f
     failed |= ~np.isfinite(value)
     if failed.any():
         p = _point(cols, int(np.argmax(failed)))

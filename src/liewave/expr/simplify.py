@@ -21,8 +21,16 @@ Two things spare simplify work it has done before:
   mark cannot see) is not simplified again.  Its key is the tree's exact
   structure: the cached hash, with equality of `nodes.sort_key`, which tells
   Const(0.5) from Const(Fraction(1, 2)) and 0.0 from -0.0 where == does
-  not.  It starts and ends empty with the scope, so a job shares no tree
-  with another job, and outside a scope simplify keeps no table at all.
+  not.
+
+The same scope holds two identity tables for the other pure transforms:
+`_expand` of a branch object, and `calculus._d` of a branch object by a
+variable, are computed once per job and handed back when that object comes
+again (a wave member's B and C hold A's object, and each coefficient of a
+reduction holds all three).  They are keyed on id(tree) and each entry
+holds the tree, so its id cannot be reused while the entry lives.  All
+three tables start and end empty with the scope, so a job shares no tree
+with another job, and outside a scope nothing is memoized at all.
 """
 
 from __future__ import annotations
@@ -38,7 +46,10 @@ from .nodes import (
 )
 
 
-_memo = None  # _Exact(tree) -> canonical form, inside memo_scope() only
+# inside memo_scope() only, else None:
+_memo = None      # _Exact(tree) -> canonical form
+_expanded = None  # id(tree) -> (tree, _expand(tree))
+_derived = None   # var -> {id(tree) -> (tree, calculus._d(tree, var))}
 
 
 class _Exact:
@@ -59,14 +70,14 @@ class _Exact:
 
 @contextlib.contextmanager
 def memo_scope():
-    """Memoize simplify for the duration of the block (one CLI job); the
-    memo is dropped on exit, also when the block raises."""
-    global _memo
-    _memo = {}
+    """Memoize simplify, expand and diff for the duration of the block (one
+    CLI job); the tables are dropped on exit, also when the block raises."""
+    global _memo, _expanded, _derived
+    _memo, _expanded, _derived = {}, {}, {}
     try:
         yield
     finally:
-        _memo = None
+        _memo = _expanded = _derived = None
 
 
 def simplify(e: Expr) -> Expr:
@@ -292,32 +303,42 @@ def expand(e: Expr) -> Expr:
     collecting coefficients of jet monomials needs a sum of monomials.
     Negative or symbolic powers are left alone.
     """
-    return simplify(_expand(simplify(e)))
+    return simplify(_expand(simplify(e), _expanded))
 
 
-def _expand(e: Expr) -> Expr:
+def _expand(e: Expr, memo) -> Expr:
+    """Expansion of e, not canonicalized; memo is the scope's identity
+    table (see the module docstring) or None."""
     if isinstance(e, (Const, Var)):
         return e
+    if memo is not None:
+        hit = memo.get(id(e))
+        if hit is not None:
+            return hit[1]
     if isinstance(e, Add):
-        return _add(tuple(_expand(t) for t in e.terms))
-    if isinstance(e, Neg):
-        return _negate(_expand(e.child))
-    if isinstance(e, Call):
-        return _call(e.fn, _expand(e.arg))
-    if isinstance(e, Pow):
-        base = _expand(e.base)
-        expo = _expand(e.exponent)
+        out = _add(tuple(_expand(t, memo) for t in e.terms))
+    elif isinstance(e, Neg):
+        out = _negate(_expand(e.child, memo))
+    elif isinstance(e, Call):
+        out = _call(e.fn, _expand(e.arg, memo))
+    elif isinstance(e, Pow):
+        base = _expand(e.base, memo)
+        expo = _expand(e.exponent, memo)
         if (isinstance(base, Add) and isinstance(expo, Const)
                 and isinstance(expo.value, Fraction)
                 and expo.value.denominator == 1 and 2 <= expo.value <= 8):
             out = base
             for _ in range(int(expo.value) - 1):
                 out = _distribute((out, base))
-            return out
-        return _pow(base, expo)
-    if isinstance(e, Mul):
-        return _distribute(tuple(_expand(f) for f in e.factors))
-    raise TypeError(f"not an Expr: {e!r}")
+        else:
+            out = _pow(base, expo)
+    elif isinstance(e, Mul):
+        out = _distribute(tuple(_expand(f, memo) for f in e.factors))
+    else:
+        raise TypeError(f"not an Expr: {e!r}")
+    if memo is not None:
+        memo[id(e)] = (e, out)
+    return out
 
 
 def _distribute(factors: tuple) -> Expr:

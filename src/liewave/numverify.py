@@ -298,11 +298,12 @@ class ModeProblem:
                     f"N must be finite and nonnegative on [{z_lo}, {z_hi}]")
             norm.append((float(z_lo), float(z_hi), simplify(e)))
         norm.sort(key=lambda p: p[0])
-        if (not norm or abs(norm[0][0] + self.H) > 1e-12
-                or abs(norm[-1][1]) > 1e-12):
+        tol = 1e-12 * self.H  # relative, so a hole is one at every scale
+        if (not norm or abs(norm[0][0] + self.H) > tol
+                or abs(norm[-1][1]) > tol):
             raise ValueError("pieces must cover [-H, 0]")
         for (_, hi, _), (lo, _, _) in zip(norm, norm[1:]):
-            if abs(hi - lo) > 1e-12:
+            if abs(hi - lo) > tol:
                 raise ValueError("pieces must be contiguous")
         object.__setattr__(self, "pieces", tuple(norm))
 

@@ -177,9 +177,8 @@ def _constant_ratio(numer: Expr, denom: Expr, box, *, n: int, tol: float,
     """Sampled value of numer/denom if constant over the box, else None;
     points where either is undefined, or denom is near zero, are skipped."""
     cols = sample_box(box, n, seed)
-    num_v, num_failed = eval_checked(numer, cols)
-    den_v, den_failed = eval_checked(denom, cols)
-    keep = ~num_failed & ~den_failed & (np.abs(den_v) >= 1e-12)
+    (num_v, den_v), failed = eval_checked((numer, denom), cols)
+    keep = ~failed & (np.abs(den_v) >= 1e-12)
     values = (num_v[keep] / den_v[keep]).tolist()
     if len(values) < max(10, n // 4):
         return None

@@ -380,6 +380,22 @@ def test_modes_rescaled_constant_profile_keeps_the_sine_series(tmp_path,
         assert abs(c - exact) <= 1e-13 * exact
 
 
+@pytest.mark.parametrize("H", [1000.0, 1e-150])
+@pytest.mark.parametrize("pieces, reason", [
+    # a tenth of the column, (-H/2, -2H/5), belongs to no piece
+    (((-1, -0.5), (-0.4, 0)), "pieces must be contiguous"),
+    (((-1, -0.5), (-0.5, -0.1)), "pieces must cover [-H, 0]"),
+])
+def test_modes_gap_in_the_profile_is_exit_2_at_every_scale(tmp_path, capsys,
+                                                           H, pieces, reason):
+    profile = {"H": H, "N": [{"z": [lo * H, hi * H], "expr": expr}
+                             for (lo, hi), expr in zip(pieces,
+                                                       ("0", "0.0002"))]}
+    assert main(["--out", str(tmp_path / "out"), "modes",
+                 write(tmp_path, "profile.json", profile)]) == 2
+    assert reason in capsys.readouterr().err
+
+
 def test_malformed_json_is_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -781,7 +797,8 @@ def test_argv_fuzz_keeps_the_exit_code_contract(tmp_path_factory, argv):
         assert stop.code == 2
     else:
         assert rc in (0, 1, 2)
-    assert simplify_module._memo is None
+    assert (simplify_module._memo, simplify_module._expanded,
+            simplify_module._derived) == (None, None, None)
 
 
 @pytest.mark.parametrize("payload", [

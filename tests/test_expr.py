@@ -356,12 +356,33 @@ def _calls(e):
             repr(diff(_unmarked(e), "x")), repr(diff(_unmarked(e), "t")))
 
 
+def _same_object_calls(e):
+    """expand and diff of one fresh copy of e, each made twice: the second
+    call gets the object the first one saw."""
+    u = _unmarked(e)
+    return [(repr(expand(u)), repr(diff(u, "x")), repr(diff(u, "t")))
+            for _ in range(2)]
+
+
+def _memo_tables():
+    return (simplify_module._memo, simplify_module._expanded,
+            simplify_module._derived)
+
+
 def _check_memo_is_invisible(e):
     outside = _calls(e)
+    outside_same = _same_object_calls(e)
     with memo_scope():
         assert _calls(e) == outside
         assert _calls(e) == outside  # now served from the memo
-        assert simplify_module._memo or isinstance(e, (Const, Var))
+        # the identity tables serve the second call of each pair
+        assert _same_object_calls(e) == outside_same
+        leaf = isinstance(e, (Const, Var))
+        assert simplify_module._memo or leaf
+        assert simplify_module._expanded or isinstance(simplify(e),
+                                                       (Const, Var))
+        assert any(simplify_module._derived.values()) or leaf
+    assert _memo_tables() == (None, None, None)
 
 
 @pytest.mark.parametrize("text", [t for t, _ in CORPUS])
@@ -393,16 +414,39 @@ def test_memo_keeps_apart_trees_that_only_look_alike(a, b):
 
 
 def test_memo_lives_only_inside_its_scope():
-    assert simplify_module._memo is None
+    assert _memo_tables() == (None, None, None)
+    expand(parse("x*(1 + x)"))
+    diff(parse("x*(1 + x)"), "x")
+    assert _memo_tables() == (None, None, None)  # nothing kept outside
     with memo_scope():
         simplify(parse("x*(1 + x) + 2*x"))
+        expand(parse("x*(1 + x)"))
+        diff(parse("x*(1 + x)"), "x")
         assert simplify_module._memo
-    assert simplify_module._memo is None
+        assert simplify_module._expanded
+        assert simplify_module._derived["x"]
+    assert _memo_tables() == (None, None, None)
     with pytest.raises(ZeroDivisionError):
         with memo_scope():
-            simplify(parse("x*(1 + x)"))
+            expand(parse("x*(1 + x)"))
+            diff(parse("x*(1 + x)"), "t")
+            assert all(_memo_tables())
             1 / 0
-    assert simplify_module._memo is None
+    assert _memo_tables() == (None, None, None)
+
+
+def test_identity_tables_hold_the_trees_they_key():
+    # an entry keeps its tree alive, so no later object can take its id
+    with memo_scope():
+        e = parse("x*(1 + x)")
+        expand(e)
+        diff(e, "x")
+        canon = simplify(e)  # what expand expands
+        assert simplify_module._expanded[id(canon)][0] is canon
+        assert simplify_module._derived["x"][id(e)][0] is e
+        # a None derivative (structurally zero) is stored and served too
+        assert diff(e, "t") == Const(0)
+        assert simplify_module._derived["t"][id(e)] == (e, None)
 
 
 # ------------------------------------------------------- differentiation
@@ -709,6 +753,24 @@ def test_shared_subtrees_evaluate_as_the_tree_walk(roots):
     # a tuple shares one memo across its roots and gives each its own value
     assert [_bits(v) for v in eval_on_grid(roots, _GRID)] == \
         [_bits(eval_on_grid(e, _GRID)) for e in roots]
+
+
+_BAD = parse("log(x - 1/2)")  # fails at the grid's x <= 1/2
+
+
+@given(_shared_dags())
+@example((Mul((_BAD, Var("t"))), Call("sin", _BAD), Var("q")))
+@example((Add((_BAD, Var("w"))), Pow(_BAD, Const(2)), Var("x")))
+@settings(max_examples=300, deadline=None)
+def test_checked_tuple_evaluates_as_a_call_per_root(roots):
+    values, failed = eval_checked(roots, _GRID)
+    each = [eval_checked(e, _GRID) for e in roots]
+    assert [_bits(v) for v in values] == [_bits(v) for v, _ in each]
+    assert failed.tobytes() == \
+        np.logical_or.reduce([f for _, f in each]).tobytes()
+    if any(isinstance(n, Var) and n.name == "w" for e in roots
+           for n in _walk(e)):
+        assert failed.all()  # w is unbound: every point fails
 
 
 def test_shared_failing_subtree_raises_as_the_tree_walk():

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest every output of one benchmark workload, run through a given tree.
 
-    python3 tools/output_digests.py <tree> <workload> <seed> > digests.txt
+    python3 tools/output_digests.py <tree> <workload> <seed> [--reverse] > digests.txt
 
 <tree> is a liewave checkout (its `src/` is imported).  The inputs come from
 this checkout's `bench/workloads.build`, so two trees digested by the same
@@ -13,7 +13,9 @@ paths written into reports do not depend on where the run took place.
 Per job it prints the exit code, the sha256 of every output file, of
 stdout, and of stderr with the `wall time:` line removed (the one output
 that differs from run to run).  Two trees produce the same bytes exactly
-when `diff` of their digest files is empty.
+when `diff` of their digest files is empty.  With --reverse the jobs run
+last to first and are still printed in job order, so a diff against the
+forward run shows any output that depends on the jobs run before it.
 """
 
 from __future__ import annotations
@@ -33,9 +35,28 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _digest(cli, job, seed: int, out: Path) -> list:
+    """Run one job into `out`; its digest lines."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = cli.main(["--out", str(out), "--seed", str(seed % 1000)]
+                      + job.argv)
+    err = "".join(line for line in stderr.getvalue().splitlines(keepends=True)
+                  if not line.startswith("wall time: "))
+    lines = [f"{job.name}\texit\t{rc}"]
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            lines.append(f"{job.name}\t{path.relative_to(out).as_posix()}"
+                         f"\t{_sha(path.read_bytes())}")
+    lines.append(f"{job.name}\tstdout\t{_sha(stdout.getvalue().encode())}")
+    lines.append(f"{job.name}\tstderr\t{_sha(err.encode())}")
+    return lines
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 3:
+    reverse = argv[3:] == ["--reverse"]
+    if len(argv) != 3 and not reverse:
         print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
         return 2
     tree, workload, seed = Path(argv[0]).resolve(), argv[1], int(argv[2])
@@ -53,25 +74,14 @@ def main(argv=None) -> int:
         os.chdir(work)
         try:
             jobs = workloads.build(workload, seed, Path("in"))
-            for i, job in enumerate(jobs):
-                out = Path(f"out-{i:02d}")
-                stdout, stderr = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(stdout), \
-                        contextlib.redirect_stderr(stderr):
-                    rc = liewave.cli.main(["--out", str(out), "--seed",
-                                           str(seed % 1000)] + job.argv)
-                err = "".join(line for line in stderr.getvalue()
-                              .splitlines(keepends=True)
-                              if not line.startswith("wall time: "))
-                print(f"{job.name}\texit\t{rc}")
-                for path in sorted(out.rglob("*")):
-                    if path.is_file():
-                        print(f"{job.name}\t{path.relative_to(out).as_posix()}"
-                              f"\t{_sha(path.read_bytes())}")
-                print(f"{job.name}\tstdout\t{_sha(stdout.getvalue().encode())}")
-                print(f"{job.name}\tstderr\t{_sha(err.encode())}")
+            order = range(len(jobs))
+            digests = {i: _digest(liewave.cli, jobs[i], seed,
+                                  Path(f"out-{i:02d}"))
+                       for i in (reversed(order) if reverse else order)}
         finally:
             os.chdir(home)
+    for i in order:
+        print("\n".join(digests[i]))
     return 0
 
 
