@@ -352,6 +352,11 @@ def main(argv=None) -> int:
     except OverflowError as err:  # an exact constant left the float range
         print(f"error: number beyond the float range ({err})", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except MemoryError as err:  # a grid or cloud too large for this machine
+        detail = f" ({err})" if str(err) else ""
+        print(f"error: the requested size cannot be allocated{detail}",
+              file=sys.stderr)
+        return EXIT_BAD_INPUT
     print(f"wall time: {time.monotonic() - t0:.2f}s", file=sys.stderr)
     return code
 

@@ -5,8 +5,8 @@ from .calculus import (
     EvalError, diff, eval_checked, eval_numeric, eval_on_grid, substitute,
 )
 from .nodes import (
-    Add, Call, Const, Cos, Exp, Expr, Log, Mul, Neg, ONE, Pow, Sin, Sqrt,
-    Var, ZERO, check_vars, coerce, free_vars, neg, node_count, num, to_text,
+    Add, Call, Const, Cos, Exp, Expr, Mul, Neg, ONE, Pow, Sin, Var, ZERO,
+    check_vars, coerce, free_vars, neg, node_count, num, to_text,
 )
 from .parser import ParseError, parse
 from .sampling import (
@@ -15,8 +15,8 @@ from .sampling import (
 from .simplify import expand, memo_scope, simplify
 
 __all__ = [
-    "Add", "Call", "Const", "Cos", "EvalError", "Exp", "Expr", "Log", "Mul",
-    "Neg", "ONE", "ParseError", "Pow", "Sin", "Sqrt", "Var", "ZERO",
+    "Add", "Call", "Const", "Cos", "EvalError", "Exp", "Expr", "Mul", "Neg",
+    "ONE", "ParseError", "Pow", "Sin", "Var", "ZERO",
     "ZeroSample", "check_nonvanishing", "check_vars", "coerce", "diff",
     "eval_checked", "eval_numeric", "eval_on_grid", "expand", "free_vars",
     "is_zero_sampled", "memo_scope", "neg", "node_count", "num", "parse",

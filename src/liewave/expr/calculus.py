@@ -3,7 +3,6 @@ evaluator behind eval_numeric, eval_checked and eval_on_grid."""
 
 from __future__ import annotations
 
-import importlib
 import math
 import operator
 from fractions import Fraction
@@ -15,10 +14,9 @@ from .nodes import (
     Add, Call, Const, Expr, FUNCTIONS, Mul, Neg, ONE, Pow, Var, ZERO, coerce,
     to_text,
 )
-from .simplify import simplify
+from .simplify import _Exact, derived, simplify
 
-# the simplify module: its memo_scope() sets the derivative table `_derived`
-_memos = importlib.import_module(".simplify", __package__)
+_MISS = object()  # tells a derivative table's miss from a stored None
 
 
 class EvalError(ValueError):
@@ -31,11 +29,9 @@ class EvalError(ValueError):
 
 def diff(e: Expr, var: str) -> Expr:
     """Exact derivative with respect to `var`, canonically simplified.
-    Inside memo_scope() the raw derivative of each branch object is
-    computed once per variable."""
-    derived = _memos._derived
-    memo = None if derived is None else derived.setdefault(var, {})
-    d = _d(e, var, memo)
+    Inside memo_scope() the raw derivative of each branch tree is computed
+    once per variable, and an equal tree gets it back."""
+    d = _d(e, var, derived(var))
     return ZERO if d is None else simplify(d)
 
 
@@ -45,20 +41,20 @@ def _d(e: Expr, var: str, memo):
     `var`.  The product rule writes no term for a factor whose derivative
     is None; each such term would be a product with a 0 factor, which
     simplify folds to 0, so simplify gives the same tree without them.
-    memo is the scope's table for `var`, id(tree) -> (tree, derivative),
-    or None; the pair is never None, so a stored None derivative is a
-    hit."""
+    memo is the scope's table for `var`, _Exact(tree) -> derivative, or
+    None; a stored None is a hit, told from a miss by _MISS."""
     if isinstance(e, Const):
         return None
     if isinstance(e, Var):
         return ONE if e.name == var else None
     if memo is not None:
-        hit = memo.get(id(e))
-        if hit is not None:
-            return hit[1]
+        key = _Exact(e)
+        d = memo.get(key, _MISS)
+        if d is not _MISS:
+            return d
     d = _d_rule(e, var, memo)
     if memo is not None:
-        memo[id(e)] = (e, d)
+        memo[key] = d
     return d
 
 

@@ -201,20 +201,12 @@ def Exp(arg) -> Call:
     return Call("exp", coerce(arg))
 
 
-def Log(arg) -> Call:
-    return Call("log", coerce(arg))
-
-
 def Sin(arg) -> Call:
     return Call("sin", coerce(arg))
 
 
 def Cos(arg) -> Call:
     return Call("cos", coerce(arg))
-
-
-def Sqrt(arg) -> Call:
-    return Call("sqrt", coerce(arg))
 
 
 def free_vars(e: Expr) -> frozenset:

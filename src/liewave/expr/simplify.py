@@ -18,19 +18,14 @@ Two things spare simplify work it has done before:
 - the memo, live only inside `memo_scope()`, which `cli.main` enters once
   around a command: it maps each branch tree simplify has canonicalized to
   the result, so an equal tree built anew as another object (which the
-  mark cannot see) is not simplified again.  Its key is the tree's exact
-  structure: the cached hash, with equality of `nodes.sort_key`, which tells
-  Const(0.5) from Const(Fraction(1, 2)) and 0.0 from -0.0 where == does
-  not.
+  mark cannot see) is not simplified again.
 
-The same scope holds two identity tables for the other pure transforms:
-`_expand` of a branch object, and `calculus._d` of a branch object by a
-variable, are computed once per job and handed back when that object comes
-again (a wave member's B and C hold A's object, and each coefficient of a
-reduction holds all three).  They are keyed on id(tree) and each entry
-holds the tree, so its id cannot be reused while the entry lives.  All
-three tables start and end empty with the scope, so a job shares no tree
-with another job, and outside a scope nothing is memoized at all.
+The scope holds such a table for `_expand` too, and one per variable for
+`calculus._d`.  All three key a tree on its exact structure (`_Exact`): the
+cached hash, with equality of `nodes.sort_key`, which tells Const(0.5) from
+Const(Fraction(1, 2)) and 0.0 from -0.0 where == does not.  They start and
+end empty with the scope, so a job shares no tree with another job, and
+outside a scope nothing is memoized at all.
 """
 
 from __future__ import annotations
@@ -48,8 +43,8 @@ from .nodes import (
 
 # inside memo_scope() only, else None:
 _memo = None      # _Exact(tree) -> canonical form
-_expanded = None  # id(tree) -> (tree, _expand(tree))
-_derived = None   # var -> {id(tree) -> (tree, calculus._d(tree, var))}
+_expanded = None  # _Exact(tree) -> _expand(tree)
+_derived = None   # var -> {_Exact(tree) -> calculus._d(tree, var)}
 
 
 class _Exact:
@@ -78,6 +73,11 @@ def memo_scope():
         yield
     finally:
         _memo = _expanded = _derived = None
+
+
+def derived(var: str):
+    """The scope's table for `calculus._d` by `var`, or None."""
+    return None if _derived is None else _derived.setdefault(var, {})
 
 
 def simplify(e: Expr) -> Expr:
@@ -307,14 +307,15 @@ def expand(e: Expr) -> Expr:
 
 
 def _expand(e: Expr, memo) -> Expr:
-    """Expansion of e, not canonicalized; memo is the scope's identity
-    table (see the module docstring) or None."""
+    """Expansion of e, not canonicalized; memo is the scope's table (see the
+    module docstring) or None."""
     if isinstance(e, (Const, Var)):
         return e
     if memo is not None:
-        hit = memo.get(id(e))
-        if hit is not None:
-            return hit[1]
+        key = _Exact(e)
+        out = memo.get(key)
+        if out is not None:
+            return out
     if isinstance(e, Add):
         out = _add(tuple(_expand(t, memo) for t in e.terms))
     elif isinstance(e, Neg):
@@ -337,7 +338,7 @@ def _expand(e: Expr, memo) -> Expr:
     else:
         raise TypeError(f"not an Expr: {e!r}")
     if memo is not None:
-        memo[id(e)] = (e, out)
+        memo[key] = out
     return out
 
 

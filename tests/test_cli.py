@@ -208,6 +208,28 @@ def test_solve_integrates_the_base_grid_once(tmp_path, monkeypatch):
     assert report["final_time_error"] == report["convergence"][0]["error"]
 
 
+@pytest.mark.parametrize("method, message", [
+    ("ts", "Unable to allocate 7.28 TiB for an array with shape "
+           "(1000000000001,) and data type float64"),
+    ("xs", ""),
+])
+def test_unallocatable_grid_is_exit_2(tmp_path, capsys, monkeypatch, method,
+                                      message):
+    # --nt or --nx too large for memory: the failed allocation is simulated
+    from liewave import numverify
+
+    def fail(self):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(numverify.Grid1D, method, fail)
+    heat = write(tmp_path, "heat.json", HEAT)
+    assert main(["--out", str(tmp_path / "out"), "solve", heat,
+                 "--ic", "exp(-t)*sin(x)"]) == 2
+    err = capsys.readouterr().err
+    detail = f" ({message})" if message else ""
+    assert err == f"error: the requested size cannot be allocated{detail}\n"
+
+
 def test_solution_csv_matches_row_list_writer(tmp_path):
     # x = 0.1 is where .17g ("0.10000000000000001") and repr ("0.1") differ,
     # and on [0, 1e-5] every inner x is written with an exponent; u and the

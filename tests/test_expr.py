@@ -28,6 +28,7 @@ from oracles import (
 )
 
 simplify_module = importlib.import_module("liewave.expr.simplify")
+calculus_module = importlib.import_module("liewave.expr.calculus")
 
 
 # ---------------------------------------------------------------- parsing
@@ -375,7 +376,7 @@ def _check_memo_is_invisible(e):
     with memo_scope():
         assert _calls(e) == outside
         assert _calls(e) == outside  # now served from the memo
-        # the identity tables serve the second call of each pair
+        # the tables serve the second call of each pair
         assert _same_object_calls(e) == outside_same
         leaf = isinstance(e, (Const, Var))
         assert simplify_module._memo or leaf
@@ -403,12 +404,13 @@ def test_memo_gives_the_results_of_no_memo_random(e):
     (Call("sin", Const(0.0)), Call("sin", Const(-0.0))),
 ])
 def test_memo_keeps_apart_trees_that_only_look_alike(a, b):
-    expected = repr(simplify(_unmarked(a))), repr(simplify(_unmarked(b)))
-    assert expected[0] != expected[1]
+    # simplify, expand and diff alike: each tree gets its no-memo results,
+    # whichever of the two the scope has seen first
+    expected = _calls(a), _calls(b)
+    assert expected[0][0] != expected[1][0]
     for first, second in ((a, b), (b, a)):
         with memo_scope():
-            got = {repr(first): repr(simplify(_unmarked(first))),
-                   repr(second): repr(simplify(_unmarked(second)))}
+            got = {repr(first): _calls(first), repr(second): _calls(second)}
         assert (got[repr(a)], got[repr(b)]) == expected
     assert sort_key(a) != sort_key(b)
 
@@ -435,18 +437,31 @@ def test_memo_lives_only_inside_its_scope():
     assert _memo_tables() == (None, None, None)
 
 
-def test_identity_tables_hold_the_trees_they_key():
-    # an entry keeps its tree alive, so no later object can take its id
+def test_tables_serve_equal_trees_built_apart(monkeypatch):
+    # one text parsed twice: two objects, one structure, one table entry
+    text = "x*(1 + x)*sin(x) + exp(x)^2"
+
+    def sizes():
+        return (len(simplify_module._expanded),
+                *(len(simplify_module._derived[v]) for v in ("x", "t")))
+
+    def no_rule(e, var, memo):
+        raise AssertionError(f"derivative of {e!r} by {var} computed again")
+
     with memo_scope():
-        e = parse("x*(1 + x)")
-        expand(e)
-        diff(e, "x")
-        canon = simplify(e)  # what expand expands
-        assert simplify_module._expanded[id(canon)][0] is canon
-        assert simplify_module._derived["x"][id(e)][0] is e
-        # a None derivative (structurally zero) is stored and served too
-        assert diff(e, "t") == Const(0)
-        assert simplify_module._derived["t"][id(e)] == (e, None)
+        first, second = parse(text), parse(text)
+        assert first is not second
+        results = expand(first), diff(first, "x"), diff(first, "t")
+        before = sizes()
+        # the second parse is served from the tables, also the structurally
+        # zero t-derivative: a stored None is a hit, not a miss
+        monkeypatch.setattr(calculus_module, "_d_rule", no_rule)
+        assert (expand(second), diff(second, "x"), diff(second, "t")) \
+            == results
+        assert sizes() == before
+        assert results[2] == Const(0)
+        key = simplify_module._Exact(second)
+        assert simplify_module._derived["t"][key] is None
 
 
 # ------------------------------------------------------- differentiation
