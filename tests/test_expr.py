@@ -437,6 +437,22 @@ def test_memo_lives_only_inside_its_scope():
     assert _memo_tables() == (None, None, None)
 
 
+def test_identity_tables_hold_the_trees_they_key():
+    # an entry's key holds the tree it was made from, so the entry keeps
+    # that tree alive and compares on its exact structure
+    with memo_scope():
+        e = parse("x*(1 + x)")
+        expand(e)
+        diff(e, "x")
+        canon = simplify(e)  # what expand expands
+        assert any(k.tree is canon for k in simplify_module._expanded)
+        assert any(k.tree is e for k in simplify_module._derived["x"])
+        # a None derivative (structurally zero) is stored and served too
+        assert diff(e, "t") == Const(0)
+        key = next(k for k in simplify_module._derived["t"] if k.tree is e)
+        assert simplify_module._derived["t"][key] is None
+
+
 def test_tables_serve_equal_trees_built_apart(monkeypatch):
     # one text parsed twice: two objects, one structure, one table entry
     text = "x*(1 + x)*sin(x) + exp(x)^2"
