@@ -10,6 +10,7 @@ malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -64,8 +65,7 @@ def _digest(path: str) -> str:
 def _write_json(payload, path):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _finish(args, command: list, checks: list, extra: dict, inputs=()) -> int:
@@ -118,7 +118,10 @@ _tolerance = _ranged(float, lambda v: 0.0 <= v < math.inf,
                      "a finite number >= 0")
 
 
+@functools.cache
 def _build_parser():
+    """The one parser of this process: argparse keeps no state between
+    parse_args calls, so `main` builds it once and reuses it."""
     ap = argparse.ArgumentParser(
         prog="liewave",
         description="Symmetry workbench for u_t = A(x,t) u_2x + B(x,t) u_x "

@@ -11,8 +11,8 @@ from functools import reduce
 import numpy as np
 
 from .nodes import (
-    Add, Call, Const, Expr, FUNCTIONS, Mul, Neg, ONE, Pow, Var, ZERO, coerce,
-    to_text,
+    Add, Call, Const, Expr, FUNCTIONS, MINUS_ONE, Mul, Neg, ONE, Pow, Var,
+    ZERO, coerce, to_text,
 )
 from .simplify import _Exact, derived, simplify
 
@@ -88,7 +88,7 @@ def _d_rule(e: Expr, var: str, memo):
         if dx is not None:
             terms.append(Mul((dx, Call("log", b))))
         if db is not None:
-            terms.append(Mul((x, db, Pow(b, Const(Fraction(-1))))))
+            terms.append(Mul((x, db, Pow(b, MINUS_ONE))))
         return Mul((e, Add(tuple(terms)))) if terms else None
     if isinstance(e, Call):
         u, du = e.arg, _d(e.arg, var, memo)
@@ -97,13 +97,13 @@ def _d_rule(e: Expr, var: str, memo):
         if e.fn == "exp":
             return Mul((e, du))
         if e.fn == "log":
-            return Mul((du, Pow(u, Const(Fraction(-1)))))
+            return Mul((du, Pow(u, MINUS_ONE)))
         if e.fn == "sin":
             return Mul((Call("cos", u), du))
         if e.fn == "cos":
             return Neg(Mul((Call("sin", u), du)))
         if e.fn == "sqrt":
-            return Mul((du, Pow(Mul((Const(Fraction(2)), e)), Const(Fraction(-1)))))
+            return Mul((du, Pow(Mul((Const(Fraction(2)), e)), MINUS_ONE)))
     raise TypeError(f"not an Expr: {e!r}")
 
 

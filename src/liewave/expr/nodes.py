@@ -52,10 +52,10 @@ class Expr:
         return Mul((coerce(other), self))
 
     def __truediv__(self, other):
-        return Mul((self, Pow(coerce(other), Const(Fraction(-1)))))
+        return Mul((self, Pow(coerce(other), MINUS_ONE)))
 
     def __rtruediv__(self, other):
-        return Mul((coerce(other), Pow(self, Const(Fraction(-1)))))
+        return Mul((coerce(other), Pow(self, MINUS_ONE)))
 
     def __pow__(self, other):
         return Pow(self, coerce(other))
@@ -156,6 +156,7 @@ class Call(_Branch):
 
 ZERO = Const(Fraction(0))
 ONE = Const(Fraction(1))
+MINUS_ONE = Const(Fraction(-1))  # the exponent of every division
 
 
 def coerce(x) -> Expr:
@@ -365,7 +366,7 @@ def _term_text(e: Expr) -> str:
         return _factor_text(e)
     parts = [_factor_text(e.factors[0])]
     for f in e.factors[1:]:
-        if isinstance(f, Pow) and f.exponent == Const(Fraction(-1)):
+        if isinstance(f, Pow) and f.exponent == MINUS_ONE:
             parts.append("/" + _factor_text(f.base))
         else:
             parts.append("*" + _factor_text(f))

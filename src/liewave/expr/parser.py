@@ -16,7 +16,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .nodes import Add, Call, Const, Expr, FUNCTIONS, Mul, Pow, Var, neg
+from .nodes import (
+    Add, Call, Const, Expr, FUNCTIONS, MINUS_ONE, Mul, Pow, Var, neg,
+)
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
@@ -101,7 +103,7 @@ class _Parser:
             if kind == "op" and value in "*/":
                 self.take()
                 f = self.factor()
-                factors.append(Pow(f, Const(Fraction(-1))) if value == "/" else f)
+                factors.append(Pow(f, MINUS_ONE) if value == "/" else f)
             else:
                 break
         return factors[0] if len(factors) == 1 else Mul(tuple(factors))
@@ -124,7 +126,8 @@ class _Parser:
     def atom(self) -> Expr:
         kind, value, offset = self.take()
         if kind == "number":
-            return Const(Fraction(value))
+            # an integer literal skips Fraction's string parser
+            return Const(Fraction(int(value) if value.isdigit() else value))
         if kind == "ident":
             nk, nv, _ = self.peek()
             if nk == "op" and nv == "(":

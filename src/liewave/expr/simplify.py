@@ -46,6 +46,8 @@ _memo = None      # _Exact(tree) -> canonical form
 _expanded = None  # _Exact(tree) -> _expand(tree)
 _derived = None   # var -> {_Exact(tree) -> calculus._d(tree, var)}
 
+_UNIT = ONE.value  # the coefficient of a term or product with no constant
+
 
 class _Exact:
     """A tree as a memo key: equal to another only if their sort keys are
@@ -139,8 +141,8 @@ def _split_term(e: Expr):
     if isinstance(e, Mul):
         if isinstance(e.factors[0], Const):
             return e.factors[0].value, e.factors[1:]
-        return Fraction(1), e.factors
-    return Fraction(1), (e,)
+        return _UNIT, e.factors
+    return _UNIT, (e,)
 
 
 def _join_term(coeff, rest: tuple) -> Expr:
@@ -192,7 +194,10 @@ def _split_factor(f: Expr):
 
 
 def _mul(factors: tuple) -> Expr:
-    coeff = Fraction(1)
+    # the first constant is taken as it is, not multiplied into an exact 1:
+    # 1 * v is v for a Fraction and for a float (-0.0 too), and the product
+    # would be one more Fraction built per call
+    coeff = _UNIT
     negative = False
     raw = []
     stack = list(reversed(factors))
@@ -204,7 +209,7 @@ def _mul(factors: tuple) -> Expr:
             negative = not negative
             stack.append(f.child)
         elif isinstance(f, Const):
-            coeff = coeff * f.value
+            coeff = f.value if coeff is _UNIT else coeff * f.value
         else:
             raw.append(f)
     if coeff == 0:

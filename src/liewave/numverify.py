@@ -181,6 +181,7 @@ def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D):
         raise ValueError("initial condition evaluated to non-finite values")
     yield u
     prods = np.empty((3, g.nx - 2))
+    p0, p1, p2 = prods  # row views, bound once for every step
     for n0 in range(0, g.nt, BLOCK):
         n1 = min(n0 + BLOCK, g.nt)
         if timed:
@@ -200,8 +201,8 @@ def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D):
         with np.errstate(over="ignore", invalid="ignore"):
             for w, window, inner in zip(weights, windows, block[1:, 1:-1]):
                 np.multiply(w, window, out=prods)
-                np.add(prods[0], prods[1], out=inner)
-                inner += prods[2]
+                np.add(p0, p1, out=inner)
+                inner += p2
         u = block[-1]
         finite = np.isfinite(block[1:]).all(axis=1)
         if not finite.all():

@@ -8,9 +8,10 @@ evaluates it once; the grid residual of a closed form cross-checks the
 sampled zero test; forward Euler written as the textbook increment
 cross-checks the three-weight update of `fd_solve`; the Simpson probe shows
 why wave synthesis freezes phi; a plain max |e| over a cloud checks printed
-residual figures; and the determining system written through P and R, as
+residual figures; the determining system written through P and R, as
 the paper states it for the wave and oscillator families, checks those
-families term by term.
+families term by term; and the product fold as it was, seeded with a fresh
+exact 1, checks the `_mul` that keeps its first constant as it is.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -27,8 +29,9 @@ from liewave.expr import (
     eval_checked, eval_numeric, eval_on_grid, expand, free_vars, num,
     sample_box, simplify, substitute,
 )
-from liewave.expr.nodes import FUNCTIONS
+from liewave.expr.nodes import FUNCTIONS, ZERO, sort_key
 from liewave.expr.sampling import _point
+from liewave.expr.simplify import _negate, _pow, _split_factor
 from liewave.numverify import Grid1D, _on_grid, stable_dt
 from liewave.reduction import SeparableAnsatz
 from liewave.symmetry import (
@@ -369,3 +372,75 @@ def probe_gauge_time_dependence(P: Expr, phi: Expr, q: float, *,
             total += w * eval_numeric(integrand, {"a": a_i, "x": x_probe, "t": t})
         out[t] = -total * h / 3.0
     return out
+
+
+# ------------------------------------------------------------ product fold
+
+def unit_seeded_mul(factors: tuple) -> Expr:
+    """`simplify._mul` as it was: the coefficient starts as a new
+    Fraction(1) and every constant is multiplied into it."""
+    coeff = Fraction(1)
+    negative = False
+    raw = []
+    stack = list(reversed(factors))
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Mul):
+            stack.extend(reversed(f.factors))
+        elif isinstance(f, Neg):
+            negative = not negative
+            stack.append(f.child)
+        elif isinstance(f, Const):
+            coeff = coeff * f.value
+        else:
+            raw.append(f)
+    if coeff == 0:
+        return ZERO
+    if coeff < 0:
+        negative = not negative
+        coeff = -coeff
+    powers = {}
+    single = {}
+    rest = []
+    for f in raw:
+        split = _split_factor(f)
+        if split is None:
+            rest.append(f)
+            continue
+        base, expo = split
+        if base in powers:
+            powers[base] += expo
+            single.pop(base, None)
+        else:
+            powers[base] = expo
+            single[base] = f
+    for base, expo in powers.items():
+        f = single.get(base)
+        if f is not None and not isinstance(base, (Const, Mul)):
+            rest.append(f)
+            continue
+        merged = _pow(base, Const(Fraction(expo)))
+        if isinstance(merged, Const):
+            coeff = coeff * abs(merged.value)
+            if merged.value < 0:
+                negative = not negative
+            continue
+        if isinstance(merged, Neg):
+            negative = not negative
+            merged = merged.child
+        rest.append(merged)
+    if coeff == 0:
+        return ZERO
+    if any(isinstance(r, Mul) for r in rest):
+        out = unit_seeded_mul(tuple([Const(coeff)] + rest))
+        return _negate(out) if negative else out
+    rest.sort(key=sort_key)
+    if not rest:
+        body = Const(coeff)
+        return Const(-coeff) if negative else body
+    if coeff != 1:
+        rest.insert(0, Const(coeff))
+    body = rest[0] if len(rest) == 1 else Mul(tuple(rest))
+    if not negative:
+        return body
+    return _negate(body) if isinstance(body, Add) else Neg(body)

@@ -1,4 +1,5 @@
 import importlib
+import io
 import json
 import math
 import os
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liewave
+from liewave import cli
 from liewave.cli import main
 
 simplify_module = importlib.import_module("liewave.expr.simplify")
@@ -821,6 +823,40 @@ def test_argv_fuzz_keeps_the_exit_code_contract(tmp_path_factory, argv):
         assert rc in (0, 1, 2)
     assert (simplify_module._memo, simplify_module._expanded,
             simplify_module._derived) == (None, None, None)
+
+
+def test_main_reuses_one_parser(tmp_path, capsys):
+    pde = write(tmp_path, "pde.json", HEAT)
+    gen = write(tmp_path, "gen.json", {"phi": "0", "xi": "2*t", "M": "-x"})
+
+    def run(out):
+        assert main(["--out", str(tmp_path / out), "check", pde, "--gen",
+                     gen]) == 0
+        return (read_report(tmp_path / out), capsys.readouterr().out)
+
+    cli._build_parser.cache_clear()
+    fresh = run("fresh")
+    # argparse rejects this only after every option has been read, so a
+    # parser that kept what it read would hand seed and samples on
+    with pytest.raises(SystemExit) as stop:
+        main(["--seed", "7", "--samples", "13", "check", pde, "--nt", "3"])
+    assert stop.value.code == 2
+    capsys.readouterr()
+    assert run("reused") == fresh
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_write_json_is_json_dump_and_a_newline(tmp_path):
+    payload = {"z": [math.inf, -math.inf, math.nan, -0.0, 1e-300, 5e-324],
+               "a": {"\u00fc": "\u0394t \u2265 0",
+                     "nested": {"b": [1, {"c": None, "d": True}], "a": []}},
+               "\u00e9": "na\u00efve", "n": 0.1}
+    path = tmp_path / "sub" / "report.json"
+    cli._write_json(payload, path)
+    ref = io.StringIO()
+    json.dump(payload, ref, indent=2, sort_keys=True)
+    ref.write("\n")
+    assert path.read_bytes() == ref.getvalue().encode("utf-8")
 
 
 @pytest.mark.parametrize("payload", [

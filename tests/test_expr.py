@@ -25,6 +25,7 @@ from conftest import CORPUS
 from oracles import _ev as tree_walk_ev
 from oracles import (
     max_abs_sampled, tree_walk_checked, tree_walk_numeric, tree_walk_on_grid,
+    unit_seeded_mul,
 )
 
 simplify_module = importlib.import_module("liewave.expr.simplify")
@@ -566,6 +567,32 @@ def test_mul_keeps_canonical_factors_as_they_are():
     # a repeated base still merges
     assert _mul((Var("x"), simplify(parse("x^2")))) == Pow(Var("x"), Const(3))
     assert simplify(parse("x*x^2")) == parse("x^3")
+
+
+_mul_constants = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    _decimal_fractions,
+    st.sampled_from([1.0, -1.0, 0.0, -0.0, 0.5, -2.5, 3.0, 1e-300]),
+).map(Const)
+
+
+@given(consts=st.lists(_mul_constants, max_size=3),
+       others=st.lists(_exprs_with_floats.map(simplify), max_size=3),
+       data=st.data())
+@example(consts=[Const(-0.0)], others=[Var("x")], data=None)
+@example(consts=[Const(1.0)], others=[Var("x")], data=None)
+@example(consts=[Const(1.0), Const(Fraction(1, 2))], others=[], data=None)
+@example(consts=[Const(Fraction(3, 2)), Const(2.0)], others=[Var("t")],
+         data=None)
+@settings(max_examples=300, deadline=None)
+def test_mul_matches_the_unit_seeded_fold(consts, others, data):
+    # the first constant is kept as it is, not multiplied into a new exact
+    # 1: same tree down to each constant's type and the sign of zero
+    factors = consts + others
+    if data is not None:
+        factors = data.draw(st.permutations(factors))
+    factors = tuple(factors)
+    assert sort_key(_mul(factors)) == sort_key(unit_seeded_mul(factors))
 
 
 # ------------------------------------------------------------ substitute
