@@ -104,29 +104,38 @@ def _on_grid(e: Expr, xs, ts, what: str) -> np.ndarray:
 def stable_dt(p: PdeSpec, xs: np.ndarray, t0: float, t1: float):
     """The explicit scheme's one stability rule: (advective, dt_max).
 
-    A and B are probed on the x nodes `xs` at 64 times spanning [t0, t1].
-    A < 0 is backward diffusion: ValueError (ill-posed).  Where A vanishes
-    u_x is upwinded and dt <= dx / max|B| (inf when B vanishes too);
-    otherwise dt <= dx^2 / (2 max|A|).
+    A, B and C are probed on the x nodes `xs` at 64 times spanning [t0, t1].
+    A < 0 is backward diffusion: ValueError (ill-posed).  With
+    c = max(-C, 0), these are the forward-Euler von Neumann bounds
+    (Strikwerda 2004, ch. 2): where A vanishes u_x is upwinded and
+    dt <= 2 / (2 max|B| / dx + c), which is 2 / c when B vanishes too and
+    inf when c is 0 as well; otherwise dt <= 2 dx^2 / (4 max|A| + c dx^2).
+    Where c = 0 they are computed as dx / max|B| and dx^2 / (2 max|A|).
     """
     dx = (xs[-1] - xs[0]) / (len(xs) - 1)
     ts = np.linspace(t0, t1, 64)
-    a_vals, b_vals = (_on_grid(c, xs, ts, f"coefficient {to_text(c)}")
-                      for c in (p.A, p.B))
+    a_vals, b_vals, c_vals = (_on_grid(c, xs, ts, f"coefficient {to_text(c)}")
+                              for c in (p.A, p.B, p.C))
     j, i = np.unravel_index(np.argmin(a_vals), a_vals.shape)
     if a_vals[j, i] < -_UPWIND_A_THRESHOLD:
         raise ValueError(
             f"A = {a_vals[j, i]:.6g} < 0 at x = {xs[i]:.6g}, t = {ts[j]:.6g}: "
             f"backward diffusion is ill-posed")
     max_a, max_b = (float(np.max(np.abs(v))) for v in (a_vals, b_vals))
+    c = max(-float(np.min(c_vals)), 0.0)  # decay rate, 0 where C >= 0
     if max_a >= _UPWIND_A_THRESHOLD:
-        return False, dx * dx / (2.0 * max_a)
-    return True, dx / max_b if max_b > 0 else math.inf
+        if c == 0:
+            return False, dx * dx / (2.0 * max_a)
+        return False, 2.0 * dx * dx / (4.0 * max_a + c * dx * dx)
+    if c == 0:
+        return True, dx / max_b if max_b > 0 else math.inf
+    return True, 2.0 / (2.0 * max_b / dx + c)
 
 
 def auto_nt(pde: PdeSpec, grid: Grid1D) -> int:
     """The step count `solve` picks without --nt: the span over the
-    `stable_dt` bound, halved for upwind; span / 16 where no bound holds."""
+    `stable_dt` bound, halved for upwind (and where A and B vanish); span /
+    16 where no bound holds."""
     span = grid.t1 - grid.t0
     advective, dt = stable_dt(pde, grid.xs(), grid.t0, grid.t1)
     if math.isinf(dt):

@@ -301,16 +301,51 @@ def test_solve_rejects_backward_diffusion(tmp_path, capsys):
 
 
 def test_solve_blowup_is_a_failed_check(tmp_path):
-    # exp(-100001 t) sin(x) solves u_t = u_2x - 100000 u and stays finite;
-    # the step bound leaves C out, so forward Euler grows by |1 + C dt|
-    pde = write(tmp_path, "pde.json", dict(HEAT, C="-100000"))
+    # exp(x + 100.000001 t) solves u_t = 1e-6 u_2x + 100 u_x and stays
+    # finite; the step bound of the centered scheme holds (dt <= dx^2 / 2A),
+    # but at a cell Peclet number of 1e6 the scheme amplifies rounding by
+    # about |1 + 2i w|, w = B dt / 2dx = 5, per step
+    pde = write(tmp_path, "pde.json", dict(HEAT, A="0.000001", B="100"))
     out = tmp_path / "out"
     assert main(["--out", str(out), "solve", pde,
-                 "--ic", "exp(-100001*t)*sin(x)", "--nx", "11"]) == 1
+                 "--ic", "exp(x + 100.000001*t)", "--nx", "101",
+                 "--nt", "1000"]) == 1
     (check,) = read_report(out)["checks"]
     assert (check["name"], check["status"]) == ("time_stepping", "FAIL")
     assert "non-finite" in check["note"]
     assert not (out / "solution.csv").exists()
+
+
+STIFF = {"A": "1", "B": "0", "C": "-100000",
+         "domain": {"x": [0, math.pi], "t": [0, 0.001]}}
+
+
+def test_solve_step_bound_sees_decay_rate(tmp_path):
+    # exp(-100001 t) sin(x) solves u_t = u_2x - 100000 u; with C left out
+    # of the bound nt was 1 and forward Euler grew by |1 + C dt| = 99
+    pde = write(tmp_path, "pde.json", STIFF)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "solve", pde, "--ic",
+                 "exp(-100001*t)*sin(x)", "--nx", "11", "--levels", "3"]) == 0
+    report = read_report(out)
+    dx = math.pi / 10
+    bound = 2 * dx * dx / (4 + 100000 * dx * dx)
+    assert report["grid"]["nt"] == math.ceil(0.001 / bound) == 51
+    # at the bound the sin(x) mode shrinks by |1 + dt lambda| = 0.96 a step,
+    # not e^-2: the error stays below the initial amplitude 1, and the
+    # refined levels reach the rounding floor
+    assert report["final_time_error"] < 0.2
+    assert [lv["error"] < 1e-40 for lv in report["convergence"]] == \
+        [False, True, True]
+
+
+def test_solve_step_over_the_decay_bound_is_exit_2(tmp_path, capsys):
+    pde = write(tmp_path, "pde.json", STIFF)
+    assert main(["--out", str(tmp_path / "out"), "solve", pde, "--ic",
+                 "exp(-100001*t)*sin(x)", "--nx", "11", "--nt", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: time step 0.001 violates the explicit stability bound; "
+        "need dt <= 1.99919e-05\n")
 
 
 @pytest.mark.parametrize("study", [[], ["--levels", "3"]])

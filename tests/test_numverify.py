@@ -174,12 +174,36 @@ def test_stable_dt_is_one_rule_for_both_schemes():
     assert stable_dt(zero, xs, 0.0, 0.1) == (True, math.inf)
 
 
+DX = 0.025  # the spacing of 41 nodes on [0, 1]
+
+
+@pytest.mark.parametrize("coeffs, expected", [
+    # c = max(-C, 0) in the von Neumann bounds of both schemes
+    (("1", "0", "-100000"), (False, 2 * DX * DX / (4 + 100000 * DX * DX))),
+    (("2", "1", "x - 1/2"), (False, 2 * DX * DX / (8 + 0.5 * DX * DX))),
+    (("0", "2", "-50"), (True, 2 / (2 * 2 / DX + 50))),
+    (("0", "0", "-8"), (True, 2 / 8)),
+    # C = -1000 t is most negative at the last probe, t = 0.1
+    (("1", "0", "-1000*t"), (False, 2 * DX * DX / (4 + 100 * DX * DX))),
+    # C >= 0 keeps the bounds without C, as the same floats
+    (("2", "0", "5"), (False, DX * DX / (2 * 2))),
+    (("0", "3", "x"), (True, DX / 3)),
+    (("0", "0", "1"), (True, math.inf)),
+])
+def test_stable_dt_sees_decay_rate(coeffs, expected):
+    p = PdeSpec(*(parse(c) for c in coeffs), DOM)
+    assert stable_dt(p, np.linspace(0.0, 1.0, 41), 0.0, 0.1) == expected
+
+
 def test_auto_nt_takes_the_bound_halved_for_upwind():
     g = Grid1D(0.0, 1.0, 41, 0.0, 0.1, 1)
     assert auto_nt(WAVE_PDE, g) == math.ceil(0.1 / (0.025**2 / 2.0))
     assert auto_nt(ADV_PDE, g) == math.ceil(0.1 / (0.5 * 0.025))
     zero = PdeSpec(parse("0"), parse("0"), parse("0"), DOM)
     assert auto_nt(zero, g) == 16  # no bound: a sixteenth of the span
+    # A = B = 0 and C = -100: dt <= 2 / 100, halved
+    decay = PdeSpec(parse("0"), parse("0"), parse("-100"), DOM)
+    assert auto_nt(decay, g) == math.ceil(0.1 / (0.5 * 2 / 100))
 
 
 def _per_step_reference(p, ic, bc, g):
