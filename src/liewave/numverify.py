@@ -472,7 +472,11 @@ def mode_solve(problem: ModeProblem, modes: int):
     constant piece is exact.  Where N varies within a piece, the mesh
     doubled (N_max kept) gives C_2M, and C is the Richardson value
     (4 C_2M - C_M) / 3; where both meshes merge to the same cells, C_M
-    stands.  Each shape is sampled on the finer of the meshes used.
+    stands.  Each shape is sampled on the finer of the meshes used, at
+    NSTEPS + 1 points; ValueError where a mode's largest wavenumber k_max
+    = max N~ / c_m exceeds pi/2 per sample step h = 1/NSTEPS, as its shape
+    could then not show its m - 1 zeros (sampling finer instead would
+    make the shapes' memory grow as modes^2).
     ModeSearchError: N vanishes, C_2M differs from C_M by more than
     MESH_REL (the mesh does not resolve N), or a C is not a normal float.
     """
@@ -495,6 +499,11 @@ def mode_solve(problem: ModeProblem, modes: int):
     zs = problem.H * np.linspace(-1.0, 0.0, NSTEPS + 1)
     found = []
     for m, c in enumerate(cs, 1):
+        kh = max(shooter.ns) / c / NSTEPS
+        if kh > 0.5 * math.pi:
+            raise ValueError(
+                f"mode {m} is finer than the {NSTEPS + 1}-point shape grid "
+                f"can show: k_max h = {kh:.6g} > pi/2; ask for fewer modes")
         C = c * shooter.n_max * problem.H
         if not np.finfo(float).tiny <= C < math.inf:
             raise ModeSearchError(m - 1, modes, f"C_{m} = {C:.3g} "

@@ -439,6 +439,34 @@ def test_modes_rescaled_constant_profile_keeps_the_sine_series(tmp_path,
         assert abs(c - exact) <= 1e-13 * exact
 
 
+@pytest.mark.parametrize("profile, modes, first_unshown", [
+    # N constant: k_max h = m pi / 2000 reaches pi/2 at m = 1000
+    ({"H": 300.0, "N": "0.0002"}, 1000, None),
+    ({"H": 300.0, "N": "0.0002"}, 2000, 1001),
+    # N only above -300 of 1000: shorter waves, so a lower m
+    ({"H": 1000.0, "N": [{"z": [-1000, -300], "expr": "0"},
+                         {"z": [-300, 0], "expr": "0.0002"}]}, 1000, 301),
+])
+def test_modes_beyond_the_shape_grid_are_exit_2(tmp_path, capsys, profile,
+                                                modes, first_unshown):
+    # the 2001-point shape of mode 2000 falls on its zeros: node_count
+    # FAILed although C_2000 was right
+    out = tmp_path / "out"
+    rc = main(["--out", str(out), "modes", write(tmp_path, "profile.json",
+                                                profile),
+               "--modes", str(modes)])
+    if first_unshown is None:
+        assert rc == 0
+        assert len(read_report(out)["checks"]) == modes
+    else:
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: mode {first_unshown} is finer than "
+                              f"the 2001-point shape grid")
+        assert "> pi/2" in err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("H", [1000.0, 1e-150])
 @pytest.mark.parametrize("pieces, reason", [
     # a tenth of the column, (-H/2, -2H/5), belongs to no piece
