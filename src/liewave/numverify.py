@@ -110,7 +110,8 @@ def stable_dt(p: PdeSpec, xs: np.ndarray, t0: float, t1: float):
     (Strikwerda 2004, ch. 2): where A vanishes u_x is upwinded and
     dt <= 2 / (2 max|B| / dx + c), which is 2 / c when B vanishes too and
     inf when c is 0 as well; otherwise dt <= 2 dx^2 / (4 max|A| + c dx^2).
-    Where c = 0 they are computed as dx / max|B| and dx^2 / (2 max|A|).
+    Where c = 0 the upwind bound is computed as dx / max|B|; the diffusive
+    one is then dx^2 / (2 max|A|) to the bit, as scaling by 2 and 4 is exact.
     """
     dx = (xs[-1] - xs[0]) / (len(xs) - 1)
     ts = np.linspace(t0, t1, 64)
@@ -124,8 +125,6 @@ def stable_dt(p: PdeSpec, xs: np.ndarray, t0: float, t1: float):
     max_a, max_b = (float(np.max(np.abs(v))) for v in (a_vals, b_vals))
     c = max(-float(np.min(c_vals)), 0.0)  # decay rate, 0 where C >= 0
     if max_a >= _UPWIND_A_THRESHOLD:
-        if c == 0:
-            return False, dx * dx / (2.0 * max_a)
         return False, 2.0 * dx * dx / (4.0 * max_a + c * dx * dx)
     if c == 0:
         return True, dx / max_b if max_b > 0 else math.inf
@@ -473,10 +472,14 @@ def mode_solve(problem: ModeProblem, modes: int):
     doubled (N_max kept) gives C_2M, and C is the Richardson value
     (4 C_2M - C_M) / 3; where both meshes merge to the same cells, C_M
     stands.  Each shape is sampled on the finer of the meshes used, at
-    NSTEPS + 1 points; ValueError where a mode's largest wavenumber k_max
-    = max N~ / c_m exceeds pi/2 per sample step h = 1/NSTEPS, as its shape
-    could then not show its m - 1 zeros (sampling finer instead would
-    make the shapes' memory grow as modes^2).
+    NSTEPS + 1 points.  The zeros of mode m are at least pi / k_max apart,
+    k_max = max N~ / c_m (Sturm comparison), so each of its half-waves
+    holds a sample point, and the shape shows its m - 1 zeros, while
+    k_max h < pi for the sample step h = 1/NSTEPS.  ValueError where a
+    mode fails that bound, with a margin of 2 ROOT_REL so that the tie
+    k_max h = pi (mode NSTEPS of a constant N, whose samples fall on its
+    zeros) is refused whatever the last bit of c_m (sampling finer instead
+    would make the shapes' memory grow as modes^2).
     ModeSearchError: N vanishes, C_2M differs from C_M by more than
     MESH_REL (the mesh does not resolve N), or a C is not a normal float.
     """
@@ -500,10 +503,10 @@ def mode_solve(problem: ModeProblem, modes: int):
     found = []
     for m, c in enumerate(cs, 1):
         kh = max(shooter.ns) / c / NSTEPS
-        if kh > 0.5 * math.pi:
+        if kh >= math.pi * (1.0 - 2.0 * ROOT_REL):
             raise ValueError(
                 f"mode {m} is finer than the {NSTEPS + 1}-point shape grid "
-                f"can show: k_max h = {kh:.6g} > pi/2; ask for fewer modes")
+                f"can show: k_max h = {kh:.17g} >= pi; ask for fewer modes")
         C = c * shooter.n_max * problem.H
         if not np.finfo(float).tiny <= C < math.inf:
             raise ModeSearchError(m - 1, modes, f"C_{m} = {C:.3g} "

@@ -439,13 +439,19 @@ def test_modes_rescaled_constant_profile_keeps_the_sine_series(tmp_path,
         assert abs(c - exact) <= 1e-13 * exact
 
 
+PIECEWISE_300 = {"H": 1000.0, "N": [{"z": [-1000, -300], "expr": "0"},
+                                    {"z": [-300, 0], "expr": "0.0002"}]}
+
+
 @pytest.mark.parametrize("profile, modes, first_unshown", [
-    # N constant: k_max h = m pi / 2000 reaches pi/2 at m = 1000
-    ({"H": 300.0, "N": "0.0002"}, 1000, None),
-    ({"H": 300.0, "N": "0.0002"}, 2000, 1001),
-    # N only above -300 of 1000: shorter waves, so a lower m
-    ({"H": 1000.0, "N": [{"z": [-1000, -300], "expr": "0"},
-                         {"z": [-300, 0], "expr": "0.0002"}]}, 1000, 301),
+    # N constant: k_max h = m pi / 2000, so m = 1999 is the last mode
+    # shown; m = 2000 sits on pi itself, which the margin refuses
+    ({"H": 300.0, "N": "0.0002"}, 1999, None),
+    ({"H": 300.0, "N": "0.0002"}, 2000, 2000),
+    # N only above -300 of 1000: shorter waves, so a lower m; k_max h is
+    # 0.9992 pi at m = 600 and 1.0008 pi at m = 601
+    (PIECEWISE_300, 600, None),
+    (PIECEWISE_300, 1000, 601),
 ])
 def test_modes_beyond_the_shape_grid_are_exit_2(tmp_path, capsys, profile,
                                                 modes, first_unshown):
@@ -463,7 +469,7 @@ def test_modes_beyond_the_shape_grid_are_exit_2(tmp_path, capsys, profile,
         err = capsys.readouterr().err
         assert err.startswith(f"error: mode {first_unshown} is finer than "
                               f"the 2001-point shape grid")
-        assert "> pi/2" in err
+        assert ">= pi;" in err
         assert not out.exists()
 
 

@@ -1,0 +1,41 @@
+"""The tools under tools/ that the suite can run without a workload."""
+
+import importlib.util
+import signal
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "sample_profile.py"
+_SPEC = importlib.util.spec_from_file_location("sample_profile", _PATH)
+sample_profile = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(sample_profile)
+
+
+def _frame(module, code, back=None):
+    return SimpleNamespace(f_code=code, f_globals={"__name__": module},
+                           f_back=back)
+
+
+def test_sampler_counts_frames_up_to_the_job():
+    def job():
+        sampler(signal.SIGPROF, sys._getframe())
+
+    sampler = sample_profile._Sampler(job.__code__)
+    job()
+    sampler(signal.SIGPROF, sys._getframe())  # outside a job: dropped
+    assert sampler.samples == 1
+    label = (__name__, job.__qualname__)
+    assert sampler.self_[label] == sampler.inclusive[label] == 1
+    assert sampler.inclusive[__name__] == 1
+
+
+def test_sampler_reads_code_without_a_qualname():
+    # Python 3.10's code objects have co_name only
+    stop = SimpleNamespace(co_name="main")
+    inner = SimpleNamespace(co_name="step")
+    sampler = sample_profile._Sampler(stop)
+    sampler(signal.SIGPROF, _frame("a.b", inner, _frame("a.cli", stop)))
+    assert sampler.samples == 1
+    assert sampler.self_[("a.b", "step")] == 1
+    assert sampler.inclusive[("a.cli", "main")] == 1

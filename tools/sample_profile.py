@@ -54,8 +54,9 @@ class _Sampler:
         labels = []
         while frame is not None:
             code = frame.f_code
+            # co_qualname is new in Python 3.11; 3.10 has only co_name
             labels.append((frame.f_globals.get("__name__", "?"),
-                           code.co_qualname))
+                           getattr(code, "co_qualname", code.co_name)))
             if code is self.stop_code:
                 break
             frame = frame.f_back
