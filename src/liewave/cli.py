@@ -72,17 +72,10 @@ def _finish(args, command: list, checks: list, extra: dict, inputs=()) -> int:
     """Write the report of `args.cmd` on the files `command` (digested with
     `inputs`) and print its checks; exit 0 when every check passed, 1
     otherwise."""
-    out = Path(args.out)
-    if args.format == "csv":
-        lines = ["name,status,max_residual"]
-        lines += [f"{c.name},{c.status},{c.max_residual:.17g}" for c in checks]
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.csv").write_text("\n".join(lines) + "\n")
-    else:
-        _write_json({"command": [args.cmd, *command],
-                     "inputs": {p: _digest(p) for p in (*command, *inputs)},
-                     "checks": [c.to_payload() for c in checks], **extra},
-                    out / "report.json")
+    _write_json({"command": [args.cmd, *command],
+                 "inputs": {p: _digest(p) for p in (*command, *inputs)},
+                 "checks": [c.to_payload() for c in checks], **extra},
+                Path(args.out) / "report.json")
     for c in checks:
         print(f"[{c.status}] {c.name}: max residual {c.max_residual:.3e}")
     return EXIT_OK if all(c.passed for c in checks) else EXIT_CHECK_FAILED
@@ -135,7 +128,6 @@ def _build_parser():
     ap.add_argument("--tol-sol", type=_tolerance, default=1e-10,
                     help="tolerance for closed-form solution residuals")
     ap.add_argument("--out", default=".", help="output directory")
-    ap.add_argument("--format", choices=("json", "csv"), default="json")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     sp = sub.add_parser("synth", help="synthesize a coefficient family")

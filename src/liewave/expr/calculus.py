@@ -12,7 +12,7 @@ import numpy as np
 
 from .nodes import (
     Add, Call, Const, Expr, FUNCTIONS, MINUS_ONE, Mul, Neg, ONE, Pow, Var,
-    ZERO, coerce, to_text,
+    ZERO, children, coerce, to_text,
 )
 from .simplify import _Exact, derived, simplify
 
@@ -122,17 +122,10 @@ def _sub(e: Expr, table) -> Expr:
         return table.get(e.name, e)
     if isinstance(e, Const):
         return e
-    if isinstance(e, Add):
-        return Add(tuple(_sub(t, table) for t in e.terms))
-    if isinstance(e, Mul):
-        return Mul(tuple(_sub(f, table) for f in e.factors))
-    if isinstance(e, Pow):
-        return Pow(_sub(e.base, table), _sub(e.exponent, table))
-    if isinstance(e, Neg):
-        return Neg(_sub(e.child, table))
-    if isinstance(e, Call):
-        return Call(e.fn, _sub(e.arg, table))
-    raise TypeError(f"not an Expr: {e!r}")
+    kids = [_sub(c, table) for c in children(e)]
+    if isinstance(e, (Add, Mul)):
+        return type(e)(tuple(kids))
+    return Call(e.fn, *kids) if isinstance(e, Call) else type(e)(*kids)
 
 
 def eval_numeric(e: Expr, bindings) -> float:
@@ -209,14 +202,7 @@ def _shared(roots) -> dict:
             memo[id(e)] = None
             continue
         seen.add(id(e))
-        if isinstance(e, Add):
-            stack.extend(e.terms)
-        elif isinstance(e, Mul):
-            stack.extend(e.factors)
-        elif isinstance(e, Pow):
-            stack += (e.base, e.exponent)
-        else:
-            stack.append(e.child if isinstance(e, Neg) else e.arg)
+        stack.extend(children(e))
     return memo
 
 

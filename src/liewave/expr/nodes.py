@@ -210,28 +210,32 @@ def Cos(arg) -> Call:
     return Call("cos", coerce(arg))
 
 
-def free_vars(e: Expr) -> frozenset:
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Const):
-        return frozenset()
+def children(e: Expr) -> tuple:
+    """The child nodes of e, in field order; () for a leaf."""
     if isinstance(e, Add):
-        out = frozenset()
-        for t in e.terms:
-            out |= free_vars(t)
-        return out
+        return e.terms
     if isinstance(e, Mul):
-        out = frozenset()
-        for f in e.factors:
-            out |= free_vars(f)
-        return out
+        return e.factors
     if isinstance(e, Pow):
-        return free_vars(e.base) | free_vars(e.exponent)
+        return (e.base, e.exponent)
     if isinstance(e, Neg):
-        return free_vars(e.child)
+        return (e.child,)
     if isinstance(e, Call):
-        return free_vars(e.arg)
+        return (e.arg,)
+    if isinstance(e, (Const, Var)):
+        return ()
     raise TypeError(f"not an Expr: {e!r}")
+
+
+def free_vars(e: Expr) -> frozenset:
+    names, stack = set(), [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Var):
+            names.add(e.name)
+        else:
+            stack.extend(children(e))
+    return frozenset(names)
 
 
 def check_vars(e: Expr, allowed: tuple, what: str) -> None:
@@ -243,18 +247,7 @@ def check_vars(e: Expr, allowed: tuple, what: str) -> None:
 
 
 def node_count(e: Expr) -> int:
-    if isinstance(e, (Const, Var)):
-        return 1
-    if isinstance(e, Add):
-        return 1 + sum(node_count(t) for t in e.terms)
-    if isinstance(e, Mul):
-        return 1 + sum(node_count(f) for f in e.factors)
-    if isinstance(e, Pow):
-        return 1 + node_count(e.base) + node_count(e.exponent)
-    if isinstance(e, (Neg, Call)):
-        child = e.child if isinstance(e, Neg) else e.arg
-        return 1 + node_count(child)
-    raise TypeError(f"not an Expr: {e!r}")
+    return 1 + sum(map(node_count, children(e)))
 
 
 def sort_key(e: Expr):

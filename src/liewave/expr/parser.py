@@ -84,17 +84,15 @@ class _Parser:
 
     def expr(self) -> Expr:
         terms = [self.term()]
-        negs = [False]
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.take()
-                terms.append(self.term())
-                negs.append(value == "-")
+                t = self.term()
+                terms.append(neg(t) if value == "-" else t)
             else:
                 break
-        parts = tuple(neg(t) if n else t for t, n in zip(terms, negs))
-        return parts[0] if len(parts) == 1 else Add(parts)
+        return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
     def term(self) -> Expr:
         factors = [self.factor()]

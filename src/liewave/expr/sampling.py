@@ -90,11 +90,11 @@ class ZeroSample:
         return self.passed
 
 
-def check_nonvanishing(e: Expr, box, what: str, *, n: int = 100,
-                       seed: int = 0):
-    """Raise ValueError at the first sampled point where |e| < 1e-12, or
-    eval_numeric's EvalError should e be undefined there first."""
-    cols = sample_box(box, n, seed)
+def check_nonvanishing(e: Expr, box, what: str):
+    """Raise ValueError at the first of 100 sampled points (seed 0) where
+    |e| < 1e-12, or eval_numeric's EvalError should e be undefined there
+    first."""
+    cols = sample_box(box, 100, 0)
     values, failed = eval_checked(e, cols)
     hit = failed | (np.abs(values) < 1e-12)
     if hit.any():

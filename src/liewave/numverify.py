@@ -17,13 +17,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .expr import (
-    Expr, check_vars, eval_on_grid, free_vars, num, simplify, substitute,
-    to_text,
+    Expr, check_vars, eval_on_grid, num, simplify, substitute, to_text,
 )
 from .symmetry import PdeSpec, _as_expr, _load_json
 
 _UPWIND_A_THRESHOLD = 1e-14
-BLOCK = 256  # time steps whose t-dependent coefficients are evaluated at once
+BLOCK = 256  # time steps whose coefficients are evaluated at once
 
 
 class StabilityError(ValueError):
@@ -175,12 +174,6 @@ def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D):
         raise StabilityError(dt, dt_req)
 
     xi = xs[1:-1]
-    # coefficients free of t are evaluated once, the others once per block,
-    # in one call so that a subtree they share is evaluated once
-    coeffs = (p.A, p.B, p.C)
-    timed = tuple(c for c in coeffs if "t" in free_vars(c))
-    steady = tuple(c for c in coeffs if "t" not in free_vars(c))
-    values = dict(zip(map(id, steady), eval_on_grid(steady, {"x": xi})))
     edges = np.broadcast_to(
         eval_on_grid(bc, {"x": xs[[0, -1], None], "t": ts}), (2, g.nt + 1))
     u = np.empty(g.nx)
@@ -192,16 +185,13 @@ def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D):
     p0, p1, p2 = prods  # row views, bound once for every step
     for n0 in range(0, g.nt, BLOCK):
         n1 = min(n0 + BLOCK, g.nt)
-        if timed:
-            values.update(zip(map(id, timed), eval_on_grid(
-                timed, {"x": xi, "t": ts[n0:n1, None]})))
-        # weights[n] is (lo, mid, hi) of step n0 + n as rows, and
-        # windows[n] is (u_{i-1}, u_i, u_{i+1}) of the level before it:
+        # weights[n] is (lo, mid, hi) of step n0 + n as rows (a coefficient
+        # free of t is one row for all n), and windows[n] is
+        # (u_{i-1}, u_i, u_{i+1}) of the level before it:
         # row 0 of block holds that level, row n + 1 the level step n makes
-        weights = np.broadcast_to(
-            _weights(*(values[id(c)] for c in coeffs), dt, dx, advective,
-                     g.nx - 2),
-            (n1 - n0, 3, g.nx - 2))
+        weights = np.broadcast_to(_weights(
+            *eval_on_grid((p.A, p.B, p.C), {"x": xi, "t": ts[n0:n1, None]}),
+            dt, dx, advective, g.nx - 2), (n1 - n0, 3, g.nx - 2))
         block = np.empty((n1 - n0 + 1, g.nx))
         block[0] = u
         block[1:, 0], block[1:, -1] = edges[:, n0 + 1:n1 + 1]

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from .expr import (
-    ONE, ZERO, Cos, Exp, Expr, Sin, Var, check_nonvanishing, check_vars, diff,
-    num, simplify, substitute,
+    ONE, ZERO, Cos, Exp, Expr, Sin, Var, check_vars, diff, num, simplify,
+    substitute,
 )
 from .reduction import SeparableAnsatz
 from .symmetry import (
@@ -54,14 +54,14 @@ class _SeparableFamily:
 
     def _validate(self, constants):
         """Take P, R, q, v from the ansatz, read `constants` as numbers and
-        reject a P' that vanishes on the x-interval of `self.domain`."""
+        reject the ansatz where it is not valid on `self.domain`."""
         a = self.ansatz()
         for name in ("P", "R", "q", "v"):
             object.__setattr__(self, name, getattr(a, name))
         for name in constants:
             object.__setattr__(self, name,
                                float(num(getattr(self, name), name).value))
-        check_nonvanishing(diff(self.P, "x"), {"x": self.domain.x}, "dP/dx")
+        a.validate_on(self.domain)
 
     def ansatz(self) -> SeparableAnsatz:
         return SeparableAnsatz(ONE, self.P, self.R, self.q, self.v)
@@ -232,21 +232,16 @@ def synth_rossby(inp: RossbyFamilyInput) -> PdeSpec:
     """
     c, c1, c2 = num(inp.c), num(inp.c1), num(inp.c2)
     phi = simplify(c * T + c1)
+    # (A, B, C) = scales * (F, G, H)(w); phi**-k would print differently
     if inp.mode == AS_PRINTED:
-        w = simplify(X * phi - c2 * T)
-        A = simplify(substitute(inp.F, {"w": w}) / phi**3)
-        B = simplify(substitute(inp.G, {"w": w}) / phi**2)
-        C = simplify(substitute(inp.H, {"w": w}) / phi)
+        w, scales = X * phi - c2 * T, (1 / phi**3, 1 / phi**2, 1 / phi)
     elif inp.c != 0.0:
-        w = simplify((c * X + c2) / phi)
-        A = simplify(phi * substitute(inp.F, {"w": w}))
-        B = simplify(substitute(inp.G, {"w": w}))
-        C = simplify(substitute(inp.H, {"w": w}) / phi)
+        w, scales = (c * X + c2) / phi, (phi, ONE, 1 / phi)
     else:
-        w = simplify(c1 * X - c2 * T)
-        A = simplify(substitute(inp.F, {"w": w}))
-        B = simplify(substitute(inp.G, {"w": w}))
-        C = simplify(substitute(inp.H, {"w": w}))
+        w, scales = c1 * X - c2 * T, (ONE, ONE, ONE)
+    w = simplify(w)
+    A, B, C = (simplify(substitute(f, {"w": w}) * s)
+               for f, s in zip((inp.F, inp.G, inp.H), scales))
     return PdeSpec(A, B, C, inp.domain)
 
 

@@ -10,8 +10,10 @@ cross-checks the three-weight update of `fd_solve`; the Simpson probe shows
 why wave synthesis freezes phi; a plain max |e| over a cloud checks printed
 residual figures; the determining system written through P and R, as
 the paper states it for the wave and oscillator families, checks those
-families term by term; and the product fold as it was, seeded with a fresh
-exact 1, checks the `_mul` that keeps its first constant as it is.
+families term by term; the product fold as it was, seeded with a fresh
+exact 1, checks the `_mul` that keeps its first constant as it is; and
+free_vars, node_count and substitute written with one branch per node
+kind check the versions that walk `nodes.children`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import reduce
 import numpy as np
 
 from liewave.expr import (
-    Add, Call, Const, EvalError, Expr, Mul, Neg, Pow, Var, diff,
+    Add, Call, Const, EvalError, Expr, Mul, Neg, Pow, Var, coerce, diff,
     eval_checked, eval_numeric, eval_on_grid, expand, free_vars, num,
     sample_box, simplify, substitute,
 )
@@ -444,3 +446,70 @@ def unit_seeded_mul(factors: tuple) -> Expr:
     if not negative:
         return body
     return _negate(body) if isinstance(body, Add) else Neg(body)
+
+
+# ------------------------------------------------------- per-kind walks
+
+def free_vars_by_kind(e: Expr) -> frozenset:
+    """`free_vars` as it was, one branch per node kind."""
+    if isinstance(e, Var):
+        return frozenset((e.name,))
+    if isinstance(e, Const):
+        return frozenset()
+    if isinstance(e, Add):
+        out = frozenset()
+        for t in e.terms:
+            out |= free_vars_by_kind(t)
+        return out
+    if isinstance(e, Mul):
+        out = frozenset()
+        for f in e.factors:
+            out |= free_vars_by_kind(f)
+        return out
+    if isinstance(e, Pow):
+        return free_vars_by_kind(e.base) | free_vars_by_kind(e.exponent)
+    if isinstance(e, Neg):
+        return free_vars_by_kind(e.child)
+    if isinstance(e, Call):
+        return free_vars_by_kind(e.arg)
+    raise TypeError(f"not an Expr: {e!r}")
+
+
+def node_count_by_kind(e: Expr) -> int:
+    """`node_count` as it was, one branch per node kind."""
+    if isinstance(e, (Const, Var)):
+        return 1
+    if isinstance(e, Add):
+        return 1 + sum(node_count_by_kind(t) for t in e.terms)
+    if isinstance(e, Mul):
+        return 1 + sum(node_count_by_kind(f) for f in e.factors)
+    if isinstance(e, Pow):
+        return 1 + node_count_by_kind(e.base) + node_count_by_kind(e.exponent)
+    if isinstance(e, (Neg, Call)):
+        child = e.child if isinstance(e, Neg) else e.arg
+        return 1 + node_count_by_kind(child)
+    raise TypeError(f"not an Expr: {e!r}")
+
+
+def substitute_by_kind(e: Expr, bindings) -> Expr:
+    """`substitute` as it was, one branch per node kind."""
+    table = {name: coerce(value) for name, value in bindings.items()}
+    return _sub_by_kind(e, table) if table else e
+
+
+def _sub_by_kind(e: Expr, table) -> Expr:
+    if isinstance(e, Var):
+        return table.get(e.name, e)
+    if isinstance(e, Const):
+        return e
+    if isinstance(e, Add):
+        return Add(tuple(_sub_by_kind(t, table) for t in e.terms))
+    if isinstance(e, Mul):
+        return Mul(tuple(_sub_by_kind(f, table) for f in e.factors))
+    if isinstance(e, Pow):
+        return Pow(_sub_by_kind(e.base, table), _sub_by_kind(e.exponent, table))
+    if isinstance(e, Neg):
+        return Neg(_sub_by_kind(e.child, table))
+    if isinstance(e, Call):
+        return Call(e.fn, _sub_by_kind(e.arg, table))
+    raise TypeError(f"not an Expr: {e!r}")

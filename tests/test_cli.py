@@ -827,7 +827,6 @@ _argv_globals = st.lists(st.one_of(
     _option("--samples", st.sampled_from(["1", "10", "0", "-3"])),
     _option("--tol-sym", st.sampled_from(["1e-9", "0", "-1", "nan", "inf"])),
     _option("--tol-sol", st.sampled_from(["1e-10", "1", "nan"])),
-    _option("--format", st.sampled_from(["json", "csv", "xml"])),
 ), max_size=2)
 # per subcommand: the documents its positionals read, and its options
 _ARGV_COMMANDS = {
@@ -976,15 +975,18 @@ def test_bad_expression_is_exit_2(tmp_path):
                  "--gen", gen]) == 2
 
 
-def test_csv_report_format(tmp_path):
+@pytest.mark.parametrize("value", ["json", "csv"])
+def test_format_option_is_a_usage_error(tmp_path, capsys, value):
+    # every report is report.json; the option that chose it is gone
     pde = write(tmp_path, "pde.json", HEAT)
     gen = write(tmp_path, "gen.json", {"phi": "0", "xi": "2*t", "M": "-x"})
     out = tmp_path / "out"
-    assert main(["--out", str(out), "--format", "csv", "check", pde,
-                 "--gen", gen]) == 0
-    lines = (out / "report.csv").read_text().splitlines()
-    assert lines[0] == "name,status,max_residual"
-    assert all(line.split(",")[1] == "PASS" for line in lines[1:])
+    with pytest.raises(SystemExit) as stop:
+        main(["--out", str(out), "--format", value, "check", pde,
+              "--gen", gen])
+    assert stop.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: liewave ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [

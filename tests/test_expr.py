@@ -17,15 +17,15 @@ from liewave.expr import (
 )
 from liewave.expr import eval_checked, eval_on_grid, memo_scope
 from liewave.expr.calculus import _ev, _shared
-from liewave.expr.nodes import sort_key
+from liewave.expr.nodes import children, node_count, sort_key
 from liewave.expr.sampling import _SECOND_PASS_SHIFT, _cloud
 from liewave.expr.simplify import _mul
 
 from conftest import CORPUS
 from oracles import _ev as tree_walk_ev
 from oracles import (
-    max_abs_sampled, tree_walk_checked, tree_walk_numeric, tree_walk_on_grid,
-    unit_seeded_mul,
+    free_vars_by_kind, max_abs_sampled, node_count_by_kind, substitute_by_kind,
+    tree_walk_checked, tree_walk_numeric, tree_walk_on_grid, unit_seeded_mul,
 )
 
 simplify_module = importlib.import_module("liewave.expr.simplify")
@@ -610,6 +610,32 @@ def test_substitute_identity_and_passthrough():
 def test_substitute_example_solution_shape():
     got = substitute(parse("exp(P - q*t)"), {"P": Var("x"), "q": 1})
     assert simplify(got) == simplify(parse("exp(x - t)"))
+
+
+_bindings = st.dictionaries(
+    _names, _exprs | st.integers(-3, 3) | _decimal_fractions, max_size=3)
+
+
+@given(_exprs, _bindings)
+@settings(max_examples=200, deadline=None)
+def test_structural_walks_match_per_kind_walks(e, bindings):
+    assert free_vars(e) == free_vars_by_kind(e)
+    assert node_count(e) == node_count_by_kind(e)
+    # sort_key tells apart what == does not (0.5 and 1/2, 0.0 and -0.0)
+    assert sort_key(substitute(e, bindings)) == \
+        sort_key(substitute_by_kind(e, bindings))
+
+
+@pytest.mark.parametrize("walk", [
+    children, free_vars, node_count, lambda e: substitute(e, {"x": 1}),
+], ids=["children", "free_vars", "node_count", "substitute"])
+def test_structural_walks_reject_a_non_expr(walk):
+    with pytest.raises(TypeError, match="not an Expr"):
+        walk("x")
+    if walk is not children:  # the others also reject a non-Expr below
+        for bad in (Add((Var("x"), 3)), Call("exp", Pow(Var("t"), None))):
+            with pytest.raises(TypeError, match="not an Expr"):
+                walk(bad)
 
 
 # -------------------------------------------------------------- simplify

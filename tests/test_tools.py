@@ -39,3 +39,13 @@ def test_sampler_reads_code_without_a_qualname():
     assert sampler.samples == 1
     assert sampler.self_[("a.b", "step")] == 1
     assert sampler.inclusive[("a.cli", "main")] == 1
+
+
+def test_header_reports_the_measured_interval_and_error():
+    line = sample_profile._header("fd-modes", 3, 42, 20, 400, 2.0)
+    assert line == ("fd-modes seed 3: 42 jobs x 20 passes, 400 samples in "
+                    "2.00 s of CPU (5.00 ms of CPU per sample; a 5 % share "
+                    "is +-1.09 % at one sigma)")
+    # no samples: nothing to divide by
+    assert sample_profile._header("fd-modes", 3, 42, 1, 0, 0.01) == (
+        "fd-modes seed 3: 42 jobs x 1 passes, 0 samples in 0.01 s of CPU")

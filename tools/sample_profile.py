@@ -7,19 +7,23 @@ The jobs are those `bench/workloads.build` makes for <workload> and <seed>
 (read from this checkout's `bench/`, which is not changed), run through
 this checkout's `src/` in this process, as the benchmark runs them, inside
 a fresh temporary directory.  One unsampled pass lets caches fill; then N
-passes (default 5) run with an ITIMER_PROF timer that interrupts the
-process every millisecond of CPU time it uses (or at the kernel's clock
-tick, where that is coarser).  At each interrupt the handler walks the
-interrupted Python stack up to the job's `cli.main` call; an interrupt
-outside a job is dropped.
+passes (default 5) run with an ITIMER_PROF timer that asks for an
+interrupt every millisecond of CPU time the process uses; the kernel may
+deliver it only at its clock tick, which is often coarser.  At each
+interrupt the handler walks the interrupted Python stack up to the job's
+`cli.main` call; an interrupt outside a job is dropped.
 
-It prints, per module and per function (`module.qualname`), the share of
-samples in which it was on the stack (inclusive: a recursive function
-counts once per sample) and the share in which it was the innermost Python
-frame (self: time in C code is charged to the Python function that called
-it).  Unlike cProfile, this adds nothing to each call, so small functions
-called often are not overstated.  Exit 1 if a job's exit code is not the
-one the workload expects.  Unix only (signal.setitimer); stdlib only.
+Its first line gives the samples taken, the CPU seconds the sampled passes
+used and the CPU time per sample that follows (the interval the timer
+actually had), and the one-sigma sampling error of a 5 % share,
+sqrt(p (1 - p) / samples) at p = 0.05.  Below it, per module and per
+function (`module.qualname`), it prints the share of samples in which it
+was on the stack (inclusive: a recursive function counts once per sample)
+and the share in which it was the innermost Python frame (self: time in C
+code is charged to the Python function that called it).  Unlike cProfile,
+this adds nothing to each call, so small functions called often are not
+overstated.  Exit 1 if a job's exit code is not the one the workload
+expects.  Unix only (signal.setitimer); stdlib only.
 """
 
 from __future__ import annotations
@@ -28,14 +32,16 @@ import argparse
 import collections
 import contextlib
 import io
+import math
 import os
 import signal
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
-INTERVAL_S = 0.001  # CPU time between samples
+INTERVAL_S = 0.001  # CPU time between samples asked of the timer
 TOP = 40            # function rows printed
 
 
@@ -87,6 +93,18 @@ def _table(title: str, sampler: _Sampler, kind, rows: int) -> list:
     return lines
 
 
+def _header(workload: str, seed: int, jobs: int, passes: int, samples: int,
+            cpu_s: float) -> str:
+    """The first line: what was sampled, and how finely."""
+    line = (f"{workload} seed {seed}: {jobs} jobs x {passes} passes, "
+            f"{samples} samples in {cpu_s:.2f} s of CPU")
+    if not samples:
+        return line
+    error = 100 * math.sqrt(0.05 * 0.95 / samples)
+    return (f"{line} ({1e3 * cpu_s / samples:.2f} ms of CPU per sample; "
+            f"a 5 % share is +-{error:.2f} % at one sigma)")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("workload")
@@ -115,6 +133,7 @@ def main(argv=None) -> int:
             # samples between jobs are dropped by the sampler
             previous = signal.signal(signal.SIGPROF, sampler)
             signal.setitimer(signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
+            cpu0 = time.process_time()
             try:
                 for _ in range(args.passes):
                     for job in jobs:
@@ -124,15 +143,14 @@ def main(argv=None) -> int:
                                          f"expected {job.exit_code}")
             finally:
                 signal.setitimer(signal.ITIMER_PROF, 0.0)
+                cpu_s = time.process_time() - cpu0
                 signal.signal(signal.SIGPROF, previous)
         finally:
             os.chdir(home)
 
-    total = sampler.samples
-    print(f"{args.workload} seed {args.seed}: {len(jobs)} jobs x "
-          f"{args.passes} passes, {total} samples (timer every "
-          f"{INTERVAL_S * 1e3:g} ms of CPU)")
-    if total:
+    print(_header(args.workload, args.seed, len(jobs), args.passes,
+                  sampler.samples, cpu_s))
+    if sampler.samples:
         print("\n".join(_table("by module", sampler, str, len(sampler.self_))))
         print()
         print("\n".join(_table(f"by function (top {TOP} inclusive)", sampler,
