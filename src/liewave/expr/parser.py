@@ -2,13 +2,14 @@
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := unary ('^' factor)?
+    factor := atom ('^' factor)? | '-' unary
     unary  := '-' unary | atom
     atom   := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
 Functions are exp, log, sin, cos, sqrt.  NUMBER is an unsigned integer or
 decimal, optionally with an exponent part (2e-4); numeric literals become
 exact rationals.  Unary minus on a literal folds into a negative constant.
+'^' after '-' unary is a ParseError naming both readings, -(a^b) and (-a)^b.
 """
 
 from __future__ import annotations
@@ -107,9 +108,13 @@ class _Parser:
         return factors[0] if len(factors) == 1 else Mul(tuple(factors))
 
     def factor(self) -> Expr:
+        _, lead, at = self.peek()  # only an op token reads "-"
         base = self.unary()
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
+            if lead == "-":
+                raise ParseError("'-' before '^' is ambiguous", at,
+                                 ("-(a^b)", "(-a)^b"))
             self.take()
             return Pow(base, self.factor())
         return base

@@ -21,7 +21,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .calculus import EvalError, eval_checked, eval_numeric
-from .nodes import Add, Expr
+from .nodes import Add, Const, Expr
 from .simplify import simplify
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -94,6 +94,8 @@ def check_nonvanishing(e: Expr, box, what: str):
     """Raise ValueError at the first of 100 sampled points (seed 0) where
     |e| < 1e-12, or eval_numeric's EvalError should e be undefined there
     first."""
+    if isinstance(e, Const) and abs(float(e.value)) >= 1e-12:
+        return  # the same value at every point: no cloud to build
     cols = sample_box(box, 100, 0)
     values, failed = eval_checked(e, cols)
     hit = failed | (np.abs(values) < 1e-12)

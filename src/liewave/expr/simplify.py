@@ -12,9 +12,12 @@ and it is what lets simplify return a tree it has returned before as it is.
 It is NOT a canonical form for transcendental identities — numeric sampling
 is the project's zero test.
 
-Two things spare simplify work it has done before:
+Three things spare simplify work it has done before:
 - the canonical mark (the _canon slot): a tree simplify has returned is
   handed back at once.  It costs O(1), needs no table and holds everywhere.
+- the canonical nodes it is handed: a term or factor that merges with no
+  other, and a product whose sign flips, keep their node (with its cached
+  hash, sort key and mark) instead of being rebuilt equal.
 - the memo, live only inside `memo_scope()`, which `cli.main` enters once
   around a command: it maps each branch tree simplify has canonicalized to
   the result, so an equal tree built anew as another object (which the
@@ -122,8 +125,11 @@ def _negate(e: Expr) -> Expr:
         return e.child
     if isinstance(e, Add):
         return _add(tuple(_negate(t) for t in e.terms))
-    if isinstance(e, Mul) and isinstance(e.factors[0], Const):
-        return _mul((Const(-e.factors[0].value),) + e.factors[1:])
+    # a canonical product's constant is positive, and Neg of it is
+    # canonical; only a product built otherwise is folded again
+    lead = e.factors[0] if isinstance(e, Mul) else None
+    if isinstance(lead, Const) and not lead.value > 0:
+        return _mul((Const(-lead.value),) + e.factors[1:])
     return Neg(e)
 
 
@@ -163,18 +169,21 @@ def _add(terms: tuple) -> Expr:
             flat.extend(t.terms)
         else:
             flat.append(t)
-    groups = {}   # factor tuple -> coefficient
-    order = {}    # factor tuple -> first-seen sort key
+    # factor tuple -> [coefficient, the term while it is the only one]
+    groups = {}
     for t in flat:
         coeff, rest = _split_term(t)
-        if rest in groups:
-            groups[rest] = groups[rest] + coeff
-        else:
-            groups[rest] = coeff
-            order[rest] = tuple(sort_key(f) for f in rest)
-    merged = [(order[rest], rest, c) for rest, c in groups.items() if c != 0]
+        new = [coeff, t]
+        entry = groups.setdefault(rest, new)
+        if entry is not new:
+            entry[0] += coeff
+            entry[1] = None
+    merged = [(tuple(map(sort_key, rest)), rest, c, t)
+              for rest, (c, t) in groups.items() if c != 0]
     merged.sort(key=lambda item: (len(item[1]) > 0, item[0]))
-    out = tuple(_join_term(c, rest) for _, rest, c in merged)
+    # a term that merged with no other is canonical already: keep its node
+    out = tuple(_join_term(c, rest) if t is None else t
+                for _, rest, c, t in merged)
     if not out:
         return ZERO
     if len(out) == 1:
@@ -218,8 +227,7 @@ def _mul(factors: tuple) -> Expr:
         negative = not negative
         coeff = -coeff
     # merge repeated bases with integer exponents: x * x^2 -> x^3
-    powers = {}   # base -> exponent sum
-    single = {}   # base -> its factor, while the base has occurred once
+    powers = {}   # base -> [exponent sum, its factor while it is the only one]
     rest = []
     for f in raw:
         split = _split_factor(f)
@@ -227,14 +235,12 @@ def _mul(factors: tuple) -> Expr:
             rest.append(f)
             continue
         base, expo = split
-        if base in powers:
-            powers[base] += expo
-            single.pop(base, None)
-        else:
-            powers[base] = expo
-            single[base] = f
-    for base, expo in powers.items():
-        f = single.get(base)
+        new = [expo, f]
+        entry = powers.setdefault(base, new)
+        if entry is not new:
+            entry[0] += expo
+            entry[1] = None
+    for base, (expo, f) in powers.items():
         if f is not None and not isinstance(base, (Const, Mul)):
             # a lone factor is already canonical: keep the node (and its
             # cached hash, sort key and mark) instead of rebuilding it

@@ -13,7 +13,9 @@ the paper states it for the wave and oscillator families, checks those
 families term by term; the product fold as it was, seeded with a fresh
 exact 1, checks the `_mul` that keeps its first constant as it is; and
 free_vars, node_count and substitute written with one branch per node
-kind check the versions that walk `nodes.children`.
+kind check the versions that walk `nodes.children`; the sum that rebuilds
+every term and the negation that folds every product again check the
+`_add` and `_negate` that keep the canonical nodes they are handed.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ from liewave.expr import (
 )
 from liewave.expr.nodes import FUNCTIONS, ZERO, sort_key
 from liewave.expr.sampling import _point
-from liewave.expr.simplify import _negate, _pow, _split_factor
+from liewave.expr.simplify import (
+    _join_term, _mul, _negate, _pow, _split_factor, _split_term,
+)
 from liewave.numverify import Grid1D, _on_grid, stable_dt
 from liewave.reduction import SeparableAnsatz
 from liewave.symmetry import (
@@ -446,6 +450,50 @@ def unit_seeded_mul(factors: tuple) -> Expr:
     if not negative:
         return body
     return _negate(body) if isinstance(body, Add) else Neg(body)
+
+
+# ------------------------------------------------------ sum and negation
+
+def rebuilding_add(terms: tuple) -> Expr:
+    """`simplify._add` as it was: every term split and joined again, with
+    parallel dicts for the coefficient and the first-seen sort key."""
+    flat = []
+    for t in terms:
+        if isinstance(t, Add):
+            flat.extend(t.terms)
+        else:
+            flat.append(t)
+    groups = {}
+    order = {}
+    for t in flat:
+        coeff, rest = _split_term(t)
+        if rest in groups:
+            groups[rest] = groups[rest] + coeff
+        else:
+            groups[rest] = coeff
+            order[rest] = tuple(sort_key(f) for f in rest)
+    merged = [(order[rest], rest, c) for rest, c in groups.items() if c != 0]
+    merged.sort(key=lambda item: (len(item[1]) > 0, item[0]))
+    out = tuple(_join_term(c, rest) for _, rest, c in merged)
+    if not out:
+        return ZERO
+    if len(out) == 1:
+        return out[0]
+    return Add(out)
+
+
+def refolding_negate(e: Expr) -> Expr:
+    """`simplify._negate` as it was: a product with a leading constant is
+    folded again by `_mul` with that constant negated."""
+    if isinstance(e, Const):
+        return Const(-e.value)
+    if isinstance(e, Neg):
+        return e.child
+    if isinstance(e, Add):
+        return rebuilding_add(tuple(refolding_negate(t) for t in e.terms))
+    if isinstance(e, Mul) and isinstance(e.factors[0], Const):
+        return _mul((Const(-e.factors[0].value),) + e.factors[1:])
+    return Neg(e)
 
 
 # ------------------------------------------------------- per-kind walks

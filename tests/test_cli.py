@@ -133,6 +133,16 @@ def test_check_solution_undefined_on_domain_fails(tmp_path):
     assert check["note"] == "log of a nonpositive value in log(-2 + x)"
 
 
+def test_unparenthesized_minus_before_power_is_exit_2(tmp_path, capsys):
+    pde = write(tmp_path, "pde.json", HEAT)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "check", pde,
+                 "--solution", "exp(-x^2)"]) == 2
+    err = capsys.readouterr().err
+    assert "-(a^b)" in err and "(-a)^b" in err
+    assert not out.exists()
+
+
 def test_check_requires_something(tmp_path):
     pde = write(tmp_path, "pde.json", HEAT)
     assert main(["--out", str(tmp_path / "out"), "check", pde]) == 2

@@ -15,21 +15,25 @@ from liewave.expr import (
     Var, ZeroSample, diff, eval_numeric, expand, free_vars, is_zero_sampled,
     num, parse, sample_box, simplify, substitute, to_text,
 )
-from liewave.expr import eval_checked, eval_on_grid, memo_scope
+from liewave.expr import (
+    check_nonvanishing, eval_checked, eval_on_grid, memo_scope,
+)
 from liewave.expr.calculus import _ev, _shared
 from liewave.expr.nodes import children, node_count, sort_key
 from liewave.expr.sampling import _SECOND_PASS_SHIFT, _cloud
-from liewave.expr.simplify import _mul
+from liewave.expr.simplify import _add, _mul, _negate
 
 from conftest import CORPUS
 from oracles import _ev as tree_walk_ev
 from oracles import (
-    free_vars_by_kind, max_abs_sampled, node_count_by_kind, substitute_by_kind,
-    tree_walk_checked, tree_walk_numeric, tree_walk_on_grid, unit_seeded_mul,
+    free_vars_by_kind, max_abs_sampled, node_count_by_kind, rebuilding_add,
+    refolding_negate, substitute_by_kind, tree_walk_checked, tree_walk_numeric,
+    tree_walk_on_grid, unit_seeded_mul,
 )
 
 simplify_module = importlib.import_module("liewave.expr.simplify")
 calculus_module = importlib.import_module("liewave.expr.calculus")
+sampling_module = importlib.import_module("liewave.expr.sampling")
 
 
 # ---------------------------------------------------------------- parsing
@@ -56,9 +60,21 @@ def test_parse_negative_literal_folds():
     assert parse("x - 2") == Add((Var("x"), Const(-2)))
 
 
-def test_parse_unary_minus_binds_before_power():
-    # the grammar reads -x^2 as (-x)^2
-    assert parse("-x^2") == Pow(Neg(Var("x")), Const(2))
+def test_parse_unary_minus_before_power_is_an_error():
+    # -x^2 reads as -(x^2) in mathematics and as (-x)^2 in some grammars:
+    # neither is guessed, the error names both
+    for text, offset in [("-x^2", 0), ("exp(-x^2)", 4), ("-2^2", 0),
+                         ("2^-x^2", 2), ("x - --t^3", 4)]:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.offset == offset
+        assert err.value.expected == ("-(a^b)", "(-a)^b")
+        assert "-(a^b)" in str(err.value) and "(-a)^b" in str(err.value)
+    assert parse("-(x^2)") == Neg(Pow(Var("x"), Const(2)))
+    assert parse("(-x)^2") == Pow(Neg(Var("x")), Const(2))
+    assert parse("x - x^2") == Add((Var("x"), Neg(Pow(Var("x"), Const(2)))))
+    assert parse("x^-2") == Pow(Var("x"), Const(-2))
+    assert parse("-x*t^2") == Mul((Neg(Var("x")), Pow(Var("t"), Const(2))))
 
 
 def test_parse_right_associative_power():
@@ -595,6 +611,71 @@ def test_mul_matches_the_unit_seeded_fold(consts, others, data):
     assert sort_key(_mul(factors)) == sort_key(unit_seeded_mul(factors))
 
 
+X = Var("x")
+_HALF_POWERS = [Pow(X, Const(0.5)), Pow(X, Const(Fraction(1, 2)))]
+
+
+@st.composite
+def _canonical_terms(draw):
+    """Up to five canonical terms: subtrees of one random tree, simplified,
+    some of them repeated or negated, so that some merge or cancel."""
+    nodes = [simplify(n) for n in _walk(draw(_exprs_with_floats))]
+    picks = draw(st.lists(st.integers(0, len(nodes) - 1), max_size=5))
+    return [_negate(nodes[i]) if draw(st.booleans()) else nodes[i]
+            for i in picks]
+
+
+@given(_canonical_terms())
+# float coefficients, merged and alone
+@example([simplify(2.5 * X), simplify(X * -0.5), Const(1.0),
+          simplify(Neg(Mul((Const(0.1), X, Var("t")))))])
+# -0.0 alone, and as the sum of two floats
+@example([Const(-0.0), X])
+@example([Const(0.5), Const(-0.5), simplify(X * 0.5), simplify(X * -0.5)])
+# a sum that cancels to 0
+@example([X, Neg(X), simplify(2 * X * Var("t")),
+          simplify(-2 * X * Var("t"))])
+# == but not the same tree: x^0.5 and x^(1/2) merge under the first
+@example(_HALF_POWERS)
+@example(_HALF_POWERS[::-1])
+@example([_HALF_POWERS[0], Var("t"), Neg(_HALF_POWERS[1])])
+@settings(max_examples=300, deadline=None)
+def test_add_matches_the_rebuilding_sum(terms):
+    # terms that merge with no other are kept as they are: same tree as
+    # rebuilding every term, down to each constant's type and the sign of 0
+    terms = tuple(terms)
+    new, old = _add(terms), rebuilding_add(terms)
+    assert sort_key(new) == sort_key(old)
+    assert repr(new) == repr(old)
+
+
+@given(_exprs_with_floats.map(simplify))
+@example(simplify(X * 2.5))
+@example(simplify(X * Var("t") * Fraction(-3, 4)))
+@example(simplify(Add((X * 0.5, Var("t") * -2, Const(-0.0)))))
+@example(Const(-0.0))
+@example(simplify(Mul((Const(0.5), Pow(X, Const(0.5)),
+                       Pow(Var("t"), Const(-1))))))
+@settings(max_examples=300, deadline=None)
+def test_negate_matches_the_refolding_negation(e):
+    new, old = _negate(e), refolding_negate(e)
+    assert sort_key(new) == sort_key(old)
+    assert repr(new) == repr(old)
+
+
+def test_add_keeps_the_terms_that_merge_with_no_other():
+    a, b = simplify(parse("2*x*t")), simplify(parse("-3*sin(t)"))
+    out = simplify(Add((a, b)))
+    assert isinstance(out, Add)
+    assert sorted(map(id, out.terms)) == sorted((id(a), id(b)))
+    # a term that merges is rebuilt; the others are still kept
+    out = simplify(Add((X, a, b, X)))
+    assert out == simplify(parse("2*x + 2*x*t - 3*sin(t)"))
+    assert any(t is a for t in out.terms) and any(t is b for t in out.terms)
+    # a sign flip of a product with a constant wraps the product as it is
+    assert _negate(a).child is a
+
+
 # ------------------------------------------------------------ substitute
 
 def test_substitute_is_simultaneous():
@@ -1035,6 +1116,30 @@ def test_sample_box_matches_scalar_halton(seed):
         expected = [lo + _radical_inverse(seed + i, base) * (hi - lo)
                     for i in range(1, 61)]
         assert cols[name].tolist() == expected
+
+
+def test_nonvanishing_constant_is_decided_without_a_cloud(monkeypatch):
+    box = {"t": (0.0, 1.0), "x": (-1.0, 2.0)}
+    first = _points(sample_box(box, 1, 0))[0]
+    where = ", ".join(f"{k} = {v:.6g}" for k, v in first.items())
+    built = []
+
+    def counting_sample_box(*args):
+        built.append(args)
+        return sample_box(*args)
+
+    monkeypatch.setattr(sampling_module, "sample_box", counting_sample_box)
+    for c in (1, -3, 1e-12, -1e-12, 2.5, Fraction(1, 10**11)):
+        check_nonvanishing(Const(c), box, "phi")
+    assert built == []
+    # a constant below the floor still fails at the box's first point
+    for c in (0, 0.0, -0.0, 1e-13, Fraction(-1, 10**400)):
+        with pytest.raises(ValueError) as err:
+            check_nonvanishing(Const(c), box, "phi")
+        assert str(err.value) == f"phi vanishes near {where}"
+    # anything else is sampled as before
+    check_nonvanishing(Add((Var("x"), Const(2))), box, "x + 2")
+    assert len(built) == 6
 
 
 def test_num_uses_shortest_decimal():
