@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .expr import (
     Expr, check_vars, eval_on_grid, num, simplify, substitute, to_text,
@@ -90,13 +89,14 @@ class Grid1D:
 
 
 def _on_grid(e: Expr, xs, ts, what: str) -> np.ndarray:
-    """e at (xs[i], ts[j]) as [j, i]; ValueError at a non-finite value."""
+    """e at (xs[i], ts[j]) as [j, i]; ValueError at a non-finite value,
+    naming e as `what` followed by its text (rendered only then)."""
     vals = np.broadcast_to(eval_on_grid(e, {"x": xs, "t": ts[:, None]}),
                            (len(ts), len(xs)))
     if not np.isfinite(vals).all():
         j, i = np.unravel_index(np.flatnonzero(~np.isfinite(vals))[0], vals.shape)
-        raise ValueError(f"{what} is not finite at x = {xs[i]:.6g}, "
-                         f"t = {ts[j]:.6g}")
+        raise ValueError(f"{what} {to_text(e)} is not finite at "
+                         f"x = {xs[i]:.6g}, t = {ts[j]:.6g}")
     return vals
 
 
@@ -114,7 +114,7 @@ def stable_dt(p: PdeSpec, xs: np.ndarray, t0: float, t1: float):
     """
     dx = (xs[-1] - xs[0]) / (len(xs) - 1)
     ts = np.linspace(t0, t1, 64)
-    a_vals, b_vals, c_vals = (_on_grid(c, xs, ts, f"coefficient {to_text(c)}")
+    a_vals, b_vals, c_vals = (_on_grid(c, xs, ts, "coefficient")
                               for c in (p.A, p.B, p.C))
     j, i = np.unravel_index(np.argmin(a_vals), a_vals.shape)
     if a_vals[j, i] < -_UPWIND_A_THRESHOLD:
@@ -158,9 +158,12 @@ def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D):
                                     mid = 1 + dt C - 2d - b+ + b-.
     Under upwinding the sign of B picks the side per node inside the
     weights: one of b+ and b- is zero there.  A block of steps takes its
-    weights at once from the block's A, B and C, evaluated in one call.  A
-    step is one multiply of the rows (lo, mid, hi) by the rows (u_{i-1},
-    u_i, u_{i+1}) and a sum over the rows, in that order.
+    weights at once from the block's A, B and C, evaluated in one call.
+    Their rows lo, mid and hi are padded to the length of a level and
+    shifted right by 0, 1 and 2 places, so that lo_i, mid_i and hi_i sit
+    over u_{i-1}, u_i and u_{i+1}.  A step is then one multiply of the three
+    rows by the whole level, and two adds, (lo u_{i-1} + mid u_i) +
+    hi u_{i+1}, of the shifted products.
 
     Preconditions, enforced when the first level is asked for: those of
     `stable_dt`, A >= 0 and the step bound of the scheme it picks.  A
@@ -181,26 +184,29 @@ def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D):
     if not np.isfinite(u).all():
         raise ValueError("initial condition evaluated to non-finite values")
     yield u
-    prods = np.empty((3, g.nx - 2))
-    p0, p1, p2 = prods  # row views, bound once for every step
+    m = g.nx - 2
+    prods = np.empty((3, g.nx))
+    # the products that land on the interior nodes: row k of prods holds
+    # the kth weight of node i times u_{i-1+k} at column i - 1 + k
+    p0, p1, p2 = prods[0, :m], prods[1, 1:-1], prods[2, 2:]
+    multiply, add = np.multiply, np.add  # bound once for every step
     for n0 in range(0, g.nt, BLOCK):
         n1 = min(n0 + BLOCK, g.nt)
-        # weights[n] is (lo, mid, hi) of step n0 + n as rows (a coefficient
-        # free of t is one row for all n), and windows[n] is
-        # (u_{i-1}, u_i, u_{i+1}) of the level before it:
-        # row 0 of block holds that level, row n + 1 the level step n makes
+        # weights[n] holds (lo, mid, hi) of step n0 + n as rows aligned with
+        # the level (a coefficient free of t gives one set for all n);
+        # row 0 of block holds the level before the block, row n + 1 the
+        # level step n makes
         weights = np.broadcast_to(_weights(
             *eval_on_grid((p.A, p.B, p.C), {"x": xi, "t": ts[n0:n1, None]}),
-            dt, dx, advective, g.nx - 2), (n1 - n0, 3, g.nx - 2))
+            dt, dx, advective, m), (n1 - n0, 3, g.nx))
         block = np.empty((n1 - n0 + 1, g.nx))
         block[0] = u
         block[1:, 0], block[1:, -1] = edges[:, n0 + 1:n1 + 1]
-        windows = sliding_window_view(block, 3, axis=1).swapaxes(1, 2)
         with np.errstate(over="ignore", invalid="ignore"):
-            for w, window, inner in zip(weights, windows, block[1:, 1:-1]):
-                np.multiply(w, window, out=prods)
-                np.add(p0, p1, out=inner)
-                inner += p2
+            for w, level, inner in zip(weights, block, block[1:, 1:-1]):
+                multiply(w, level, prods)
+                add(p0, p1, inner)
+                add(inner, p2, inner)
         u = block[-1]
         finite = np.isfinite(block[1:]).all(axis=1)
         if not finite.all():
@@ -211,24 +217,31 @@ def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D):
 
 def _weights(A, B, C, dt: float, dx: float, advective: bool, m: int):
     """The update's lo, mid and hi (see `fd_solve`) as the rows of one
-    array of m columns; each is written into it, so no second copy of the
-    three is held."""
+    array of m + 2 columns, row k in columns k to k + m - 1 and zeros
+    around it, so that row k lines up with u_{i-1+k} of a whole level.
+    d is computed in hi's row and 2d in lo's, and every weight in its row
+    by the operations of the formulas in their order, so the rows equal
+    the formulas to the bit."""
     shape = np.broadcast_shapes(np.shape(A), np.shape(B), np.shape(C), (m,))
-    out = np.empty(shape[:-1] + (3, m))
-    lo, mid, hi = np.moveaxis(out, -2, 0)
-    d = dt * A / (dx * dx)
-    np.subtract(1.0 + dt * C, 2.0 * d, out=mid)
+    out = np.zeros(shape[:-1] + (3, m + 2))
+    lo, mid, hi = out[..., 0, :m], out[..., 1, 1:-1], out[..., 2, 2:]
+    np.multiply(dt, A, out=hi)
+    hi /= dx * dx  # d
+    np.multiply(dt, C, out=mid)
+    mid += 1.0
+    np.multiply(2.0, hi, out=lo)
+    mid -= lo
     if advective:
         b_plus = dt * np.maximum(B, 0.0) / dx
         b_minus = dt * np.minimum(B, 0.0) / dx
-        np.subtract(d, b_minus, out=lo)
-        np.add(d, b_plus, out=hi)
+        np.subtract(hi, b_minus, out=lo)
+        hi += b_plus
         mid -= b_plus
         mid += b_minus
     else:
         w = dt * B / (2.0 * dx)
-        np.subtract(d, w, out=lo)
-        np.add(d, w, out=hi)
+        np.subtract(hi, w, out=lo)
+        hi += w
     return out
 
 
@@ -255,8 +268,7 @@ def convergence_order(p: PdeSpec, exact: Expr, g0: Grid1D, levels: int,
         factor = 2**lvl
         g = Grid1D(g0.x0, g0.x1, (g0.nx - 1) * factor + 1,
                    g0.t0, g0.t1, g0.nt * (factor if advective else factor * factor))
-        ref = _on_grid(exact, g.xs(), np.array([g.t1]),
-                       f"closed form {to_text(exact)}")[0]
+        ref = _on_grid(exact, g.xs(), np.array([g.t1]), "closed form")[0]
         u = base
         if lvl or base is None:
             for u in fd_solve(p, substitute(exact, {"t": g.t0}), exact, g):

@@ -138,8 +138,20 @@ def test_unparenthesized_minus_before_power_is_exit_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["--out", str(out), "check", pde,
                  "--solution", "exp(-x^2)"]) == 2
-    err = capsys.readouterr().err
-    assert "-(a^b)" in err and "(-a)^b" in err
+    assert capsys.readouterr().err == (
+        "error: --solution: '-' before '^' is ambiguous at offset 4 "
+        "(expected -(a^b) or (-a)^b)\n")
+    assert not out.exists()
+
+
+def test_parse_error_in_an_option_names_the_option(tmp_path, capsys):
+    # as an error in a file names the file
+    pde = write(tmp_path, "pde.json", HEAT)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "solve", pde, "--ic", "-x^2 + 1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --ic: '-' before '^' is ambiguous at offset 0 "
+        "(expected -(a^b) or (-a)^b)\n")
     assert not out.exists()
 
 
@@ -218,6 +230,20 @@ def test_solve_integrates_the_base_grid_once(tmp_path, monkeypatch):
     assert len(grids) == len(set(grids)) == 3
     report = read_report(out)
     assert report["final_time_error"] == report["convergence"][0]["error"]
+
+
+def test_passing_solve_renders_no_expression_text(tmp_path, monkeypatch):
+    # coefficient and closed-form texts are only for error messages
+    from liewave import numverify
+
+    def fail(e):
+        raise AssertionError(f"to_text({e!r}) called")
+
+    monkeypatch.setattr(numverify, "to_text", fail)
+    monkeypatch.setattr(cli, "to_text", fail)
+    pde = write(tmp_path, "pde.json", dict(HEAT, B="x*cos(t)"))
+    assert main(["--out", str(tmp_path / "out"), "solve", pde, "--ic",
+                 "exp(-t)*sin(x)", "--nx", "11", "--levels", "3"]) == 0
 
 
 @pytest.mark.parametrize("method, message", [

@@ -19,7 +19,7 @@ from liewave.expr import (
     check_nonvanishing, eval_checked, eval_on_grid, memo_scope,
 )
 from liewave.expr.calculus import _ev, _shared
-from liewave.expr.nodes import children, node_count, sort_key
+from liewave.expr.nodes import children, neg, node_count, sort_key
 from liewave.expr.sampling import _SECOND_PASS_SHIFT, _cloud
 from liewave.expr.simplify import _add, _mul, _negate
 
@@ -164,8 +164,8 @@ def _branch(children):
         pair.map(Mul),
         st.tuples(children, st.integers(-3, 3).map(lambda n: Const(Fraction(n)))).map(
             lambda bx: Pow(*bx)),
-        # the parser folds -const and --e, so raw trees never carry those
-        children.filter(lambda e: not isinstance(e, (Const, Neg))).map(Neg),
+        # neg folds -const and --e as the parser does, and rejects no draw
+        children.map(neg),
         st.tuples(st.sampled_from(["exp", "log", "sin", "cos", "sqrt"]),
                   children).map(lambda fa: Call(*fa)),
     )

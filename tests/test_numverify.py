@@ -10,8 +10,8 @@ from liewave.expr import (
 from liewave.expr.calculus import _shared
 from liewave.numverify import (
     BLOCK, NSTEPS, BlowupError, Grid1D, ModeProblem, ModeSearchError,
-    StabilityError, auto_nt, convergence_order, eval_on_grid, fd_solve,
-    load_profile, mode_solve, stable_dt,
+    StabilityError, _weights, auto_nt, convergence_order, eval_on_grid,
+    fd_solve, load_profile, mode_solve, stable_dt,
 )
 from liewave.symmetry import Domain, PdeSpec
 from liewave.synth import OscFamilyInput, WaveFamilyInput, synth_oscillator, synth_wave
@@ -259,12 +259,12 @@ BLOCKED_CASES = pytest.mark.parametrize("coeffs, advective", [
 ])
 
 
-def _blocked_case(coeffs, advective):
+def _blocked_case(coeffs, advective, nx=21):
     with memo_scope():
         A, B, C = (simplify(parse(c)) for c in coeffs)
     p = PdeSpec(A, B, C, Domain((0.0, 1.0), (0.0, 0.4)))
     # two full blocks and a short last one
-    g = Grid1D(0.0, 1.0, 21, 0.0, 0.4, 2 * BLOCK + 3)
+    g = Grid1D(0.0, 1.0, nx, 0.0, 0.4, 2 * BLOCK + 3)
     assert stable_dt(p, g.xs(), g.t0, g.t1)[0] is advective
     return p, parse("cos(3*x) + x"), parse("exp(-t)*cos(3*x) + x"), g
 
@@ -276,9 +276,41 @@ def test_wave_type_case_shares_a_subtree():
 
 @BLOCKED_CASES
 def test_fd_solve_matches_per_step_reference(coeffs, advective):
-    p, ic, bc, g = _blocked_case(coeffs, advective)
-    values = np.column_stack(list(fd_solve(p, ic, bc, g)))
-    assert values.tobytes() == _per_step_reference(p, ic, bc, g).tobytes()
+    # at nx = 3 and 4 the shifted weight rows overlap most: one and two
+    # interior nodes
+    for nx in (21, 3, 4):
+        p, ic, bc, g = _blocked_case(coeffs, advective, nx)
+        values = np.column_stack(list(fd_solve(p, ic, bc, g)))
+        assert values.tobytes() == \
+            _per_step_reference(p, ic, bc, g).tobytes(), f"nx = {nx}"
+
+
+@pytest.mark.parametrize("advective", [False, True])
+@pytest.mark.parametrize("shape", [(), (5,), (4, 5), (4, 1)])
+def test_weights_rows_are_shifted_and_zero_padded(advective, shape):
+    # row k of the weights holds its m weights in columns k to k + m - 1,
+    # and zeros elsewhere, so it lines up with u_{i-1+k} of a level
+    m, dt, dx = 5, 0.01, 0.25
+    rng = np.random.default_rng(7)
+    A = 0.0 if advective else rng.uniform(0.5, 2.0, shape)
+    B = rng.uniform(-1.0, 1.0, shape)
+    C = rng.uniform(-1.0, 1.0, shape)
+    w = _weights(A, B, C, dt, dx, advective, m)
+    lead = np.broadcast_shapes(np.shape(B), (m,))[:-1]
+    assert w.shape == lead + (3, m + 2)
+    # the per-step reference's weights, out of place
+    d = dt * A / (dx * dx)
+    mid = 1.0 + dt * C - 2.0 * d
+    if advective:
+        b_plus = dt * np.maximum(B, 0.0) / dx
+        b_minus = dt * np.minimum(B, 0.0) / dx
+        rows = d - b_minus, mid - b_plus + b_minus, d + b_plus
+    else:
+        rows = d - dt * B / (2.0 * dx), mid, d + dt * B / (2.0 * dx)
+    for k, row in enumerate(rows):
+        expected = np.zeros(lead + (m + 2,))
+        expected[..., k:k + m] = row
+        assert w[..., k, :].tobytes() == expected.tobytes()
 
 
 @BLOCKED_CASES
