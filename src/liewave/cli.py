@@ -270,14 +270,21 @@ def cmd_solve(args) -> int:
     dom = pde.domain
     grid = numverify.Grid1D(dom.x[0], dom.x[1], args.nx, dom.t[0], dom.t[1],
                             max(args.nt, 1))
+    # the stability rule is probed once on the base grid (its nodes and
+    # span do not depend on nt), where it first applies: before the closed
+    # form is evaluated when it picks nt, after it under --nt
+    bound = None
     if not args.nt:
-        grid = replace(grid, nt=numverify.auto_nt(pde, grid))
+        bound = numverify.stable_dt(pde, grid.xs(), grid.t0, grid.t1)
+        grid = replace(grid, nt=numverify.auto_nt(pde, grid, bound))
     ref = numverify._on_grid(closed, grid.xs(), grid.ts(), "closed form").T
+    if bound is None:
+        bound = numverify.stable_dt(pde, grid.xs(), grid.t0, grid.t1)
     try:
         us = list(numverify.fd_solve(
-            pde, substitute(closed, {"t": dom.t[0]}), closed, grid))
+            pde, substitute(closed, {"t": dom.t[0]}), closed, grid, bound))
         levels = (numverify.convergence_order(pde, closed, grid, args.levels,
-                                              us[-1])
+                                              us[-1], bound)
                   if args.levels else None)
     except numverify.BlowupError as err:  # well-formed input: a FAIL check
         return _finish(args, [args.pde_json], [Check(

@@ -211,7 +211,14 @@ def _ev(e: Expr, env, fail, memo):
     arrays.  fail(mask, message, node) is told where a node is undefined, in
     evaluation order; with fail None nothing is checked.  A node with a slot
     in memo (see _shared) is evaluated, and reported to fail, once: its
-    value fills the slot and is handed to each later parent."""
+    value fills the slot and is handed to each later parent.
+
+    A Pow or Call builds its masks only where its value has a non-finite
+    entry.  That is exact: every masked failure makes the value there
+    non-finite (0^negative is +-inf, a negative finite base to a finite
+    non-integer power nan, log of 0 -inf and of a negative nan, sqrt of a
+    negative nan, overflow inf), so on an all-finite value every mask is
+    all-false and fail would be told nothing."""
     if isinstance(e, Const):
         return float(e.value)
     if isinstance(e, Var):
@@ -232,7 +239,7 @@ def _ev(e: Expr, env, fail, memo):
         base = _ev(e.base, env, fail, memo)
         expo = _ev(e.exponent, env, fail, memo)
         v = np.power(base, expo)
-        if fail is not None:
+        if fail is not None and not np.isfinite(v).all():
             finite = np.isfinite(base) & np.isfinite(expo)
             fail((base == 0) & (expo < 0), "zero raised to a negative power", e)
             fail(finite & (base < 0) & (expo != np.floor(expo)),
@@ -241,7 +248,7 @@ def _ev(e: Expr, env, fail, memo):
     elif isinstance(e, Call):
         arg = _ev(e.arg, env, fail, memo)
         v = FUNCTIONS[e.fn](arg)
-        if fail is not None:
+        if fail is not None and not np.isfinite(v).all():
             if e.fn == "log":
                 fail(arg <= 0, "log of a nonpositive value", e)
             elif e.fn == "sqrt":

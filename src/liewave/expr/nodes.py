@@ -1,12 +1,14 @@
 """Expression trees: the symbolic currency of the whole package.
 
 Nodes are immutable and hashable; structural equality is field equality.
-A node with children computes its hash and its sort key once, on first use,
-and keeps them in two slots; a third slot marks a node that simplify has
-returned, so simplify hands it back as it is.  None of the three takes part
-in equality, repr or pickled state; the hash is the dataclass hash of the
-field tuple, so its values (and with them dict and set order) are those of
-an uncached node.
+A node with children keeps its hash and its sort key in two slots, and a
+third slot marks a node that simplify has returned, so simplify hands it
+back as it is.  The three exist from construction (and from unpickling or
+copying) and hold None, None and False until first use fills them, so a
+read is a plain test, never a caught miss.  None of the three takes part
+in equality, hash, repr or pickled state; the hash is the dataclass hash
+of the field tuple, so its values (and with them dict and set order) are
+those of an uncached node.
 Division is spelled Mul(a, Pow(b, -1)) and subtraction Add(a, Neg(b)), so
 there are only seven node kinds.  Exact rationals (fractions.Fraction) are
 kept until numeric evaluation; floats are contagious once introduced.
@@ -73,26 +75,47 @@ class _Branch(Expr):
     again and again, so each is kept once computed (see _node, sort_key).
     _canon is set on every node simplify returns: simplify is idempotent, so
     a marked tree is its own canonical form (see simplify.simplify).
+    The slots exist from construction: __post_init__, which the dataclass
+    __init__ calls, sets them to None, None and False (unset), and _node's
+    __setstate__ does the same for an unpickled or copied node.  They take
+    no part in ==, hash, repr or pickled state, which hold the fields only.
     Leaves (Const, Var) keep none: theirs cost O(1), and a cache on every
     leaf would cost memory on ~40% of the live nodes."""
 
     __slots__ = ("_hash", "_key", "_canon")
 
+    def __post_init__(self):
+        _set_hash(self, None)
+        _set_key(self, None)
+        _set_canon(self, False)
+
+
+# the slots' own setters: they write past the frozen dataclass __setattr__
+_set_hash = _Branch._hash.__set__
+_set_key = _Branch._key.__set__
+_set_canon = _Branch._canon.__set__
+
 
 def _node(cls):
-    """Frozen slotted dataclass whose generated hash is computed only once."""
+    """Frozen slotted dataclass whose generated hash is computed only once,
+    and whose unpickled or copied instances start with the slots unset."""
     cls = dataclass(frozen=True, slots=True)(cls)
     field_hash = cls.__hash__
+    field_setstate = cls.__setstate__
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
+        h = self._hash
+        if h is None:
             h = field_hash(self)
-            object.__setattr__(self, "_hash", h)
-            return h
+            _set_hash(self, h)
+        return h
+
+    def __setstate__(self, state):
+        field_setstate(self, state)
+        self.__post_init__()
 
     cls.__hash__ = __hash__
+    cls.__setstate__ = __setstate__
     return cls
 
 
@@ -152,6 +175,7 @@ class Call(_Branch):
     def __post_init__(self):
         if self.fn not in FUNCTIONS:
             raise ValueError(f"unknown function {self.fn!r}")
+        _Branch.__post_init__(self)
 
 
 ZERO = Const(Fraction(0))
@@ -270,10 +294,11 @@ def sort_key(e: Expr):
         return (0, n if d == 1 else v, 0.0, n, d)
     if isinstance(e, Var):
         return (1, e.name)
-    try:
-        return e._key
-    except AttributeError:
-        pass
+    if not isinstance(e, _Branch):
+        raise TypeError(f"not an Expr: {e!r}")
+    key = e._key
+    if key is not None:
+        return key
     if isinstance(e, Call):
         key = (2, e.fn, sort_key(e.arg))
     elif isinstance(e, Pow):
@@ -282,11 +307,9 @@ def sort_key(e: Expr):
         key = (4, sort_key(e.child))
     elif isinstance(e, Mul):
         key = (5, *map(sort_key, e.factors))
-    elif isinstance(e, Add):
-        key = (6, *map(sort_key, e.terms))
     else:
-        raise TypeError(f"not an Expr: {e!r}")
-    object.__setattr__(e, "_key", key)
+        key = (6, *map(sort_key, e.terms))
+    _set_key(e, key)
     return key
 
 

@@ -13,8 +13,9 @@ It is NOT a canonical form for transcendental identities — numeric sampling
 is the project's zero test.
 
 Three things spare simplify work it has done before:
-- the canonical mark (the _canon slot): a tree simplify has returned is
-  handed back at once.  It costs O(1), needs no table and holds everywhere.
+- the canonical mark: a tree simplify has returned has its _canon slot
+  True (every branch node's slot starts False), and is handed back at
+  once.  It costs one read, needs no table and holds everywhere.
 - the canonical nodes it is handed: a term or factor that merges with no
   other, and a product whose sign flips, keep their node (with its cached
   hash, sort key and mark) instead of being rebuilt equal.
@@ -40,7 +41,8 @@ from fractions import Fraction
 import numpy as np
 
 from .nodes import (
-    Add, Call, Const, Expr, FUNCTIONS, Mul, Neg, ONE, Pow, Var, ZERO, sort_key,
+    Add, Call, Const, Expr, FUNCTIONS, Mul, Neg, ONE, Pow, Var, ZERO,
+    _Branch, _set_canon, sort_key,
 )
 
 
@@ -86,11 +88,16 @@ def derived(var: str):
 
 
 def simplify(e: Expr) -> Expr:
-    """Canonical form of e.  Every branch node returned is marked (the
-    _canon slot), and a marked argument is returned as it is: by idempotence
-    it is already its own canonical form.  Inside memo_scope() a tree equal
-    to one already simplified there gets the same result back."""
-    if isinstance(e, (Const, Var)) or hasattr(e, "_canon"):
+    """Canonical form of e.  Every branch node returned is marked (its
+    _canon slot set True), and a marked argument is returned as it is: by
+    idempotence it is already its own canonical form.  Inside memo_scope()
+    a tree equal to one already simplified there gets the same result
+    back."""
+    if not isinstance(e, _Branch):
+        if isinstance(e, (Const, Var)):
+            return e
+        raise TypeError(f"not an Expr: {e!r}")
+    if e._canon:
         return e
     memo = _memo
     if memo is not None:
@@ -106,12 +113,10 @@ def simplify(e: Expr) -> Expr:
         out = _pow(simplify(e.base), simplify(e.exponent))
     elif isinstance(e, Neg):
         out = _negate(simplify(e.child))
-    elif isinstance(e, Call):
-        out = _call(e.fn, simplify(e.arg))
     else:
-        raise TypeError(f"not an Expr: {e!r}")
+        out = _call(e.fn, simplify(e.arg))
     if not isinstance(out, (Const, Var)):
-        object.__setattr__(out, "_canon", True)
+        _set_canon(out, True)
     if memo is not None:
         memo[key] = out
     return out

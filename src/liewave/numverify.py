@@ -130,12 +130,15 @@ def stable_dt(p: PdeSpec, xs: np.ndarray, t0: float, t1: float):
     return True, 2.0 / (2.0 * max_b / dx + c)
 
 
-def auto_nt(pde: PdeSpec, grid: Grid1D) -> int:
+def auto_nt(pde: PdeSpec, grid: Grid1D, bound=None) -> int:
     """The step count `solve` picks without --nt: the span over the
     `stable_dt` bound, halved for upwind (and where A and B vanish); span /
-    16 where no bound holds."""
+    16 where no bound holds.  `bound` is stable_dt's result on grid's nodes
+    and span, when the caller has it already."""
     span = grid.t1 - grid.t0
-    advective, dt = stable_dt(pde, grid.xs(), grid.t0, grid.t1)
+    if bound is None:
+        bound = stable_dt(pde, grid.xs(), grid.t0, grid.t1)
+    advective, dt = bound
     if math.isinf(dt):
         dt = span / 16
     elif advective:
@@ -143,7 +146,7 @@ def auto_nt(pde: PdeSpec, grid: Grid1D) -> int:
     return max(1, int(math.ceil(span / dt)))
 
 
-def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D):
+def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D, bound=None):
     """Forward Euler with centered u_2x; u_x is upwinded (by the sign of B)
     when A vanishes uniformly, centered otherwise.  Dirichlet boundary
     values come from the closed form bc(x, t).  Yields u at t_0, ..., t_nt;
@@ -166,13 +169,16 @@ def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D):
     hi u_{i+1}, of the shifted products.
 
     Preconditions, enforced when the first level is asked for: those of
-    `stable_dt`, A >= 0 and the step bound of the scheme it picks.  A
-    BlowupError comes before the earlier levels of its block of steps are
-    yielded.
+    `stable_dt`, A >= 0 and the step bound of the scheme it picks; `bound`
+    is stable_dt's result on g's nodes and span, when the caller has it
+    already (and has met A >= 0 with it).  A BlowupError comes before the
+    earlier levels of its block of steps are yielded.
     """
     xs, ts = g.xs(), g.ts()
     dx, dt = g.dx, g.dt
-    advective, dt_req = stable_dt(p, xs, g.t0, g.t1)
+    if bound is None:
+        bound = stable_dt(p, xs, g.t0, g.t1)
+    advective, dt_req = bound
     if dt > dt_req:
         raise StabilityError(dt, dt_req)
 
@@ -253,15 +259,18 @@ class ConvergenceLevel:
 
 
 def convergence_order(p: PdeSpec, exact: Expr, g0: Grid1D, levels: int,
-                      base: Optional[np.ndarray] = None):
+                      base: Optional[np.ndarray] = None, bound=None):
     """Refinement study: halve dx per level with dt scaled by 1/4 (diffusive)
     or 1/2 (pure advection); errors are L-infinity against `exact` at the
     final time, where `exact` must be finite (ValueError).  When the caller
     has run g0 already, from `exact` at g0.t0, `base` (its u at g0.t1)
-    stands in for level 0's run."""
+    stands in for level 0's run; `bound` is stable_dt's result on g0, when
+    the caller has it.  Each refined level checks its own."""
     if levels < 3:
         raise ValueError("need at least 3 levels")
-    advective, _ = stable_dt(p, g0.xs(), g0.t0, g0.t1)
+    if bound is None:
+        bound = stable_dt(p, g0.xs(), g0.t0, g0.t1)
+    advective, _ = bound
     out = []
     prev_error = None
     for lvl in range(levels):
@@ -271,7 +280,8 @@ def convergence_order(p: PdeSpec, exact: Expr, g0: Grid1D, levels: int,
         ref = _on_grid(exact, g.xs(), np.array([g.t1]), "closed form")[0]
         u = base
         if lvl or base is None:
-            for u in fd_solve(p, substitute(exact, {"t": g.t0}), exact, g):
+            for u in fd_solve(p, substitute(exact, {"t": g.t0}), exact, g,
+                              None if lvl else bound):
                 pass  # only the final level is compared
         error = float(np.max(np.abs(u - ref)))
         order = None

@@ -3,8 +3,9 @@
 None of this is called by the program.  The jet-space residual of a
 generator (prolongation, on-shell substitution, expansion) cross-checks the
 determining residuals; the evaluator as it was, a plain tree walk that
-evaluates a shared subtree once per parent, cross-checks the evaluator that
-evaluates it once; the grid residual of a closed form cross-checks the
+evaluates a shared subtree once per parent and builds the domain masks of
+every Pow and Call, cross-checks the evaluator that evaluates it once and
+builds them only where a value is not finite; the grid residual of a closed form cross-checks the
 sampled zero test; forward Euler written as the textbook increment
 cross-checks the three-weight update of `fd_solve`; the Simpson probe shows
 why wave synthesis freezes phi; a plain max |e| over a cloud checks printed
@@ -96,7 +97,8 @@ def _raise(mask, message, node):
 def _ev(e: Expr, env, fail):
     """The tree walker behind every entry point.  Values are floats or
     float arrays.  fail(mask, message, node) is told where a node is
-    undefined, in evaluation order; with fail None nothing is checked."""
+    undefined, in evaluation order; with fail None nothing is checked.
+    Every Pow and Call builds its masks, whatever its value."""
     if isinstance(e, Const):
         return float(e.value)
     if isinstance(e, Var):

@@ -216,9 +216,9 @@ def test_solve_integrates_the_base_grid_once(tmp_path, monkeypatch):
     grids = []
     fd_solve = numverify.fd_solve
 
-    def counted(p, ic, bc, g):
+    def counted(p, ic, bc, g, *bound):
         grids.append((g.nx, g.nt))
-        return fd_solve(p, ic, bc, g)
+        return fd_solve(p, ic, bc, g, *bound)
 
     monkeypatch.setattr(numverify, "fd_solve", counted)
     pde = write(tmp_path, "pde.json",
@@ -230,6 +230,39 @@ def test_solve_integrates_the_base_grid_once(tmp_path, monkeypatch):
     assert len(grids) == len(set(grids)) == 3
     report = read_report(out)
     assert report["final_time_error"] == report["convergence"][0]["error"]
+
+
+@pytest.mark.parametrize("nt", [[], ["--nt", "400"]])
+def test_solve_probes_the_stability_rule_once_per_grid(tmp_path, monkeypatch,
+                                                       nt):
+    # auto_nt, the base run and the refinement study share the base grid's
+    # probe; each refined level probes its own nodes
+    from liewave import numverify
+    sizes = []
+    stable_dt = numverify.stable_dt
+
+    def counted(p, xs, t0, t1):
+        sizes.append(len(xs))
+        return stable_dt(p, xs, t0, t1)
+
+    monkeypatch.setattr(numverify, "stable_dt", counted)
+    pde = write(tmp_path, "pde.json",
+                {"A": "1", "B": "-2", "C": "0",
+                 "domain": {"x": [0, 1], "t": [0, 0.1]}})
+    assert main(["--out", str(tmp_path / "out"), "solve", pde, "--ic",
+                 "exp(x - t)", "--nx", "41", "--levels", "3"] + nt) == 0
+    assert sizes == [41, 81, 161]
+
+
+@pytest.mark.parametrize("nt", [[], ["--nt", "1"]])
+def test_solve_rejects_backward_diffusion_before_the_step_bound(tmp_path,
+                                                                capsys, nt):
+    # --nt 1 also breaks the step bound: A < 0 is still the error reported
+    pde = write(tmp_path, "pde.json", dict(HEAT, A="-1"))
+    assert main(["--out", str(tmp_path / "out"), "solve", pde,
+                 "--ic", "exp(-t)*sin(x)", "--levels", "3"] + nt) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: A = -1 < 0") and err.count("\n") == 1
 
 
 def test_passing_solve_renders_no_expression_text(tmp_path, monkeypatch):

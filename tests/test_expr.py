@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import importlib
 import math
@@ -315,15 +316,41 @@ def test_pickle_does_not_carry_the_cache():
         assert copy == tree and hash(copy) == hash(tree)
 
 
+# one canonical (so marked) node of each branch kind
+_KINDS = {type(e).__name__: e for e in map(simplify, map(parse, (
+    "x + 1", "2*x*t", "x^2", "-x", "exp(x)")))}
+
+
+@pytest.mark.parametrize("make", [
+    lambda e: type(e)(*(getattr(e, f.name) for f in dataclasses.fields(e))),
+    lambda e: pickle.loads(pickle.dumps(e)),
+    copy.copy,
+    copy.deepcopy,
+], ids=["fresh", "unpickled", "copy", "deepcopy"])
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_cache_slots_start_unset(kind, make):
+    # fill the source's slots first, so that a copy carrying them shows
+    node = _KINDS[kind]
+    assert type(node).__name__ == kind and node._canon
+    h, key = hash(node), sort_key(node)
+    other = make(node)
+    assert other is not node and other == node
+    assert (other._hash, other._key, other._canon) == (None, None, False)
+    assert hash(other) == h and sort_key(other) == key
+    assert (other._hash, other._key, other._canon) == (h, key, False)
+    assert simplify(other) is not other  # unmarked: simplified again
+
+
 # ------------------------------------------------ the canonical mark
 
 def _unmarked(e):
-    """Structural copy without the cache slots (pickle drops them)."""
+    """Structural copy with the cache slots unset (pickle carries the
+    fields only)."""
     return pickle.loads(pickle.dumps(e))
 
 
 def _marked(e):
-    return [n for n in _walk(e) if hasattr(n, "_canon")]
+    return [n for n in _walk(e) if getattr(n, "_canon", False)]
 
 
 def _check_canonical_mark(e):
@@ -333,7 +360,7 @@ def _check_canonical_mark(e):
     s = simplify(e)
     copy = _unmarked(s)
     assert not _marked(copy)
-    assert isinstance(s, (Const, Var)) or hasattr(s, "_canon")
+    assert isinstance(s, (Const, Var)) or s._canon
     # the mark is invisible to equality, hash, repr, text and pickle
     assert s == copy and hash(s) == hash(copy)
     assert repr(s) == repr(copy) and to_text(s) == to_text(copy)
@@ -957,6 +984,46 @@ def test_shared_failing_subtree_raises_as_the_tree_walk():
                      mask and walk_told.append((message, node)))
     assert told == [("log of a nonpositive value", bad), ("overflow", bad)]
     assert walk_told == told * 2
+
+
+_EXP800 = Call("exp", Const(800))  # inf, from a finite argument
+
+
+@given(_exprs)
+@example(Pow(Const(0), Const(-2)))
+@example(Pow(Const(-8), Const(Fraction(1, 3))))
+@example(Call("log", Const(0)))
+@example(Call("log", Const(-1)))
+@example(Call("log", Const(-0.0)))
+@example(Call("sqrt", Const(-0.0)))
+@example(Call("sqrt", Const(-1)))
+@example(_EXP800)
+@example(Pow(Const(10), Const(400)))
+@example(Pow(_EXP800, Const(-1)))             # inf from a child, finite value
+@example(Call("exp", Neg(_EXP800)))
+@example(Call("log", Add((_EXP800, Var("x")))))
+@example(Pow(Var("x"), Const(-2)))            # 0^-2 at some grid points
+@example(Call("sqrt", Var("q")))
+@settings(max_examples=300, deadline=None)
+def test_checks_only_where_a_value_is_not_finite(e):
+    # the evaluator skips a Pow's or a Call's masks where its value is all
+    # finite; the tree walk builds them at every node
+    values, failed = eval_checked(e, _GRID)
+    want_values, want_failed = tree_walk_checked(e, _GRID)
+    assert failed.tobytes() == want_failed.tobytes()
+    ok = ~failed
+    assert _bits(values[ok]) == _bits(want_values[ok])
+    for i, j in ((0, 0), (2, 1), (3, 2), (3, 3), (5, 4), (6, 0)):
+        point = {k: float(np.broadcast_to(v, (7, 5))[i, j])
+                 for k, v in _GRID.items()}
+        try:
+            want = tree_walk_numeric(e, point)
+        except EvalError as err:
+            with pytest.raises(EvalError) as raised:
+                eval_numeric(e, point)
+            assert str(raised.value) == str(err)
+        else:
+            assert _bits(eval_numeric(e, point)) == _bits(want)
 
 
 # ---------------------------------------------------------- zero testing

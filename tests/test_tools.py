@@ -49,3 +49,26 @@ def test_header_reports_the_measured_interval_and_error():
     # no samples: nothing to divide by
     assert sample_profile._header("fd-modes", 3, 42, 1, 0, 0.01) == (
         "fd-modes seed 3: 42 jobs x 1 passes, 0 samples in 0.01 s of CPU")
+
+
+def test_function_tables_rank_by_inclusive_and_by_self_share():
+    # two samples in a.outer (one of them in a.inner), one in a.leaf:
+    # outer leads the inclusive ranking and leaf the self ranking
+    stop = SimpleNamespace(co_name="main")
+    outer, inner, leaf = (SimpleNamespace(co_name=n)
+                          for n in ("outer", "inner", "leaf"))
+    sampler = sample_profile._Sampler(stop)
+    job = _frame("a", stop)
+    sampler(signal.SIGPROF, _frame("a", inner, _frame("a", outer, job)))
+    sampler(signal.SIGPROF, _frame("a", leaf, job))
+    sampler(signal.SIGPROF, _frame("a", leaf, job))
+    assert sample_profile._table("incl", sampler, tuple, 3) == [
+        "incl", " incl %  self %  name",
+        "  100.0     0.0  a.main",
+        "   66.7    66.7  a.leaf",
+        "   33.3    33.3  a.inner"]
+    assert sample_profile._table("self", sampler, tuple, 3,
+                                 by_self=True) == [
+        "self", " incl %  self %  name",
+        "   66.7    66.7  a.leaf",
+        "   33.3    33.3  a.inner"]  # no self samples, no row: main, outer

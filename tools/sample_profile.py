@@ -20,7 +20,10 @@ sqrt(p (1 - p) / samples) at p = 0.05.  Below it, per module and per
 function (`module.qualname`), it prints the share of samples in which it
 was on the stack (inclusive: a recursive function counts once per sample)
 and the share in which it was the innermost Python frame (self: time in C
-code is charged to the Python function that called it).  Unlike cProfile,
+code is charged to the Python function that called it).  Functions are
+ranked twice: the top 40 by inclusive share, then the top 40 by self share,
+where a small function called often (a hash, a sort key) shows even when
+it is far down the inclusive ranking.  Unlike cProfile,
 this adds nothing to each call, so small functions called often are not
 overstated.  Exit 1 if a job's exit code is not the one the workload
 expects.  Unix only (signal.setitimer); stdlib only.
@@ -80,11 +83,14 @@ def _run(cli, job, seed: int, out: str) -> int:
         return cli.main(["--out", out, "--seed", str(seed % 1000)] + job.argv)
 
 
-def _table(title: str, sampler: _Sampler, kind, rows: int) -> list:
-    """The `rows` labels of type `kind` with the largest inclusive share."""
+def _table(title: str, sampler: _Sampler, kind, rows: int,
+           by_self: bool = False) -> list:
+    """The `rows` labels of type `kind` with the largest inclusive share,
+    or self share when `by_self`."""
     total = sampler.samples
     lines = [title, f"{'incl %':>7} {'self %':>7}  name"]
-    ranked = [(n, label) for label, n in sampler.inclusive.items()
+    counts = sampler.self_ if by_self else sampler.inclusive
+    ranked = [(n, label) for label, n in counts.items()
               if isinstance(label, kind)]
     for n, label in sorted(ranked, key=lambda r: (-r[0], r[1]))[:rows]:
         name = label if kind is str else ".".join(label)
@@ -155,6 +161,9 @@ def main(argv=None) -> int:
         print()
         print("\n".join(_table(f"by function (top {TOP} inclusive)", sampler,
                                tuple, TOP)))
+        print()
+        print("\n".join(_table(f"by function (top {TOP} self)", sampler,
+                               tuple, TOP, by_self=True)))
     for line in wrong:
         print(f"error: {line}", file=sys.stderr)
     return 1 if wrong else 0
