@@ -16,9 +16,6 @@ from .nodes import (
 )
 from .simplify import _Exact, derived, simplify
 
-_MISS = object()  # tells a derivative table's miss from a stored None
-
-
 class EvalError(ValueError):
     """Numeric evaluation failure; carries the offending subtree."""
 
@@ -31,26 +28,25 @@ def diff(e: Expr, var: str) -> Expr:
     """Exact derivative with respect to `var`, canonically simplified.
     Inside memo_scope() the raw derivative of each branch tree is computed
     once per variable, and an equal tree gets it back."""
-    d = _d(e, var, derived(var))
-    return ZERO if d is None else simplify(d)
+    return simplify(_d(e, var, derived(var)))
 
 
 def _d(e: Expr, var: str, memo):
-    """Unsimplified derivative, or None where it is structurally zero: a
-    constant, another variable, or a node none of whose children depend on
-    `var`.  The product rule writes no term for a factor whose derivative
-    is None; each such term would be a product with a 0 factor, which
-    simplify folds to 0, so simplify gives the same tree without them.
-    memo is the scope's table for `var`, _Exact(tree) -> derivative, or
-    None; a stored None is a hit, told from a miss by _MISS."""
+    """Unsimplified derivative, or the ZERO node itself where it is
+    structurally zero: a constant, another variable, or a node none of
+    whose children depend on `var`.  The product rule writes no term for a
+    factor whose derivative is ZERO; each such term would be a product
+    with a 0 factor, which simplify folds to 0, so simplify gives the same
+    tree without them.  memo is the scope's table for `var`,
+    _Exact(tree) -> derivative, or None."""
     if isinstance(e, Const):
-        return None
+        return ZERO
     if isinstance(e, Var):
-        return ONE if e.name == var else None
+        return ONE if e.name == var else ZERO
     if memo is not None:
         key = _Exact(e)
-        d = memo.get(key, _MISS)
-        if d is not _MISS:
+        d = memo.get(key)
+        if d is not None:
             return d
     d = _d_rule(e, var, memo)
     if memo is not None:
@@ -62,38 +58,38 @@ def _d_rule(e: Expr, var: str, memo):
     """The derivative rule for branch node e; children go through _d."""
     if isinstance(e, Add):
         terms = tuple(d for d in (_d(t, var, memo) for t in e.terms)
-                      if d is not None)
-        return Add(terms) if terms else None
+                      if d is not ZERO)
+        return Add(terms) if terms else ZERO
     if isinstance(e, Neg):
         d = _d(e.child, var, memo)
-        return None if d is None else Neg(d)
+        return ZERO if d is ZERO else Neg(d)
     if isinstance(e, Mul):
         terms = []
         for i, f in enumerate(e.factors):
             d = _d(f, var, memo)
-            if d is not None:
+            if d is not ZERO:
                 terms.append(Mul(e.factors[:i] + (d,) + e.factors[i + 1:]))
-        return Add(tuple(terms)) if terms else None
+        return Add(tuple(terms)) if terms else ZERO
     if isinstance(e, Pow):
         b, x = e.base, e.exponent
         db, dx = _d(b, var, memo), _d(x, var, memo)
         if isinstance(x, Const):
-            if db is None:
-                return None
+            if db is ZERO:
+                return ZERO
             return Mul((x, Pow(b, Const(x.value - 1)), db))
         if isinstance(b, Const):
-            return None if dx is None else Mul((e, Call("log", b), dx))
+            return ZERO if dx is ZERO else Mul((e, Call("log", b), dx))
         # general exponent: b^x * (x' log b + x b'/b)
         terms = []
-        if dx is not None:
+        if dx is not ZERO:
             terms.append(Mul((dx, Call("log", b))))
-        if db is not None:
+        if db is not ZERO:
             terms.append(Mul((x, db, Pow(b, MINUS_ONE))))
-        return Mul((e, Add(tuple(terms)))) if terms else None
+        return Mul((e, Add(tuple(terms)))) if terms else ZERO
     if isinstance(e, Call):
         u, du = e.arg, _d(e.arg, var, memo)
-        if du is None:
-            return None
+        if du is ZERO:
+            return ZERO
         if e.fn == "exp":
             return Mul((e, du))
         if e.fn == "log":

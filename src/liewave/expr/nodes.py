@@ -208,7 +208,7 @@ def num(x: NumberLike, name: str = "") -> Const:
         return Const(Fraction(x))
     if isinstance(x, float):
         if not math.isfinite(x):
-            raise ValueError(f"{where}parameter must be finite")
+            raise ValueError(f"{where}must be a finite number")
         return Const(Fraction(str(x)))
     raise ValueError(f"{where}expected a number, got {type(x).__name__}")
 

@@ -310,7 +310,7 @@ class ModeProblem:
             raise ValueError("H must be positive")
         norm = []
         for z_lo, z_hi, n_expr in self.pieces:
-            e = _as_expr(n_expr)
+            e = _as_expr(n_expr, "N")
             check_vars(e, ("z",), "N")
             probe = eval_on_grid(e, {"z": np.linspace(float(z_lo),
                                                       float(z_hi), 33)})
@@ -330,7 +330,7 @@ class ModeProblem:
 
     @classmethod
     def constant(cls, n_bar: float, H: float) -> "ModeProblem":
-        return cls(H, ((-H, 0.0, _as_expr(repr(float(n_bar)))),))
+        return cls(H, ((-H, 0.0, repr(float(n_bar))),))
 
 
 def load_profile(source) -> ModeProblem:
@@ -344,7 +344,7 @@ def load_profile(source) -> ModeProblem:
     if not (isinstance(n, list) and all(
             isinstance(piece, dict) and isinstance(piece.get("z"), list)
             and len(piece["z"]) == 2 for piece in n)):
-        raise ValueError('N must be an expression or a list of '
+        raise ValueError('N: must be an expression or a list of '
                          '{"z": [lo, hi], "expr": ...} pieces')
     return ModeProblem(H, tuple(
         (float(num(piece["z"][0], "N.z").value),

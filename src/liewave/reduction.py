@@ -23,10 +23,10 @@ from typing import Optional
 import numpy as np
 
 from .expr import (
-    Exp, Expr, Var, check_nonvanishing, check_vars, diff, eval_checked,
-    eval_numeric, expand, is_zero_sampled, num, sample_box, simplify, to_text,
+    Exp, Expr, Var, check_nonvanishing, diff, eval_checked, eval_numeric,
+    expand, is_zero_sampled, num, sample_box, simplify, to_text,
 )
-from .symmetry import Domain, Generator, PdeSpec, _as_expr, _load_json
+from .symmetry import Domain, Generator, PdeSpec, _load_json, _read
 
 WAVE = "WAVE"
 OSCILLATOR = "OSCILLATOR"
@@ -49,16 +49,9 @@ class SeparableAnsatz:
     v: float
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", _as_expr(self.phi))
-        object.__setattr__(self, "P", _as_expr(self.P))
-        object.__setattr__(self, "R", _as_expr(self.R))
-        object.__setattr__(self, "q", float(num(self.q, "q").value))
-        object.__setattr__(self, "v", float(num(self.v, "v").value))
+        _read(self, (("phi", ("t",)), ("P", ("x",)), ("R", ("x",))), ("q", "v"))
         if self.q == 0.0:
             raise ValueError("q must be nonzero")
-        check_vars(self.phi, ("t",), "phi")
-        check_vars(self.P, ("x",), "P")
-        check_vars(self.R, ("x",), "R")
 
     def xi(self) -> Expr:
         return simplify(num(self.q) * self.phi / diff(self.P, "x"))

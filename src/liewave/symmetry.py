@@ -18,12 +18,29 @@ from .expr import (
 )
 
 
-def _as_expr(e: Union[Expr, str, int, float]) -> Expr:
+def _as_expr(e: Union[Expr, str, int, float], name: str) -> Expr:
+    """An expression from a tree, a text or a number; a malformed value is
+    a ValueError prefixed with `name` (the field being read), as in num."""
     if isinstance(e, Expr):
         return e
     if isinstance(e, str):
-        return parse(e)
-    return num(e)
+        try:
+            return parse(e)
+        except ValueError as err:
+            raise ValueError(f"{name}: {err}") from err
+    return num(e, name)
+
+
+def _read(obj, exprs, numbers=()):
+    """Read a frozen input's fields in place: each (field, variables) pair
+    of `exprs` as an expression in those variables, then each field of
+    `numbers` as a float.  Every error names its field."""
+    for name, allowed in exprs:
+        e = _as_expr(getattr(obj, name), name)
+        check_vars(e, allowed, name)
+        object.__setattr__(obj, name, e)
+    for name in numbers:
+        object.__setattr__(obj, name, float(num(getattr(obj, name), name).value))
 
 
 @dataclass(frozen=True)
@@ -95,7 +112,7 @@ def load_pde(source) -> PdeSpec:
     params = {k: num(v, f"params.{k}") for k, v in params.items()}
     coeffs = {}
     for name in ("A", "B", "C"):
-        coeffs[name] = simplify(substitute(_as_expr(d[name]), params))
+        coeffs[name] = simplify(substitute(_as_expr(d[name], name), params))
     return PdeSpec(coeffs["A"], coeffs["B"], coeffs["C"],
                    Domain.from_dict(d["domain"]))
 
@@ -119,12 +136,7 @@ class Generator:
     M: Expr
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", _as_expr(self.phi))
-        object.__setattr__(self, "xi", _as_expr(self.xi))
-        object.__setattr__(self, "M", _as_expr(self.M))
-        check_vars(self.phi, ("t",), "phi")
-        check_vars(self.xi, ("x", "t"), "xi")
-        check_vars(self.M, ("x", "t"), "M")
+        _read(self, (("phi", ("t",)), ("xi", ("x", "t")), ("M", ("x", "t"))))
 
     def to_dict(self):
         return {"phi": to_text(self.phi), "xi": to_text(self.xi),

@@ -27,12 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from .expr import (
-    ONE, ZERO, Cos, Exp, Expr, Sin, Var, check_vars, diff, num, simplify,
-    substitute,
+    ONE, ZERO, Cos, Exp, Expr, Sin, Var, diff, num, simplify, substitute,
 )
 from .reduction import SeparableAnsatz
 from .symmetry import (
-    Domain, Generator, PdeSpec, _as_expr, _load_json, symmetry_check,
+    Domain, Generator, PdeSpec, _load_json, _read, symmetry_check,
 )
 
 X = Var("x")
@@ -52,16 +51,12 @@ class _SeparableFamily:
     q: float
     v: float
 
-    def _validate(self, constants):
-        """Take P, R, q, v from the ansatz, read `constants` as numbers and
-        reject the ansatz where it is not valid on `self.domain`."""
-        a = self.ansatz()
-        for name in ("P", "R", "q", "v"):
-            object.__setattr__(self, name, getattr(a, name))
-        for name in constants:
-            object.__setattr__(self, name,
-                               float(num(getattr(self, name), name).value))
-        a.validate_on(self.domain)
+    def _validate(self, exprs, numbers):
+        """Read P, R, q, v and the subclass's own fields, then reject the
+        ansatz where it is not valid on `self.domain`."""
+        _read(self, exprs + (("P", ("x",)), ("R", ("x",))),
+              ("q", "v") + numbers)
+        self.ansatz().validate_on(self.domain)
 
     def ansatz(self) -> SeparableAnsatz:
         return SeparableAnsatz(ONE, self.P, self.R, self.q, self.v)
@@ -82,9 +77,7 @@ class WaveFamilyInput(_SeparableFamily):
     domain: Domain
 
     def __post_init__(self):
-        object.__setattr__(self, "F", _as_expr(self.F))
-        check_vars(self.F, ("s",), "F")
-        self._validate(("a", "b"))
+        self._validate((("F", ("s",)),), ("a", "b"))
 
 
 def synth_wave(inp: WaveFamilyInput) -> PdeSpec:
@@ -143,7 +136,7 @@ class OscFamilyInput(_SeparableFamily):
     domain: Domain
 
     def __post_init__(self):
-        self._validate(("a", "b", "k"))
+        self._validate((), ("a", "b", "k"))
         if not self.k > 0:
             raise ValueError("k must be positive")
 
@@ -192,20 +185,14 @@ class RossbyFamilyInput:
     domain: Domain
 
     def __post_init__(self):
-        object.__setattr__(self, "F", _as_expr(self.F))
-        object.__setattr__(self, "G", _as_expr(self.G))
-        object.__setattr__(self, "H", _as_expr(self.H))
-        for name in ("c", "c1", "c2"):
-            object.__setattr__(self, name,
-                               float(num(getattr(self, name), name).value))
+        _read(self, (("F", ("w",)), ("G", ("w",)), ("H", ("w",))),
+              ("c", "c1", "c2"))
         mode = str(self.mode).upper()
         if mode not in (DERIVED, AS_PRINTED):
             raise ValueError(f"mode must be DERIVED or AS_PRINTED, got {self.mode!r}")
         object.__setattr__(self, "mode", mode)
         if self.c == 0.0 and self.c1 == 0.0:
             raise ValueError("(c, c1) must not both vanish")
-        for name in ("F", "G", "H"):
-            check_vars(getattr(self, name), ("w",), name)
         t0, t1 = self.domain.t
         if self.c != 0.0:
             t_zero = -self.c1 / self.c

@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import io
 import json
@@ -28,6 +29,8 @@ ROSSBY_PRINTED = {"family": "rossby", "F": "w", "G": "w", "H": "w",
                   "domain": {"x": [1, 2], "t": [1, 2]}}
 HEAT = {"A": "1", "B": "0", "C": "0", "domain": {"x": [0, 1], "t": [0, 1]}}
 PLAIN_ANSATZ = {"phi": "1", "P": "x", "R": "0", "q": 1.0, "v": 0.0}
+BOOST = {"phi": "0", "xi": "2*t", "M": "-x"}
+PROFILE = {"H": 300.0, "N": "0.0002"}
 
 
 def write(tmp_path, name, payload):
@@ -607,6 +610,17 @@ def _without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
 
+def _argv(tmp_path, command, doc):
+    """main()'s argv reading the document `doc` as `command` takes it: a PDE
+    for check, a generator for gen (checked on HEAT), an ansatz for reduce
+    (reducing HEAT), a family for synth and a profile for modes."""
+    heat = write(tmp_path, "pde.json", HEAT)
+    return ["--out", str(tmp_path / "out"), *{
+        "check": ["check", doc, "--solution", "x"],
+        "gen": ["check", heat, "--gen", doc],
+        "reduce": ["reduce", heat, doc]}.get(command, [command, doc])]
+
+
 @pytest.mark.parametrize("command, payload, name", [
     ("check", dict(HEAT, A="q", params={"q": "a"}), "params.q"),
     ("reduce", dict(PLAIN_ANSATZ, q="a"), "q"),
@@ -622,13 +636,43 @@ def test_malformed_number_names_its_file(tmp_path, capsys, command, payload,
                                          name):
     # reduce reads two documents: the error names the ansatz, not the PDE
     doc = write(tmp_path, "doc.json", payload)
-    argv = {"check": ["check", doc, "--solution", "x"],
-            "reduce": ["reduce", write(tmp_path, "pde.json", HEAT), doc]
-            }.get(command, [command, doc])
-    assert main(["--out", str(tmp_path / "out"), *argv]) == 2
+    assert main(_argv(tmp_path, command, doc)) == 2
     problem = (f"{name}: expected a number, got str"
                if name.split(".")[0] in payload else f"missing key {name!r}")
     assert capsys.readouterr().err == f"error: {doc}: {problem}\n"
+
+
+@pytest.mark.parametrize("value", ["x^^2", None])
+@pytest.mark.parametrize("command, payload, name", [
+    *(("check", HEAT, name) for name in ("A", "B", "C")),
+    *(("gen", BOOST, name) for name in ("phi", "xi", "M")),
+    *(("reduce", PLAIN_ANSATZ, name) for name in ("phi", "P", "R")),
+    *(("synth", WAVE_FAMILY, name) for name in ("P", "R", "F")),
+    *(("synth", OSC_FAMILY, name) for name in ("P", "R")),
+    *(("synth", ROSSBY_PRINTED, name) for name in ("F", "G", "H")),
+    ("modes", PROFILE, "N"),
+    ("modes", None, "N"),  # the expression of one piece
+])
+def test_malformed_expression_names_its_field(tmp_path, capsys, command,
+                                              payload, name, value):
+    doc = dict(payload, **{name: value}) if payload else \
+        {"H": 300.0, "N": [{"z": [-300, 0], "expr": value}]}
+    path = write(tmp_path, "doc.json", doc)
+    assert main(_argv(tmp_path, command, path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {name}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, payload, name", [
+    ("modes", dict(PROFILE, H=1e999), "H"),
+    ("check", dict(HEAT, domain={"x": [0, 1e999], "t": [0, 1]}), "domain.x"),
+])
+def test_non_finite_number_names_its_field(tmp_path, capsys, command,
+                                           payload, name):
+    doc = write(tmp_path, "doc.json", payload)
+    assert main(_argv(tmp_path, command, doc)) == 2
+    assert capsys.readouterr().err == \
+        f"error: {doc}: {name}: must be a finite number\n"
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -738,6 +782,19 @@ _coefficients = st.sampled_from(
 _interval = st.lists(st.integers(-3, 3), min_size=2, max_size=2, unique=True)
 
 
+def _run_fuzzed(argv):
+    """main(argv) keeps the exit-code contract: 0, 1 or 2, and an exit 2
+    writes one `error: ` line and no traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        text = err.getvalue()
+        assert text.startswith("error: ") and text.count("\n") == 1, text
+        assert "Traceback" not in text
+
+
 def _mutated(draw, doc, fields):
     """doc with up to two of `fields` (a key, or "domain.x" for an interval)
     replaced by arbitrary JSON or dropped."""
@@ -773,9 +830,8 @@ def test_pde_loader_fuzz_never_raises(tmp_path_factory, doc):
     root = tmp_path_factory.getbasetemp()
     path = root / "fuzz-pde.json"
     path.write_text(json.dumps(doc))
-    rc = main(["--out", str(root / "fuzz-out"), "check", str(path),
-               "--solution", "x"])
-    assert rc in (0, 1, 2)
+    _run_fuzzed(["--out", str(root / "fuzz-out"), "check", str(path),
+                 "--solution", "x"])
 
 
 _numbers = st.sampled_from([-1.5, -0.5, 0, 0.5, 1, 2.0])
@@ -825,7 +881,7 @@ def test_ansatz_and_family_loader_fuzz_never_raises(tmp_path_factory, kind,
         doc = data.draw(_family_documents())
         argv = out + ["synth", str(root / "fuzz-doc.json")]
     (root / "fuzz-doc.json").write_text(json.dumps(doc))
-    assert main(argv) in (0, 1, 2)
+    _run_fuzzed(argv)
 
 
 @st.composite
@@ -867,7 +923,7 @@ def test_generator_and_profile_fuzz_never_raises(tmp_path_factory, kind,
     else:
         doc.write_text(json.dumps(data.draw(_profile_documents())))
         argv = out + ["modes", str(doc), "--modes", "2"]
-    assert main(argv) in (0, 1, 2)
+    _run_fuzzed(argv)
 
 
 _ARGV_DOCS = {
@@ -953,11 +1009,9 @@ def test_argv_fuzz_keeps_the_exit_code_contract(tmp_path_factory, argv):
     argv = ["--out", str(root / "out")] + [
         str(root / t) if t in _ARGV_FILES else t for t in argv]
     try:
-        rc = main(argv)
+        _run_fuzzed(argv)
     except SystemExit as stop:  # argparse rejects the command line
         assert stop.code == 2
-    else:
-        assert rc in (0, 1, 2)
     assert (simplify_module._memo, simplify_module._expanded,
             simplify_module._derived) == (None, None, None)
 
@@ -1006,8 +1060,8 @@ def test_malformed_coefficient_or_param_is_exit_2(tmp_path, capsys, payload):
     assert main(["--out", str(tmp_path / "out"), "check", pde,
                  "--gen", gen]) == 2
     err = capsys.readouterr().err
-    field = "params.q: " if "params" in payload else ""
-    assert err.startswith(f"error: {pde}: {field}expected ")
+    field = "params.q" if "params" in payload else "C"
+    assert err.startswith(f"error: {pde}: {field}: expected ")
     assert err.count("\n") == 1
 
 

@@ -17,7 +17,7 @@ from liewave.expr import (
     num, parse, sample_box, simplify, substitute, to_text,
 )
 from liewave.expr import (
-    check_nonvanishing, eval_checked, eval_on_grid, memo_scope,
+    ZERO, check_nonvanishing, eval_checked, eval_on_grid, memo_scope,
 )
 from liewave.expr.calculus import _ev, _shared
 from liewave.expr.nodes import children, neg, node_count, sort_key
@@ -491,10 +491,11 @@ def test_identity_tables_hold_the_trees_they_key():
         canon = simplify(e)  # what expand expands
         assert any(k.tree is canon for k in simplify_module._expanded)
         assert any(k.tree is e for k in simplify_module._derived["x"])
-        # a None derivative (structurally zero) is stored and served too
+        # a structurally zero derivative is stored and served too, as the
+        # ZERO node itself
         assert diff(e, "t") == Const(0)
         key = next(k for k in simplify_module._derived["t"] if k.tree is e)
-        assert simplify_module._derived["t"][key] is None
+        assert simplify_module._derived["t"][key] is ZERO
 
 
 def test_tables_serve_equal_trees_built_apart(monkeypatch):
@@ -514,14 +515,14 @@ def test_tables_serve_equal_trees_built_apart(monkeypatch):
         results = expand(first), diff(first, "x"), diff(first, "t")
         before = sizes()
         # the second parse is served from the tables, also the structurally
-        # zero t-derivative: a stored None is a hit, not a miss
+        # zero t-derivative: a stored ZERO is a hit, not a miss
         monkeypatch.setattr(calculus_module, "_d_rule", no_rule)
         assert (expand(second), diff(second, "x"), diff(second, "t")) \
             == results
         assert sizes() == before
         assert results[2] == Const(0)
         key = simplify_module._Exact(second)
-        assert simplify_module._derived["t"][key] is None
+        assert simplify_module._derived["t"][key] is ZERO
 
 
 # ------------------------------------------------------- differentiation
