@@ -350,6 +350,10 @@ _COMMANDS = {"synth": cmd_synth, "check": cmd_check, "reduce": cmd_reduce,
              "solve": cmd_solve, "modes": cmd_modes}
 
 
+_INT_OVERFLOW = {"int too large to convert to float":
+                 "integer division result too large for a float"}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.monotonic()
@@ -360,7 +364,11 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except OverflowError as err:  # an exact constant left the float range
-        print(f"error: number beyond the float range ({err})", file=sys.stderr)
+        # an integral one is an int, whose overflow CPython words otherwise
+        # than a Fraction's; the report keeps the Fraction's words for both
+        detail = _INT_OVERFLOW.get(str(err), str(err))
+        print(f"error: number beyond the float range ({detail})",
+              file=sys.stderr)
         return EXIT_BAD_INPUT
     except MemoryError as err:  # a grid or cloud too large for this machine
         detail = f" ({err})" if str(err) else ""

@@ -5,16 +5,17 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 
 from .nodes import (
     Add, Call, Const, Expr, FUNCTIONS, MINUS_ONE, Mul, Neg, ONE, Pow, Var,
-    ZERO, children, coerce, to_text,
+    ZERO, _Branch, _set_canon, children, coerce, to_text,
 )
-from .simplify import _Exact, derived, simplify
+from .simplify import (
+    _Exact, _add, _call, _mul, _negate, _pow, derived, simplify,
+)
 
 class EvalError(ValueError):
     """Numeric evaluation failure; carries the offending subtree."""
@@ -25,20 +26,25 @@ class EvalError(ValueError):
 
 
 def diff(e: Expr, var: str) -> Expr:
-    """Exact derivative with respect to `var`, canonically simplified.
-    Inside memo_scope() the raw derivative of each branch tree is computed
-    once per variable, and an equal tree gets it back."""
-    return simplify(_d(e, var, derived(var)))
+    """Exact derivative with respect to `var`, in canonical form, built in
+    one pass: each rule hands canonical children to simplify's own
+    constructors, the calls simplify would make on the raw derivative
+    tree, and marks each branch node it builds as simplify marks its
+    results, so the result is that of simplify(raw derivative) and no raw
+    derivative node is built.  Inside memo_scope() the derivative of each
+    branch tree is computed once per variable, and an equal tree gets it
+    back."""
+    return _diff(e, var, derived(var))
 
 
-def _d(e: Expr, var: str, memo):
-    """Unsimplified derivative, or the ZERO node itself where it is
+def _diff(e: Expr, var: str, memo):
+    """Canonical derivative, or the ZERO node itself where it is
     structurally zero: a constant, another variable, or a node none of
     whose children depend on `var`.  The product rule writes no term for a
     factor whose derivative is ZERO; each such term would be a product
-    with a 0 factor, which simplify folds to 0, so simplify gives the same
-    tree without them.  memo is the scope's table for `var`,
-    _Exact(tree) -> derivative, or None."""
+    with a 0 factor, which _mul folds to 0, so the sum is the same without
+    them.  memo is the scope's table for `var`, _Exact(tree) ->
+    derivative, or None."""
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Var):
@@ -48,58 +54,77 @@ def _d(e: Expr, var: str, memo):
         d = memo.get(key)
         if d is not None:
             return d
-    d = _d_rule(e, var, memo)
+    d = _rule(e, var, memo)
     if memo is not None:
         memo[key] = d
     return d
 
 
-def _d_rule(e: Expr, var: str, memo):
-    """The derivative rule for branch node e; children go through _d."""
+def _mark(e: Expr) -> Expr:
+    """e, marked canonical if it is a branch node, as simplify returns it."""
+    if isinstance(e, _Branch):
+        _set_canon(e, True)
+    return e
+
+
+def _rule(e: Expr, var: str, memo):
+    """The derivative rule for branch node e: the derivatives of its
+    children come from _diff, a factor the rule keeps as it is goes
+    through simplify (at once for a marked tree), and each node the rule
+    builds from them is canonical."""
     if isinstance(e, Add):
-        terms = tuple(d for d in (_d(t, var, memo) for t in e.terms)
+        terms = tuple(d for d in (_diff(t, var, memo) for t in e.terms)
                       if d is not ZERO)
-        return Add(terms) if terms else ZERO
+        return _mark(_add(terms)) if terms else ZERO
     if isinstance(e, Neg):
-        d = _d(e.child, var, memo)
-        return ZERO if d is ZERO else Neg(d)
+        d = _diff(e.child, var, memo)
+        return ZERO if d is ZERO else _mark(_negate(d))
     if isinstance(e, Mul):
-        terms = []
-        for i, f in enumerate(e.factors):
-            d = _d(f, var, memo)
-            if d is not ZERO:
-                terms.append(Mul(e.factors[:i] + (d,) + e.factors[i + 1:]))
-        return Add(tuple(terms)) if terms else ZERO
+        ds = [_diff(f, var, memo) for f in e.factors]
+        if all(d is ZERO for d in ds):
+            return ZERO
+        fs = tuple(map(simplify, e.factors))
+        return _mark(_add(tuple(
+            _mark(_mul(fs[:i] + (d,) + fs[i + 1:]))
+            for i, d in enumerate(ds) if d is not ZERO)))
     if isinstance(e, Pow):
         b, x = e.base, e.exponent
-        db, dx = _d(b, var, memo), _d(x, var, memo)
+        db, dx = _diff(b, var, memo), _diff(x, var, memo)
         if isinstance(x, Const):
             if db is ZERO:
                 return ZERO
-            return Mul((x, Pow(b, Const(x.value - 1)), db))
+            power = _mark(_pow(simplify(b), Const(x.value - 1)))
+            return _mark(_mul((x, power, db)))
         if isinstance(b, Const):
-            return ZERO if dx is ZERO else Mul((e, Call("log", b), dx))
+            if dx is ZERO:
+                return ZERO
+            return _mark(_mul((simplify(e), _mark(_call("log", b)), dx)))
         # general exponent: b^x * (x' log b + x b'/b)
         terms = []
         if dx is not ZERO:
-            terms.append(Mul((dx, Call("log", b))))
+            terms.append(_mark(_mul((dx, _mark(_call("log", simplify(b)))))))
         if db is not ZERO:
-            terms.append(Mul((x, db, Pow(b, MINUS_ONE))))
-        return Mul((e, Add(tuple(terms)))) if terms else ZERO
+            terms.append(_mark(_mul((simplify(x), db,
+                                     _mark(_pow(simplify(b), MINUS_ONE))))))
+        if not terms:
+            return ZERO
+        return _mark(_mul((simplify(e), _mark(_add(tuple(terms))))))
     if isinstance(e, Call):
-        u, du = e.arg, _d(e.arg, var, memo)
+        du = _diff(e.arg, var, memo)
         if du is ZERO:
             return ZERO
         if e.fn == "exp":
-            return Mul((e, du))
+            return _mark(_mul((simplify(e), du)))
+        u = simplify(e.arg)
         if e.fn == "log":
-            return Mul((du, Pow(u, MINUS_ONE)))
+            return _mark(_mul((du, _mark(_pow(u, MINUS_ONE)))))
         if e.fn == "sin":
-            return Mul((Call("cos", u), du))
+            return _mark(_mul((_mark(_call("cos", u)), du)))
         if e.fn == "cos":
-            return Neg(Mul((Call("sin", u), du)))
+            return _mark(_negate(_mark(_mul((_mark(_call("sin", u)), du)))))
         if e.fn == "sqrt":
-            return Mul((du, Pow(Mul((Const(Fraction(2)), e)), MINUS_ONE)))
+            twice = _mark(_mul((Const(2), simplify(e))))
+            return _mark(_mul((du, _mark(_pow(twice, MINUS_ONE)))))
     raise TypeError(f"not an Expr: {e!r}")
 
 

@@ -10,8 +10,10 @@ in equality, hash, repr or pickled state; the hash is the dataclass hash
 of the field tuple, so its values (and with them dict and set order) are
 those of an uncached node.
 Division is spelled Mul(a, Pow(b, -1)) and subtraction Add(a, Neg(b)), so
-there are only seven node kinds.  Exact rationals (fractions.Fraction) are
-kept until numeric evaluation; floats are contagious once introduced.
+there are only seven node kinds.  Exact constants are kept until numeric
+evaluation: an integral one as an int, any other as a fractions.Fraction
+(an int hashes, compares and prints as the Fraction equal to it, and costs
+less); floats are contagious once introduced.
 """
 
 from __future__ import annotations
@@ -71,8 +73,9 @@ class Expr:
 
 class _Branch(Expr):
     """A node with children.  Its hash and sort key walk the whole subtree
-    (with a modular pow for each Fraction in it) and simplify asks for them
-    again and again, so each is kept once computed (see _node, sort_key).
+    (with a modular pow for each non-integral Fraction in it) and simplify
+    asks for them again and again, so each is kept once computed (see
+    _node, sort_key).
     _canon is set on every node simplify returns: simplify is idempotent, so
     a marked tree is its own canonical form (see simplify.simplify).
     The slots exist from construction: __post_init__, which the dataclass
@@ -121,20 +124,26 @@ def _node(cls):
 
 @dataclass(frozen=True, slots=True)
 class Const(Expr):
-    value: Union[Fraction, float]
+    """A number: an int when it is exact and integral, a Fraction when it is
+    exact otherwise, a finite float when it is not exact."""
+
+    value: Union[int, Fraction, float]
 
     def __post_init__(self):
         v = self.value
+        if type(v) is int:
+            return
         if isinstance(v, bool) or not isinstance(v, (int, Fraction, float)):
             raise TypeError(f"Const value must be a number, got {type(v).__name__}")
-        if isinstance(v, int):
-            object.__setattr__(self, "value", Fraction(v))
-        elif isinstance(v, float) and not math.isfinite(v):
-            raise ValueError("Const value must be finite")
+        if isinstance(v, float):
+            if not math.isfinite(v):
+                raise ValueError("Const value must be finite")
+        elif v.denominator == 1:  # an integral Fraction, or an int subclass
+            object.__setattr__(self, "value", int(v))
 
     @property
     def is_exact(self) -> bool:
-        return isinstance(self.value, Fraction)
+        return not isinstance(self.value, float)
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,9 +187,9 @@ class Call(_Branch):
         _Branch.__post_init__(self)
 
 
-ZERO = Const(Fraction(0))
-ONE = Const(Fraction(1))
-MINUS_ONE = Const(Fraction(-1))  # the exponent of every division
+ZERO = Const(0)
+ONE = Const(1)
+MINUS_ONE = Const(-1)  # the exponent of every division
 
 
 def coerce(x) -> Expr:
@@ -205,7 +214,7 @@ def num(x: NumberLike, name: str = "") -> Const:
     if isinstance(x, (int, Fraction)):
         if abs(x) > sys.float_info.max:
             raise ValueError(f"{where}number beyond the float range")
-        return Const(Fraction(x))
+        return Const(x)
     if isinstance(x, float):
         if not math.isfinite(x):
             raise ValueError(f"{where}must be a finite number")
@@ -262,12 +271,14 @@ def free_vars(e: Expr) -> frozenset:
     return frozenset(names)
 
 
-def check_vars(e: Expr, allowed: tuple, what: str) -> None:
-    """Raise ValueError unless every free variable of e is in `allowed`."""
+def check_vars(e: Expr, allowed: tuple, name: str, when: str = "") -> None:
+    """Raise ValueError, prefixed with `name` (the input field e was read
+    from) and saying `when` the variables were checked, unless every free
+    variable of e is in `allowed`."""
     bad = free_vars(e) - set(allowed)
     if bad:
-        raise ValueError(f"{what} may only use {' and '.join(allowed)}, "
-                         f"found {sorted(bad)}")
+        raise ValueError(f"{name}: may only use {' and '.join(allowed)}"
+                         f"{when}, found {sorted(bad)}")
 
 
 def node_count(e: Expr) -> int:
@@ -283,15 +294,17 @@ def sort_key(e: Expr):
     Exact: two trees have equal keys only when they are the same tree down
     to the type of each constant, so Const(0.5) and Const(Fraction(1, 2)),
     or 0.0 and -0.0, differ here although they are == (see simplify's memo).
+    An exact constant's key holds its numerator and denominator, so an int
+    n has the key (0, n, 0.0, n, 1) a Fraction equal to it would have.
     """
     if isinstance(e, Const):
         v = e.value
-        if not isinstance(v, Fraction):
+        if type(v) is int:
+            return (0, v, 0.0, v, 1)
+        if isinstance(v, float):
             return (0, v, 1.0, math.copysign(1.0, v), 0.0)
-        n, d = v.numerator, v.denominator
-        # Fractions, ints and floats compare exactly with one another; an
-        # int compares faster than the Fraction equal to it
-        return (0, n if d == 1 else v, 0.0, n, d)
+        # Fractions, ints and floats compare exactly with one another
+        return (0, v, 0.0, v.numerator, v.denominator)
     if isinstance(e, Var):
         return (1, e.name)
     if not isinstance(e, _Branch):

@@ -8,7 +8,8 @@
 
 Functions are exp, log, sin, cos, sqrt.  NUMBER is an unsigned integer or
 decimal, optionally with an exponent part (2e-4); numeric literals become
-exact rationals.  Unary minus on a literal folds into a negative constant.
+exact constants (ints when integral).  Unary minus on a literal folds into
+a negative constant.
 '^' after '-' unary is a ParseError naming both readings, -(a^b) and (-a)^b.
 """
 
@@ -129,8 +130,8 @@ class _Parser:
     def atom(self) -> Expr:
         kind, value, offset = self.take()
         if kind == "number":
-            # an integer literal skips Fraction's string parser
-            return Const(Fraction(int(value) if value.isdigit() else value))
+            # an integer literal is an int, and skips Fraction's string parser
+            return Const(int(value) if value.isdigit() else Fraction(value))
         if kind == "ident":
             nk, nv, _ = self.peek()
             if nk == "op" and nv == "(":

@@ -25,7 +25,9 @@ Three things spare simplify work it has done before:
   mark cannot see) is not simplified again.
 
 The scope holds such a table for `_expand` too, and one per variable for
-`calculus._d`.  All three key a tree on its exact structure (`_Exact`): the
+`calculus.diff`, which holds each tree's canonical derivative (diff builds
+it in one pass with the constructors below, never a raw derivative tree).
+All three key a tree on its exact structure (`_Exact`): the
 cached hash, with equality of `nodes.sort_key`, which tells Const(0.5) from
 Const(Fraction(1, 2)) and 0.0 from -0.0 where == does not.  They start and
 end empty with the scope, so a job shares no tree with another job, and
@@ -49,9 +51,7 @@ from .nodes import (
 # inside memo_scope() only, else None:
 _memo = None      # _Exact(tree) -> canonical form
 _expanded = None  # _Exact(tree) -> _expand(tree)
-_derived = None   # var -> {_Exact(tree) -> calculus._d(tree, var)}
-
-_UNIT = ONE.value  # the coefficient of a term or product with no constant
+_derived = None   # var -> {_Exact(tree) -> diff(tree, var)}
 
 
 class _Exact:
@@ -83,7 +83,7 @@ def memo_scope():
 
 
 def derived(var: str):
-    """The scope's table for `calculus._d` by `var`, or None."""
+    """The scope's table for `calculus.diff` by `var`, or None."""
     return None if _derived is None else _derived.setdefault(var, {})
 
 
@@ -152,8 +152,8 @@ def _split_term(e: Expr):
     if isinstance(e, Mul):
         if isinstance(e.factors[0], Const):
             return e.factors[0].value, e.factors[1:]
-        return _UNIT, e.factors
-    return _UNIT, (e,)
+        return 1, e.factors
+    return 1, (e,)
 
 
 def _join_term(coeff, rest: tuple) -> Expr:
@@ -201,17 +201,16 @@ def _split_factor(f: Expr):
     exponent is not an exact integer (those factors never merge)."""
     if isinstance(f, Pow) and isinstance(f.exponent, Const):
         v = f.exponent.value
-        if isinstance(v, Fraction) and v.denominator == 1:
-            return f.base, v.numerator
-        return None
+        return (f.base, v) if type(v) is int else None
     return f, 1
 
 
 def _mul(factors: tuple) -> Expr:
     # the first constant is taken as it is, not multiplied into an exact 1:
-    # 1 * v is v for a Fraction and for a float (-0.0 too), and the product
-    # would be one more Fraction built per call
-    coeff = _UNIT
+    # 1 * v is v for an int, a Fraction and a float (-0.0 too).  None marks
+    # "no constant yet": a computed int 1 may be the very object a unit
+    # constant would be, so no number can serve as that mark
+    coeff = None
     negative = False
     raw = []
     stack = list(reversed(factors))
@@ -223,12 +222,14 @@ def _mul(factors: tuple) -> Expr:
             negative = not negative
             stack.append(f.child)
         elif isinstance(f, Const):
-            coeff = f.value if coeff is _UNIT else coeff * f.value
+            coeff = f.value if coeff is None else coeff * f.value
         else:
             raw.append(f)
-    if coeff == 0:
+    if coeff is None:
+        coeff = 1
+    elif coeff == 0:
         return ZERO
-    if coeff < 0:
+    elif coeff < 0:
         negative = not negative
         coeff = -coeff
     # merge repeated bases with integer exponents: x * x^2 -> x^3
@@ -251,7 +252,7 @@ def _mul(factors: tuple) -> Expr:
             # cached hash, sort key and mark) instead of rebuilding it
             rest.append(f)
             continue
-        merged = _pow(base, Const(Fraction(expo)))
+        merged = _pow(base, Const(expo))
         if isinstance(merged, Const):
             coeff = coeff * abs(merged.value)
             if merged.value < 0:
@@ -296,12 +297,14 @@ def _pow(base: Expr, exponent: Expr) -> Expr:
 
 
 def _fold_pow(bv, ev):
-    if isinstance(bv, Fraction) and isinstance(ev, Fraction):
-        if ev.denominator == 1 and abs(ev.numerator) <= 128:
-            n = ev.numerator
-            if bv == 0 and n < 0:
+    if not isinstance(bv, float) and not isinstance(ev, float):
+        if type(ev) is int and abs(ev) <= 128:
+            if ev >= 0:
+                return Const(bv**ev)
+            if bv == 0:
                 return None  # 0^negative: defer to evaluation error
-            return Const(bv**n)
+            # an int to a negative power is a float; a Fraction's is exact
+            return Const(Fraction(bv) ** ev)
         return None
     # float contagion
     b, x = float(bv), float(ev)
@@ -342,10 +345,9 @@ def _expand(e: Expr, memo) -> Expr:
         base = _expand(e.base, memo)
         expo = _expand(e.exponent, memo)
         if (isinstance(base, Add) and isinstance(expo, Const)
-                and isinstance(expo.value, Fraction)
-                and expo.value.denominator == 1 and 2 <= expo.value <= 8):
+                and type(expo.value) is int and 2 <= expo.value <= 8):
             out = base
-            for _ in range(int(expo.value) - 1):
+            for _ in range(expo.value - 1):
                 out = _distribute((out, base))
         else:
             out = _pow(base, expo)
@@ -369,12 +371,12 @@ def _distribute(factors: tuple) -> Expr:
 
 
 _EXACT_CALL = {
-    ("exp", Fraction(0)): ONE,
-    ("log", Fraction(1)): ZERO,
-    ("sin", Fraction(0)): ZERO,
-    ("cos", Fraction(0)): ONE,
-    ("sqrt", Fraction(0)): ZERO,
-    ("sqrt", Fraction(1)): ONE,
+    ("exp", 0): ONE,
+    ("log", 1): ZERO,
+    ("sin", 0): ZERO,
+    ("cos", 0): ONE,
+    ("sqrt", 0): ZERO,
+    ("sqrt", 1): ONE,
 }
 
 

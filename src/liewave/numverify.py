@@ -134,7 +134,9 @@ def auto_nt(pde: PdeSpec, grid: Grid1D, bound=None) -> int:
     """The step count `solve` picks without --nt: the span over the
     `stable_dt` bound, halved for upwind (and where A and B vanish); span /
     16 where no bound holds.  `bound` is stable_dt's result on grid's nodes
-    and span, when the caller has it already."""
+    and span, when the caller has it already.  A count whose nt + 1 time
+    levels no array can index is a ValueError naming the bound and the
+    count."""
     span = grid.t1 - grid.t0
     if bound is None:
         bound = stable_dt(pde, grid.xs(), grid.t0, grid.t1)
@@ -143,7 +145,14 @@ def auto_nt(pde: PdeSpec, grid: Grid1D, bound=None) -> int:
         dt = span / 16
     elif advective:
         dt *= 0.5
-    return max(1, int(math.ceil(span / dt)))
+    dt = float(dt)  # a float's overflow is inf, without numpy's warning
+    steps = span / dt if dt > 0 else math.inf
+    limit = np.iinfo(np.intp).max  # nt + 1 levels, each with an index
+    if steps >= limit:  # exact: the doubles below 2**63 are integers here
+        raise ValueError(
+            f"the stable step dt <= {dt:.6g} needs nt = {steps:.6g} time "
+            f"steps, more than a time grid can index ({limit - 1})")
+    return max(1, math.ceil(steps))
 
 
 def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D, bound=None):
@@ -307,7 +316,7 @@ class ModeProblem:
     def __post_init__(self):
         object.__setattr__(self, "H", float(self.H))
         if not self.H > 0:
-            raise ValueError("H must be positive")
+            raise ValueError("H: must be positive")
         norm = []
         for z_lo, z_hi, n_expr in self.pieces:
             e = _as_expr(n_expr, "N")
@@ -316,16 +325,16 @@ class ModeProblem:
                                                       float(z_hi), 33)})
             if not np.isfinite(probe).all() or np.min(probe) < -1e-12:
                 raise ValueError(
-                    f"N must be finite and nonnegative on [{z_lo}, {z_hi}]")
+                    f"N: must be finite and nonnegative on [{z_lo}, {z_hi}]")
             norm.append((float(z_lo), float(z_hi), simplify(e)))
         norm.sort(key=lambda p: p[0])
         tol = 1e-12 * self.H  # relative, so a hole is one at every scale
         if (not norm or abs(norm[0][0] + self.H) > tol
                 or abs(norm[-1][1]) > tol):
-            raise ValueError("pieces must cover [-H, 0]")
+            raise ValueError("N: pieces must cover [-H, 0]")
         for (_, hi, _), (lo, _, _) in zip(norm, norm[1:]):
             if abs(hi - lo) > tol:
-                raise ValueError("pieces must be contiguous")
+                raise ValueError("N: pieces must be contiguous")
         object.__setattr__(self, "pieces", tuple(norm))
 
     @classmethod

@@ -51,7 +51,7 @@ class SeparableAnsatz:
     def __post_init__(self):
         _read(self, (("phi", ("t",)), ("P", ("x",)), ("R", ("x",))), ("q", "v"))
         if self.q == 0.0:
-            raise ValueError("q must be nonzero")
+            raise ValueError("q: must be nonzero")
 
     def xi(self) -> Expr:
         return simplify(num(self.q) * self.phi / diff(self.P, "x"))

@@ -54,11 +54,12 @@ class Domain:
         for name in ("x", "t"):
             bounds = getattr(self, name)
             if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
-                raise ValueError(f"domain {name} must be [lo, hi], got {bounds!r}")
+                raise ValueError(
+                    f"domain.{name}: must be [lo, hi], got {bounds!r}")
             lo, hi = (float(num(b, f"domain.{name}").value) for b in bounds)
             if not hi > lo:
-                raise ValueError(
-                    f"degenerate {name}-interval [{bounds[0]}, {bounds[1]}]")
+                raise ValueError(f"domain.{name}: degenerate interval "
+                                 f"[{bounds[0]}, {bounds[1]}]")
             object.__setattr__(self, name, (lo, hi))
 
     def box(self, **extra):
@@ -69,7 +70,8 @@ class Domain:
     @classmethod
     def from_dict(cls, d) -> "Domain":
         if not isinstance(d, dict):
-            raise ValueError(f"domain must be an object, got {type(d).__name__}")
+            raise ValueError(
+                f"domain: must be an object, got {type(d).__name__}")
         return cls(d["x"], d["t"])
 
 
@@ -84,8 +86,8 @@ class PdeSpec:
 
     def __post_init__(self):
         for name in ("A", "B", "C"):
-            check_vars(getattr(self, name), ("x", "t"),
-                       f"coefficient {name} (after params are substituted)")
+            check_vars(getattr(self, name), ("x", "t"), name,
+                       " after params are substituted")
 
     def residual(self, u: Expr) -> Expr:
         """u_t - A u_2x - B u_x - C u: zero exactly when u solves the PDE."""
@@ -108,7 +110,8 @@ def load_pde(source) -> PdeSpec:
     d = _load_json(source)
     params = d.get("params", {})
     if not isinstance(params, dict):
-        raise ValueError(f"params must be an object, got {type(params).__name__}")
+        raise ValueError(
+            f"params: must be an object, got {type(params).__name__}")
     params = {k: num(v, f"params.{k}") for k, v in params.items()}
     coeffs = {}
     for name in ("A", "B", "C"):

@@ -138,7 +138,7 @@ class OscFamilyInput(_SeparableFamily):
     def __post_init__(self):
         self._validate((), ("a", "b", "k"))
         if not self.k > 0:
-            raise ValueError("k must be positive")
+            raise ValueError("k: must be positive")
 
 
 def synth_oscillator(inp: OscFamilyInput) -> PdeSpec:
@@ -189,7 +189,8 @@ class RossbyFamilyInput:
               ("c", "c1", "c2"))
         mode = str(self.mode).upper()
         if mode not in (DERIVED, AS_PRINTED):
-            raise ValueError(f"mode must be DERIVED or AS_PRINTED, got {self.mode!r}")
+            raise ValueError(
+                f"mode: must be DERIVED or AS_PRINTED, got {self.mode!r}")
         object.__setattr__(self, "mode", mode)
         if self.c == 0.0 and self.c1 == 0.0:
             raise ValueError("(c, c1) must not both vanish")

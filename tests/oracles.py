@@ -11,7 +11,9 @@ cross-checks the three-weight update of `fd_solve`; the Simpson probe shows
 why wave synthesis freezes phi; a plain max |e| over a cloud checks printed
 residual figures; the determining system written through P and R, as
 the paper states it for the wave and oscillator families, checks those
-families term by term; the product fold as it was, seeded with a fresh
+families term by term; the raw derivative rule as it was, simplified
+afterwards, checks the `diff` that builds the canonical derivative in one
+pass; the product fold as it was, seeded with a fresh
 exact 1, checks the `_mul` that keeps its first constant as it is; and
 free_vars, node_count and substitute written with one branch per node
 kind check the versions that walk `nodes.children`; the sum that rebuilds
@@ -34,7 +36,7 @@ from liewave.expr import (
     eval_checked, eval_numeric, eval_on_grid, expand, free_vars, num,
     sample_box, simplify, substitute,
 )
-from liewave.expr.nodes import FUNCTIONS, ZERO, sort_key
+from liewave.expr.nodes import FUNCTIONS, MINUS_ONE, ONE, ZERO, sort_key
 from liewave.expr.sampling import _point
 from liewave.expr.simplify import (
     _join_term, _mul, _negate, _pow, _split_factor, _split_term,
@@ -380,6 +382,71 @@ def probe_gauge_time_dependence(P: Expr, phi: Expr, q: float, *,
             total += w * eval_numeric(integrand, {"a": a_i, "x": x_probe, "t": t})
         out[t] = -total * h / 3.0
     return out
+
+
+# ------------------------------------------------------ raw derivative
+
+def raw_derivative(e: Expr, var: str) -> Expr:
+    """The derivative as `diff` built it before simplifying it, without
+    its table: unsimplified, or the ZERO node itself where it is
+    structurally zero (a constant, another variable, or a node none of
+    whose children depend on `var`).  The product rule writes no term for
+    a factor whose derivative is ZERO."""
+    if isinstance(e, Const):
+        return ZERO
+    if isinstance(e, Var):
+        return ONE if e.name == var else ZERO
+    return _raw_rule(e, var)
+
+
+def _raw_rule(e: Expr, var: str) -> Expr:
+    """The derivative rule for branch node e; children go through
+    raw_derivative."""
+    if isinstance(e, Add):
+        terms = tuple(d for d in (raw_derivative(t, var) for t in e.terms)
+                      if d is not ZERO)
+        return Add(terms) if terms else ZERO
+    if isinstance(e, Neg):
+        d = raw_derivative(e.child, var)
+        return ZERO if d is ZERO else Neg(d)
+    if isinstance(e, Mul):
+        terms = []
+        for i, f in enumerate(e.factors):
+            d = raw_derivative(f, var)
+            if d is not ZERO:
+                terms.append(Mul(e.factors[:i] + (d,) + e.factors[i + 1:]))
+        return Add(tuple(terms)) if terms else ZERO
+    if isinstance(e, Pow):
+        b, x = e.base, e.exponent
+        db, dx = raw_derivative(b, var), raw_derivative(x, var)
+        if isinstance(x, Const):
+            if db is ZERO:
+                return ZERO
+            return Mul((x, Pow(b, Const(x.value - 1)), db))
+        if isinstance(b, Const):
+            return ZERO if dx is ZERO else Mul((e, Call("log", b), dx))
+        # general exponent: b^x * (x' log b + x b'/b)
+        terms = []
+        if dx is not ZERO:
+            terms.append(Mul((dx, Call("log", b))))
+        if db is not ZERO:
+            terms.append(Mul((x, db, Pow(b, MINUS_ONE))))
+        return Mul((e, Add(tuple(terms)))) if terms else ZERO
+    if isinstance(e, Call):
+        u, du = e.arg, raw_derivative(e.arg, var)
+        if du is ZERO:
+            return ZERO
+        if e.fn == "exp":
+            return Mul((e, du))
+        if e.fn == "log":
+            return Mul((du, Pow(u, MINUS_ONE)))
+        if e.fn == "sin":
+            return Mul((Call("cos", u), du))
+        if e.fn == "cos":
+            return Neg(Mul((Call("sin", u), du)))
+        if e.fn == "sqrt":
+            return Mul((du, Pow(Mul((Const(Fraction(2)), e)), MINUS_ONE)))
+    raise TypeError(f"not an Expr: {e!r}")
 
 
 # ------------------------------------------------------------ product fold

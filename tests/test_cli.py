@@ -304,6 +304,23 @@ def test_unallocatable_grid_is_exit_2(tmp_path, capsys, monkeypatch, method,
     assert err == f"error: the requested size cannot be allocated{detail}\n"
 
 
+@pytest.mark.parametrize("A, dt, nt", [
+    ("1e60", "3.125e-64", "3.2e+63"),
+    ("1e308", "0", "inf"),  # 4 max|A| overflows, and the bound with it
+])
+def test_step_count_beyond_any_time_grid_is_exit_2(tmp_path, capsys, A, dt,
+                                                   nt):
+    # nt + 1 levels that no array index reaches: the bound and the count
+    import numpy as np
+    pde = write(tmp_path, "pde.json", dict(HEAT, A=A))
+    assert main(["--out", str(tmp_path / "out"), "solve", pde,
+                 "--ic", "exp(-t)*sin(x)"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: the stable step dt <= {dt} needs nt = {nt} time "
+        f"steps, more than a time grid can index "
+        f"({np.iinfo(np.intp).max - 1})\n")
+
+
 def test_solution_csv_matches_row_list_writer(tmp_path):
     # x = 0.1 is where .17g ("0.10000000000000001") and repr ("0.1") differ,
     # and on [0, 1e-5] every inner x is written with an exponent; u and the
@@ -664,6 +681,30 @@ def test_malformed_expression_names_its_field(tmp_path, capsys, command,
 
 
 @pytest.mark.parametrize("command, payload, name", [
+    ("gen", dict(BOOST, phi="x"), "phi"),
+    ("check", dict(HEAT, B="y"), "B"),
+    ("check", dict(HEAT, params=[1]), "params"),
+    ("check", dict(HEAT, domain=[0, 1]), "domain"),
+    ("check", dict(HEAT, domain={"x": 5, "t": [0, 1]}), "domain.x"),
+    ("check", dict(HEAT, domain={"x": [0, 1], "t": [1, 1]}), "domain.t"),
+    ("modes", dict(PROFILE, H=-1), "H"),
+    ("modes", dict(PROFILE, N="-1"), "N"),
+    ("modes", dict(PROFILE, N=[{"z": [-300, -100], "expr": "1"}]), "N"),
+    ("reduce", dict(PLAIN_ANSATZ, q=0), "q"),
+    ("synth", dict(WAVE_FAMILY, q=0), "q"),
+    ("synth", dict(OSC_FAMILY, k=0), "k"),
+    ("synth", dict(ROSSBY_PRINTED, mode="PRINTED"), "mode"),
+])
+def test_malformed_value_names_its_field(tmp_path, capsys, command, payload,
+                                         name):
+    # an error other than a parse or a number error names its field too
+    path = write(tmp_path, "doc.json", payload)
+    assert main(_argv(tmp_path, command, path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {name}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, payload, name", [
     ("modes", dict(PROFILE, H=1e999), "H"),
     ("check", dict(HEAT, domain={"x": [0, 1e999], "t": [0, 1]}), "domain.x"),
 ])
@@ -685,6 +726,21 @@ def test_constant_beyond_float_range_is_exit_2(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("error: number beyond the float range (")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("solution", [
+    "x*((10^100)^4)", "x*((10^100)^4)/3", "0.5*x*((10^100)^4)",
+])
+def test_exact_constant_beyond_float_range_keeps_its_message(
+        tmp_path, capsys, solution):
+    # an integral constant is an int, a non-integral one a Fraction; the
+    # error reads the same for both, and as it did when both were Fractions
+    pde = write(tmp_path, "pde.json", HEAT)
+    assert main(["--out", str(tmp_path / "out"), "check", pde,
+                 "--solution", solution]) == 2
+    assert capsys.readouterr().err == ("error: number beyond the float range "
+                                       "(integer division result too large "
+                                       "for a float)\n")
 
 
 TINY_ROSSBY = dict(ROSSBY_PRINTED, c=1e-300, c1=1e-300, c2=1e-300)

@@ -27,9 +27,9 @@ from liewave.expr.simplify import _add, _mul, _negate
 from conftest import CORPUS
 from oracles import _ev as tree_walk_ev
 from oracles import (
-    free_vars_by_kind, max_abs_sampled, node_count_by_kind, rebuilding_add,
-    refolding_negate, substitute_by_kind, tree_walk_checked, tree_walk_numeric,
-    tree_walk_on_grid, unit_seeded_mul,
+    free_vars_by_kind, max_abs_sampled, node_count_by_kind, raw_derivative,
+    rebuilding_add, refolding_negate, substitute_by_kind, tree_walk_checked,
+    tree_walk_numeric, tree_walk_on_grid, unit_seeded_mul,
 )
 
 simplify_module = importlib.import_module("liewave.expr.simplify")
@@ -86,6 +86,37 @@ def test_parse_decimals_are_exact():
     assert parse("0.1") == Const(Fraction(1, 10))
     assert parse("2e-4") == Const(Fraction(1, 5000))
     assert simplify(parse("0.1*10")) == Const(1)
+
+
+@pytest.mark.parametrize("n", [0, 1, -1, 2, -7, 2**53, -10**30])
+def test_integral_constants_hold_ints(n):
+    # every route to an exact integral constant holds an int, which is ==,
+    # hashes, sorts, prints and pickles as the Fraction equal to it
+    consts = [Const(n), Const(Fraction(n)), num(n), num(float(n)),
+              parse(str(n))]
+    for c in consts:
+        assert type(c.value) is int and c.value == n and c.is_exact
+        # the dataclass hash of the field tuple, as with a Fraction value
+        assert c == consts[0] and hash(c) == hash((Fraction(n),))
+        assert sort_key(c) == (0, n, 0.0, n, 1)
+        assert to_text(c) == to_text(consts[0]) == str(n)
+        back = pickle.loads(pickle.dumps(c))
+        assert type(back.value) is int and back == c
+        assert hash(back) == hash(c) and sort_key(back) == sort_key(c)
+        assert to_text(back) == to_text(c)
+
+
+def test_non_integral_constants_stay_fractions():
+    half = Const(Fraction(1, 2))
+    assert type(half.value) is Fraction
+    assert sort_key(half) == (0, Fraction(1, 2), 0.0, 1, 2)
+    assert type(Const(2.0).value) is float and not Const(2.0).is_exact
+    # an exact power folds exactly, to an int when it is integral
+    for text, value in (("2^-3", Fraction(1, 8)), ("(-2)^-3", Fraction(-1, 8)),
+                        ("(1/2)^-3", 8), ("(2/3)^2", Fraction(4, 9))):
+        folded = simplify(parse(text))
+        assert type(folded.value) is type(value) and folded.value == value
+    assert simplify(parse("0^-1")) == Pow(Const(0), Const(-1))
 
 
 @pytest.mark.parametrize("text,offset", [
@@ -249,7 +280,7 @@ def _nested_key(e):
     """Reference order: (tag, name, numbers, child keys), nested."""
     if isinstance(e, Const):
         v = e.value
-        if isinstance(v, Fraction):
+        if not isinstance(v, float):  # an int or a Fraction: exact
             return (0, "", (v, 0.0, v.numerator, v.denominator), ())
         return (0, "", (v, 1.0, math.copysign(1.0, v), 0.0), ())
     if isinstance(e, Var):
@@ -516,7 +547,7 @@ def test_tables_serve_equal_trees_built_apart(monkeypatch):
         before = sizes()
         # the second parse is served from the tables, also the structurally
         # zero t-derivative: a stored ZERO is a hit, not a miss
-        monkeypatch.setattr(calculus_module, "_d_rule", no_rule)
+        monkeypatch.setattr(calculus_module, "_rule", no_rule)
         assert (expand(second), diff(second, "x"), diff(second, "t")) \
             == results
         assert sizes() == before
@@ -602,6 +633,39 @@ def test_diff_is_the_full_product_rule_simplified(e):
         assert got == want and repr(got) == repr(want)
 
 
+X = Var("x")
+
+
+@given(st.one_of(_exprs_with_floats, _exprs_with_floats.map(simplify)))
+@example(Add((Mul((Const(-0.0), X)), Const(-0.0))))
+@example(Neg(Mul((Const(0.0), X, Var("t")))))
+@example(Add((Pow(X, Const(0.5)), Pow(X, Const(Fraction(1, 2))))))
+@example(Mul((Pow(X, Const(0.5)), Pow(X, Const(Fraction(1, 2))))))
+@example(parse("exp(log(x))*t + exp(log(x) + t)"))
+@example(parse("sqrt(x*t) + sqrt(2)*x"))
+@example(parse("sin(t)*x*exp(t)"))          # factors structurally zero in x
+@example(parse("(x - x)*t + (t - t)*x"))    # factors that simplify to zero
+# each rule with raw parts it keeps: each part must come out canonical
+@example(parse("(x + 1)^3 + 2^(x + 1) + (x + 1)^(x + t)"))
+@example(parse("log(x + 1) + sin(x + 1) - cos(x + 1)"
+               " + exp(x + 1)*sqrt(x + 1)"))
+@example(parse("(x + 1)*(1 + x)*(t + x) - (x + 1)"))
+@settings(max_examples=300, deadline=None)
+def test_diff_is_the_raw_rule_simplified(e):
+    # the one-pass derivative is the tree simplify makes of the raw one,
+    # down to each constant's type and the sign of zero, with and without
+    # the scope's tables (the second call in a scope is served by them)
+    for var in ("x", "t"):
+        want = simplify(raw_derivative(e, var))
+        got = diff(e, var)
+        assert sort_key(got) == sort_key(want) and repr(got) == repr(want)
+        with memo_scope():
+            for _ in range(2):
+                got = diff(_unmarked(e), var)
+                assert sort_key(got) == sort_key(want)
+                assert repr(got) == repr(want)
+
+
 def test_mul_keeps_canonical_factors_as_they_are():
     p, c = simplify(parse("y^2")), simplify(parse("exp(t)"))
     out = _mul((Var("x"), p, c))
@@ -639,7 +703,6 @@ def test_mul_matches_the_unit_seeded_fold(consts, others, data):
     assert sort_key(_mul(factors)) == sort_key(unit_seeded_mul(factors))
 
 
-X = Var("x")
 _HALF_POWERS = [Pow(X, Const(0.5)), Pow(X, Const(Fraction(1, 2)))]
 
 
@@ -790,7 +853,7 @@ def sp():
 def _to_sympy(sp, e):
     if isinstance(e, Const):
         v = e.value
-        if isinstance(v, Fraction):
+        if not isinstance(v, float):  # an int or a Fraction: exact
             return sp.Rational(v.numerator, v.denominator)
         return sp.Float(v)
     if isinstance(e, Var):
