@@ -122,7 +122,13 @@ def _build_parser():
         description="Symmetry workbench for u_t = A(x,t) u_2x + B(x,t) u_x "
                     "+ C(x,t) u: family synthesis, residual checks, "
                     "similarity reduction, and numerical verification.")
-    ap.add_argument("--seed", type=int, default=0, help="sampling offset")
+    # the zero test's Halton indices reach seed + 7919 + 2 * samples (its
+    # second pass is shifted by 7919), which must fit an int64; a negative
+    # index would clip to the box's corner
+    ap.add_argument("--seed", default=0,
+                    type=_ranged(int, lambda s: 0 <= s <= 2**62,
+                                 "an integer in [0, 2**62]"),
+                    help="sampling offset")
     ap.add_argument("--samples", type=int, default=100,
                     help="points per zero test")
     ap.add_argument("--tol-sym", type=_tolerance, default=1e-9,
@@ -162,7 +168,11 @@ def _build_parser():
 
     mp = sub.add_parser("modes", help="vertical-mode eigenvalues")
     mp.add_argument("profile_json")
-    mp.add_argument("--modes", type=int, default=5)
+    # mode m >= NSTEPS needs k_max h >= pi on the shape grid (k_max >=
+    # m pi by Sturm comparison), which mode_solve refuses after its search
+    mp.add_argument("--modes", default=5,
+                    type=_ranged(int, lambda m: 1 <= m < numverify.NSTEPS,
+                                 f"an integer in [1, {numverify.NSTEPS - 1}]"))
     return ap
 
 
@@ -189,20 +199,12 @@ def cmd_synth(args) -> int:
                 checks.append(check)
         extra["mode"] = inp.mode
     else:
-        if isinstance(inp, synth.WaveFamilyInput):
-            pde = synth.synth_wave(inp)
-            solution = synth.wave_solution(inp)
-            system = synth.wave_solution_system(pde, inp.ansatz())
-            names = ("solution_system_1", "solution_system_2")
-        else:
-            pde = synth.synth_oscillator(inp)
-            solution = synth.oscillator_solution(inp)
-            system = synth.oscillator_defining_relations(pde, inp.ansatz())
-            names = ("defining_A", "defining_B", "defining_C")
+        pde = inp.synth()
+        solution = inp.solution()
         gen = inp.generator()
         box = pde.domain.box()
         checks.append(_solution_check(pde, solution, args.tol_sol, opts))
-        for name, r in zip(names, system):
+        for name, r in zip(inp.ROWS, inp.rows(pde)):
             checks.append(Check.from_sample(
                 name, is_zero_sampled(r, box, tol=args.tol_sym, **opts)))
         for name, zs in zip(("symmetry_A", "symmetry_B", "symmetry_C"),

@@ -63,6 +63,23 @@ class SeparableAnsatz:
     def generator(self) -> Generator:
         return Generator(self.phi, self.xi(), self.M())
 
+    def profile_derivatives(self):
+        """P', P'', R', R''."""
+        Pp, Rp = diff(self.P, "x"), diff(self.R, "x")
+        return Pp, diff(Pp, "x"), Rp, diff(Rp, "x")
+
+    def relations(self, p: PdeSpec):
+        """The normalized relations c1/(E z) and c0/E of `similarity_reduce`
+        on p, term by term:
+            r1 = q + 2 v A R' P' + A P'' + A P'^2 + B P',
+            r2 = v^2 A R'^2 + v A R'' + v B R' + C."""
+        q, v = num(self.q), num(self.v)
+        Pp, Ppp, Rp, Rpp = self.profile_derivatives()
+        A, B = p.A, p.B
+        return (simplify(q + 2 * v * A * Rp * Pp + A * Ppp + A * Pp**2
+                         + B * Pp),
+                simplify(v**2 * A * Rp**2 + v * A * Rpp + v * B * Rp + p.C))
+
     def validate_on(self, domain: Domain):
         """Reject the ansatz if P' vanishes on the x-interval or phi on the
         t-interval (both checked by sampling)."""

@@ -5,9 +5,9 @@ Three families are synthesized:
   * wave:        the equation class whose similarity reduction is Phi'' = 0,
                  built with the time part of the generator frozen to 1 so
                  the gauge factor is closed-form (exp G = 1/P'^2);
-  * oscillator:  the advection class (A = 0) whose closed form oscillates
-                 along exp(P - q t); its defining relations hold for any
-                 phi(t);
+  * oscillator:  the wave construction at A = 0 (the advection class); its
+                 closed form oscillates along exp(P - q t), and its
+                 relations hold for any phi(t);
   * rossby:      coefficients invariant under phi = c t + c1,
                  xi = c x + c2, eta = -3 c u.  Two readings are exposed:
                  DERIVED (solved by characteristics; passes the determining
@@ -17,8 +17,8 @@ Three families are synthesized:
 Whether the imposed generator is a symmetry is decided by
 `symmetry.symmetry_check` alone, for every family.  The rows `synth`
 reports are, for the wave family, solution_residual, solution_system_1/2
-(`wave_solution_system`) and symmetry_A..C; for the oscillator family,
-solution_residual, defining_A..C (`oscillator_defining_relations`) and
+(`WaveFamilyInput.rows`) and symmetry_A..C; for the oscillator family,
+solution_residual, defining_A..C (`OscFamilyInput.rows`) and
 symmetry_A..C; for the rossby family, rossby_<reading>_determining_1..3 for
 both readings (`rossby_residual_report`).
 """
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from .expr import (
-    ONE, ZERO, Cos, Exp, Expr, Sin, Var, diff, num, simplify, substitute,
+    ONE, ZERO, Cos, Exp, Expr, Sin, Var, num, simplify, substitute,
 )
 from .reduction import SeparableAnsatz
 from .symmetry import (
@@ -64,6 +64,16 @@ class _SeparableFamily:
     def generator(self) -> Generator:
         return self.ansatz().generator()
 
+    def synth(self) -> PdeSpec:
+        """The family's A, then B from r1 = 0 and C from r2 = 0, the
+        ansatz's relations (`SeparableAnsatz.relations`)."""
+        q, v = num(self.q), num(self.v)
+        Pp, Ppp, Rp, Rpp = self.ansatz().profile_derivatives()
+        A = self._A(Pp)
+        B = simplify(-(q + A * (Pp**2 + Ppp + 2 * v * Rp * Pp)) / Pp)
+        C = simplify(-(v * (A * (v * Rp**2 + Rpp) + B * Rp)))
+        return PdeSpec(A, B, C, self.domain)
+
 
 @dataclass(frozen=True)
 class WaveFamilyInput(_SeparableFamily):
@@ -76,50 +86,27 @@ class WaveFamilyInput(_SeparableFamily):
     b: float
     domain: Domain
 
+    ROWS = ("solution_system_1", "solution_system_2")
+
     def __post_init__(self):
         self._validate((("F", ("s",)),), ("a", "b"))
 
+    def _A(self, Pp: Expr) -> Expr:
+        """F along the drift coordinate s = t - P/q, times 1/P'^2."""
+        s_arg = simplify(T - self.P / num(self.q))
+        return simplify(substitute(self.F, {"s": s_arg}) / Pp**2)
 
-def synth_wave(inp: WaveFamilyInput) -> PdeSpec:
-    """Coefficients built so the closed form solves the equation for all
-    (a, b) and the separable generator is a symmetry.
+    def solution(self) -> Expr:
+        """u = [a exp(P - q t) + b] exp(v R)."""
+        return simplify((num(self.a) * Exp(self.P - num(self.q) * T)
+                         + num(self.b)) * Exp(num(self.v) * self.R))
 
-    A is F evaluated along the drift coordinate times 1/P'^2; B and then C
-    come from solving the two solution-residual equations, which are
-    triangular in (B, C).
-    """
-    q, v = num(inp.q), num(inp.v)
-    Pp = diff(inp.P, "x")
-    Ppp = diff(Pp, "x")
-    Rp = diff(inp.R, "x")
-    Rpp = diff(Rp, "x")
-    s_arg = simplify(T - inp.P / q)
-    A = simplify(substitute(inp.F, {"s": s_arg}) / Pp**2)
-    B = simplify(-(q + A * (Pp**2 + Ppp + 2 * v * Rp * Pp)) / Pp)
-    C = simplify(-(v * (A * (v * Rp**2 + Rpp) + B * Rp)))
-    return PdeSpec(A, B, C, inp.domain)
-
-
-def wave_solution(inp: WaveFamilyInput) -> Expr:
-    """u = [a exp(P - q t) + b] exp(v R)."""
-    return simplify((num(inp.a) * Exp(inp.P - num(inp.q) * T) + num(inp.b))
-                    * Exp(num(inp.v) * inp.R))
-
-
-def wave_solution_system(p: PdeSpec, a: SeparableAnsatz):
-    """The two relations the closed form imposes on (A, B, C): the
-    equation's residual at u = [a exp(P - q t) + b] exp(v R) is minus the
-    first times a exp(P - q t + v R), minus the second times b exp(v R)."""
-    q, v = num(a.q), num(a.v)
-    Pp = diff(a.P, "x")
-    Ppp = diff(Pp, "x")
-    Rp = diff(a.R, "x")
-    Rpp = diff(Rp, "x")
-    A, B, C = p.A, p.B, p.C
-    sol1 = simplify(q + 2 * v * A * Rp * Pp + v**2 * A * Rp**2 + A * Ppp
-                    + A * Pp**2 + v * A * Rpp + B * Pp + v * B * Rp + C)
-    sol2 = simplify(v**2 * A * Rp**2 + v * A * Rpp + v * B * Rp + C)
-    return sol1, sol2
+    def rows(self, p: PdeSpec):
+        """The two relations the closed form imposes on p: its residual at
+        u is minus r1 + r2 times a exp(P - q t + v R), minus r2 times
+        b exp(v R)."""
+        r1, r2 = self.ansatz().relations(p)
+        return simplify(r1 + r2), r2
 
 
 @dataclass(frozen=True)
@@ -135,39 +122,26 @@ class OscFamilyInput(_SeparableFamily):
     k: float
     domain: Domain
 
+    ROWS = ("defining_A", "defining_B", "defining_C")
+
     def __post_init__(self):
         self._validate((), ("a", "b", "k"))
         if not self.k > 0:
             raise ValueError("k: must be positive")
 
+    def _A(self, Pp: Expr) -> Expr:
+        return ZERO
 
-def synth_oscillator(inp: OscFamilyInput) -> PdeSpec:
-    """A = 0, B = -q/P', C = v q R'/P'; the symmetry holds for any phi(t)."""
-    q, v = num(inp.q), num(inp.v)
-    Pp = diff(inp.P, "x")
-    Rp = diff(inp.R, "x")
-    B = simplify(-(q / Pp))
-    C = simplify(v * q * Rp / Pp)
-    return PdeSpec(ZERO, B, C, inp.domain)
+    def solution(self) -> Expr:
+        """u = [a sin(k exp(P - q t)) + b cos(k exp(P - q t))] exp(v R); k
+        sits inside the trig arguments."""
+        phase = num(self.k) * Exp(self.P - num(self.q) * T)
+        return simplify((num(self.a) * Sin(phase) + num(self.b) * Cos(phase))
+                        * Exp(num(self.v) * self.R))
 
-
-def oscillator_solution(inp: OscFamilyInput) -> Expr:
-    """u = [a sin(k exp(P - q t)) + b cos(k exp(P - q t))] exp(v R); k sits
-    inside the trig arguments."""
-    phase = num(inp.k) * Exp(inp.P - num(inp.q) * T)
-    return simplify((num(inp.a) * Sin(phase) + num(inp.b) * Cos(phase))
-                    * Exp(num(inp.v) * inp.R))
-
-
-def oscillator_defining_relations(p: PdeSpec, a: SeparableAnsatz):
-    """The pointwise relations forced by the solution substitution:
-    A = 0, q + B P' = 0, v B R' + C = 0."""
-    q, v = num(a.q), num(a.v)
-    Pp = diff(a.P, "x")
-    Rp = diff(a.R, "x")
-    return (p.A,
-            simplify(q + p.B * Pp),
-            simplify(v * p.B * Rp + p.C))
+    def rows(self, p: PdeSpec):
+        """A = 0, and the relations at A = 0: q + B P' = 0, v B R' + C = 0."""
+        return (p.A, *self.ansatz().relations(p))
 
 
 @dataclass(frozen=True)

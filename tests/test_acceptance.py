@@ -18,8 +18,7 @@ from liewave.reduction import (
 from liewave.symmetry import Domain, Generator, PdeSpec, symmetry_check
 from liewave.synth import (
     AS_PRINTED, DERIVED, OscFamilyInput, RossbyFamilyInput, WaveFamilyInput,
-    oscillator_solution, rossby_residual_report, synth_oscillator,
-    synth_rossby, synth_wave, wave_solution, wave_solution_system,
+    rossby_residual_report, synth_rossby,
 )
 
 from oracles import (
@@ -77,12 +76,11 @@ def test_criterion_2_wave_family_closure():
     all_wave = True
     for P, R, q, v, F in _wave_draws(10):
         inp = WaveFamilyInput(P, R, q, v, F, 1.0, 1.0, UNIT)
-        p = synth_wave(inp)
-        sol = is_zero_sampled(_pde_residual(p, wave_solution(inp)), box,
+        p = inp.synth()
+        sol = is_zero_sampled(_pde_residual(p, inp.solution()), box,
                               tol=1e-10, seed=SEED)
         worst_sol = max(worst_sol, sol.max_residual)
-        for r in (wave_solution_system(p, inp.ansatz())
-                  + wave_determining_forms(p, inp.ansatz())):
+        for r in inp.rows(p) + wave_determining_forms(p, inp.ansatz()):
             zs = is_zero_sampled(r, box, tol=1e-9, seed=SEED)
             worst_sys = max(worst_sys, zs.max_residual)
         cls = classify_target(similarity_reduce(p, inp.ansatz()), UNIT,
@@ -104,8 +102,8 @@ def test_criterion_3_oscillator_family_closure():
                              rng.choice(["0", "x"]),
                              rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0),
                              1.0, 1.0, rng.choice([1.0, 2.0]), UNIT)
-        p = synth_oscillator(inp)
-        sol = is_zero_sampled(_pde_residual(p, oscillator_solution(inp)), box,
+        p = inp.synth()
+        sol = is_zero_sampled(_pde_residual(p, inp.solution()), box,
                               tol=1e-10, seed=SEED)
         worst_sol = max(worst_sol, sol.max_residual)
         for phi in ("1", "t + 2", "exp(t)"):
@@ -156,13 +154,13 @@ def test_criterion_4_rossby_equivalence():
 
 def test_criterion_5_convergence_orders():
     dom = Domain((0.0, 1.0), (0.0, 0.1))
-    wave = synth_wave(WaveFamilyInput("x", "0", 1, 0, "1", 1, 0, dom))
+    wave = WaveFamilyInput("x", "0", 1, 0, "1", 1, 0, dom).synth()
     dx0 = 1.0 / 20
     nt0 = int(math.ceil(0.1 / (dx0 * dx0 / 2.0)))
     diffusive = convergence_order(wave, parse("exp(x - t)"),
                                   Grid1D(0, 1, 21, 0, 0.1, nt0), 4)
     d_orders = [lv.order for lv in diffusive[1:]]
-    adv = synth_oscillator(OscFamilyInput("x", "0", 1, 0, 1, 0, 1, dom))
+    adv = OscFamilyInput("x", "0", 1, 0, 1, 0, 1, dom).synth()
     upwind = convergence_order(adv, parse("sin(exp(x - t))"),
                                Grid1D(0, 1, 41, 0, 0.1, 8), 4)
     u_orders = [lv.order for lv in upwind[1:]]

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import liewave
 from liewave import cli
 from liewave.cli import main
+from liewave.numverify import NSTEPS
 
 simplify_module = importlib.import_module("liewave.expr.simplify")
 
@@ -534,7 +535,7 @@ PIECEWISE_300 = {"H": 1000.0, "N": [{"z": [-1000, -300], "expr": "0"},
 
 @pytest.mark.parametrize("profile, modes, first_unshown", [
     # N constant: k_max h = m pi / 2000, so m = 1999 is the last mode
-    # shown; m = 2000 sits on pi itself, which the margin refuses
+    # shown; m = 2000 sits on pi itself, which --modes refuses as it parses
     ({"H": 300.0, "N": "0.0002"}, 1999, None),
     ({"H": 300.0, "N": "0.0002"}, 2000, 2000),
     # N only above -300 of 1000: shorter waves, so a lower m; k_max h is
@@ -547,14 +548,20 @@ def test_modes_beyond_the_shape_grid_are_exit_2(tmp_path, capsys, profile,
     # the 2001-point shape of mode 2000 falls on its zeros: node_count
     # FAILed although C_2000 was right
     out = tmp_path / "out"
-    rc = main(["--out", str(out), "modes", write(tmp_path, "profile.json",
-                                                profile),
-               "--modes", str(modes)])
+    argv = ["--out", str(out), "modes", write(tmp_path, "profile.json",
+                                              profile), "--modes", str(modes)]
     if first_unshown is None:
-        assert rc == 0
+        assert main(argv) == 0
         assert len(read_report(out)["checks"]) == modes
+    elif first_unshown == NSTEPS:
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2
+        assert ("argument --modes: need an integer in [1, 1999], got '2000'"
+                in capsys.readouterr().err)
+        assert not out.exists()
     else:
-        assert rc == 2
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: mode {first_unshown} is finer than "
                               f"the 2001-point shape grid")

@@ -14,13 +14,13 @@ from liewave.numverify import (
     fd_solve, load_profile, mode_solve, stable_dt,
 )
 from liewave.symmetry import Domain, PdeSpec
-from liewave.synth import OscFamilyInput, WaveFamilyInput, synth_oscillator, synth_wave
+from liewave.synth import OscFamilyInput, WaveFamilyInput
 
 from oracles import euler_incremental, residual_on_grid
 
 DOM = Domain((0.0, 1.0), (0.0, 0.1))
-WAVE_PDE = synth_wave(WaveFamilyInput("x", "0", 1, 0, "1", 1, 0, DOM))
-ADV_PDE = synth_oscillator(OscFamilyInput("x", "0", 1, 0, 1, 0, 1, DOM))
+WAVE_PDE = WaveFamilyInput("x", "0", 1, 0, "1", 1, 0, DOM).synth()
+ADV_PDE = OscFamilyInput("x", "0", 1, 0, 1, 0, 1, DOM).synth()
 
 
 def stable_grid(nx, diffusive=True):

@@ -11,9 +11,7 @@ from liewave.reduction import (
     generator_annihilation_check, invariants, load_ansatz, similarity_reduce,
 )
 from liewave.symmetry import Domain, PdeSpec, load_pde
-from liewave.synth import (
-    OscFamilyInput, WaveFamilyInput, synth_oscillator, synth_wave,
-)
+from liewave.synth import OscFamilyInput, WaveFamilyInput
 
 from test_acceptance import SEED as ACCEPTANCE_SEED
 from test_acceptance import _wave_draws as acceptance_wave_draws
@@ -142,7 +140,7 @@ def _wave_draws():
     for P, R, q, v, F in acceptance_wave_draws(10):
         inp = WaveFamilyInput(P, R, q, v, F, 1.0, 1.0,
                               Domain((0.0, 1.0), (0.0, 1.0)))
-        yield synth_wave(inp), inp.ansatz()
+        yield inp.synth(), inp.ansatz()
 
 
 def _oscillator_draws():
@@ -154,7 +152,7 @@ def _oscillator_draws():
                              rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0),
                              1.0, 1.0, rng.choice([1.0, 2.0]),
                              Domain((0.0, 1.0), (0.0, 1.0)))
-        yield synth_oscillator(inp), inp.ansatz()
+        yield inp.synth(), inp.ansatz()
 
 
 def _reduction_cases():
@@ -191,6 +189,18 @@ def test_chain_rule_coefficients_match_direct_substitution(p, a):
         assert is_zero_sampled(total, p.domain.box(), n=30).passed
 
 
+@pytest.mark.parametrize("p, a", _reduction_cases())
+def test_relations_are_the_normalized_reduction(p, a):
+    # r1 = c1/(E z) and r2 = c0/E on wave and oscillator members and on
+    # equations outside both families (heat, drift, quadratic R)
+    r = similarity_reduce(p, a)
+    E = Exp(num(a.v) * a.R)
+    r1, r2 = a.relations(p)
+    box = p.domain.box()
+    assert is_zero_sampled(r1 * E * r.z_expr - r.c1, box, n=30).passed
+    assert is_zero_sampled(r2 * E - r.c0, box, n=30).passed
+
+
 @pytest.mark.parametrize("P, R, q, v, F", [
     ("1/2*x + 3/16*x^2", "-3/4*x", 1.25, 0.5, "3/4 + 5/4*s^2"),
     ("3/2*x + 1/8*x^2", "1/2*x", 0.75, -0.75, "1/2 + 3/2*s^2"),
@@ -199,7 +209,7 @@ def test_wave_member_coefficients_cancel_exactly(unit_domain, P, R, q, v, F):
     # quadratic P, linear R, F = f0 + f2 s^2: the Phi' and Phi coefficients
     # cancel symbolically, not only to sampling accuracy
     inp = WaveFamilyInput(P, R, q, v, F, 1.0, 1.0, unit_domain)
-    r = similarity_reduce(synth_wave(inp), inp.ansatz())
+    r = similarity_reduce(inp.synth(), inp.ansatz())
     assert (r.c1, r.c0) == (ZERO, ZERO)
     assert classify_target(r, unit_domain).kind == WAVE
 
@@ -260,10 +270,9 @@ def test_z_closure_flags_non_invariant_coefficients(unit_domain):
 
 
 def test_z_closure_on_synthesized_wave_family(unit_domain):
-    from liewave.synth import WaveFamilyInput, synth_wave
     inp = WaveFamilyInput("x + 0.1*x^2", "x", 1.4, -0.6, "s", 1, 1,
                           unit_domain)
-    p = synth_wave(inp)
+    p = inp.synth()
     r = similarity_reduce(p, inp.ansatz())
     assert classify_target(r, unit_domain).kind == WAVE
     assert check_z_closure(r, unit_domain, n=20)

@@ -10,9 +10,7 @@ from liewave.reduction import (
 from liewave.symmetry import Domain, PdeSpec, determining_residuals, symmetry_check
 from liewave.synth import (
     AS_PRINTED, DERIVED, OscFamilyInput, RossbyFamilyInput, WaveFamilyInput,
-    load_family, oscillator_defining_relations, oscillator_solution,
-    rossby_residual_report, synth_oscillator, synth_rossby, synth_wave,
-    wave_solution, wave_solution_system,
+    load_family, rossby_residual_report, synth_rossby,
 )
 
 from oracles import (
@@ -40,13 +38,13 @@ def passed(report, mode):
 # ------------------------------------------------------------ wave family
 
 def test_wave_plain_drift_coefficients():
-    p = synth_wave(WaveFamilyInput("x", "0", 1, 0, "1", 1, 0, DOM))
+    p = WaveFamilyInput("x", "0", 1, 0, "1", 1, 0, DOM).synth()
     assert (p.A, p.B, p.C) == (parse("1"), parse("-2"), parse("0"))
 
 
 def test_wave_gauge_coefficients_match_closed_forms():
     q, v = 0.7, 0.3
-    p = synth_wave(WaveFamilyInput("x", "x", q, v, "1", 1, 1, DOM))
+    p = WaveFamilyInput("x", "x", q, v, "1", 1, 1, DOM).synth()
     box = DOM.box()
     assert sampled_equal(p.A, parse("1"), box)
     assert sampled_equal(p.B, parse(f"-({1 + 2 * v + q:.17g})"), box)
@@ -54,7 +52,7 @@ def test_wave_gauge_coefficients_match_closed_forms():
 
 
 def test_wave_stretched_profile_coefficients():
-    p = synth_wave(WaveFamilyInput("2*x", "0", 2, 0, "1", 1, 0, DOM))
+    p = WaveFamilyInput("2*x", "0", 2, 0, "1", 1, 0, DOM).synth()
     box = DOM.box()
     assert sampled_equal(p.A, parse("0.25"), box)
     assert sampled_equal(p.B, parse("-1.5"), box)
@@ -62,11 +60,11 @@ def test_wave_stretched_profile_coefficients():
 
 
 def test_wave_solution_shapes():
-    u = wave_solution(WaveFamilyInput("x", "0", 1, 0, "1", 1, 0, DOM))
+    u = WaveFamilyInput("x", "0", 1, 0, "1", 1, 0, DOM).solution()
     assert u == simplify(parse("exp(x - t)"))
-    u = wave_solution(WaveFamilyInput("x", "x", 1, 1, "1", 0, 1, DOM))
+    u = WaveFamilyInput("x", "x", 1, 1, "1", 0, 1, DOM).solution()
     assert u == simplify(parse("exp(x)"))
-    u = wave_solution(WaveFamilyInput("x", "x", 1, 1, "1", 1, 1, DOM))
+    u = WaveFamilyInput("x", "x", 1, 1, "1", 1, 1, DOM).solution()
     assert sampled_equal(u, parse("(exp(x - t) + 1)*exp(x)"), DOM.box())
 
 
@@ -78,43 +76,41 @@ def test_wave_rejects_critical_profile():
 
 def test_wave_solution_solves_the_equation():
     inp = WaveFamilyInput("x + 0.1*x^2", "x", 1.3, -0.5, "s^2", 0.8, -0.4, DOM)
-    p = synth_wave(inp)
-    zs = is_zero_sampled(pde_residual(p, wave_solution(inp)), DOM.box(),
+    p = inp.synth()
+    zs = is_zero_sampled(pde_residual(p, inp.solution()), DOM.box(),
                          tol=1e-10)
     assert zs.passed
 
 
 def test_wave_generator_is_symmetry():
     inp = WaveFamilyInput("2*x", "x", 0.9, 0.6, "s", 1, 1, DOM)
-    p = synth_wave(inp)
+    p = inp.synth()
     assert all(z.passed for z in symmetry_check(p, inp.generator()))
 
 
 def test_wave_consistency_residuals_vanish_for_own_family():
     inp = WaveFamilyInput("x + 0.1*x^2", "x", 0.8, 0.5, "s^2", 1, 1, DOM)
-    p = synth_wave(inp)
+    p = inp.synth()
     a = inp.ansatz()
-    for r in wave_solution_system(p, a) + wave_determining_forms(p, a):
+    for r in inp.rows(p) + wave_determining_forms(p, a):
         assert is_zero_sampled(r, DOM.box(), tol=1e-9).passed
 
 
 def test_wave_consistency_detects_heat_mismatch():
     heat = PdeSpec(parse("1"), parse("0"), parse("0"), DOM)
-    residuals = wave_solution_system(
-        heat, SeparableAnsatz("1", "x", "0", 1.0, 0.0))
+    residuals = WaveFamilyInput("x", "0", 1.0, 0.0, "1", 1, 0, DOM).rows(heat)
     assert residuals[0] == parse("2")  # q + A*P'^2 = 1 + 1
 
 
 def test_wave_consistency_detects_corrupted_q():
-    p = synth_wave(WaveFamilyInput("x", "0", 1, 0, "1", 1, 0, DOM))
-    residuals = wave_solution_system(
-        p, SeparableAnsatz("1", "x", "0", 2.0, 0.0))
+    p = WaveFamilyInput("x", "0", 1, 0, "1", 1, 0, DOM).synth()
+    residuals = WaveFamilyInput("x", "0", 2.0, 0.0, "1", 1, 0, DOM).rows(p)
     assert residuals[0] == parse("1")  # affine in q: off by q_bad - q
 
 
 def test_wave_reduces_to_wave_target():
     inp = WaveFamilyInput("2*x", "x", 1.5, -0.8, "s", 1, 1, DOM)
-    p = synth_wave(inp)
+    p = inp.synth()
     assert classify_target(similarity_reduce(p, inp.ansatz()), DOM).kind == WAVE
 
 
@@ -125,24 +121,24 @@ def test_solution_closure_over_random_constants(rng):
         a, b = rng.uniform(-2, 2), rng.uniform(-2, 2)
         k = rng.choice([1.0, 2.0])
         w = WaveFamilyInput("2*x", "x", 1.2, 0.4, "s", a, b, DOM)
-        pw = synth_wave(w)
-        assert is_zero_sampled(pde_residual(pw, wave_solution(w)), DOM.box(),
+        pw = w.synth()
+        assert is_zero_sampled(pde_residual(pw, w.solution()), DOM.box(),
                                tol=1e-10).passed
         o = OscFamilyInput("2*x", "x", 1.2, 0.4, a, b, k, DOM)
-        po = synth_oscillator(o)
-        assert is_zero_sampled(pde_residual(po, oscillator_solution(o)),
-                               DOM.box(), tol=1e-10).passed
+        po = o.synth()
+        assert is_zero_sampled(pde_residual(po, o.solution()), DOM.box(),
+                               tol=1e-10).passed
 
 
 def test_wave_solution_superposition():
     # residual is linear in u and the solution affine in (a, b): the two
     # basis solutions passing implies every (a, b) passes; spot-check one
     base = dict(P="x", R="x", q=1.1, v=0.4, F="s", domain=DOM)
-    p = synth_wave(WaveFamilyInput(base["P"], base["R"], base["q"], base["v"],
-                                   base["F"], 1, 0, DOM))
+    p = WaveFamilyInput(base["P"], base["R"], base["q"], base["v"],
+                        base["F"], 1, 0, DOM).synth()
     for a, b in ((1, 0), (0, 1), (3.7, -1.2)):
-        u = wave_solution(WaveFamilyInput(base["P"], base["R"], base["q"],
-                                          base["v"], base["F"], a, b, DOM))
+        u = WaveFamilyInput(base["P"], base["R"], base["q"], base["v"],
+                            base["F"], a, b, DOM).solution()
         assert is_zero_sampled(pde_residual(p, u), DOM.box(), tol=1e-10).passed
 
 
@@ -165,24 +161,24 @@ def test_gauge_probe_flags_nonconstant_phi():
 # ------------------------------------------------------ oscillator family
 
 def test_oscillator_drift_plus_growth():
-    p = synth_oscillator(OscFamilyInput("x", "x", 1, 1, 1, 0, 1, DOM))
+    p = OscFamilyInput("x", "x", 1, 1, 1, 0, 1, DOM).synth()
     assert (p.A, p.B, p.C) == (parse("0"), parse("-1"), parse("1"))
 
 
 def test_oscillator_pure_advection():
-    p = synth_oscillator(OscFamilyInput("x", "0", 2, 0, 1, 0, 1, DOM))
+    p = OscFamilyInput("x", "0", 2, 0, 1, 0, 1, DOM).synth()
     assert (p.A, p.B, p.C) == (parse("0"), parse("-2"), parse("0"))
 
 
 def test_oscillator_stretched():
-    p = synth_oscillator(OscFamilyInput("2*x", "x", 2, 3, 1, 0, 1, DOM))
+    p = OscFamilyInput("2*x", "x", 2, 3, 1, 0, 1, DOM).synth()
     assert (p.B, p.C) == (parse("-1"), parse("3"))
 
 
 def test_oscillator_solution_shapes():
-    u = oscillator_solution(OscFamilyInput("x", "0", 1, 0, 1, 0, 1, DOM))
+    u = OscFamilyInput("x", "0", 1, 0, 1, 0, 1, DOM).solution()
     assert u == simplify(parse("sin(exp(x - t))"))
-    u = oscillator_solution(OscFamilyInput("x", "x", 1, 1, 1, 1, 2, DOM))
+    u = OscFamilyInput("x", "x", 1, 1, 1, 1, 2, DOM).solution()
     assert sampled_equal(
         u, parse("(sin(2*exp(x - t)) + cos(2*exp(x - t)))*exp(x)"), DOM.box())
 
@@ -190,15 +186,15 @@ def test_oscillator_solution_shapes():
 def test_oscillator_solution_limit_is_gauge():
     # as the phase argument tends to 0+, cos dominates: u -> b*exp(vR)
     inp = OscFamilyInput("x", "x", 1, 1, 0, 1, 1, DOM)
-    u = oscillator_solution(inp)
+    u = inp.solution()
     got = eval_numeric(u, {"x": 0.5, "t": 40.0})
     assert got == pytest.approx(math.exp(0.5), rel=1e-10)
 
 
 def test_oscillator_solution_solves_the_equation():
     inp = OscFamilyInput("x + 0.1*x^2", "x", 1.3, -0.5, 1.2, 0.7, 2, DOM)
-    p = synth_oscillator(inp)
-    zs = is_zero_sampled(pde_residual(p, oscillator_solution(inp)), DOM.box(),
+    p = inp.synth()
+    zs = is_zero_sampled(pde_residual(p, inp.solution()), DOM.box(),
                          tol=1e-10)
     assert zs.passed
 
@@ -216,14 +212,14 @@ def test_oscillator_rejects_critical_profile():
 
 def test_oscillator_defining_relations_hold():
     inp = OscFamilyInput("2*x", "x", 2, 3, 1, 0, 1, DOM)
-    p = synth_oscillator(inp)
-    for r in oscillator_defining_relations(p, inp.ansatz()):
+    p = inp.synth()
+    for r in inp.rows(p):
         assert r == parse("0")
 
 
 def test_oscillator_symmetry_for_any_phi():
     inp = OscFamilyInput("x + 0.1*x^2", "x", 0.8, -0.6, 1, 1, 1, DOM)
-    p = synth_oscillator(inp)
+    p = inp.synth()
     for phi in ("1", "t + 2", "exp(t)"):
         a = SeparableAnsatz(phi, inp.P, inp.R, inp.q, inp.v)
         for r in oscillator_determining_forms(p, a):
@@ -253,9 +249,24 @@ def test_pr_forms_are_scaled_determining_residuals(phi):
         assert sampled_equal(form, scaled, DOM.box())
 
 
+@pytest.mark.parametrize("P, R, q, v", [
+    ("x", "0", 1.0, 0.0), ("x", "x", 1.0, 1.0), ("2*x", "x", 2.0, 3.0),
+    ("x + 0.1*x^2", "x", 0.8, -0.6), ("x + 0.1*x^2", "x^2", 1.3, -0.5),
+])
+def test_oscillator_is_the_wave_construction_at_A_zero(P, R, q, v):
+    # F = 0 makes the wave family's A zero, and with it the same B and C;
+    # each family names every row it reports
+    wave = WaveFamilyInput(P, R, q, v, "0", 1, 0, DOM)
+    osc = OscFamilyInput(P, R, q, v, 1, 0, 1, DOM)
+    p = osc.synth()
+    assert wave.synth() == p
+    assert len(osc.rows(p)) == len(osc.ROWS) == 3
+    assert len(wave.rows(p)) == len(wave.ROWS) == 2
+
+
 def test_oscillator_reduces_to_identity():
     inp = OscFamilyInput("x", "x", 1, 1, 1, 0, 2, DOM)
-    p = synth_oscillator(inp)
+    p = inp.synth()
     got = classify_target(similarity_reduce(p, inp.ansatz()), DOM)
     assert got.kind == IDENTITY
 
@@ -342,7 +353,7 @@ def test_load_family_wave():
                        "v": 0.0, "F": "1", "a": 1.0, "b": 0.0,
                        "domain": {"x": [0, 1], "t": [0, 1]}})
     assert isinstance(inp, WaveFamilyInput)
-    assert synth_wave(inp).B == parse("-2")
+    assert inp.synth().B == parse("-2")
 
 
 def test_load_family_oscillator_defaults():
