@@ -123,8 +123,8 @@ def _build_parser():
                     "+ C(x,t) u: family synthesis, residual checks, "
                     "similarity reduction, and numerical verification.")
     # the zero test's Halton indices reach seed + 7919 + 2 * samples (its
-    # second pass is shifted by 7919), which must fit an int64; a negative
-    # index would clip to the box's corner
+    # second pass is shifted by 7919), which must fit an int64; the sampler
+    # refuses a negative seed, but only the parser names the option
     ap.add_argument("--seed", default=0,
                     type=_ranged(int, lambda s: 0 <= s <= 2**62,
                                  "an integer in [0, 2**62]"),

@@ -11,10 +11,10 @@ import numpy as np
 
 from .nodes import (
     Add, Call, Const, Expr, FUNCTIONS, MINUS_ONE, Mul, Neg, ONE, Pow, Var,
-    ZERO, _Branch, _set_canon, children, coerce, to_text,
+    ZERO, children, coerce, to_text,
 )
 from .simplify import (
-    _Exact, _add, _call, _mul, _negate, _pow, derived, simplify,
+    _Exact, _add, _call, _mark, _mul, _negate, _pow, derived, simplify,
 )
 
 class EvalError(ValueError):
@@ -58,13 +58,6 @@ def _diff(e: Expr, var: str, memo):
     if memo is not None:
         memo[key] = d
     return d
-
-
-def _mark(e: Expr) -> Expr:
-    """e, marked canonical if it is a branch node, as simplify returns it."""
-    if isinstance(e, _Branch):
-        _set_canon(e, True)
-    return e
 
 
 def _rule(e: Expr, var: str, memo):

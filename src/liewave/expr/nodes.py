@@ -33,7 +33,8 @@ FUNCTIONS = {fn: getattr(np, fn) for fn in ("exp", "log", "sin", "cos", "sqrt")}
 
 
 class Expr:
-    """Base class; arithmetic operators build raw (uncanonicalized) trees."""
+    """Base class; arithmetic operators build raw (uncanonicalized) trees
+    (those of simplify.Canon build canonical ones)."""
 
     __slots__ = ()
 

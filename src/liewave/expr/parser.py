@@ -22,10 +22,13 @@ from .nodes import (
     Add, Call, Const, Expr, FUNCTIONS, MINUS_ONE, Mul, Pow, Var, neg,
 )
 
+# whitespace matches no group and is skipped; any other character the
+# grammar has no token for is `bad`
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+    r"(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S)"
 )
 
 
@@ -43,23 +46,12 @@ class ParseError(ValueError):
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at,
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start(),
                              ("NUMBER", "IDENT", "operator"))
-        if m.group("number") is not None:
-            tokens.append(("number", m.group("number"), m.start("number")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+        tokens.append((kind, m.group(), m.start()))
     tokens.append(("eof", "", len(text)))
     return tokens
 

@@ -9,7 +9,9 @@ offset), drawn at two densities (n and 2n points) so a lucky coarse cloud
 cannot hide a nonzero residual.  The two-density cloud depends only on the
 box, n and the seed; it is computed once per process (a small LRU cache)
 and shared read-only by every zero test that asks for it again, so the
-three determining residuals of one generator sample a single cloud.
+three determining residuals of one generator sample a single cloud.  A
+residual whose canonical form is a constant has one value at every point,
+so it is decided without a cloud, with the ZeroSample the cloud would give.
 """
 
 from __future__ import annotations
@@ -29,6 +31,19 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 # offset between the two sampling passes, so they draw disjoint clouds
 _SECOND_PASS_SHIFT = 7919
 
+_LAST_INDEX = int(np.iinfo(np.int64).max)
+
+
+def _check(box, n: int, seed: int) -> None:
+    """Halton indices seed+1 .. seed+n must be positive int64 values (a
+    negative seed would repeat index 0, the box's lower corner), and each
+    dimension needs a prime base."""
+    if not 0 <= seed <= _LAST_INDEX - n:
+        raise ValueError(f"seed must be an integer in [0, 2**63 - 1 - {n}]"
+                         f" for {n} points, got {seed}")
+    if len(box) > len(_PRIMES):
+        raise ValueError(f"at most {len(_PRIMES)} dimensions supported")
+
 
 def sample_box(box, n: int, seed: int = 0):
     """n quasi-random points inside an axis-aligned box {name: (lo, hi)},
@@ -36,15 +51,13 @@ def sample_box(box, n: int, seed: int = 0):
 
     Dimension order follows sorted names so the point cloud does not depend
     on dict insertion order.  Each coordinate is the radical inverse of the
-    point index in that dimension's prime base, digit by digit; an index
-    below 1 (a negative seed) maps to 0.
+    point index in that dimension's prime base, digit by digit.  A negative
+    seed, or one whose last index does not fit an int64, is a ValueError.
     """
-    names = sorted(box)
-    if len(names) > len(_PRIMES):
-        raise ValueError(f"at most {len(_PRIMES)} dimensions supported")
+    _check(box, n, seed)
     out = {}
-    for name, base in zip(names, _PRIMES):
-        index = np.arange(seed + 1, seed + n + 1).clip(0)
+    for name, base in zip(sorted(box), _PRIMES):
+        index = np.arange(seed + 1, seed + n + 1)
         unit = np.zeros(n)
         scale = 1.0 / base
         while index.any():
@@ -69,6 +82,22 @@ def _cloud(box_items: tuple, n: int, seed: int) -> MappingProxyType:
     for column in cols.values():
         column.flags.writeable = False
     return MappingProxyType(cols)
+
+
+def _first_point(box, seed: int) -> dict:
+    """Point 0 of every cloud drawn from seed (Halton index seed + 1), with
+    sample_box's float operations on Python scalars, which cost far less
+    than its array loop does for one point."""
+    point = {}
+    for name, base in zip(sorted(box), _PRIMES):
+        index, unit, scale = seed + 1, 0.0, 1.0 / base
+        while index:
+            unit += (index % base) * scale
+            index //= base
+            scale /= base
+        lo, hi = box[name]
+        point[name] = float(lo + unit * (hi - lo))
+    return point
 
 
 def _point(cols, i: int) -> dict:
@@ -118,7 +147,9 @@ def is_zero_sampled(e: Expr, box, *, n: int = 100, tol: float = 1e-9,
     equation (phi*A_t, xi*A_x, ...), not the monomials of its expansion.
     A math-domain error at a sample point counts as a failure and is
     reported through the witness: the first point, in cloud order, at
-    which eval_numeric raises.
+    which eval_numeric raises.  A constant canonical form c is decided
+    without a cloud: its residual is |c| / max(1, |c|) at every point, and
+    its witness is point 0.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -126,6 +157,13 @@ def is_zero_sampled(e: Expr, box, *, n: int = 100, tol: float = 1e-9,
         if not hi > lo:
             raise ValueError(f"degenerate box interval for {name!r}")
     canon = simplify(e)
+    if isinstance(canon, Const):
+        _check(box, n, seed)  # as the cloud's two passes would
+        _check(box, 2 * n, seed + _SECOND_PASS_SHIFT)
+        magnitude = abs(float(canon.value))
+        residual = magnitude / max(1.0, magnitude)
+        return ZeroSample(residual <= tol, residual, _first_point(box, seed),
+                          magnitude)
     terms = canon.terms if isinstance(canon, Add) else (canon,)
     cols = _cloud(tuple(sorted((k, tuple(v)) for k, v in box.items())), n,
                   seed)

@@ -12,6 +12,15 @@ and it is what lets simplify return a tree it has returned before as it is.
 It is NOT a canonical form for transcendental identities — numeric sampling
 is the project's zero test.
 
+simplify is for input: parsed text and substituted trees.  Every tree the
+program builds itself is built canonical, with no raw node to walk again:
+- `calculus.diff` hands canonical pieces to the constructors below;
+- `Canon`, a handle whose + - * / ** and unary - do the same for the
+  residuals, relations and coefficients built from canonical pieces;
+- `_expand`, whose every result is canonical, so expand ends there.
+Each marks what it builds (`_mark`) and gives what simplify would give the
+raw tree, association included.
+
 Three things spare simplify work it has done before:
 - the canonical mark: a tree simplify has returned has its _canon slot
   True (every branch node's slot starts False), and is handed back at
@@ -25,8 +34,7 @@ Three things spare simplify work it has done before:
   mark cannot see) is not simplified again.
 
 The scope holds such a table for `_expand` too, and one per variable for
-`calculus.diff`, which holds each tree's canonical derivative (diff builds
-it in one pass with the constructors below, never a raw derivative tree).
+`calculus.diff`, which holds each tree's canonical derivative.
 All three key a tree on its exact structure (`_Exact`): the
 cached hash, with equality of `nodes.sort_key`, which tells Const(0.5) from
 Const(Fraction(1, 2)) and 0.0 from -0.0 where == does not.  They start and
@@ -43,8 +51,8 @@ from fractions import Fraction
 import numpy as np
 
 from .nodes import (
-    Add, Call, Const, Expr, FUNCTIONS, Mul, Neg, ONE, Pow, Var, ZERO,
-    _Branch, _set_canon, sort_key,
+    Add, Call, Const, Expr, FUNCTIONS, MINUS_ONE, Mul, Neg, ONE, Pow, Var,
+    ZERO, _Branch, _set_canon, coerce, sort_key,
 )
 
 
@@ -115,11 +123,75 @@ def simplify(e: Expr) -> Expr:
         out = _negate(simplify(e.child))
     else:
         out = _call(e.fn, simplify(e.arg))
-    if not isinstance(out, (Const, Var)):
-        _set_canon(out, True)
+    _mark(out)
     if memo is not None:
         memo[key] = out
     return out
+
+
+def _mark(e: Expr) -> Expr:
+    """e, marked canonical if it is a branch node, as simplify returns it."""
+    if isinstance(e, _Branch):
+        _set_canon(e, True)
+    return e
+
+
+def _canon(o) -> Expr:
+    """The canonical form of an operand; a marked tree or a leaf is its
+    own, without a call."""
+    if isinstance(o, Canon):
+        return o.e
+    o = coerce(o)
+    return o if isinstance(o, (Const, Var)) or o._canon else simplify(o)
+
+
+def _handle(e: Expr) -> "Canon":
+    h = object.__new__(Canon)
+    h.e = _mark(e)
+    return h
+
+
+class Canon:
+    """A canonical tree `e` under arithmetic.  Each operator hands the
+    canonical forms of its operands (a Canon, an Expr or a number) to the
+    constructor simplify calls on the raw node the same operator of Expr
+    builds, so (Canon(a) * b - c).e is simplify(a * b - c), and no raw
+    node is built.  An expression keeps its left-to-right association."""
+
+    __slots__ = ("e",)
+
+    def __init__(self, e):
+        self.e = _canon(e)
+
+    def __add__(self, o):
+        return _handle(_add((self.e, _canon(o))))
+
+    def __radd__(self, o):
+        return _handle(_add((_canon(o), self.e)))
+
+    def __sub__(self, o):
+        return _handle(_add((self.e, _mark(_negate(_canon(o))))))
+
+    def __rsub__(self, o):
+        return _handle(_add((_canon(o), _mark(_negate(self.e)))))
+
+    def __mul__(self, o):
+        return _handle(_mul((self.e, _canon(o))))
+
+    def __rmul__(self, o):
+        return _handle(_mul((_canon(o), self.e)))
+
+    def __truediv__(self, o):
+        return _handle(_mul((self.e, _mark(_pow(_canon(o), MINUS_ONE)))))
+
+    def __rtruediv__(self, o):
+        return _handle(_mul((_canon(o), _mark(_pow(self.e, MINUS_ONE)))))
+
+    def __pow__(self, o):
+        return _handle(_pow(self.e, _canon(o)))
+
+    def __neg__(self):
+        return _handle(_negate(self.e))
 
 
 def _negate(e: Expr) -> Expr:
@@ -316,18 +388,19 @@ def _fold_pow(bv, ev):
 
 
 def expand(e: Expr) -> Expr:
-    """Distribute products over sums, then canonicalize.
+    """Distribute products over sums, in canonical form.
 
     Not part of simplify's rule set (expansion can grow trees); used where
     collecting coefficients of jet monomials needs a sum of monomials.
     Negative or symbolic powers are left alone.
     """
-    return simplify(_expand(simplify(e), _expanded))
+    return _expand(simplify(e), _expanded)
 
 
 def _expand(e: Expr, memo) -> Expr:
-    """Expansion of e, not canonicalized; memo is the scope's table (see the
-    module docstring) or None."""
+    """Expansion of canonical e, built canonical and marked: each node
+    comes from simplify's constructors on canonical pieces.  memo is the
+    scope's table (see the module docstring) or None."""
     if isinstance(e, (Const, Var)):
         return e
     if memo is not None:
@@ -355,6 +428,7 @@ def _expand(e: Expr, memo) -> Expr:
         out = _distribute(tuple(_expand(f, memo) for f in e.factors))
     else:
         raise TypeError(f"not an Expr: {e!r}")
+    _mark(out)
     if memo is not None:
         memo[key] = out
     return out
@@ -367,7 +441,7 @@ def _distribute(factors: tuple) -> Expr:
     for f in factors:
         terms = f.terms if isinstance(f, Add) else (f,)
         combos = [c + (t,) for c in combos for t in terms]
-    return _add(tuple(_mul(c) for c in combos))
+    return _add(tuple(_mark(_mul(c)) for c in combos))
 
 
 _EXACT_CALL = {

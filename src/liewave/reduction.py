@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .expr import (
-    Exp, Expr, Var, check_nonvanishing, diff, eval_checked, eval_numeric,
-    expand, is_zero_sampled, num, sample_box, simplify, to_text,
+    Canon, Exp, Expr, Var, check_nonvanishing, diff, eval_checked,
+    eval_numeric, expand, is_zero_sampled, num, sample_box, to_text,
 )
 from .symmetry import Domain, Generator, PdeSpec, _load_json, _read
 
@@ -54,11 +54,11 @@ class SeparableAnsatz:
             raise ValueError("q: must be nonzero")
 
     def xi(self) -> Expr:
-        return simplify(num(self.q) * self.phi / diff(self.P, "x"))
+        return (Canon(num(self.q)) * self.phi / diff(self.P, "x")).e
 
     def M(self) -> Expr:
-        return simplify(num(self.q) * num(self.v) * self.phi
-                        * diff(self.R, "x") / diff(self.P, "x"))
+        return (Canon(num(self.q)) * num(self.v) * self.phi
+                * diff(self.R, "x") / diff(self.P, "x")).e
 
     def generator(self) -> Generator:
         return Generator(self.phi, self.xi(), self.M())
@@ -73,12 +73,11 @@ class SeparableAnsatz:
         on p, term by term:
             r1 = q + 2 v A R' P' + A P'' + A P'^2 + B P',
             r2 = v^2 A R'^2 + v A R'' + v B R' + C."""
-        q, v = num(self.q), num(self.v)
-        Pp, Ppp, Rp, Rpp = self.profile_derivatives()
-        A, B = p.A, p.B
-        return (simplify(q + 2 * v * A * Rp * Pp + A * Ppp + A * Pp**2
-                         + B * Pp),
-                simplify(v**2 * A * Rp**2 + v * A * Rpp + v * B * Rp + p.C))
+        q, v = Canon(num(self.q)), Canon(num(self.v))
+        Pp, Ppp, Rp, Rpp = map(Canon, self.profile_derivatives())
+        A, B = Canon(p.A), Canon(p.B)
+        return ((q + 2 * v * A * Rp * Pp + A * Ppp + A * Pp**2 + B * Pp).e,
+                (v**2 * A * Rp**2 + v * A * Rpp + v * B * Rp + p.C).e)
 
     def validate_on(self, domain: Domain):
         """Reject the ansatz if P' vanishes on the x-interval or phi on the
@@ -97,9 +96,9 @@ def load_ansatz(source) -> SeparableAnsatz:
 def invariants(a: SeparableAnsatz):
     """The two first integrals of the characteristic system:
     I1 = exp(P - q*t), I2 = u * exp(-v*R)."""
-    i1 = simplify(Exp(a.P - num(a.q) * Var("t")))
-    i2 = simplify(Var("u") * Exp(-(num(a.v) * a.R)))
-    return i1, i2
+    i1 = Canon(Exp((Canon(a.P) - Canon(num(a.q)) * Var("t")).e))
+    i2 = Canon(Var("u")) * Exp((-(Canon(num(a.v)) * a.R)).e)
+    return i1.e, i2.e
 
 
 def generator_annihilation_check(a: SeparableAnsatz, domain: Domain, *,
@@ -111,8 +110,8 @@ def generator_annihilation_check(a: SeparableAnsatz, domain: Domain, *,
     M = a.M()
     box = domain.box(u=u_range)
     for inv in invariants(a):
-        applied = simplify(a.phi * diff(inv, "t") + xi * diff(inv, "x")
-                           + M * Var("u") * diff(inv, "u"))
+        applied = (Canon(a.phi) * diff(inv, "t") + Canon(xi) * diff(inv, "x")
+                   + Canon(M) * Var("u") * diff(inv, "u")).e
         if not is_zero_sampled(applied, box, n=n, tol=tol, seed=seed).passed:
             return False
     return True
@@ -139,13 +138,14 @@ def similarity_reduce(p: PdeSpec, a: SeparableAnsatz) -> ReductionResult:
     Phi'', Phi', Phi coefficients by the chain rule (module docstring)."""
     a.validate_on(p.domain)
     z, _ = invariants(a)
-    z_x = diff(z, "x")
-    E = simplify(Exp(num(a.v) * a.R))
-    E_x = diff(E, "x")
-    c2 = expand(p.A * E * z_x**2)
-    c1 = expand(p.A * (2 * E_x * z_x + E * diff(z_x, "x")) + p.B * E * z_x
-                - E * diff(z, "t"))
-    c0 = expand(p.A * diff(E_x, "x") + p.B * E_x + p.C * E)
+    z_x = Canon(diff(z, "x"))
+    E = Canon(Exp((Canon(num(a.v)) * a.R).e))
+    E_x = Canon(diff(E.e, "x"))
+    A, B = Canon(p.A), Canon(p.B)
+    c2 = expand((A * E * z_x**2).e)
+    c1 = expand((A * (2 * E_x * z_x + E * diff(z_x.e, "x")) + B * E * z_x
+                 - E * diff(z, "t")).e)
+    c0 = expand((A * diff(E_x.e, "x") + B * E_x + Canon(p.C) * E).e)
     return ReductionResult(z, c2, c1, c0)
 
 

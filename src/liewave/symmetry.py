@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .expr import (
-    Expr, check_vars, diff, is_zero_sampled, num, parse, simplify,
+    Canon, Expr, check_vars, diff, is_zero_sampled, num, parse, simplify,
     substitute, to_text,
 )
 
@@ -91,9 +91,10 @@ class PdeSpec:
 
     def residual(self, u: Expr) -> Expr:
         """u_t - A u_2x - B u_x - C u: zero exactly when u solves the PDE."""
+        A, B, C = map(Canon, (self.A, self.B, self.C))
         u_x = diff(u, "x")
-        return simplify(diff(u, "t") - self.A * diff(u_x, "x") - self.B * u_x
-                        - self.C * u)
+        return (Canon(diff(u, "t")) - A * diff(u_x, "x") - B * u_x
+                - C * u).e
 
     def to_dict(self):
         return {"A": to_text(self.A), "B": to_text(self.B), "C": to_text(self.C),
@@ -163,6 +164,7 @@ def determining_residuals(p: PdeSpec, g: Generator):
     merged.  The sampled zero test scales by the largest of those terms at
     each point, not by the largest monomial.
     """
+    phi, xi, A, B = map(Canon, (g.phi, g.xi, p.A, p.B))
     At, Ax = diff(p.A, "t"), diff(p.A, "x")
     Bt, Bx = diff(p.B, "t"), diff(p.B, "x")
     Ct, Cx = diff(p.C, "t"), diff(p.C, "x")
@@ -173,12 +175,11 @@ def determining_residuals(p: PdeSpec, g: Generator):
     xi_t = diff(g.xi, "t")
     xi_2x = diff(xi_x, "x")
     phi_t = diff(g.phi, "t")
-    r1 = simplify(g.phi * At + g.xi * Ax + p.A * phi_t - 2 * p.A * xi_x)
-    r2 = simplify(-g.phi * Bt - g.xi * Bx + p.B * xi_x - xi_t - p.B * phi_t
-                  - 2 * p.A * Mx + p.A * xi_2x)
-    r3 = simplify(-g.phi * Ct - g.xi * Cx - p.B * Mx + Mt - phi_t * p.C
-                  - p.A * M2x)
-    return r1, r2, r3
+    r1 = phi * At + xi * Ax + A * phi_t - 2 * A * xi_x
+    r2 = (-phi * Bt - xi * Bx + B * xi_x - xi_t - B * phi_t - 2 * A * Mx
+          + A * xi_2x)
+    r3 = -phi * Ct - xi * Cx - B * Mx + Mt - Canon(phi_t) * p.C - A * M2x
+    return r1.e, r2.e, r3.e
 
 
 def symmetry_check(p: PdeSpec, g: Generator, *, n: int = 100,

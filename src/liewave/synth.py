@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from .expr import (
-    ONE, ZERO, Cos, Exp, Expr, Sin, Var, num, simplify, substitute,
+    ONE, ZERO, Canon, Cos, Exp, Expr, Sin, Var, num, substitute,
 )
 from .reduction import SeparableAnsatz
 from .symmetry import (
@@ -67,12 +67,12 @@ class _SeparableFamily:
     def synth(self) -> PdeSpec:
         """The family's A, then B from r1 = 0 and C from r2 = 0, the
         ansatz's relations (`SeparableAnsatz.relations`)."""
-        q, v = num(self.q), num(self.v)
-        Pp, Ppp, Rp, Rpp = self.ansatz().profile_derivatives()
-        A = self._A(Pp)
-        B = simplify(-(q + A * (Pp**2 + Ppp + 2 * v * Rp * Pp)) / Pp)
-        C = simplify(-(v * (A * (v * Rp**2 + Rpp) + B * Rp)))
-        return PdeSpec(A, B, C, self.domain)
+        q, v = Canon(num(self.q)), Canon(num(self.v))
+        Pp, Ppp, Rp, Rpp = map(Canon, self.ansatz().profile_derivatives())
+        A = Canon(self._A(Pp))
+        B = -(q + A * (Pp**2 + Ppp + 2 * v * Rp * Pp)) / Pp
+        C = -(v * (A * (v * Rp**2 + Rpp) + B * Rp))
+        return PdeSpec(A.e, B.e, C.e, self.domain)
 
 
 @dataclass(frozen=True)
@@ -91,22 +91,23 @@ class WaveFamilyInput(_SeparableFamily):
     def __post_init__(self):
         self._validate((("F", ("s",)),), ("a", "b"))
 
-    def _A(self, Pp: Expr) -> Expr:
+    def _A(self, Pp: Canon) -> Expr:
         """F along the drift coordinate s = t - P/q, times 1/P'^2."""
-        s_arg = simplify(T - self.P / num(self.q))
-        return simplify(substitute(self.F, {"s": s_arg}) / Pp**2)
+        s_arg = (Canon(T) - Canon(self.P) / num(self.q)).e
+        return (Canon(substitute(self.F, {"s": s_arg})) / Pp**2).e
 
     def solution(self) -> Expr:
         """u = [a exp(P - q t) + b] exp(v R)."""
-        return simplify((num(self.a) * Exp(self.P - num(self.q) * T)
-                         + num(self.b)) * Exp(num(self.v) * self.R))
+        z = Exp((Canon(self.P) - Canon(num(self.q)) * T).e)
+        return ((Canon(num(self.a)) * z + num(self.b))
+                * Exp((Canon(num(self.v)) * self.R).e)).e
 
     def rows(self, p: PdeSpec):
         """The two relations the closed form imposes on p: its residual at
         u is minus r1 + r2 times a exp(P - q t + v R), minus r2 times
         b exp(v R)."""
         r1, r2 = self.ansatz().relations(p)
-        return simplify(r1 + r2), r2
+        return (Canon(r1) + r2).e, r2
 
 
 @dataclass(frozen=True)
@@ -129,15 +130,16 @@ class OscFamilyInput(_SeparableFamily):
         if not self.k > 0:
             raise ValueError("k: must be positive")
 
-    def _A(self, Pp: Expr) -> Expr:
+    def _A(self, Pp: Canon) -> Expr:
         return ZERO
 
     def solution(self) -> Expr:
         """u = [a sin(k exp(P - q t)) + b cos(k exp(P - q t))] exp(v R); k
         sits inside the trig arguments."""
-        phase = num(self.k) * Exp(self.P - num(self.q) * T)
-        return simplify((num(self.a) * Sin(phase) + num(self.b) * Cos(phase))
-                        * Exp(num(self.v) * self.R))
+        a, b, k = (Canon(num(c)) for c in (self.a, self.b, self.k))
+        phase = (k * Exp((Canon(self.P) - Canon(num(self.q)) * T).e)).e
+        return ((a * Sin(phase) + b * Cos(phase))
+                * Exp((Canon(num(self.v)) * self.R).e)).e
 
     def rows(self, p: PdeSpec):
         """A = 0, and the relations at A = 0: q + B P' = 0, v B R' + C = 0."""
@@ -192,17 +194,16 @@ def synth_rossby(inp: RossbyFamilyInput) -> PdeSpec:
     (phi^-3, phi^-2, phi^-1); it fails the determining system for c != 0
     and is retained as a falsification exhibit.
     """
-    c, c1, c2 = num(inp.c), num(inp.c1), num(inp.c2)
-    phi = simplify(c * T + c1)
+    c, c1, c2 = (Canon(num(k)) for k in (inp.c, inp.c1, inp.c2))
+    phi = c * T + c1
     # (A, B, C) = scales * (F, G, H)(w); phi**-k would print differently
     if inp.mode == AS_PRINTED:
-        w, scales = X * phi - c2 * T, (1 / phi**3, 1 / phi**2, 1 / phi)
+        w, scales = Canon(X) * phi - c2 * T, (1 / phi**3, 1 / phi**2, 1 / phi)
     elif inp.c != 0.0:
         w, scales = (c * X + c2) / phi, (phi, ONE, 1 / phi)
     else:
         w, scales = c1 * X - c2 * T, (ONE, ONE, ONE)
-    w = simplify(w)
-    A, B, C = (simplify(substitute(f, {"w": w}) * s)
+    A, B, C = ((Canon(substitute(f, {"w": w.e})) * s).e
                for f, s in zip((inp.F, inp.G, inp.H), scales))
     return PdeSpec(A, B, C, inp.domain)
 

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import importlib
 import math
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liewave.expr import (
-    Add, Call, Const, EvalError, Exp, Mul, Neg, ParseError, Pow, Sin,
+    Add, Call, Canon, Const, EvalError, Expr, Exp, Mul, Neg, ParseError, Pow, Sin,
     Var, ZeroSample, diff, eval_numeric, expand, free_vars, is_zero_sampled,
     num, parse, sample_box, simplify, substitute, to_text,
 )
@@ -22,7 +23,7 @@ from liewave.expr import (
 from liewave.expr.calculus import _ev, _shared
 from liewave.expr.nodes import children, neg, node_count, sort_key
 from liewave.expr.sampling import _SECOND_PASS_SHIFT, _cloud
-from liewave.expr.simplify import _add, _mul, _negate
+from liewave.expr.simplify import _add, _expand, _mul, _negate
 
 from conftest import CORPUS
 from oracles import _ev as tree_walk_ev
@@ -422,6 +423,60 @@ _exprs_with_floats = st.recursive(_leaves | _float_leaves, _branch,
 @settings(max_examples=250, deadline=None)
 def test_canonical_mark_random(e):
     _check_canonical_mark(e)
+
+
+# ------------------------------------------ trees built canonical
+
+_numbers = st.one_of(st.integers(-5, 5), _decimal_fractions,
+                     st.sampled_from([0.5, -2.0, 0.0, -0.0, 1.5]))
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
+
+
+def _apply(name, left, right):
+    if name == "neg":
+        return -left
+    if name == "**":
+        return left ** right
+    if name.startswith("r"):  # the step's operand on the left
+        return _BINARY[name[1:]](right, left)
+    return _BINARY[name](left, right)
+
+
+@given(_exprs_with_floats,
+       st.lists(st.tuples(
+           st.sampled_from(["+", "-", "*", "/", "r+", "r-", "r*", "r/",
+                            "neg", "**"]),
+           _exprs_with_floats | _numbers,
+           st.sampled_from([-1, 2, 3, Fraction(1, 2), 0.5])), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_canon_operators_are_simplify_of_the_raw_tree(first, steps):
+    # applied left to right, each handle operator gives simplify of the raw
+    # tree Expr's operators build, down to each constant's type and sign
+    handle, raw = Canon(first), _unmarked(first)
+    for name, operand, exponent in steps:
+        if name == "**":
+            operand = exponent
+        raw_operand = operand
+        if isinstance(operand, Expr):
+            raw_operand = _unmarked(operand)
+            if name.startswith("r"):  # an Expr on the left is wrapped first
+                operand = Canon(operand)
+        handle = _apply(name, handle, operand)
+        raw = _apply(name, raw, raw_operand)
+        assert sort_key(handle.e) == sort_key(simplify(_unmarked(raw)))
+        assert simplify(handle.e) is handle.e
+
+
+@given(_exprs_with_floats)
+@settings(max_examples=200, deadline=None)
+def test_expand_builds_its_canonical_form(e):
+    # every tree _expand returns is marked, and truly canonical: simplify of
+    # an unmarked copy is the same tree
+    x = _expand(simplify(e), None)
+    assert simplify(x) is x
+    assert sort_key(simplify(_unmarked(x))) == sort_key(x)
+    assert sort_key(expand(_unmarked(e))) == sort_key(x)
 
 
 # ------------------------------------------------- the job-scoped memo
@@ -1196,6 +1251,29 @@ def test_cloud_evaluation_matches_pointwise_reference(text, box):
         assert max_abs_sampled(e, box, n=40, seed=3) == expected
 
 
+@given(st.one_of(st.integers(-10**6, 10**6), st.fractions(),
+                 st.floats(allow_nan=False, allow_infinity=False),
+                 st.sampled_from([-0.0, Fraction(1, 10**400), 10**400,
+                                  Fraction(-(10**400), 3)])),
+       st.sampled_from([{"x": (0.0, 1.0)},
+                        {"x": (-1, 2), "t": (0.5, 1.5), "u": (-2.0, 2.0)}]),
+       st.integers(0, 10**4), st.sampled_from([1e-9, 1e-300, 0.5, math.inf]))
+@settings(max_examples=200, deadline=None)
+def test_constant_is_decided_as_the_cloud_decides_it(c, box, seed, tol):
+    # no cloud: the residual |c| / max(1, |c|) at point 0, as the pointwise
+    # reference gives it (or its error, for a constant beyond the floats)
+    _cloud.cache_clear()
+    try:
+        expected = repr(_reference_zero_test(Const(c), box, 7, tol, seed))
+    except OverflowError as err:
+        with pytest.raises(OverflowError, match=str(err)):
+            is_zero_sampled(Const(c), box, n=7, tol=tol, seed=seed)
+    else:
+        got = is_zero_sampled(Const(c), box, n=7, tol=tol, seed=seed)
+        assert repr(got) == expected
+    assert _cloud.cache_info().misses == 0
+
+
 def test_cached_cloud_gives_the_cold_result():
     e, box = parse("sin(x)*cos(t) - x/3"), {"x": (0.0, 1.0), "t": (-1.0, 2.0)}
     _cloud.cache_clear()
@@ -1238,8 +1316,13 @@ def test_sample_box_is_deterministic_and_inside():
 @pytest.mark.parametrize("seed", [0, 3, 7919, -4])
 def test_sample_box_matches_scalar_halton(seed):
     # every coordinate bit for bit as the scalar radical-inverse loop gives it,
-    # in sorted-name dimension order; an index below 1 maps to the lower bound
+    # in sorted-name dimension order; a negative seed (whose indices below 1
+    # would all map to the lower bound) is refused
     box = {"u": (-2.0, 2.0), "t": (0.5, 1.5), "x": (0, 1)}
+    if seed < 0:
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sample_box(box, 60, seed)
+        return
     cols = sample_box(box, 60, seed)
     assert list(cols) == ["t", "u", "x"]
     for name, base in zip(cols, (2, 3, 5)):
@@ -1271,6 +1354,22 @@ def test_nonvanishing_constant_is_decided_without_a_cloud(monkeypatch):
     # anything else is sampled as before
     check_nonvanishing(Add((Var("x"), Const(2))), box, "x + 2")
     assert len(built) == 6
+
+
+def test_negative_seed_is_refused():
+    # a negative seed clipped every Halton index below 1 to the box's lower
+    # corner, where x vanishes: a false PASS
+    box = {"x": (0, 1), "t": (0, 1)}
+    for e in (parse("x"), Const(0)):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            is_zero_sampled(e, box, seed=-10**6)
+    # so is one whose last Halton index (the second pass: seed + 7919 + 2n)
+    # does not fit an int64
+    last = 2**63 - 1 - _SECOND_PASS_SHIFT - 2 * 100
+    for e in (parse("x"), Const(0)):
+        assert not is_zero_sampled(e + 1, box, seed=last).passed
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            is_zero_sampled(e, box, seed=last + 1)
 
 
 def test_num_uses_shortest_decimal():

@@ -1,6 +1,6 @@
 import pytest
 
-from liewave.expr import is_zero_sampled, parse, simplify
+from liewave.expr import Const, is_zero_sampled, parse, simplify
 from liewave.expr.sampling import _cloud
 from liewave.symmetry import (
     Generator, PdeSpec, determining_residuals, load_generator, load_pde,
@@ -147,9 +147,16 @@ def test_symmetry_check_wraps_sampling(heat):
 
 
 def test_symmetry_check_samples_one_cloud(heat):
-    # the three residuals share one domain, n and seed: one cloud
+    # the three residuals share one domain, n and seed: one cloud.  phi is
+    # exp(2t) - exp(t)^2, zero but not to simplify, so no residual is a
+    # constant (the boost's are all 0, decided without a cloud)
     _cloud.cache_clear()
     results = symmetry_check(heat, Generator("0", "2*t", "-x"), n=37, seed=11)
+    assert len(results) == 3 and all(results)
+    assert _cloud.cache_info().misses == 0
+    g = Generator("exp(2*t) - exp(t)^2", "2*t", "(exp(2*t) - exp(t)^2)*x^2 - x")
+    assert not any(isinstance(r, Const) for r in determining_residuals(heat, g))
+    results = symmetry_check(heat, g, n=37, seed=11)
     assert len(results) == 3 and all(results)
     info = _cloud.cache_info()
     assert (info.misses, info.hits) == (1, 2)
