@@ -129,7 +129,8 @@ def _build_parser():
                     type=_ranged(int, lambda s: 0 <= s <= 2**62,
                                  "an integer in [0, 2**62]"),
                     help="sampling offset")
-    ap.add_argument("--samples", type=int, default=100,
+    ap.add_argument("--samples", default=100,
+                    type=_ranged(int, lambda n: n >= 1, "an integer >= 1"),
                     help="points per zero test")
     ap.add_argument("--tol-sym", type=_tolerance, default=1e-9,
                     help="tolerance for symmetry/system residuals")

@@ -169,27 +169,38 @@ def eval_on_grid(e, bindings):
     return values if isinstance(e, tuple) else values[0]
 
 
-def eval_checked(e, bindings):
+def eval_checked(e, bindings, table=None):
     """Strict vectorized evaluation: (values, failed), both broadcast to the
     bindings' common shape.  failed is True exactly at the points where
     eval_numeric raises; values there are meaningless.  Given a tuple of
     expressions, values is the tuple of their values and failed the one
     mask of the points where any of them fails; a subtree they share is
-    evaluated, and checked, once."""
+    evaluated, and checked, once.  `table` may be a Values table kept for
+    these bindings across calls (a zero-test cloud's): it is read and
+    filled in place of a memo of this call's shared subtrees, and keeps no
+    value from the evaluation of a root that noted a failure."""
     roots = e if isinstance(e, tuple) else (e,)
     failed = np.zeros(np.broadcast(*bindings.values()).shape, dtype=bool)
 
     def note(mask, message, node):
+        nonlocal clean
+        clean = False
         np.logical_or(failed, mask, out=failed)
 
-    memo = _shared(roots)
+    memo = _shared(roots) if table is None else table
     values = []
     with np.errstate(all="ignore"):
         for root in roots:
+            clean, start = True, len(memo)
             try:
                 v = _ev(root, bindings, note, memo)
             except EvalError:  # an unbound variable fails at every point
-                v = np.nan
+                v, clean = np.nan, False
+            if not clean and table is not None:
+                # drop the slots this root added, a failing node's
+                # ancestors among them: a later hit would not note it
+                for key in list(table)[start:]:
+                    del table[key]
             v = np.broadcast_to(v, failed.shape)
             failed |= ~np.isfinite(v)
             values.append(v)
@@ -202,10 +213,10 @@ def _raise(mask, message, node):
 
 
 def _shared(roots) -> dict:
-    """The memo for one evaluation of `roots`: a slot, keyed by id, for each
-    branch node that more than one parent (or root) holds.  Only values that
-    are asked for again are kept; the ids stay valid while the caller holds
-    the roots."""
+    """The memo for one evaluation of `roots` (without a Values table): a
+    slot, keyed by id, for each branch node that more than one parent (or
+    root) holds.  Only values that are asked for again are kept; the ids
+    stay valid while the caller holds the roots."""
     seen, memo = set(), {}
     stack = list(roots)
     while stack:
@@ -220,12 +231,25 @@ def _shared(roots) -> dict:
     return memo
 
 
+class Values(dict):
+    """Node values on one set of bindings, kept across evaluations:
+    id(node) -> (node, value), the node held so that no other node takes
+    its id while the entry lives.  Its `get` leaves an empty slot for each
+    node it misses, so _ev keeps the value of every branch node it
+    evaluates, where a _shared memo keeps only those of shared nodes."""
+
+    __slots__ = ()
+    get = dict.setdefault
+
+
 def _ev(e: Expr, env, fail, memo):
     """The walker behind every entry point.  Values are floats or float
     arrays.  fail(mask, message, node) is told where a node is undefined, in
     evaluation order; with fail None nothing is checked.  A node with a slot
-    in memo (see _shared) is evaluated, and reported to fail, once: its
-    value fills the slot and is handed to each later parent.
+    in memo (a _shared memo, or a Values table, which makes a slot for
+    every node it is asked for) is evaluated, and reported to fail, once:
+    (node, value) fills the slot and the value is handed to each later
+    parent.
 
     A Pow or Call builds its masks only where its value has a non-finite
     entry.  That is exact: every masked failure makes the value there
@@ -240,9 +264,9 @@ def _ev(e: Expr, env, fail, memo):
             return env[e.name]
         except KeyError:
             raise EvalError(f"unbound variable {e.name!r}", e) from None
-    v = memo.get(id(e))
-    if v is not None:
-        return v
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1]
     if isinstance(e, Add):
         v = reduce(operator.add, [_ev(t, env, fail, memo) for t in e.terms])
     elif isinstance(e, Mul):
@@ -271,5 +295,5 @@ def _ev(e: Expr, env, fail, memo):
     else:
         raise TypeError(f"not an Expr: {e!r}")
     if id(e) in memo:
-        memo[id(e)] = v
+        memo[id(e)] = e, v
     return v

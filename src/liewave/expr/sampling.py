@@ -9,9 +9,11 @@ offset), drawn at two densities (n and 2n points) so a lucky coarse cloud
 cannot hide a nonzero residual.  The two-density cloud depends only on the
 box, n and the seed; it is computed once per process (a small LRU cache)
 and shared read-only by every zero test that asks for it again, so the
-three determining residuals of one generator sample a single cloud.  A
-residual whose canonical form is a constant has one value at every point,
-so it is decided without a cloud, with the ZeroSample the cloud would give.
+three determining residuals of one generator sample a single cloud.
+Inside memo_scope() the zero tests on a cloud share their subtrees' values
+too, so a subtree is evaluated once per command and cloud.  A residual
+whose canonical form is a constant has one value at every point, so it is
+decided without a cloud, with the ZeroSample the cloud would give.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .calculus import EvalError, eval_checked, eval_numeric
+from .calculus import EvalError, Values, eval_checked, eval_numeric
 from .nodes import Add, Const, Expr
-from .simplify import simplify
+from .simplify import simplify, valued
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -165,11 +167,11 @@ def is_zero_sampled(e: Expr, box, *, n: int = 100, tol: float = 1e-9,
         return ZeroSample(residual <= tol, residual, _first_point(box, seed),
                           magnitude)
     terms = canon.terms if isinstance(canon, Add) else (canon,)
-    cols = _cloud(tuple(sorted((k, tuple(v)) for k, v in box.items())), n,
-                  seed)
+    cloud = tuple(sorted((k, tuple(v)) for k, v in box.items())), n, seed
+    cols = _cloud(*cloud)
     # all terms in one evaluation, so a subtree they share is evaluated
     # once; value = their left-to-right sum, as canon evaluates
-    values, failed = eval_checked(terms, cols)
+    values, failed = eval_checked(terms, cols, valued(cloud, Values))
     value = values[0]
     scale = np.abs(value)
     for v in values[1:]:

@@ -35,11 +35,15 @@ Three things spare simplify work it has done before:
 
 The scope holds such a table for `_expand` too, and one per variable for
 `calculus.diff`, which holds each tree's canonical derivative.
-All three key a tree on its exact structure (`_Exact`): the
+These three key a tree on its exact structure (`_Exact`): the
 cached hash, with equality of `nodes.sort_key`, which tells Const(0.5) from
-Const(Fraction(1, 2)) and 0.0 from -0.0 where == does not.  They start and
-end empty with the scope, so a job shares no tree with another job, and
-outside a scope nothing is memoized at all.
+Const(Fraction(1, 2)) and 0.0 from -0.0 where == does not.  The fourth
+holds the zero tests' node values: one `calculus.Values` per cloud, keyed
+as the cloud is, by (box items, n, seed), never by the id of a mapping.
+Failure rule: a value whose evaluation noted a failure is not kept, since
+a later test that read it would not note the failure.  All four start and
+end empty with the scope, so a job shares no tree or value with another
+job, and outside a scope nothing is memoized at all.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from .nodes import (
 _memo = None      # _Exact(tree) -> canonical form
 _expanded = None  # _Exact(tree) -> _expand(tree)
 _derived = None   # var -> {_Exact(tree) -> diff(tree, var)}
+_valued = None    # (box items, n, seed) -> node values on that zero-test cloud
 
 
 class _Exact:
@@ -80,19 +85,26 @@ class _Exact:
 
 @contextlib.contextmanager
 def memo_scope():
-    """Memoize simplify, expand and diff for the duration of the block (one
-    CLI job); the tables are dropped on exit, also when the block raises."""
-    global _memo, _expanded, _derived
-    _memo, _expanded, _derived = {}, {}, {}
+    """Memoize simplify, expand and diff, and the node values of the zero
+    tests, for the duration of the block (one CLI job); the tables are
+    dropped on exit, also when the block raises."""
+    global _memo, _expanded, _derived, _valued
+    _memo, _expanded, _derived, _valued = {}, {}, {}, {}
     try:
         yield
     finally:
-        _memo = _expanded = _derived = None
+        _memo = _expanded = _derived = _valued = None
 
 
 def derived(var: str):
     """The scope's table for `calculus.diff` by `var`, or None."""
     return None if _derived is None else _derived.setdefault(var, {})
+
+
+def valued(cloud: tuple, new):
+    """The scope's table of node values on the zero-test cloud `cloud`
+    (box items, n, seed), made by new() at first use, or None."""
+    return None if _valued is None else _valued.setdefault(cloud, new())
 
 
 def simplify(e: Expr) -> Expr:

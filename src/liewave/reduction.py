@@ -26,7 +26,7 @@ from .expr import (
     Canon, Exp, Expr, Var, check_nonvanishing, diff, eval_checked,
     eval_numeric, expand, is_zero_sampled, num, sample_box, to_text,
 )
-from .symmetry import Domain, Generator, PdeSpec, _load_json, _read
+from .symmetry import Domain, Generator, PdeSpec, _load_json, _read, _zero
 
 WAVE = "WAVE"
 OSCILLATOR = "OSCILLATOR"
@@ -143,10 +143,12 @@ def similarity_reduce(p: PdeSpec, a: SeparableAnsatz) -> ReductionResult:
     E_x = Canon(diff(E.e, "x"))
     A, B = Canon(p.A), Canon(p.B)
     c2 = expand((A * E * z_x**2).e)
-    c1 = expand((A * (2 * E_x * z_x + E * diff(z_x.e, "x")) + B * E * z_x
-                 - E * diff(z, "t")).e)
-    c0 = expand((A * diff(E_x.e, "x") + B * E_x + Canon(p.C) * E).e)
-    return ReductionResult(z, c2, c1, c0)
+    c1, c0 = B * E * z_x, B * E_x
+    if not _zero(p.A):  # else z_2x and E_2x are not built (see _zero)
+        c1 = A * (2 * E_x * z_x + E * diff(z_x.e, "x")) + c1
+        c0 = A * diff(E_x.e, "x") + c0
+    return ReductionResult(z, c2, expand((c1 - E * diff(z, "t")).e),
+                           expand((c0 + Canon(p.C) * E).e))
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Union
 
 from .expr import (
-    Canon, Expr, check_vars, diff, is_zero_sampled, num, parse, simplify,
-    substitute, to_text,
+    Canon, Const, Expr, check_vars, diff, is_zero_sampled, num, parse,
+    simplify, substitute, to_text,
 )
 
 
@@ -75,6 +75,14 @@ class Domain:
         return cls(d["x"], d["t"])
 
 
+def _zero(A: Expr) -> bool:
+    """Whether A is a zero constant.  A term A*X is then the constant 0 for
+    every X (a constant is finite, so _mul folds the product to 0), and a
+    sum is the same tree without it, so a residual omits it and X, a
+    second x-derivative, is not built."""
+    return isinstance(A, Const) and A.value == 0
+
+
 @dataclass(frozen=True)
 class PdeSpec:
     """The coefficient triple (A, B, C) plus the domain box."""
@@ -90,11 +98,13 @@ class PdeSpec:
                        " after params are substituted")
 
     def residual(self, u: Expr) -> Expr:
-        """u_t - A u_2x - B u_x - C u: zero exactly when u solves the PDE."""
-        A, B, C = map(Canon, (self.A, self.B, self.C))
+        """u_t - A u_2x - B u_x - C u: zero exactly when u solves the PDE.
+        Where A is the constant 0, u_2x is not built (see _zero)."""
         u_x = diff(u, "x")
-        return (Canon(diff(u, "t")) - A * diff(u_x, "x") - B * u_x
-                - C * u).e
+        r = Canon(diff(u, "t"))
+        if not _zero(self.A):
+            r = r - Canon(self.A) * diff(u_x, "x")
+        return (r - Canon(self.B) * u_x - Canon(self.C) * u).e
 
     def to_dict(self):
         return {"A": to_text(self.A), "B": to_text(self.B), "C": to_text(self.C),
@@ -168,17 +178,15 @@ def determining_residuals(p: PdeSpec, g: Generator):
     At, Ax = diff(p.A, "t"), diff(p.A, "x")
     Bt, Bx = diff(p.B, "t"), diff(p.B, "x")
     Ct, Cx = diff(p.C, "t"), diff(p.C, "x")
-    Mx = diff(g.M, "x")
-    M2x = diff(Mx, "x")
-    Mt = diff(g.M, "t")
-    xi_x = diff(g.xi, "x")
-    xi_t = diff(g.xi, "t")
-    xi_2x = diff(xi_x, "x")
+    Mx, Mt = diff(g.M, "x"), diff(g.M, "t")
+    xi_x, xi_t = diff(g.xi, "x"), diff(g.xi, "t")
     phi_t = diff(g.phi, "t")
     r1 = phi * At + xi * Ax + A * phi_t - 2 * A * xi_x
-    r2 = (-phi * Bt - xi * Bx + B * xi_x - xi_t - B * phi_t - 2 * A * Mx
-          + A * xi_2x)
-    r3 = -phi * Ct - xi * Cx - B * Mx + Mt - Canon(phi_t) * p.C - A * M2x
+    r2 = -phi * Bt - xi * Bx + B * xi_x - xi_t - B * phi_t - 2 * A * Mx
+    r3 = -phi * Ct - xi * Cx - B * Mx + Mt - Canon(phi_t) * p.C
+    if not _zero(p.A):  # the last terms, A xi_2x and -A M_2x (see _zero)
+        r2 = r2 + A * diff(xi_x, "x")
+        r3 = r3 - A * diff(Mx, "x")
     return r1.e, r2.e, r3.e
 
 

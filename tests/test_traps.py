@@ -147,6 +147,40 @@ def test_seed_in_its_range_runs(tmp_path, capsys, seed):
     assert rc == 1
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize("command", [
+    ["check", "heat", "--solution", "x*t"],
+    ["check", "heat", "--gen", "gen"],
+    ["synth", "family"],
+    ["reduce", "heat", "ansatz"],
+    ["solve", "heat", "--ic", "exp(-t)*sin(x)"],
+    ["modes", "profile"],
+])
+def test_samples_below_one_is_refused_naming_the_option(tmp_path, capsys,
+                                                        command, samples):
+    # `check` exited 2 with "error: n must be >= 1", which names no option,
+    # and `solve` ran without complaint; the parser refuses it for every
+    # subcommand
+    rc, err = _run(tmp_path, capsys, ["--samples", samples, *command],
+                   heat=HEAT, gen={"phi": "0", "xi": "2*t", "M": "-x"},
+                   family={"family": "wave", "P": "x", "R": "0", "q": 1.0,
+                           "v": 0.0, "F": "1", "a": 1.0, "b": 0.0,
+                           "domain": UNIT},
+                   ansatz={"phi": "1", "P": "x", "R": "0", "q": 1.0,
+                           "v": 0.0},
+                   profile={"H": 300.0, "N": "0.0002"})
+    assert rc == 2
+    assert err.startswith("usage: liewave")
+    assert "argument --samples: need an integer >= 1" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_sample_runs(tmp_path, capsys):
+    rc, _ = _run(tmp_path, capsys, ["--samples", "1", "check", "heat",
+                                    "--solution", "x*t"], heat=HEAT)
+    assert rc == 1
+
+
 def test_modes_past_the_cap_is_refused_before_the_search(tmp_path):
     # 10^400 searched for its roots; the cap is checked at parse time.  A
     # fresh interpreter under a time limit: never a huge count in-process
