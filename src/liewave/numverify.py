@@ -363,20 +363,16 @@ def load_profile(source) -> ModeProblem:
 
 @dataclass(frozen=True)
 class Mode:
-    index: int          # 1-based mode number (largest eigenvalue first)
-    C: float            # eigenvalue
-    k: float            # max-profile wavenumber N_max / C
-    zs: np.ndarray      # sample grid
-    shape: np.ndarray   # phi samples on zs
+    """One vertical mode; `nodes` is read from theta's winding at C (see
+    `mode_solve`)."""
 
-    def interior_zeros(self) -> int:
-        vals = self.shape[1:-1]
-        scale = np.max(np.abs(self.shape))
-        signs = np.sign(vals[np.abs(vals) > 1e-12 * scale])
-        return int(np.count_nonzero(signs[1:] != signs[:-1]))
+    index: int  # 1-based mode number (largest eigenvalue first)
+    C: float    # eigenvalue
+    k: float    # max-profile wavenumber N_max / C
+    nodes: int  # zeros of phi inside (-H, 0)
 
 
-NSTEPS = 2000  # cells across the column before merging; shape intervals
+NSTEPS = 2000  # cells across the column before merging
 ROOT_REL = 4 * np.finfo(float).eps  # final bracket of u = 1/c, relative
 MESH_REL = 1e-3  # largest relative move of C_m when the cells are halved
 
@@ -437,29 +433,10 @@ class _Shooter:
                                            math.cos(r))
         return theta
 
-    def sample(self, c: float) -> np.ndarray:
-        """phi on NSTEPS + 1 equally spaced zeta, in closed form per cell,
-        for phi(-1) = 0 and phi'(-1) = 1."""
-        u = 1.0 / c
-        cells = []  # lower edge, k, phi and phi' of each cell
-        phi, dphi = 0.0, 1.0
-        for edge, w, n in zip(self.edges, self.widths, self.ns):
-            k = n * u
-            cells.append((edge, k, phi, dphi))
-            cos, sin = math.cos(k * w), math.sin(k * w)
-            phi, dphi = (phi * cos + dphi * (sin / k if k else w),
-                         dphi * cos - k * phi * sin)
-        zeta = np.linspace(-1.0, 0.0, NSTEPS + 1)
-        edge, k, phi0, dphi0 = np.array(cells)[
-            np.searchsorted(self.edges[1:-1], zeta, side="right")].T
-        s = zeta - edge
-        # sin(k s) / k, and s where k = 0
-        sin_k = np.divide(np.sin(k * s), k, out=s.copy(), where=k > 0)
-        return phi0 * np.cos(k * s) + dphi0 * sin_k
-
 
 def _roots(shooter: _Shooter, modes: int) -> list:
-    """c_1 > ... > c_modes, where theta(0; c_m) = m pi, found in u = 1/c.
+    """(c_m, theta(0; c_m)) for c_1 > ... > c_modes, where theta(0; c_m) =
+    m pi, found in u = 1/c; theta is the one shot at the returned root.
 
     theta(0; 1/u) >= m pi exactly where u >= u_m.  The first shot lies
     below u_1, as phi has no zero on (-1, 0] for u < pi / max N~ (Sturm
@@ -478,29 +455,24 @@ def _roots(shooter: _Shooter, modes: int) -> list:
                 raise ModeSearchError(m - 1, modes, f"C_{m} underflows: "
                                       f"theta(0) < {m} pi down to C = 0")
             theta_hi = shooter.shoot(1.0 / hi)
-        lo = _zeroin(lambda u: shooter.shoot(1.0 / u) - target, lo,
-                     theta_lo - target, hi, theta_hi - target, ROOT_REL)
+        lo, miss = _zeroin(lambda u: shooter.shoot(1.0 / u) - target, lo,
+                           theta_lo - target, hi, theta_hi - target, ROOT_REL)
         theta_lo = target
-        roots.append(lo)
-    return [1.0 / u for u in roots]
+        roots.append((1.0 / lo, target + miss))
+    return roots
 
 
 def mode_solve(problem: ModeProblem, modes: int):
-    """Largest `modes` eigenvalues C (descending) with sampled mode shapes.
+    """Largest `modes` eigenvalues C (descending), each with its node count.
 
     The eigenvalues are those of the midpoint-N cells of `_Shooter`; a
     constant piece is exact.  Where N varies within a piece, the mesh
     doubled (N_max kept) gives C_2M, and C is the Richardson value
     (4 C_2M - C_M) / 3; where both meshes merge to the same cells, C_M
-    stands.  Each shape is sampled on the finer of the meshes used, at
-    NSTEPS + 1 points.  The zeros of mode m are at least pi / k_max apart,
-    k_max = max N~ / c_m (Sturm comparison), so each of its half-waves
-    holds a sample point, and the shape shows its m - 1 zeros, while
-    k_max h < pi for the sample step h = 1/NSTEPS.  ValueError where a
-    mode fails that bound, with a margin of 2 ROOT_REL so that the tie
-    k_max h = pi (mode NSTEPS of a constant N, whose samples fall on its
-    zeros) is refused whatever the last bit of c_m (sampling finer instead
-    would make the shapes' memory grow as modes^2).
+    stands.  A mode's zeros inside (-H, 0) are the multiples of pi that
+    theta passes (Sturm oscillation), so `nodes` is round(theta(0)/pi) - 1
+    at its root, the fine mesh's where the Richardson value is taken:
+    phi(0) = 0 puts theta(0) on a multiple of pi.
     ModeSearchError: N vanishes, C_2M differs from C_M by more than
     MESH_REL (the mesh does not resolve N), or a C is not a normal float.
     """
@@ -510,40 +482,35 @@ def mode_solve(problem: ModeProblem, modes: int):
     fine = _Shooter(problem, 2, shooter.n_max)
     if not (max(shooter.ns) > 0 and max(fine.ns) > 0):
         raise ModeSearchError(0, modes, "N vanishes on every cell of a mesh")
-    cs = _roots(shooter, modes)
+    roots = _roots(shooter, modes)
     if (fine.edges, fine.ns) != (shooter.edges, shooter.ns):
-        fine_cs = _roots(fine, modes)
-        for m, (c, f) in enumerate(zip(cs, fine_cs), 1):
+        fine_roots = _roots(fine, modes)
+        for m, ((c, _), (f, _)) in enumerate(zip(roots, fine_roots), 1):
             if abs(f - c) > MESH_REL * f:
                 raise ModeSearchError(m - 1, modes, f"C_{m} is not resolved: "
                                       f"halving the cells moves it by "
                                       f"{abs(f - c) / f:.2g} relative")
-        cs = [(4.0 * f - c) / 3.0 for c, f in zip(cs, fine_cs)]
-        shooter = fine
-    zs = problem.H * np.linspace(-1.0, 0.0, NSTEPS + 1)
+        roots = [((4.0 * f - c) / 3.0, theta)
+                 for (c, _), (f, theta) in zip(roots, fine_roots)]
     found = []
-    for m, c in enumerate(cs, 1):
-        kh = max(shooter.ns) / c / NSTEPS
-        if kh >= math.pi * (1.0 - 2.0 * ROOT_REL):
-            raise ValueError(
-                f"mode {m} is finer than the {NSTEPS + 1}-point shape grid "
-                f"can show: k_max h = {kh:.17g} >= pi; ask for fewer modes")
+    for m, (c, theta) in enumerate(roots, 1):
         C = c * shooter.n_max * problem.H
         if not np.finfo(float).tiny <= C < math.inf:
             raise ModeSearchError(m - 1, modes, f"C_{m} = {C:.3g} "
                                   f"{'underflows' if C < 1 else 'overflows'}"
                                   " the normal float range")
-        found.append(Mode(m, C, shooter.n_max / C, zs, shooter.sample(c)))
+        found.append(Mode(m, C, shooter.n_max / C,
+                          round(theta / math.pi) - 1))
     return found
 
 
-def _zeroin(f, a: float, fa: float, b: float, fb: float, rel: float) -> float:
+def _zeroin(f, a: float, fa: float, b: float, fb: float, rel: float):
     """Brent's zeroin (Algorithms for Minimization without Derivatives,
-    1973, ch. 4): a zero of f between a and b, where f(a) = fa and
-    f(b) = fb differ in sign, returned once the bracket around it is at
-    most rel * |b| wide.  Each step interpolates (secant or inverse
-    quadratic) and falls back to bisection whenever the interpolated point
-    would not shrink the bracket fast enough."""
+    1973, ch. 4): (x, f(x)) for a zero x of f between a and b, where
+    f(a) = fa and f(b) = fb differ in sign, returned once the bracket
+    around it is at most rel * |x| wide.  Each step interpolates (secant
+    or inverse quadratic) and falls back to bisection whenever the
+    interpolated point would not shrink the bracket fast enough."""
     c, fc = a, fa
     d = e = b - a
     while True:
@@ -553,7 +520,7 @@ def _zeroin(f, a: float, fa: float, b: float, fb: float, rel: float) -> float:
         tol = 0.5 * rel * abs(b)
         half = 0.5 * (c - b)
         if abs(half) <= tol or fb == 0.0:
-            return b
+            return b, fb
         if abs(e) >= tol and abs(fa) > abs(fb):
             s = fb / fa
             if a == c:

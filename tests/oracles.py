@@ -18,7 +18,9 @@ exact 1, checks the `_mul` that keeps its first constant as it is; and
 free_vars, node_count and substitute written with one branch per node
 kind check the versions that walk `nodes.children`; the sum that rebuilds
 every term and the negation that folds every product again check the
-`_add` and `_negate` that keep the canonical nodes they are handed.
+`_add` and `_negate` that keep the canonical nodes they are handed; a
+mode's shape, sampled in closed form per cell, counts by its sign changes
+the zeros that `mode_solve` reads from theta's winding.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from liewave.expr.sampling import _point
 from liewave.expr.simplify import (
     _join_term, _mul, _negate, _pow, _split_factor, _split_term,
 )
-from liewave.numverify import Grid1D, _on_grid, stable_dt
+from liewave.numverify import NSTEPS, Grid1D, _on_grid, stable_dt
 from liewave.reduction import SeparableAnsatz
 from liewave.symmetry import (
     Domain, Generator, PdeSpec, determining_residuals,
@@ -630,3 +632,34 @@ def _sub_by_kind(e: Expr, table) -> Expr:
     if isinstance(e, Call):
         return Call(e.fn, _sub_by_kind(e.arg, table))
     raise TypeError(f"not an Expr: {e!r}")
+
+
+def mode_shape(shooter, c: float) -> np.ndarray:
+    """phi on NSTEPS + 1 equally spaced zeta of a `_Shooter`'s cells, in
+    closed form per cell, for phi(-1) = 0 and phi'(-1) = 1."""
+    u = 1.0 / c
+    cells = []  # lower edge, k, phi and phi' of each cell
+    phi, dphi = 0.0, 1.0
+    for edge, w, n in zip(shooter.edges, shooter.widths, shooter.ns):
+        k = n * u
+        cells.append((edge, k, phi, dphi))
+        cos, sin = math.cos(k * w), math.sin(k * w)
+        phi, dphi = (phi * cos + dphi * (sin / k if k else w),
+                     dphi * cos - k * phi * sin)
+    zeta = np.linspace(-1.0, 0.0, NSTEPS + 1)
+    edge, k, phi0, dphi0 = np.array(cells)[
+        np.searchsorted(shooter.edges[1:-1], zeta, side="right")].T
+    s = zeta - edge
+    # sin(k s) / k, and s where k = 0
+    sin_k = np.divide(np.sin(k * s), k, out=s.copy(), where=k > 0)
+    return phi0 * np.cos(k * s) + dphi0 * sin_k
+
+
+def interior_zeros(shape: np.ndarray) -> int:
+    """Sign changes of a sampled shape between its end points, ignoring
+    samples below 1e-12 of its largest |value|: its interior zeros while
+    every half-wave holds a sample."""
+    vals = shape[1:-1]
+    scale = np.max(np.abs(shape))
+    signs = np.sign(vals[np.abs(vals) > 1e-12 * scale])
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))

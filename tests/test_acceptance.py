@@ -10,7 +10,9 @@ import numpy as np
 
 from liewave.cli import main as cli_main
 from liewave.expr import diff, is_zero_sampled, parse, simplify
-from liewave.numverify import Grid1D, ModeProblem, convergence_order, mode_solve
+from liewave.numverify import (
+    Grid1D, ModeProblem, _Shooter, convergence_order, mode_solve,
+)
 from liewave.reduction import (
     IDENTITY, WAVE, SeparableAnsatz, classify_target,
     generator_annihilation_check, similarity_reduce,
@@ -22,7 +24,8 @@ from liewave.synth import (
 )
 
 from oracles import (
-    max_abs_sampled, oscillator_determining_forms, wave_determining_forms,
+    interior_zeros, max_abs_sampled, mode_shape, oscillator_determining_forms,
+    wave_determining_forms,
 )
 
 UNIT = Domain((0.0, 1.0), (0.0, 1.0))
@@ -173,13 +176,18 @@ def test_criterion_5_convergence_orders():
 
 def test_criterion_6_vertical_modes():
     n_bar, depth = 2e-4, 300.0
-    found = mode_solve(ModeProblem.constant(n_bar, depth), 5)
+    problem = ModeProblem.constant(n_bar, depth)
+    found = mode_solve(problem, 5)
+    shooter = _Shooter(problem)
     worst = 0.0
     zeros_ok = True
     for m in found:
         exact = n_bar * depth / (m.index * math.pi)
         worst = max(worst, abs(m.C - exact) / exact)
-        zeros_ok = zeros_ok and m.interior_zeros() == m.index - 1
+        # the winding's count, and the sign changes of the sampled shape
+        shape = mode_shape(shooter, m.C / (shooter.n_max * depth))
+        zeros_ok = (zeros_ok and m.nodes == m.index - 1
+                    and interior_zeros(shape) == m.index - 1)
     ok = worst <= 1e-6 and zeros_ok
     _report(6, ok, f"constant profile m=1..5 worst relative error "
                    f"{worst:.2e} (<= 1e-6), node counts correct: {zeros_ok}")

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liewave
-from liewave import cli
+from liewave import cli, numverify
 from liewave.cli import main
 from liewave.numverify import NSTEPS
 
@@ -533,40 +533,61 @@ PIECEWISE_300 = {"H": 1000.0, "N": [{"z": [-1000, -300], "expr": "0"},
                                     {"z": [-300, 0], "expr": "0.0002"}]}
 
 
-@pytest.mark.parametrize("profile, modes, first_unshown", [
-    # N constant: k_max h = m pi / 2000, so m = 1999 is the last mode
-    # shown; m = 2000 sits on pi itself, which --modes refuses as it parses
-    ({"H": 300.0, "N": "0.0002"}, 1999, None),
-    ({"H": 300.0, "N": "0.0002"}, 2000, 2000),
-    # N only above -300 of 1000: shorter waves, so a lower m; k_max h is
-    # 0.9992 pi at m = 600 and 1.0008 pi at m = 601
-    (PIECEWISE_300, 600, None),
-    (PIECEWISE_300, 1000, 601),
+@pytest.mark.parametrize("profile, modes", [
+    # every count up to the cap runs, for N constant and for N only above
+    # -300 of 1000 (shorter waves); 2000 is refused as the command line is
+    # parsed
+    ({"H": 300.0, "N": "0.0002"}, 1999),
+    ({"H": 300.0, "N": "0.0002"}, 2000),
+    (PIECEWISE_300, 600),
+    (PIECEWISE_300, 1000),
+    (PIECEWISE_300, 1999),
 ])
-def test_modes_beyond_the_shape_grid_are_exit_2(tmp_path, capsys, profile,
-                                                modes, first_unshown):
-    # the 2001-point shape of mode 2000 falls on its zeros: node_count
-    # FAILed although C_2000 was right
+def test_modes_up_to_the_cap_pass_and_past_it_are_exit_2(
+        tmp_path, capsys, monkeypatch, profile, modes):
     out = tmp_path / "out"
     argv = ["--out", str(out), "modes", write(tmp_path, "profile.json",
                                               profile), "--modes", str(modes)]
-    if first_unshown is None:
-        assert main(argv) == 0
-        assert len(read_report(out)["checks"]) == modes
-    elif first_unshown == NSTEPS:
+    if modes == NSTEPS:
         with pytest.raises(SystemExit) as stop:
             main(argv)
         assert stop.value.code == 2
         assert ("argument --modes: need an integer in [1, 1999], got '2000'"
                 in capsys.readouterr().err)
         assert not out.exists()
-    else:
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: mode {first_unshown} is finer than "
-                              f"the 2001-point shape grid")
-        assert ">= pi;" in err
-        assert not out.exists()
+        return
+    assert main(argv) == 0
+    report = read_report(out)
+    assert [c["status"] for c in report["checks"]] == ["PASS"] * modes
+    if profile is PIECEWISE_300:
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "bench"))
+        import oracle
+        import workloads
+        wanted = workloads.piecewise_eigenvalues(0.0002, 300, 700, modes)
+        for c, ref in zip(report["eigenvalues"], wanted, strict=True):
+            assert math.isclose(c, ref, rel_tol=oracle.EIGEN_REL_TOL,
+                                abs_tol=0.0)
+
+
+def test_modes_node_count_fails_on_a_neighbouring_winding(tmp_path,
+                                                          monkeypatch):
+    # each mode handed the winding of the next root (the last one that of
+    # the root before it): every node count is off by one, and FAILs
+    roots = numverify._roots
+
+    def neighbours(shooter, modes):
+        found = roots(shooter, modes)
+        thetas = [theta for _, theta in found]
+        return [(c, theta) for (c, _), theta
+                in zip(found, thetas[1:] + thetas[-2:-1])]
+
+    monkeypatch.setattr(numverify, "_roots", neighbours)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "modes",
+                 write(tmp_path, "profile.json", PROFILE)]) == 1
+    assert [(c["status"], c["max_residual"])
+            for c in read_report(out)["checks"]] == [("FAIL", 1.0)] * 5
 
 
 @pytest.mark.parametrize("H", [1000.0, 1e-150])

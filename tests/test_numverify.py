@@ -10,13 +10,15 @@ from liewave.expr import (
 from liewave.expr.calculus import _shared
 from liewave.numverify import (
     BLOCK, NSTEPS, BlowupError, Grid1D, ModeProblem, ModeSearchError,
-    StabilityError, _weights, auto_nt, convergence_order, eval_on_grid,
-    fd_solve, load_profile, mode_solve, stable_dt,
+    StabilityError, _Shooter, _weights, auto_nt, convergence_order,
+    eval_on_grid, fd_solve, load_profile, mode_solve, stable_dt,
 )
 from liewave.symmetry import Domain, PdeSpec
 from liewave.synth import OscFamilyInput, WaveFamilyInput
 
-from oracles import euler_incremental, residual_on_grid
+from oracles import (
+    euler_incremental, interior_zeros, mode_shape, residual_on_grid,
+)
 
 DOM = Domain((0.0, 1.0), (0.0, 0.1))
 WAVE_PDE = WaveFamilyInput("x", "0", 1, 0, "1", 1, 0, DOM).synth()
@@ -433,13 +435,22 @@ def test_load_profile_schemas(tmp_path):
     assert len(p.pieces) == 2
 
 
+def _shape_zeros(problem, m) -> int:
+    """The oracle's node count of mode m: the sign changes of its shape,
+    sampled in closed form on the halved cells (where `mode_solve` merges
+    both meshes alike, they are its cells)."""
+    fine = _Shooter(problem, 2, _Shooter(problem).n_max)
+    return interior_zeros(mode_shape(fine, m.C / (fine.n_max * problem.H)))
+
+
 def test_modes_constant_profile_matches_sine_series():
     n_bar, depth = 2e-4, 300.0
-    found = mode_solve(ModeProblem.constant(n_bar, depth), 5)
+    problem = ModeProblem.constant(n_bar, depth)
+    found = mode_solve(problem, 5)
     for m in found:
         exact = n_bar * depth / (m.index * math.pi)
         assert abs(m.C - exact) / exact <= 1e-13
-        assert m.interior_zeros() == m.index - 1
+        assert m.nodes == _shape_zeros(problem, m) == m.index - 1
     assert found[0].C == pytest.approx(0.06 / math.pi, rel=1e-13)
     assert found[0].k == pytest.approx(math.pi / 300.0, rel=1e-13)
 
@@ -469,7 +480,7 @@ def test_modes_piecewise_profile_matches_transcendental_oracle():
     found = mode_solve(problem, 3)
     for m, exact in zip(found, _layer_oracle(n_bar, layer, depth - layer, 3)):
         assert abs(m.C - exact) / exact <= 1e-13
-        assert m.interior_zeros() == m.index - 1
+        assert m.nodes == _shape_zeros(problem, m) == m.index - 1
 
 
 def test_modes_off_eigenvalue_keeps_endpoint_nonzero():
@@ -549,7 +560,7 @@ def test_modes_two_well_profile_finds_every_mode():
     assert [m.index for m in found] == [1, 2, 3, 4]
     for m, exact in zip(found, _two_well_oracle(2e-4, 4)):
         assert abs(m.C - exact) / exact <= 1e-13
-        assert m.interior_zeros() == m.index - 1
+        assert m.nodes == _shape_zeros(problem, m) == m.index - 1
 
 
 def test_modes_search_error_reports_bounds():
@@ -567,7 +578,7 @@ def test_modes_thin_surface_layer_matches_transcendental_oracle():
     found = mode_solve(problem, 5)
     for m, exact in zip(found, _layer_oracle(2e-4, 10.0, 990.0, 5)):
         assert abs(m.C - exact) / exact <= 1e-13
-        assert m.interior_zeros() == m.index - 1
+        assert m.nodes == _shape_zeros(problem, m) == m.index - 1
 
 
 def test_modes_exponential_profile_matches_bessel_oracle():
@@ -590,7 +601,7 @@ def test_modes_exponential_profile_matches_bessel_oracle():
         exact = optimize.brentq(condition, 0.99 * m.C, 1.01 * m.C, xtol=1e-300,
                                 rtol=4 * np.finfo(float).eps)
         assert abs(m.C - exact) <= 1e-9 * exact
-        assert m.interior_zeros() == m.index - 1
+        assert m.nodes == _shape_zeros(problem, m) == m.index - 1
 
 
 def test_modes_unresolved_smooth_layer_is_a_search_error():
@@ -650,22 +661,17 @@ def test_traced_fd_modes_pass_shoots_no_converged_eigenvalue_twice(
     assert tracer.calls["numverify.shoot"] <= 70
 
 
-def test_mode_shapes_are_those_of_a_fresh_shot():
-    from liewave.numverify import _Shooter
-    for problem in BENCH_PROFILES:
-        shooter = _Shooter(problem)
-        for m in mode_solve(problem, 5):
-            shape = shooter.sample(m.C / (shooter.n_max * problem.H))
-            assert m.zs.tolist() == (
-                problem.H * np.linspace(-1.0, 0.0, NSTEPS + 1)).tolist()
-            np.testing.assert_allclose(m.shape, shape, rtol=0,
-                                       atol=1e-12 * np.max(np.abs(shape)))
+def test_mode_shape_oracle_is_the_sine_series():
     # the constant profile's shapes are sin(m pi (zeta + 1)) / (m pi)
-    for m in mode_solve(BENCH_PROFILES[0], 5):
-        zeta = m.zs / 300.0
+    problem = BENCH_PROFILES[0]
+    shooter = _Shooter(problem)
+    zeta = np.linspace(-1.0, 0.0, NSTEPS + 1)
+    for m in mode_solve(problem, 5):
+        shape = mode_shape(shooter, m.C / (shooter.n_max * problem.H))
         k = m.index * math.pi
-        np.testing.assert_allclose(m.shape, np.sin(k * (zeta + 1)) / k,
+        np.testing.assert_allclose(shape, np.sin(k * (zeta + 1)) / k,
                                    rtol=0, atol=1e-13)
+        assert interior_zeros(shape) == m.index - 1
 
 
 @pytest.mark.parametrize("problem", [*BENCH_PROFILES, TWO_WELL],
