@@ -158,7 +158,8 @@ def _build_parser():
     vp.add_argument("--ic", required=True,
                     help="closed form u(x,t); supplies initial and boundary "
                          "values and the error reference")
-    vp.add_argument("--nx", type=int, default=41)
+    vp.add_argument("--nx", default=41,
+                    type=_ranged(int, lambda n: n >= 3, "an integer >= 3"))
     vp.add_argument("--nt", default=0,
                     type=_ranged(int, lambda n: n >= 0, "an integer >= 0"),
                     help="0 = choose from the stability bound")

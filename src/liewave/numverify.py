@@ -16,12 +16,13 @@ from typing import Optional
 import numpy as np
 
 from .expr import (
-    Expr, check_vars, eval_on_grid, num, simplify, substitute, to_text,
+    Expr, check_vars, eval_on_grid, free_vars, num, simplify, substitute,
+    to_text,
 )
 from .symmetry import PdeSpec, _as_expr, _load_json
 
 _UPWIND_A_THRESHOLD = 1e-14
-BLOCK = 256  # time steps whose coefficients are evaluated at once
+BLOCK = 128  # time steps whose coefficients are evaluated at once
 
 
 class StabilityError(ValueError):
@@ -170,12 +171,14 @@ def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D, bound=None):
                                     mid = 1 + dt C - 2d - b+ + b-.
     Under upwinding the sign of B picks the side per node inside the
     weights: one of b+ and b- is zero there.  A block of steps takes its
-    weights at once from the block's A, B and C, evaluated in one call.
+    weights at once from the block's A, B and C, evaluated in one call
+    (coefficients free of t give one set for the whole run, computed once).
     Their rows lo, mid and hi are padded to the length of a level and
     shifted right by 0, 1 and 2 places, so that lo_i, mid_i and hi_i sit
-    over u_{i-1}, u_i and u_{i+1}.  A step is then one multiply of the three
-    rows by the whole level, and two adds, (lo u_{i-1} + mid u_i) +
-    hi u_{i+1}, of the shifted products.
+    over u_{i-1}, u_i and u_{i+1}; the run's one table of them is reused by
+    every block.  A step is then one multiply of the three rows by the
+    whole level, and two adds, (lo u_{i-1} + mid u_i) + hi u_{i+1}, of the
+    shifted products.
 
     Preconditions, enforced when the first level is asked for: those of
     `stable_dt`, A >= 0 and the step bound of the scheme it picks; `bound`
@@ -205,15 +208,23 @@ def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D, bound=None):
     # the kth weight of node i times u_{i-1+k} at column i - 1 + k
     p0, p1, p2 = prods[0, :m], prods[1, 1:-1], prods[2, 2:]
     multiply, add = np.multiply, np.add  # bound once for every step
+    coeffs = (p.A, p.B, p.C)
+    steady = not any("t" in free_vars(c) for c in coeffs)
+    # one weight table and one scratch for the whole run, since a fresh
+    # table per block costs its page faults: table[n] holds (lo, mid, hi)
+    # of step n0 + n as rows aligned with the level, with zeros around them
+    # that no block overwrites; coefficients free of t give one set, made
+    # for the first block and broadcast to every step
+    sets = 1 if steady else min(BLOCK, g.nt)
+    table, rows = np.zeros((sets, 3, g.nx)), np.empty((3, sets, m))
     for n0 in range(0, g.nt, BLOCK):
         n1 = min(n0 + BLOCK, g.nt)
-        # weights[n] holds (lo, mid, hi) of step n0 + n as rows aligned with
-        # the level (a coefficient free of t gives one set for all n);
+        if n0 == 0 or not steady:
+            _weights(*eval_on_grid(coeffs, {"x": xi, "t": ts[n0:n1, None]}),
+                     dt, dx, advective, rows[:, :n1 - n0], table[:n1 - n0])
+        weights = np.broadcast_to(table[:n1 - n0], (n1 - n0, 3, g.nx))
         # row 0 of block holds the level before the block, row n + 1 the
         # level step n makes
-        weights = np.broadcast_to(_weights(
-            *eval_on_grid((p.A, p.B, p.C), {"x": xi, "t": ts[n0:n1, None]}),
-            dt, dx, advective, m), (n1 - n0, 3, g.nx))
         block = np.empty((n1 - n0 + 1, g.nx))
         block[0] = u
         block[1:, 0], block[1:, -1] = edges[:, n0 + 1:n1 + 1]
@@ -230,16 +241,16 @@ def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D, bound=None):
         yield from block[1:]
 
 
-def _weights(A, B, C, dt: float, dx: float, advective: bool, m: int):
-    """The update's lo, mid and hi (see `fd_solve`) as the rows of one
-    array of m + 2 columns, row k in columns k to k + m - 1 and zeros
-    around it, so that row k lines up with u_{i-1+k} of a whole level.
-    d is computed in hi's row and 2d in lo's, and every weight in its row
-    by the operations of the formulas in their order, so the rows equal
-    the formulas to the bit."""
-    shape = np.broadcast_shapes(np.shape(A), np.shape(B), np.shape(C), (m,))
-    out = np.zeros(shape[:-1] + (3, m + 2))
-    lo, mid, hi = out[..., 0, :m], out[..., 1, 1:-1], out[..., 2, 2:]
+def _weights(A, B, C, dt: float, dx: float, advective: bool, rows, table):
+    """The update's lo, mid and hi (see `fd_solve`), computed as rows[0],
+    rows[1] and rows[2] (each of shape rows.shape[1:], to which A, B and C
+    broadcast) and copied into `table`: into table[..., k, :], of m + 2
+    columns for m nodes, in columns k to k + m - 1, so that row k lines up
+    with u_{i-1+k} of a whole level.  The columns around them are left as
+    they are (zero in fd_solve's table).  d is computed in hi's row and 2d
+    in lo's, and every weight in its row by the operations of the formulas
+    in their order, so the rows equal the formulas to the bit."""
+    lo, mid, hi = rows
     np.multiply(dt, A, out=hi)
     hi /= dx * dx  # d
     np.multiply(dt, C, out=mid)
@@ -257,7 +268,10 @@ def _weights(A, B, C, dt: float, dx: float, advective: bool, m: int):
         w = dt * B / (2.0 * dx)
         np.subtract(hi, w, out=lo)
         hi += w
-    return out
+    m = rows.shape[-1]
+    table[..., 0, :m] = lo
+    table[..., 1, 1:-1] = mid
+    table[..., 2, 2:] = hi
 
 
 @dataclass(frozen=True)

@@ -366,11 +366,15 @@ def test_solve_rejects_unstable_grid(tmp_path):
 
 @pytest.mark.parametrize("nx", ["0", "1", "2"])
 def test_solve_too_few_nodes_is_exit_2(tmp_path, capsys, nx):
-    # the grid is checked before the stability rule probes it
+    # refused as the command line is parsed, naming the option
     pde = write(tmp_path, "pde.json", HEAT)
-    assert main(["--out", str(tmp_path / "out"), "solve", pde,
-                 "--ic", "sin(x)", "--nx", nx]) == 2
-    assert capsys.readouterr().err == "error: need nx >= 3\n"
+    with pytest.raises(SystemExit) as stop:
+        main(["--out", str(tmp_path / "out"), "solve", pde,
+              "--ic", "sin(x)", "--nx", nx])
+    assert stop.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --nx: need an integer >= 3, got '{nx}'\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_auto_nt_meets_its_own_stability_bound(tmp_path):

@@ -258,15 +258,20 @@ BLOCKED_CASES = pytest.mark.parametrize("coeffs, advective", [
     # A and B steady, C depends on t
     (("1 - x/2", "x", "t*cos(x)"), False),
     (WAVE_TYPE, False),
+    # each coefficient depends on t alone: every weight row is one number
+    # per step, broadcast along x
+    (("1 + t", "t", "-t"), False),
 ])
 
 
 def _blocked_case(coeffs, advective, nx=21):
     with memo_scope():
         A, B, C = (simplify(parse(c)) for c in coeffs)
-    p = PdeSpec(A, B, C, Domain((0.0, 1.0), (0.0, 0.4)))
-    # two full blocks and a short last one
-    g = Grid1D(0.0, 1.0, nx, 0.0, 0.4, 2 * BLOCK + 3)
+    # two full blocks and a short last one, over a span that keeps
+    # dt near 1/1280, inside every case's stability bound at nx = 21
+    t1 = BLOCK / 640
+    p = PdeSpec(A, B, C, Domain((0.0, 1.0), (0.0, t1)))
+    g = Grid1D(0.0, 1.0, nx, 0.0, t1, 2 * BLOCK + 3)
     assert stable_dt(p, g.xs(), g.t0, g.t1)[0] is advective
     return p, parse("cos(3*x) + x"), parse("exp(-t)*cos(3*x) + x"), g
 
@@ -297,9 +302,9 @@ def test_weights_rows_are_shifted_and_zero_padded(advective, shape):
     A = 0.0 if advective else rng.uniform(0.5, 2.0, shape)
     B = rng.uniform(-1.0, 1.0, shape)
     C = rng.uniform(-1.0, 1.0, shape)
-    w = _weights(A, B, C, dt, dx, advective, m)
     lead = np.broadcast_shapes(np.shape(B), (m,))[:-1]
-    assert w.shape == lead + (3, m + 2)
+    scratch, w = np.empty((3,) + lead + (m,)), np.zeros(lead + (3, m + 2))
+    _weights(A, B, C, dt, dx, advective, scratch, w)
     # the per-step reference's weights, out of place
     d = dt * A / (dx * dx)
     mid = 1.0 + dt * C - 2.0 * d
@@ -327,16 +332,18 @@ def test_fd_solve_matches_incremental_euler(coeffs, advective):
 
 
 def test_fd_solve_blowup_matches_per_step_reference():
-    # the first non-finite level lies in the second block of steps
+    # the boundary values overflow at t = 0.7105, so on 2 BLOCK steps over
+    # [0, 1] (stable at nx = 6 for BLOCK >= 25) the first non-finite level
+    # lies in the second block of steps
     growth = PdeSpec(parse("1"), parse("0"), parse("1000"),
                      Domain((0.0, 1.0), (0.0, 1.0)))
     ic, bc = parse("sin(x)"), parse("exp(999*t)*sin(x)")
-    g = Grid1D(0, 1, 11, 0, 1.0, 600)
+    g = Grid1D(0, 1, 6, 0, 1.0, 2 * BLOCK)
     with pytest.raises(BlowupError) as ref:
         _per_step_reference(growth, ic, bc, g)
+    assert BLOCK < ref.value.step <= 2 * BLOCK
     with pytest.raises(BlowupError) as err:
         list(fd_solve(growth, ic, bc, g))
-    assert BLOCK < err.value.step <= 2 * BLOCK
     assert (err.value.step, err.value.time) == (ref.value.step, ref.value.time)
 
 

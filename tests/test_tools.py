@@ -52,6 +52,13 @@ def test_header_reports_the_measured_interval_and_error():
         "fd-modes seed 3: 42 jobs x 1 passes, 0 samples in 0.01 s of CPU")
 
 
+def test_kernel_line_gives_user_and_system_cpu_and_minor_faults():
+    before = SimpleNamespace(ru_utime=1.5, ru_stime=0.25, ru_minflt=1000)
+    after = SimpleNamespace(ru_utime=3.75, ru_stime=0.5, ru_minflt=1917)
+    assert sample_profile._kernel(before, after) == (
+        "kernel: 2.25 s user and 0.25 s system CPU, 917 minor page faults")
+
+
 def test_function_tables_rank_by_inclusive_and_by_self_share():
     # two samples in a.outer (one of them in a.inner), one in a.leaf:
     # outer leads the inclusive ranking and leaf the self ranking

@@ -16,7 +16,11 @@ interrupt the handler walks the interrupted Python stack up to the job's
 Its first line gives the samples taken, the CPU seconds the sampled passes
 used and the CPU time per sample that follows (the interval the timer
 actually had), and the one-sigma sampling error of a 5 % share,
-sqrt(p (1 - p) / samples) at p = 0.05.  Below it, per module and per
+sqrt(p (1 - p) / samples) at p = 0.05.  The second line splits that CPU
+time into user and system time and gives the minor page faults of the
+sampled passes (`resource.getrusage`): the kernel's work, such as a page
+fault or a file's creation, is charged to whichever Python frame runs
+next, so a frame's share may be system time.  Below them, per module and per
 function (`module.qualname`), it prints the share of samples in which it
 was on the stack (inclusive: a recursive function counts once per sample)
 and the share in which it was the innermost Python frame (self: time in C
@@ -37,6 +41,7 @@ import contextlib
 import io
 import math
 import os
+import resource
 import signal
 import sys
 import tempfile
@@ -111,6 +116,14 @@ def _header(workload: str, seed: int, jobs: int, passes: int, samples: int,
             f"a 5 % share is +-{error:.2f} % at one sigma)")
 
 
+def _kernel(before, after) -> str:
+    """The second line: user and system CPU and minor page faults between
+    two `resource.getrusage` readings."""
+    return (f"kernel: {after.ru_utime - before.ru_utime:.2f} s user and "
+            f"{after.ru_stime - before.ru_stime:.2f} s system CPU, "
+            f"{after.ru_minflt - before.ru_minflt} minor page faults")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("workload")
@@ -140,6 +153,7 @@ def main(argv=None) -> int:
             previous = signal.signal(signal.SIGPROF, sampler)
             signal.setitimer(signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
             cpu0 = time.process_time()
+            usage0 = resource.getrusage(resource.RUSAGE_SELF)
             try:
                 for _ in range(args.passes):
                     for job in jobs:
@@ -150,12 +164,14 @@ def main(argv=None) -> int:
             finally:
                 signal.setitimer(signal.ITIMER_PROF, 0.0)
                 cpu_s = time.process_time() - cpu0
+                usage1 = resource.getrusage(resource.RUSAGE_SELF)
                 signal.signal(signal.SIGPROF, previous)
         finally:
             os.chdir(home)
 
     print(_header(args.workload, args.seed, len(jobs), args.passes,
                   sampler.samples, cpu_s))
+    print(_kernel(usage0, usage1))
     if sampler.samples:
         print("\n".join(_table("by module", sampler, str, len(sampler.self_))))
         print()
