@@ -11,7 +11,8 @@ A u_2x + B u_x + C u - u_t = c2 Phi'' + c1 Phi' + c0 Phi with
     c1 = A (2 E_x z_x + E z_2x) + B E z_x - E z_t
     c0 = A E_2x + B E_x + C E,
 
-each expanded once.  The target shapes are classified by sampling.
+each expanded once.  The target shapes, and whether c1/c2 and c0/c2
+depend on z alone, are decided by the sampled zero test.
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .expr import (
-    Canon, Exp, Expr, Var, check_nonvanishing, diff, eval_checked,
-    eval_numeric, expand, is_zero_sampled, num, sample_box, to_text,
+    Canon, Exp, Expr, Var, check_nonvanishing, diff, eval_numeric, expand,
+    is_zero_sampled, num, to_text,
 )
 from .symmetry import Domain, Generator, PdeSpec, _load_json, _read, _zero
 
@@ -162,81 +161,46 @@ class Classification:
 
 def classify_target(r: ReductionResult, domain: Domain, *, n: int = 100,
                     tol: float = 1e-9, seed: int = 0) -> Classification:
-    """WAVE if only c2 survives, OSCILLATOR(k) if c0/c2 is a positive
-    constant k^2 and c1 dies, IDENTITY if everything dies, OTHER else."""
+    """WAVE if only c2 survives, OSCILLATOR(k) if c1 dies and c0/c2 is a
+    positive constant k^2, IDENTITY if everything dies, OTHER else.
+
+    Every decision is a zero test on the same cloud.  c0/c2 is constant
+    exactly when its x- and t-derivatives vanish; k^2 is its value at the
+    x-derivative test's witness.  A coefficient undefined at a sample point
+    is a ValueError; a ratio test that fails by evaluation (c2 vanishing at
+    a point) only means the target is not an oscillator.
+    """
     box = domain.box()
-    z2 = is_zero_sampled(r.c2, box, n=n, tol=tol, seed=seed).passed
-    z1 = is_zero_sampled(r.c1, box, n=n, tol=tol, seed=seed).passed
-    z0 = is_zero_sampled(r.c0, box, n=n, tol=tol, seed=seed).passed
+    opts = dict(n=n, tol=tol, seed=seed)
+    shapes = [is_zero_sampled(c, box, **opts) for c in (r.c2, r.c1, r.c0)]
+    for name, zs in zip(("c2", "c1", "c0"), shapes):
+        if zs.failure:
+            where = ", ".join(f"{k} = {v:.6g}" for k, v in zs.witness.items())
+            raise ValueError(f"{name} is undefined at {where}: {zs.failure}")
+    z2, z1, z0 = (zs.passed for zs in shapes)
     if z2 and z1 and z0:
         return Classification(IDENTITY)
     if not z2 and z1:
         if z0:
             return Classification(WAVE)
-        ratio = _constant_ratio(r.c0, r.c2, box, n=n, tol=tol, seed=seed)
-        if ratio is not None and ratio > 0:
-            return Classification(OSCILLATOR, math.sqrt(ratio))
+        ratio = (Canon(r.c0) / r.c2).e
+        d_x = is_zero_sampled(diff(ratio, "x"), box, **opts)
+        if d_x and is_zero_sampled(diff(ratio, "t"), box, **opts):
+            k2 = eval_numeric(ratio, d_x.witness)
+            if k2 > 0:
+                return Classification(OSCILLATOR, math.sqrt(k2))
     return Classification(OTHER)
 
 
-def _constant_ratio(numer: Expr, denom: Expr, box, *, n: int, tol: float,
-                    seed: int):
-    """Sampled value of numer/denom if constant over the box, else None;
-    points where either is undefined, or denom is near zero, are skipped."""
-    cols = sample_box(box, n, seed)
-    (num_v, den_v), failed = eval_checked((numer, denom), cols)
-    keep = ~failed & (np.abs(den_v) >= 1e-12)
-    values = (num_v[keep] / den_v[keep]).tolist()
-    if len(values) < max(10, n // 4):
-        return None
-    lo, hi = min(values), max(values)
-    mid = values[len(values) // 2]
-    if hi - lo > tol * max(1.0, abs(mid)):
-        return None
-    return sum(values) / len(values)
-
-
-def check_z_closure(r: ReductionResult, domain: Domain, *, n: int = 20,
-                    tol: float = 1e-8, seed: int = 0) -> bool:
-    """Equal-z consistency: at point pairs sharing the same z, the
-    normalized coefficients c1/c2 and c0/c2 must agree (where c2 != 0).
-
-    z is exactly exponential in t, so the matching t2 for a chosen x2 is
-    computed in closed form from sampled values of z.
-    """
-    x0, x1 = domain.x
-    t0, t1 = domain.t
-    # z(x, t) = z(x, t0) * exp(-q (t - t0)): recover q from two t-samples
-    xm = 0.5 * (x0 + x1)
-    q = math.log(eval_numeric(r.z_expr, {"x": xm, "t": t0})
-                 / eval_numeric(r.z_expr, {"x": xm, "t": t0 + 1.0}))
-    pairs = []
-    cloud = sample_box({"x1": (x0, x1), "t1": (t0, t1), "x2": (x0, x1)},
-                       50 * n, seed)
-    for xa, ta, xb in zip(cloud["x1"].tolist(), cloud["t1"].tolist(),
-                          cloud["x2"].tolist()):
-        z1v = eval_numeric(r.z_expr, {"x": xa, "t": ta})
-        z2v = eval_numeric(r.z_expr, {"x": xb, "t": ta})
-        t2 = ta + math.log(z2v / z1v) / q
-        if t0 <= t2 <= t1:
-            pairs.append(((xa, ta), (xb, t2)))
-        if len(pairs) == n:
-            break
-    if len(pairs) < n:
-        raise ValueError(f"could only construct {len(pairs)} equal-z pairs")
-    for (xa, ta), (xb, tb) in pairs:
-        pa = {"x": xa, "t": ta}
-        pb = {"x": xb, "t": tb}
-        za = eval_numeric(r.z_expr, pa)
-        zb = eval_numeric(r.z_expr, pb)
-        if abs(za - zb) > 1e-12 * max(1.0, abs(za)):
-            continue
-        c2a, c2b = eval_numeric(r.c2, pa), eval_numeric(r.c2, pb)
-        if min(abs(c2a), abs(c2b)) < 1e-12:
-            continue
-        for coeff in (r.c1, r.c0):
-            va = eval_numeric(coeff, pa) / c2a
-            vb = eval_numeric(coeff, pb) / c2b
-            if abs(va - vb) > tol * max(1.0, abs(va), abs(vb)):
-                return False
-    return True
+def z_closure(r: ReductionResult, domain: Domain, *, n: int = 100,
+              tol: float = 1e-9, seed: int = 0):
+    """The zero tests of J(c1/c2) and J(c0/c2), J(f) = f_x z_t - f_t z_x:
+    f depends on z alone exactly when J(f) vanishes, as z_t = -q z != 0."""
+    z_x, z_t = diff(r.z_expr, "x"), diff(r.z_expr, "t")
+    box = domain.box()
+    tests = []
+    for c in (r.c1, r.c0):
+        f = (Canon(c) / r.c2).e
+        jac = (Canon(diff(f, "x")) * z_t - Canon(diff(f, "t")) * z_x).e
+        tests.append(is_zero_sampled(jac, box, n=n, tol=tol, seed=seed))
+    return tuple(tests)

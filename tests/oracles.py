@@ -20,7 +20,9 @@ kind check the versions that walk `nodes.children`; the sum that rebuilds
 every term and the negation that folds every product again check the
 `_add` and `_negate` that keep the canonical nodes they are handed; a
 mode's shape, sampled in closed form per cell, counts by its sign changes
-the zeros that `mode_solve` reads from theta's winding.
+the zeros that `mode_solve` reads from theta's winding; and the point-pair
+search for equal z, which compares c1/c2 and c0/c2 at the two points of
+each pair, checks the Jacobian zero tests of `z_closure`.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from liewave.expr.simplify import (
     _join_term, _mul, _negate, _pow, _split_factor, _split_term,
 )
 from liewave.numverify import NSTEPS, Grid1D, _on_grid, stable_dt
-from liewave.reduction import SeparableAnsatz
+from liewave.reduction import ReductionResult, SeparableAnsatz
 from liewave.symmetry import (
     Domain, Generator, PdeSpec, determining_residuals,
 )
@@ -663,3 +665,51 @@ def interior_zeros(shape: np.ndarray) -> int:
     scale = np.max(np.abs(shape))
     signs = np.sign(vals[np.abs(vals) > 1e-12 * scale])
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+
+# ----------------------------------------------------- closure in z
+
+def check_z_closure(r: ReductionResult, domain: Domain, *, n: int = 20,
+                    tol: float = 1e-8, seed: int = 0) -> bool:
+    """Equal-z consistency: at point pairs sharing the same z, the
+    normalized coefficients c1/c2 and c0/c2 must agree (where c2 != 0).
+
+    z is exactly exponential in t, so the matching t2 for a chosen x2 is
+    computed in closed form from sampled values of z.
+    """
+    x0, x1 = domain.x
+    t0, t1 = domain.t
+    # z(x, t) = z(x, t0) * exp(-q (t - t0)): recover q from two t-samples
+    xm = 0.5 * (x0 + x1)
+    q = math.log(eval_numeric(r.z_expr, {"x": xm, "t": t0})
+                 / eval_numeric(r.z_expr, {"x": xm, "t": t0 + 1.0}))
+    pairs = []
+    cloud = sample_box({"x1": (x0, x1), "t1": (t0, t1), "x2": (x0, x1)},
+                       50 * n, seed)
+    for xa, ta, xb in zip(cloud["x1"].tolist(), cloud["t1"].tolist(),
+                          cloud["x2"].tolist()):
+        z1v = eval_numeric(r.z_expr, {"x": xa, "t": ta})
+        z2v = eval_numeric(r.z_expr, {"x": xb, "t": ta})
+        t2 = ta + math.log(z2v / z1v) / q
+        if t0 <= t2 <= t1:
+            pairs.append(((xa, ta), (xb, t2)))
+        if len(pairs) == n:
+            break
+    if len(pairs) < n:
+        raise ValueError(f"could only construct {len(pairs)} equal-z pairs")
+    for (xa, ta), (xb, tb) in pairs:
+        pa = {"x": xa, "t": ta}
+        pb = {"x": xb, "t": tb}
+        za = eval_numeric(r.z_expr, pa)
+        zb = eval_numeric(r.z_expr, pb)
+        if abs(za - zb) > 1e-12 * max(1.0, abs(za)):
+            continue
+        c2a, c2b = eval_numeric(r.c2, pa), eval_numeric(r.c2, pb)
+        if min(abs(c2a), abs(c2b)) < 1e-12:
+            continue
+        for coeff in (r.c1, r.c0):
+            va = eval_numeric(coeff, pa) / c2a
+            vb = eval_numeric(coeff, pb) / c2b
+            if abs(va - vb) > tol * max(1.0, abs(va), abs(vb)):
+                return False
+    return True

@@ -197,6 +197,36 @@ def test_reduce_heat_is_other(tmp_path):
     assert result["classification"] == "OTHER"
 
 
+@pytest.mark.parametrize("samples", [1, 5, 9, 10, 100])
+def test_reduce_oscillator_at_every_sample_count(tmp_path, samples):
+    # the wave member P = x, R = x, q = 1, v = 1/2, F = 1 with 9 z^2 added
+    # to C reduces to Phi'' + 9 Phi = 0 whatever the cloud size
+    pde = write(tmp_path, "pde.json",
+                {"A": "1", "B": "-3", "C": "1.25 + 9*exp(-t + x)^2",
+                 "domain": {"x": [0, 1], "t": [0, 1]}})
+    ansatz = write(tmp_path, "ansatz.json",
+                   {"phi": "1", "P": "x", "R": "x", "q": 1.0, "v": 0.5})
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "--samples", str(samples), "reduce", pde,
+                 ansatz]) == 0
+    result = json.loads((out / "reduction.json").read_text())
+    assert result["classification"] == "OSCILLATOR"
+    assert result["k"] == pytest.approx(3.0, abs=1e-12)
+
+
+def test_reduce_undefined_coefficient_is_exit_2(tmp_path, capsys):
+    # log(x - 1/2) is undefined on half the domain, as check --solution
+    # reports; reduce refuses the input instead of classifying it OTHER
+    pde = write(tmp_path, "pde.json", dict(HEAT, B="log(x - 0.5)"))
+    ansatz = write(tmp_path, "ansatz.json", PLAIN_ANSATZ)
+    assert main(["--out", str(tmp_path / "out"), "reduce", pde,
+                 ansatz]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: c1 is undefined at t = ")
+    assert "log of a nonpositive value" in err
+    assert err.count("\n") == 1
+
+
 def test_solve_writes_csv_and_convergence(tmp_path):
     pde = write(tmp_path, "pde.json",
                 {"A": "1", "B": "-2", "C": "0",

@@ -3,16 +3,18 @@ import random
 import pytest
 
 from liewave.expr import (
-    Cos, Exp, Sin, Var, ZERO, diff, is_zero_sampled, num, parse, simplify,
+    Canon, Cos, Exp, Sin, Var, ZERO, diff, is_zero_sampled, num, parse,
+    simplify,
 )
 from liewave.reduction import (
     IDENTITY, OSCILLATOR, OTHER, WAVE, Classification, ReductionResult,
-    SeparableAnsatz, check_z_closure, classify_target,
-    generator_annihilation_check, invariants, load_ansatz, similarity_reduce,
+    SeparableAnsatz, classify_target, generator_annihilation_check,
+    invariants, load_ansatz, similarity_reduce, z_closure,
 )
 from liewave.symmetry import Domain, PdeSpec, load_pde
 from liewave.synth import OscFamilyInput, WaveFamilyInput
 
+from oracles import check_z_closure
 from test_acceptance import SEED as ACCEPTANCE_SEED
 from test_acceptance import _wave_draws as acceptance_wave_draws
 
@@ -254,19 +256,63 @@ def test_classify_other_on_varying_ratio(unit_domain):
     assert classify_target(r, unit_domain).kind == OTHER
 
 
+def _kappa_member(P, kappa):
+    """The wave member with profile P, R = x, q = 1, v = 1/2 and F = 1,
+    with kappa(z) A P'^2 z^2 added to C: it reduces to
+    Phi'' + kappa(z) Phi = 0 (c1 = 0, c0 = kappa(z) c2)."""
+    inp = WaveFamilyInput(P, "x", 1.0, 0.5, "1", 1.0, 1.0,
+                          Domain((0.0, 1.0), (0.0, 1.0)))
+    p, a = inp.synth(), inp.ansatz()
+    z = Canon(invariants(a)[0])
+    C = Canon(p.C) + kappa(z) * Canon(p.A) * diff(a.P, "x")**2 * z**2
+    return PdeSpec(p.A, p.B, C.e, p.domain), a
+
+
+@pytest.mark.parametrize("P", ["x + x^2/4", "x^3 + x"])
+@pytest.mark.parametrize("n", [1, 5, 9, 10, 100])
+def test_kappa_nine_members_classify_oscillator(P, n):
+    # members built by the program, not by hand, that reduce to
+    # Phi'' + 9 Phi = 0; the verdict does not depend on the sample count
+    p, a = _kappa_member(P, lambda z: 9)
+    got = classify_target(similarity_reduce(p, a), p.domain, n=n)
+    assert got.kind == OSCILLATOR
+    assert got.k == pytest.approx(3.0, abs=1e-12)
+
+
+def test_classify_undefined_coefficient_is_value_error(unit_domain):
+    # B = log(x - 1/2) makes c1 undefined on half the domain
+    p = pde("1", "log(x - 0.5)", "0", unit_domain)
+    r = similarity_reduce(p, SeparableAnsatz("1", "x", "0", 1.0, 0.0))
+    with pytest.raises(ValueError, match=r"^c1 is undefined at t = .*, "
+                       r"x = .*: log of a nonpositive value"):
+        classify_target(r, unit_domain)
+
+
+def test_classify_ratio_undefined_at_a_point_is_other(unit_domain):
+    # c2 = x - 1/3 vanishes at a cloud point, where c0/c2 is undefined:
+    # not an oscillator, and not an input error
+    r = ReductionResult(parse("exp(x - t)"), parse("x - 1/3"), parse("0"),
+                        parse("4"))
+    ratio_x = diff(parse("4/(x - 1/3)"), "x")
+    assert is_zero_sampled(ratio_x, unit_domain.box()).failure
+    assert classify_target(r, unit_domain).kind == OTHER
+
+
 # --------------------------------------------------------------- closure
 
 def test_z_closure_heat(unit_domain):
     p = pde("1", "0", "0", unit_domain)
     r = similarity_reduce(p, SeparableAnsatz("1", "x", "0", 1.0, 0.0))
-    assert check_z_closure(r, unit_domain, n=20)
+    assert all(z_closure(r, unit_domain))
 
 
 def test_z_closure_flags_non_invariant_coefficients(unit_domain):
     # c1/c2 depends on x alone, not on z: closure must fail
     r = ReductionResult(parse("exp(x - t)"),
                         parse("1"), parse("x"), parse("0"))
-    assert not check_z_closure(r, unit_domain, n=20)
+    closure_1, closure_0 = z_closure(r, unit_domain)
+    assert not closure_1 and not closure_1.failure
+    assert closure_0
 
 
 def test_z_closure_on_synthesized_wave_family(unit_domain):
@@ -275,4 +321,52 @@ def test_z_closure_on_synthesized_wave_family(unit_domain):
     p = inp.synth()
     r = similarity_reduce(p, inp.ansatz())
     assert classify_target(r, unit_domain).kind == WAVE
-    assert check_z_closure(r, unit_domain, n=20)
+    assert all(z_closure(r, unit_domain))
+
+
+def _weber(n):
+    # kappa(z) = 2n + 1 - z^2: the Weber equation, with Hermite solutions
+    return _kappa_member("x", lambda z: 2 * n + 1 - z**2)
+
+
+def _closure_cases():
+    unit = Domain((0.0, 1.0), (0.0, 1.0))
+    plain = SeparableAnsatz("1", "x", "0", 1.0, 0.0)
+    wave = WaveFamilyInput("x + 0.1*x^2", "x", 1.4, -0.6, "s", 1, 1, unit)
+    return [
+        pytest.param(lambda: (pde("1", "0", "0", unit), plain), id="heat"),
+        pytest.param(lambda: (pde("1", "-2", "0", unit), plain), id="drift"),
+        pytest.param(lambda: (wave.synth(), wave.ansatz()), id="wave"),
+        pytest.param(lambda: ReductionResult(parse("exp(x - t)"), parse("1"),
+                                             parse("x"), parse("0")),
+                     id="c1-is-x"),
+        pytest.param(lambda: (pde("1", "0", "0",
+                                  Domain((1.0, 2.0), (0.0, 1.0))),
+                              SeparableAnsatz("1", "x^2", "0", 1.0, 0.0)),
+                     id="heat-P-x^2"),
+        *(pytest.param(lambda P=P: _kappa_member(P, lambda z: 9),
+                       id=f"kappa-9-{P}")
+          for P in ("x", "x + x^2/4", "x^3 + x")),
+        *(pytest.param(lambda n=n: _weber(n), id=f"weber-{n}")
+          for n in range(3)),
+    ]
+
+
+@pytest.mark.parametrize("build", _closure_cases())
+def test_z_closure_agrees_with_equal_z_pairs(build, unit_domain):
+    # the Jacobian zero tests against the point-pair oracle
+    case = build()
+    if isinstance(case, ReductionResult):
+        r, domain = case, unit_domain
+    else:
+        r, domain = similarity_reduce(*case), case[0].domain
+    assert all(z_closure(r, domain)) == check_z_closure(r, domain, n=20)
+
+
+@pytest.mark.parametrize("n", range(3))
+def test_weber_members_close_in_z_but_classify_other(n):
+    # c0/c2 = 2n + 1 - z^2 depends on z alone, but is not constant
+    p, a = _weber(n)
+    r = similarity_reduce(p, a)
+    assert all(z_closure(r, p.domain))
+    assert classify_target(r, p.domain).kind == OTHER
