@@ -12,10 +12,10 @@ from .parser import ParseError, parse
 from .sampling import (
     ZeroSample, check_nonvanishing, is_zero_sampled, sample_box,
 )
-from .simplify import Canon, expand, memo_scope, simplify
+from .simplify import expand, memo_scope, simplify
 
 __all__ = [
-    "Add", "Call", "Canon", "Const", "Cos", "EvalError", "Exp", "Expr", "Mul", "Neg",
+    "Add", "Call", "Const", "Cos", "EvalError", "Exp", "Expr", "Mul", "Neg",
     "ONE", "ParseError", "Pow", "Sin", "Var", "ZERO",
     "ZeroSample", "check_nonvanishing", "check_vars", "coerce", "diff",
     "eval_checked", "eval_numeric", "eval_on_grid", "expand", "free_vars",

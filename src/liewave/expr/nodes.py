@@ -33,40 +33,12 @@ FUNCTIONS = {fn: getattr(np, fn) for fn in ("exp", "log", "sin", "cos", "sqrt")}
 
 
 class Expr:
-    """Base class; arithmetic operators build raw (uncanonicalized) trees
-    (those of simplify.Canon build canonical ones)."""
+    """Base class.  Its + - * / ** and unary - build canonical trees: each
+    gives what simplify gives the raw tree the node constructors below
+    would build.  simplify installs them (it imports this module, so this
+    module cannot call it at load time)."""
 
     __slots__ = ()
-
-    def __add__(self, other):
-        return Add((self, coerce(other)))
-
-    def __radd__(self, other):
-        return Add((coerce(other), self))
-
-    def __sub__(self, other):
-        return Add((self, neg(coerce(other))))
-
-    def __rsub__(self, other):
-        return Add((coerce(other), neg(self)))
-
-    def __mul__(self, other):
-        return Mul((self, coerce(other)))
-
-    def __rmul__(self, other):
-        return Mul((coerce(other), self))
-
-    def __truediv__(self, other):
-        return Mul((self, Pow(coerce(other), MINUS_ONE)))
-
-    def __rtruediv__(self, other):
-        return Mul((coerce(other), Pow(self, MINUS_ONE)))
-
-    def __pow__(self, other):
-        return Pow(self, coerce(other))
-
-    def __neg__(self):
-        return neg(self)
 
     def __str__(self):
         return to_text(self)

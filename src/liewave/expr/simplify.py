@@ -15,8 +15,8 @@ is the project's zero test.
 simplify is for input: parsed text and substituted trees.  Every tree the
 program builds itself is built canonical, with no raw node to walk again:
 - `calculus.diff` hands canonical pieces to the constructors below;
-- `Canon`, a handle whose + - * / ** and unary - do the same for the
-  residuals, relations and coefficients built from canonical pieces;
+- `Expr`'s + - * / ** and unary -, installed at the end of this module,
+  do the same for the residuals, relations and coefficients;
 - `_expand`, whose every result is canonical, so expand ends there.
 Each marks what it builds (`_mark`) and gives what simplify would give the
 raw tree, association included.
@@ -146,64 +146,6 @@ def _mark(e: Expr) -> Expr:
     if isinstance(e, _Branch):
         _set_canon(e, True)
     return e
-
-
-def _canon(o) -> Expr:
-    """The canonical form of an operand; a marked tree or a leaf is its
-    own, without a call."""
-    if isinstance(o, Canon):
-        return o.e
-    o = coerce(o)
-    return o if isinstance(o, (Const, Var)) or o._canon else simplify(o)
-
-
-def _handle(e: Expr) -> "Canon":
-    h = object.__new__(Canon)
-    h.e = _mark(e)
-    return h
-
-
-class Canon:
-    """A canonical tree `e` under arithmetic.  Each operator hands the
-    canonical forms of its operands (a Canon, an Expr or a number) to the
-    constructor simplify calls on the raw node the same operator of Expr
-    builds, so (Canon(a) * b - c).e is simplify(a * b - c), and no raw
-    node is built.  An expression keeps its left-to-right association."""
-
-    __slots__ = ("e",)
-
-    def __init__(self, e):
-        self.e = _canon(e)
-
-    def __add__(self, o):
-        return _handle(_add((self.e, _canon(o))))
-
-    def __radd__(self, o):
-        return _handle(_add((_canon(o), self.e)))
-
-    def __sub__(self, o):
-        return _handle(_add((self.e, _mark(_negate(_canon(o))))))
-
-    def __rsub__(self, o):
-        return _handle(_add((_canon(o), _mark(_negate(self.e)))))
-
-    def __mul__(self, o):
-        return _handle(_mul((self.e, _canon(o))))
-
-    def __rmul__(self, o):
-        return _handle(_mul((_canon(o), self.e)))
-
-    def __truediv__(self, o):
-        return _handle(_mul((self.e, _mark(_pow(_canon(o), MINUS_ONE)))))
-
-    def __rtruediv__(self, o):
-        return _handle(_mul((_canon(o), _mark(_pow(self.e, MINUS_ONE)))))
-
-    def __pow__(self, o):
-        return _handle(_pow(self.e, _canon(o)))
-
-    def __neg__(self):
-        return _handle(_negate(self.e))
 
 
 def _negate(e: Expr) -> Expr:
@@ -490,3 +432,37 @@ def _call(fn: str, arg: Expr) -> Expr:
             if math.isfinite(v):
                 return Const(v)
     return Call(fn, arg)
+
+
+def _canon(o) -> Expr:
+    """The canonical form of an operand; a marked tree or a leaf is its
+    own, without a call."""
+    o = coerce(o)
+    return o if isinstance(o, (Const, Var)) or o._canon else simplify(o)
+
+
+def _binary(build):
+    """An operator and its reflection: each hands the canonical forms of
+    its two operands, in written order, to build and marks the result."""
+    def op(self, o):
+        return _mark(build(_canon(self), _canon(o)))
+
+    def rop(self, o):
+        return _mark(build(_canon(o), _canon(self)))
+
+    return op, rop
+
+
+# Expr's + - * / ** and unary -: each calls the constructor simplify calls
+# on the raw node (Add((a, b)), Add((a, Neg(b))), Mul((a, b)),
+# Mul((a, Pow(b, -1))), Pow(a, b), Neg(a)) with canonical operands, so
+# a * b - c is simplify of the raw tree, left-to-right association
+# included, and no raw node is built.
+Expr.__add__, Expr.__radd__ = _binary(lambda a, b: _add((a, b)))
+Expr.__sub__, Expr.__rsub__ = _binary(
+    lambda a, b: _add((a, _mark(_negate(b)))))
+Expr.__mul__, Expr.__rmul__ = _binary(lambda a, b: _mul((a, b)))
+Expr.__truediv__, Expr.__rtruediv__ = _binary(
+    lambda a, b: _mul((a, _mark(_pow(b, MINUS_ONE)))))
+Expr.__pow__ = _binary(_pow)[0]
+Expr.__neg__ = lambda self: _mark(_negate(_canon(self)))

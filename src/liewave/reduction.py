@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .expr import (
-    Canon, Exp, Expr, Var, check_nonvanishing, diff, eval_numeric, expand,
-    is_zero_sampled, num, to_text,
+    Exp, Expr, Var, check_nonvanishing, diff, eval_numeric, expand,
+    is_zero_sampled, num, simplify, to_text,
 )
 from .symmetry import Domain, Generator, PdeSpec, _load_json, _read, _zero
 
@@ -53,11 +53,11 @@ class SeparableAnsatz:
             raise ValueError("q: must be nonzero")
 
     def xi(self) -> Expr:
-        return (Canon(num(self.q)) * self.phi / diff(self.P, "x")).e
+        return num(self.q) * self.phi / diff(self.P, "x")
 
     def M(self) -> Expr:
-        return (Canon(num(self.q)) * num(self.v) * self.phi
-                * diff(self.R, "x") / diff(self.P, "x")).e
+        return (num(self.q) * num(self.v) * self.phi
+                * diff(self.R, "x") / diff(self.P, "x"))
 
     def generator(self) -> Generator:
         return Generator(self.phi, self.xi(), self.M())
@@ -72,11 +72,11 @@ class SeparableAnsatz:
         on p, term by term:
             r1 = q + 2 v A R' P' + A P'' + A P'^2 + B P',
             r2 = v^2 A R'^2 + v A R'' + v B R' + C."""
-        q, v = Canon(num(self.q)), Canon(num(self.v))
-        Pp, Ppp, Rp, Rpp = map(Canon, self.profile_derivatives())
-        A, B = Canon(p.A), Canon(p.B)
-        return ((q + 2 * v * A * Rp * Pp + A * Ppp + A * Pp**2 + B * Pp).e,
-                (v**2 * A * Rp**2 + v * A * Rpp + v * B * Rp + p.C).e)
+        q, v = num(self.q), num(self.v)
+        Pp, Ppp, Rp, Rpp = self.profile_derivatives()
+        A, B = simplify(p.A), simplify(p.B)
+        return (q + 2 * v * A * Rp * Pp + A * Ppp + A * Pp**2 + B * Pp,
+                v**2 * A * Rp**2 + v * A * Rpp + v * B * Rp + p.C)
 
     def validate_on(self, domain: Domain):
         """Reject the ansatz if P' vanishes on the x-interval or phi on the
@@ -95,9 +95,9 @@ def load_ansatz(source) -> SeparableAnsatz:
 def invariants(a: SeparableAnsatz):
     """The two first integrals of the characteristic system:
     I1 = exp(P - q*t), I2 = u * exp(-v*R)."""
-    i1 = Canon(Exp((Canon(a.P) - Canon(num(a.q)) * Var("t")).e))
-    i2 = Canon(Var("u")) * Exp((-(Canon(num(a.v)) * a.R)).e)
-    return i1.e, i2.e
+    i1 = simplify(Exp(a.P - num(a.q) * Var("t")))
+    i2 = Var("u") * Exp(-(num(a.v) * a.R))
+    return i1, i2
 
 
 def generator_annihilation_check(a: SeparableAnsatz, domain: Domain, *,
@@ -105,12 +105,11 @@ def generator_annihilation_check(a: SeparableAnsatz, domain: Domain, *,
                                  tol: float = 1e-10, seed: int = 0) -> bool:
     """True iff phi*d_t I + xi*d_x I + M*u*d_u I vanishes (sampled) for
     both invariants; they are first integrals, so this is a theorem."""
-    xi = a.xi()
-    M = a.M()
+    phi, xi, M = simplify(a.phi), a.xi(), a.M()
     box = domain.box(u=u_range)
     for inv in invariants(a):
-        applied = (Canon(a.phi) * diff(inv, "t") + Canon(xi) * diff(inv, "x")
-                   + Canon(M) * Var("u") * diff(inv, "u")).e
+        applied = (phi * diff(inv, "t") + xi * diff(inv, "x")
+                   + M * Var("u") * diff(inv, "u"))
         if not is_zero_sampled(applied, box, n=n, tol=tol, seed=seed).passed:
             return False
     return True
@@ -137,17 +136,17 @@ def similarity_reduce(p: PdeSpec, a: SeparableAnsatz) -> ReductionResult:
     Phi'', Phi', Phi coefficients by the chain rule (module docstring)."""
     a.validate_on(p.domain)
     z, _ = invariants(a)
-    z_x = Canon(diff(z, "x"))
-    E = Canon(Exp((Canon(num(a.v)) * a.R).e))
-    E_x = Canon(diff(E.e, "x"))
-    A, B = Canon(p.A), Canon(p.B)
-    c2 = expand((A * E * z_x**2).e)
+    z_x = diff(z, "x")
+    E = simplify(Exp(num(a.v) * a.R))
+    E_x = diff(E, "x")
+    A, B = simplify(p.A), simplify(p.B)
+    c2 = expand(A * E * z_x**2)
     c1, c0 = B * E * z_x, B * E_x
     if not _zero(p.A):  # else z_2x and E_2x are not built (see _zero)
-        c1 = A * (2 * E_x * z_x + E * diff(z_x.e, "x")) + c1
-        c0 = A * diff(E_x.e, "x") + c0
-    return ReductionResult(z, c2, expand((c1 - E * diff(z, "t")).e),
-                           expand((c0 + Canon(p.C) * E).e))
+        c1 = A * (2 * E_x * z_x + E * diff(z_x, "x")) + c1
+        c0 = A * diff(E_x, "x") + c0
+    return ReductionResult(z, c2, expand(c1 - E * diff(z, "t")),
+                           expand(c0 + p.C * E))
 
 
 @dataclass(frozen=True)
@@ -183,7 +182,7 @@ def classify_target(r: ReductionResult, domain: Domain, *, n: int = 100,
     if not z2 and z1:
         if z0:
             return Classification(WAVE)
-        ratio = (Canon(r.c0) / r.c2).e
+        ratio = r.c0 / r.c2
         d_x = is_zero_sampled(diff(ratio, "x"), box, **opts)
         if d_x and is_zero_sampled(diff(ratio, "t"), box, **opts):
             k2 = eval_numeric(ratio, d_x.witness)
@@ -200,7 +199,7 @@ def z_closure(r: ReductionResult, domain: Domain, *, n: int = 100,
     box = domain.box()
     tests = []
     for c in (r.c1, r.c0):
-        f = (Canon(c) / r.c2).e
-        jac = (Canon(diff(f, "x")) * z_t - Canon(diff(f, "t")) * z_x).e
+        f = c / r.c2
+        jac = diff(f, "x") * z_t - diff(f, "t") * z_x
         tests.append(is_zero_sampled(jac, box, n=n, tol=tol, seed=seed))
     return tuple(tests)

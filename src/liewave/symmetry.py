@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .expr import (
-    Canon, Const, Expr, check_vars, diff, is_zero_sampled, num, parse,
+    Const, Expr, check_vars, diff, is_zero_sampled, num, parse,
     simplify, substitute, to_text,
 )
 
@@ -34,13 +34,14 @@ def _as_expr(e: Union[Expr, str, int, float], name: str) -> Expr:
 def _read(obj, exprs, numbers=()):
     """Read a frozen input's fields in place: each (field, variables) pair
     of `exprs` as an expression in those variables, then each field of
-    `numbers` as a float.  Every error names its field."""
+    `numbers` as the exact number num reads (an int or a Fraction), so
+    num of it later is exact and cheap.  Every error names its field."""
     for name, allowed in exprs:
         e = _as_expr(getattr(obj, name), name)
         check_vars(e, allowed, name)
         object.__setattr__(obj, name, e)
     for name in numbers:
-        object.__setattr__(obj, name, float(num(getattr(obj, name), name).value))
+        object.__setattr__(obj, name, num(getattr(obj, name), name).value)
 
 
 @dataclass(frozen=True)
@@ -101,10 +102,10 @@ class PdeSpec:
         """u_t - A u_2x - B u_x - C u: zero exactly when u solves the PDE.
         Where A is the constant 0, u_2x is not built (see _zero)."""
         u_x = diff(u, "x")
-        r = Canon(diff(u, "t"))
+        r = diff(u, "t")
         if not _zero(self.A):
-            r = r - Canon(self.A) * diff(u_x, "x")
-        return (r - Canon(self.B) * u_x - Canon(self.C) * u).e
+            r = r - self.A * diff(u_x, "x")
+        return r - self.B * u_x - self.C * u
 
     def to_dict(self):
         return {"A": to_text(self.A), "B": to_text(self.B), "C": to_text(self.C),
@@ -174,7 +175,7 @@ def determining_residuals(p: PdeSpec, g: Generator):
     merged.  The sampled zero test scales by the largest of those terms at
     each point, not by the largest monomial.
     """
-    phi, xi, A, B = map(Canon, (g.phi, g.xi, p.A, p.B))
+    phi, xi, A, B = map(simplify, (g.phi, g.xi, p.A, p.B))
     At, Ax = diff(p.A, "t"), diff(p.A, "x")
     Bt, Bx = diff(p.B, "t"), diff(p.B, "x")
     Ct, Cx = diff(p.C, "t"), diff(p.C, "x")
@@ -183,11 +184,11 @@ def determining_residuals(p: PdeSpec, g: Generator):
     phi_t = diff(g.phi, "t")
     r1 = phi * At + xi * Ax + A * phi_t - 2 * A * xi_x
     r2 = -phi * Bt - xi * Bx + B * xi_x - xi_t - B * phi_t - 2 * A * Mx
-    r3 = -phi * Ct - xi * Cx - B * Mx + Mt - Canon(phi_t) * p.C
+    r3 = -phi * Ct - xi * Cx - B * Mx + Mt - phi_t * p.C
     if not _zero(p.A):  # the last terms, A xi_2x and -A M_2x (see _zero)
         r2 = r2 + A * diff(xi_x, "x")
         r3 = r3 - A * diff(Mx, "x")
-    return r1.e, r2.e, r3.e
+    return r1, r2, r3
 
 
 def symmetry_check(p: PdeSpec, g: Generator, *, n: int = 100,

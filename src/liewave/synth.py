@@ -26,8 +26,10 @@ both readings (`rossby_residual_report`).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
+
 from .expr import (
-    ONE, ZERO, Canon, Cos, Exp, Expr, Sin, Var, num, substitute,
+    ONE, ZERO, Add, Cos, Exp, Expr, Mul, Sin, Var, num, substitute,
 )
 from .reduction import SeparableAnsatz
 from .symmetry import (
@@ -67,12 +69,12 @@ class _SeparableFamily:
     def synth(self) -> PdeSpec:
         """The family's A, then B from r1 = 0 and C from r2 = 0, the
         ansatz's relations (`SeparableAnsatz.relations`)."""
-        q, v = Canon(num(self.q)), Canon(num(self.v))
-        Pp, Ppp, Rp, Rpp = map(Canon, self.ansatz().profile_derivatives())
-        A = Canon(self._A(Pp))
+        q, v = num(self.q), num(self.v)
+        Pp, Ppp, Rp, Rpp = self.ansatz().profile_derivatives()
+        A = self._A(Pp)
         B = -(q + A * (Pp**2 + Ppp + 2 * v * Rp * Pp)) / Pp
         C = -(v * (A * (v * Rp**2 + Rpp) + B * Rp))
-        return PdeSpec(A.e, B.e, C.e, self.domain)
+        return PdeSpec(A, B, C, self.domain)
 
 
 @dataclass(frozen=True)
@@ -91,23 +93,21 @@ class WaveFamilyInput(_SeparableFamily):
     def __post_init__(self):
         self._validate((("F", ("s",)),), ("a", "b"))
 
-    def _A(self, Pp: Canon) -> Expr:
+    def _A(self, Pp: Expr) -> Expr:
         """F along the drift coordinate s = t - P/q, times 1/P'^2."""
-        s_arg = (Canon(T) - Canon(self.P) / num(self.q)).e
-        return (Canon(substitute(self.F, {"s": s_arg})) / Pp**2).e
+        return substitute(self.F, {"s": T - self.P / num(self.q)}) / Pp**2
 
     def solution(self) -> Expr:
         """u = [a exp(P - q t) + b] exp(v R)."""
-        z = Exp((Canon(self.P) - Canon(num(self.q)) * T).e)
-        return ((Canon(num(self.a)) * z + num(self.b))
-                * Exp((Canon(num(self.v)) * self.R).e)).e
+        z = Exp(self.P - num(self.q) * T)
+        return (num(self.a) * z + num(self.b)) * Exp(num(self.v) * self.R)
 
     def rows(self, p: PdeSpec):
         """The two relations the closed form imposes on p: its residual at
         u is minus r1 + r2 times a exp(P - q t + v R), minus r2 times
         b exp(v R)."""
         r1, r2 = self.ansatz().relations(p)
-        return (Canon(r1) + r2).e, r2
+        return r1 + r2, r2
 
 
 @dataclass(frozen=True)
@@ -130,16 +130,15 @@ class OscFamilyInput(_SeparableFamily):
         if not self.k > 0:
             raise ValueError("k: must be positive")
 
-    def _A(self, Pp: Canon) -> Expr:
+    def _A(self, Pp: Expr) -> Expr:
         return ZERO
 
     def solution(self) -> Expr:
         """u = [a sin(k exp(P - q t)) + b cos(k exp(P - q t))] exp(v R); k
         sits inside the trig arguments."""
-        a, b, k = (Canon(num(c)) for c in (self.a, self.b, self.k))
-        phase = (k * Exp((Canon(self.P) - Canon(num(self.q)) * T).e)).e
-        return ((a * Sin(phase) + b * Cos(phase))
-                * Exp((Canon(num(self.v)) * self.R).e)).e
+        a, b, k = (num(c) for c in (self.a, self.b, self.k))
+        phase = k * Exp(self.P - num(self.q) * T)
+        return (a * Sin(phase) + b * Cos(phase)) * Exp(num(self.v) * self.R)
 
     def rows(self, p: PdeSpec):
         """A = 0, and the relations at A = 0: q + B P' = 0, v B R' + C = 0."""
@@ -172,15 +171,16 @@ class RossbyFamilyInput:
             raise ValueError("(c, c1) must not both vanish")
         t0, t1 = self.domain.t
         if self.c != 0.0:
-            t_zero = -self.c1 / self.c
+            t_zero = -Fraction(self.c1) / self.c
             if t0 <= t_zero <= t1:
-                raise ValueError(
-                    f"c*t + c1 vanishes at t = {t_zero:.6g} inside the domain")
+                raise ValueError(f"c*t + c1 vanishes at t = "
+                                 f"{float(t_zero):.6g} inside the domain")
 
     def generator(self) -> Generator:
-        return Generator(num(self.c) * T + num(self.c1),
-                         num(self.c) * X + num(self.c2),
-                         num(-3.0 * self.c))
+        # phi and xi as written, not canonical: gen.json echoes them
+        return Generator(Add((Mul((num(self.c), T)), num(self.c1))),
+                         Add((Mul((num(self.c), X)), num(self.c2))),
+                         num(-3 * self.c))
 
 
 def synth_rossby(inp: RossbyFamilyInput) -> PdeSpec:
@@ -194,16 +194,16 @@ def synth_rossby(inp: RossbyFamilyInput) -> PdeSpec:
     (phi^-3, phi^-2, phi^-1); it fails the determining system for c != 0
     and is retained as a falsification exhibit.
     """
-    c, c1, c2 = (Canon(num(k)) for k in (inp.c, inp.c1, inp.c2))
+    c, c1, c2 = (num(k) for k in (inp.c, inp.c1, inp.c2))
     phi = c * T + c1
     # (A, B, C) = scales * (F, G, H)(w); phi**-k would print differently
     if inp.mode == AS_PRINTED:
-        w, scales = Canon(X) * phi - c2 * T, (1 / phi**3, 1 / phi**2, 1 / phi)
+        w, scales = X * phi - c2 * T, (1 / phi**3, 1 / phi**2, 1 / phi)
     elif inp.c != 0.0:
         w, scales = (c * X + c2) / phi, (phi, ONE, 1 / phi)
     else:
         w, scales = c1 * X - c2 * T, (ONE, ONE, ONE)
-    A, B, C = ((Canon(substitute(f, {"w": w.e})) * s).e
+    A, B, C = (substitute(f, {"w": w}) * s
                for f, s in zip((inp.F, inp.G, inp.H), scales))
     return PdeSpec(A, B, C, inp.domain)
 

@@ -685,6 +685,17 @@ def test_malformed_number_in_ansatz_or_family_is_exit_2(
     assert err.startswith(f"error: {doc}: {name}: ") and err.count("\n") == 1
 
 
+def test_rossby_vanishing_time_is_named(tmp_path, capsys):
+    # c t + c1 = 0.1 t + 0.05 vanishes at t = -1/2, inside [-1, 1]; the
+    # exact time prints as a float
+    doc = dict(ROSSBY_PRINTED, c=0.1, c1=0.05,
+               domain={"x": [1, 2], "t": [-1, 1]})
+    assert _run_document(tmp_path, "synth", doc) == 2
+    err = capsys.readouterr().err
+    assert "c*t + c1 vanishes at t = -0.5 inside the domain" in err
+    assert err.count("\n") == 1
+
+
 def _without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 

@@ -3,17 +3,22 @@ import dataclasses
 import importlib
 import math
 import operator
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import liewave
 from liewave.expr import (
-    Add, Call, Canon, Const, EvalError, Expr, Exp, Mul, Neg, ParseError, Pow, Sin,
+    Add, Call, Const, EvalError, Expr, Exp, Mul, Neg, ParseError, Pow, Sin,
     Var, ZeroSample, diff, eval_numeric, expand, free_vars, is_zero_sampled,
     num, parse, sample_box, simplify, substitute, to_text,
 )
@@ -21,7 +26,7 @@ from liewave.expr import (
     ZERO, check_nonvanishing, eval_checked, eval_on_grid, memo_scope,
 )
 from liewave.expr.calculus import _ev, _shared
-from liewave.expr.nodes import children, neg, node_count, sort_key
+from liewave.expr.nodes import children, coerce, neg, node_count, sort_key
 from liewave.expr.sampling import _SECOND_PASS_SHIFT, _cloud
 from liewave.expr.simplify import _add, _expand, _mul, _negate
 
@@ -430,17 +435,19 @@ def test_canonical_mark_random(e):
 _numbers = st.one_of(st.integers(-5, 5), _decimal_fractions,
                      st.sampled_from([0.5, -2.0, 0.0, -0.0, 1.5]))
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": operator.truediv}
+           "/": operator.truediv, "**": operator.pow,
+           "neg": lambda a, _: -a}
+# the raw tree of each operator, from the node constructors alone
+_RAW = {"+": lambda a, b: Add((a, b)), "-": lambda a, b: Add((a, neg(b))),
+        "*": lambda a, b: Mul((a, b)),
+        "/": lambda a, b: Mul((a, Pow(b, Const(-1)))), "**": Pow,
+        "neg": lambda a, _: neg(a)}
 
 
-def _apply(name, left, right):
-    if name == "neg":
-        return -left
-    if name == "**":
-        return left ** right
+def _apply(table, name, left, right):
     if name.startswith("r"):  # the step's operand on the left
-        return _BINARY[name[1:]](right, left)
-    return _BINARY[name](left, right)
+        return table[name[1:]](right, left)
+    return table[name](left, right)
 
 
 @given(_exprs_with_floats,
@@ -450,22 +457,44 @@ def _apply(name, left, right):
            _exprs_with_floats | _numbers,
            st.sampled_from([-1, 2, 3, Fraction(1, 2), 0.5])), max_size=6))
 @settings(max_examples=300, deadline=None)
-def test_canon_operators_are_simplify_of_the_raw_tree(first, steps):
-    # applied left to right, each handle operator gives simplify of the raw
-    # tree Expr's operators build, down to each constant's type and sign
-    handle, raw = Canon(first), _unmarked(first)
+def test_operators_are_simplify_of_the_constructed_tree(first, steps):
+    # applied left to right, each operator gives simplify of the raw tree
+    # the node constructors build, down to each constant's type and sign.
+    # A number operand on the left reaches the reflected operators
+    # (__rsub__ ...); an Expr on the left calls its own
+    built, raw = first, _unmarked(first)
     for name, operand, exponent in steps:
         if name == "**":
             operand = exponent
-        raw_operand = operand
+        raw_operand = coerce(operand)
         if isinstance(operand, Expr):
             raw_operand = _unmarked(operand)
-            if name.startswith("r"):  # an Expr on the left is wrapped first
-                operand = Canon(operand)
-        handle = _apply(name, handle, operand)
-        raw = _apply(name, raw, raw_operand)
-        assert sort_key(handle.e) == sort_key(simplify(_unmarked(raw)))
-        assert simplify(handle.e) is handle.e
+        built = _apply(_BINARY, name, built, operand)
+        raw = _apply(_RAW, name, raw, raw_operand)
+        assert sort_key(built) == sort_key(simplify(_unmarked(raw)))
+        assert simplify(built) is built
+
+
+# a fresh interpreter whose one import of the kernel is the node module
+_NODES_ONLY = """
+import copy, pickle
+from liewave.expr.nodes import ZERO, Var
+x = Var("x")
+assert x * 1 + 0 == x
+assert x - x is ZERO
+e = (x + 1) * Var("t") - 2
+assert e._canon
+assert pickle.loads(pickle.dumps(e)) == e
+assert copy.deepcopy(e) == e
+"""
+
+
+def test_operators_do_not_depend_on_import_order():
+    src = Path(liewave.__file__).resolve().parent.parent
+    run = subprocess.run([sys.executable, "-c", _NODES_ONLY],
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert run.returncode == 0, run.stderr
 
 
 @given(_exprs_with_floats)

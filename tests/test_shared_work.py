@@ -14,7 +14,7 @@ import importlib
 import pytest
 
 from liewave.expr import (
-    Canon, Const, Exp, Pow, Var, diff, expand, is_zero_sampled, memo_scope,
+    Const, Exp, Pow, Var, diff, expand, is_zero_sampled, memo_scope,
     num, parse, simplify,
 )
 from liewave.expr.nodes import sort_key
@@ -44,14 +44,14 @@ def _canon(text):
 _S = _canon("sin(x*t) + exp(x)")
 _OVER = _canon("exp(1000*x)^-1")
 _RESIDUALS = [
-    (Canon(_S) * Var("t") - Var("x")).e,
-    (Canon(_S) * Var("t") - Canon(_S) * Var("t")).e,
-    (Canon(_OVER) + Var("t")).e,             # overflow, masked: finite root
-    (Canon(_OVER) * Var("t") + _S).e,        # the same failing node again
-    (Canon(_S) + _canon("log(x - 2)")).e,    # nan everywhere
-    (Canon(Pow(Const(0), Const(-1))) * _S + Var("t")).e,  # 0^-1
-    (Canon(_S) * Var("y") + Var("t")).e,     # y is unbound
-    (Canon(_S) ** 2 - 1).e,
+    _S * Var("t") - Var("x"),
+    _S * Var("t") - _S * Var("t"),
+    _OVER + Var("t"),                        # overflow, masked: finite root
+    _OVER * Var("t") + _S,                   # the same failing node again
+    _S + _canon("log(x - 2)"),               # nan everywhere
+    Pow(Const(0), Const(-1)) * _S + Var("t"),  # 0^-1
+    _S * Var("y") + Var("t"),                # y is unbound
+    _S ** 2 - 1,
     _S,
 ]
 _CLOUDS = [
@@ -96,14 +96,14 @@ def test_a_failure_noted_under_a_parent_is_noted_again():
 
 def test_a_table_entry_keeps_its_node_and_with_it_its_id():
     # trees made and dropped one after another inside one scope, built
-    # canonical by Canon so that no other table holds them: a new node may
-    # take a dropped node's address, and must not take its value
-    want = [_zero_test(((Canon(Var("x")) * k + Var("t")) ** 2).e, _CLOUDS[0])
+    # canonical by the operators so that no other table holds them: a new
+    # node may take a dropped node's address, and must not take its value
+    want = [_zero_test((Var("x") * k + Var("t")) ** 2, _CLOUDS[0])
             for k in range(1, 41)]
     with memo_scope():
         got = []
         for k in range(1, 41):
-            e = ((Canon(Var("x")) * k + Var("t")) ** 2).e
+            e = (Var("x") * k + Var("t")) ** 2
             got.append(_zero_test(e, _CLOUDS[0]))
             del e
             gc.collect()
@@ -124,14 +124,13 @@ def test_zero_test_tables_live_only_inside_their_scope():
 
 def _full_residual(p, u):
     """PdeSpec.residual with u_2x always built."""
-    A, B, C = map(Canon, (p.A, p.B, p.C))
     u_x = diff(u, "x")
-    return (Canon(diff(u, "t")) - A * diff(u_x, "x") - B * u_x - C * u).e
+    return diff(u, "t") - p.A * diff(u_x, "x") - p.B * u_x - p.C * u
 
 
 def _full_determining(p, g):
     """determining_residuals with xi_2x and M_2x always built."""
-    phi, xi, A, B = map(Canon, (g.phi, g.xi, p.A, p.B))
+    phi, xi, A, B = map(simplify, (g.phi, g.xi, p.A, p.B))
     At, Ax = diff(p.A, "t"), diff(p.A, "x")
     Bt, Bx = diff(p.B, "t"), diff(p.B, "x")
     Ct, Cx = diff(p.C, "t"), diff(p.C, "x")
@@ -143,21 +142,21 @@ def _full_determining(p, g):
     r1 = phi * At + xi * Ax + A * phi_t - 2 * A * xi_x
     r2 = (-phi * Bt - xi * Bx + B * xi_x - xi_t - B * phi_t - 2 * A * Mx
           + A * xi_2x)
-    r3 = -phi * Ct - xi * Cx - B * Mx + Mt - Canon(phi_t) * p.C - A * M2x
-    return r1.e, r2.e, r3.e
+    r3 = -phi * Ct - xi * Cx - B * Mx + Mt - phi_t * p.C - A * M2x
+    return r1, r2, r3
 
 
 def _full_reduce(p, a):
     """similarity_reduce's coefficients with z_2x and E_2x always built."""
     z, _ = invariants(a)
-    z_x = Canon(diff(z, "x"))
-    E = Canon(Exp((Canon(num(a.v)) * a.R).e))
-    E_x = Canon(diff(E.e, "x"))
-    A, B = Canon(p.A), Canon(p.B)
-    c2 = expand((A * E * z_x**2).e)
-    c1 = expand((A * (2 * E_x * z_x + E * diff(z_x.e, "x")) + B * E * z_x
-                 - E * diff(z, "t")).e)
-    c0 = expand((A * diff(E_x.e, "x") + B * E_x + Canon(p.C) * E).e)
+    z_x = diff(z, "x")
+    E = simplify(Exp(num(a.v) * a.R))
+    E_x = diff(E, "x")
+    A, B = p.A, p.B
+    c2 = expand(A * E * z_x**2)
+    c1 = expand(A * (2 * E_x * z_x + E * diff(z_x, "x")) + B * E * z_x
+                - E * diff(z, "t"))
+    c0 = expand(A * diff(E_x, "x") + B * E_x + p.C * E)
     return z, c2, c1, c0
 
 

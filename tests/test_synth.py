@@ -1,9 +1,12 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from liewave.expr import diff, eval_numeric, is_zero_sampled, parse, simplify
+from liewave.expr import (
+    Const, diff, eval_numeric, is_zero_sampled, parse, simplify,
+)
 from liewave.reduction import (
     IDENTITY, WAVE, SeparableAnsatz, classify_target, similarity_reduce,
 )
@@ -327,6 +330,21 @@ def test_rossby_printed_coincidence_shapes_pass():
 def test_rossby_rejects_singular_domain():
     with pytest.raises(ValueError, match="vanishes"):
         RossbyFamilyInput("w", "w", "w", 1.0, -1.5, 0, DERIVED, RDOM)
+
+
+def test_rossby_vanishing_time_is_exact():
+    # 3 t - 1 vanishes at t = 1/3, just above the float 1/3 that ends the
+    # domain; a float quotient -c1/c would round onto that end
+    dom = Domain((1.0, 2.0), (0.0, 1 / 3))
+    RossbyFamilyInput("w", "w", "w", 3, -1, 0, DERIVED, dom)
+
+
+def test_rossby_generator_reads_its_constants_exactly():
+    # c = 0.1 is read as 1/10, so eta = -3 c u has M = -3/10 exactly, not
+    # the float product -0.30000000000000004
+    inp = RossbyFamilyInput("w", "w", "w", 0.1, 1, 0, DERIVED, RDOM)
+    M = inp.generator().M
+    assert M == Const(Fraction(-3, 10)) and type(M.value) is Fraction
 
 
 def test_rossby_rejects_doubly_zero_constants():
