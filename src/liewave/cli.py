@@ -281,7 +281,8 @@ def cmd_solve(args) -> int:
     if not args.nt:
         bound = numverify.stable_dt(pde, grid.xs(), grid.t0, grid.t1)
         grid = replace(grid, nt=numverify.auto_nt(pde, grid, bound))
-    ref = numverify._on_grid(closed, grid.xs(), grid.ts(), "closed form").T
+    ref = numverify._on_grid(closed, grid.xs(), grid.ts()[:, None],
+                             "closed form").T
     if bound is None:
         bound = numverify.stable_dt(pde, grid.xs(), grid.t0, grid.t1)
     try:
@@ -330,9 +331,10 @@ def _write_solution_csv(path, grid, us, ref):
 
 
 def cmd_modes(args) -> int:
-    problem = _load(numverify.load_profile, args.profile_json)
+    # N is checked where the solver samples it: its errors name the file
     try:
-        modes = numverify.mode_solve(problem, args.modes)
+        modes = _load(lambda source: numverify.mode_solve(
+            numverify.load_profile(source), args.modes), args.profile_json)
     except numverify.ModeSearchError as err:
         return _finish(args, [args.profile_json], [Check(
             "mode_search", False, math.inf, note=str(err))], {})

@@ -14,7 +14,7 @@ from .nodes import (
     ZERO, children, coerce, to_text,
 )
 from .simplify import (
-    _Exact, _add, _call, _mark, _mul, _negate, _pow, derived, simplify,
+    _add, _call, _mark, _mul, _negate, _pow, derived, simplify,
 )
 
 class EvalError(ValueError):
@@ -43,20 +43,19 @@ def _diff(e: Expr, var: str, memo):
     whose children depend on `var`.  The product rule writes no term for a
     factor whose derivative is ZERO; each such term would be a product
     with a 0 factor, which _mul folds to 0, so the sum is the same without
-    them.  memo is the scope's table for `var`, _Exact(tree) ->
-    derivative, or None."""
+    them.  memo is the scope's table for `var`, tree -> derivative, or
+    None."""
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Var):
         return ONE if e.name == var else ZERO
     if memo is not None:
-        key = _Exact(e)
-        d = memo.get(key)
+        d = memo.get(e)
         if d is not None:
             return d
     d = _rule(e, var, memo)
     if memo is not None:
-        memo[key] = d
+        memo[e] = d
     return d
 
 
@@ -214,29 +213,29 @@ def _raise(mask, message, node):
 
 def _shared(roots) -> dict:
     """The memo for one evaluation of `roots` (without a Values table): a
-    slot, keyed by id, for each branch node that more than one parent (or
-    root) holds.  Only values that are asked for again are kept; the ids
-    stay valid while the caller holds the roots."""
+    slot, keyed by the tree, for each branch tree that occurs more than
+    once under the roots; equal trees built apart share it.  Only values
+    that are asked for again are kept."""
     seen, memo = set(), {}
     stack = list(roots)
     while stack:
         e = stack.pop()
         if isinstance(e, (Const, Var)):
             continue
-        if id(e) in seen:
-            memo[id(e)] = None
+        if e in seen:
+            memo[e] = None
             continue
-        seen.add(id(e))
+        seen.add(e)
         stack.extend(children(e))
     return memo
 
 
 class Values(dict):
-    """Node values on one set of bindings, kept across evaluations:
-    id(node) -> (node, value), the node held so that no other node takes
-    its id while the entry lives.  Its `get` leaves an empty slot for each
-    node it misses, so _ev keeps the value of every branch node it
-    evaluates, where a _shared memo keeps only those of shared nodes."""
+    """Node values on one set of bindings, kept across evaluations: tree ->
+    value, equal trees built apart sharing one entry.  Its `get` leaves an
+    empty slot for each tree it misses, so _ev keeps the value of every
+    branch node it evaluates, where a _shared memo keeps only those of
+    shared trees."""
 
     __slots__ = ()
     get = dict.setdefault
@@ -248,8 +247,7 @@ def _ev(e: Expr, env, fail, memo):
     evaluation order; with fail None nothing is checked.  A node with a slot
     in memo (a _shared memo, or a Values table, which makes a slot for
     every node it is asked for) is evaluated, and reported to fail, once:
-    (node, value) fills the slot and the value is handed to each later
-    parent.
+    its value fills the slot and is handed to each later parent.
 
     A Pow or Call builds its masks only where its value has a non-finite
     entry.  That is exact: every masked failure makes the value there
@@ -264,9 +262,9 @@ def _ev(e: Expr, env, fail, memo):
             return env[e.name]
         except KeyError:
             raise EvalError(f"unbound variable {e.name!r}", e) from None
-    hit = memo.get(id(e))
+    hit = memo.get(e)
     if hit is not None:
-        return hit[1]
+        return hit
     if isinstance(e, Add):
         v = reduce(operator.add, [_ev(t, env, fail, memo) for t in e.terms])
     elif isinstance(e, Mul):
@@ -294,6 +292,6 @@ def _ev(e: Expr, env, fail, memo):
             fail(np.isfinite(arg) & ~np.isfinite(v), "overflow", e)
     else:
         raise TypeError(f"not an Expr: {e!r}")
-    if id(e) in memo:
-        memo[id(e)] = e, v
+    if e in memo:
+        memo[e] = v
     return v

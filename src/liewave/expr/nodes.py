@@ -1,14 +1,15 @@
 """Expression trees: the symbolic currency of the whole package.
 
-Nodes are immutable and hashable; structural equality is field equality.
+Nodes are immutable and hashable, and == is exact: equal sort keys, the
+same tree down to each constant's type and sign (Const(1) != Const(1.0)).
 A node with children keeps its hash and its sort key in two slots, and a
 third slot marks a node that simplify has returned, so simplify hands it
 back as it is.  The three exist from construction (and from unpickling or
 copying) and hold None, None and False until first use fills them, so a
 read is a plain test, never a caught miss.  None of the three takes part
-in equality, hash, repr or pickled state; the hash is the dataclass hash
-of the field tuple, so its values (and with them dict and set order) are
-those of an uncached node.
+in hash, repr or pickled state; the hash is the dataclass hash of the
+field tuple, so its values (and with them dict and set order) are those
+of an uncached node.
 Division is spelled Mul(a, Pow(b, -1)) and subtraction Add(a, Neg(b)), so
 there are only seven node kinds.  Exact constants are kept until numeric
 evaluation: an integral one as an int, any other as a fractions.Fraction
@@ -54,7 +55,7 @@ class _Branch(Expr):
     The slots exist from construction: __post_init__, which the dataclass
     __init__ calls, sets them to None, None and False (unset), and _node's
     __setstate__ does the same for an unpickled or copied node.  They take
-    no part in ==, hash, repr or pickled state, which hold the fields only.
+    no part in hash, repr or pickled state, which hold the fields only.
     Leaves (Const, Var) keep none: theirs cost O(1), and a cache on every
     leaf would cost memory on ~40% of the live nodes."""
 
@@ -72,9 +73,17 @@ _set_key = _Branch._key.__set__
 _set_canon = _Branch._canon.__set__
 
 
+def _same_tree(self, other):
+    """Exact ==: equal sort keys; NotImplemented for a non-node."""
+    if type(other) is not type(self):
+        return False if isinstance(other, Expr) else NotImplemented
+    return self is other or sort_key(self) == sort_key(other)
+
+
 def _node(cls):
-    """Frozen slotted dataclass whose generated hash is computed only once,
-    and whose unpickled or copied instances start with the slots unset."""
+    """Frozen slotted dataclass with exact ==, whose generated hash is
+    computed only once, and whose unpickled or copied instances start with
+    the slots unset."""
     cls = dataclass(frozen=True, slots=True)(cls)
     field_hash = cls.__hash__
     field_setstate = cls.__setstate__
@@ -90,6 +99,7 @@ def _node(cls):
         field_setstate(self, state)
         self.__post_init__()
 
+    cls.__eq__ = _same_tree
     cls.__hash__ = __hash__
     cls.__setstate__ = __setstate__
     return cls
@@ -117,6 +127,9 @@ class Const(Expr):
     @property
     def is_exact(self) -> bool:
         return not isinstance(self.value, float)
+
+    # exact, while the dataclass hash of (value,) stays: hash(1) == hash(1.0)
+    __eq__ = _same_tree
 
 
 @dataclass(frozen=True, slots=True)
@@ -266,7 +279,7 @@ def sort_key(e: Expr):
     It orders exactly as (tag, name, (numbers), (child keys)) would.
     Exact: two trees have equal keys only when they are the same tree down
     to the type of each constant, so Const(0.5) and Const(Fraction(1, 2)),
-    or 0.0 and -0.0, differ here although they are == (see simplify's memo).
+    or 0.0 and -0.0, differ here; == is equality of these keys.
     An exact constant's key holds its numerator and denominator, so an int
     n has the key (0, n, 0.0, n, 1) a Fraction equal to it would have.
     """

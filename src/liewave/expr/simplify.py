@@ -35,11 +35,11 @@ Three things spare simplify work it has done before:
 
 The scope holds such a table for `_expand` too, and one per variable for
 `calculus.diff`, which holds each tree's canonical derivative.
-These three key a tree on its exact structure (`_Exact`): the
-cached hash, with equality of `nodes.sort_key`, which tells Const(0.5) from
-Const(Fraction(1, 2)) and 0.0 from -0.0 where == does not.  The fourth
-holds the zero tests' node values: one `calculus.Values` per cloud, keyed
-as the cloud is, by (box items, n, seed), never by the id of a mapping.
+These three key the tree itself: a node's == is exact (see `nodes`), so
+Const(0.5) and Const(Fraction(1, 2)), or 0.0 and -0.0, get entries apart.
+The fourth holds the zero tests' node values: one `calculus.Values` per
+cloud, keyed as the cloud is, by (box items, n, seed), never by the id of
+a mapping, and each keys its values by the tree in the same way.
 Failure rule: a value whose evaluation noted a failure is not kept, since
 a later test that read it would not note the failure.  All four start and
 end empty with the scope, so a job shares no tree or value with another
@@ -61,26 +61,10 @@ from .nodes import (
 
 
 # inside memo_scope() only, else None:
-_memo = None      # _Exact(tree) -> canonical form
-_expanded = None  # _Exact(tree) -> _expand(tree)
-_derived = None   # var -> {_Exact(tree) -> diff(tree, var)}
+_memo = None      # tree -> canonical form
+_expanded = None  # tree -> _expand(tree)
+_derived = None   # var -> {tree -> diff(tree, var)}
 _valued = None    # (box items, n, seed) -> node values on that zero-test cloud
-
-
-class _Exact:
-    """A tree as a memo key: equal to another only if their sort keys are
-    equal, i.e. the same tree down to each constant's type and sign."""
-
-    __slots__ = ("tree",)
-
-    def __init__(self, tree: Expr):
-        self.tree = tree
-
-    def __hash__(self):
-        return hash(self.tree)  # cached per node; equal sort keys hash equal
-
-    def __eq__(self, other):
-        return sort_key(self.tree) == sort_key(other.tree)
 
 
 @contextlib.contextmanager
@@ -121,8 +105,7 @@ def simplify(e: Expr) -> Expr:
         return e
     memo = _memo
     if memo is not None:
-        key = _Exact(e)
-        out = memo.get(key)
+        out = memo.get(e)
         if out is not None:
             return out
     if isinstance(e, Add):
@@ -137,7 +120,7 @@ def simplify(e: Expr) -> Expr:
         out = _call(e.fn, simplify(e.arg))
     _mark(out)
     if memo is not None:
-        memo[key] = out
+        memo[e] = out
     return out
 
 
@@ -358,8 +341,7 @@ def _expand(e: Expr, memo) -> Expr:
     if isinstance(e, (Const, Var)):
         return e
     if memo is not None:
-        key = _Exact(e)
-        out = memo.get(key)
+        out = memo.get(e)
         if out is not None:
             return out
     if isinstance(e, Add):
@@ -384,7 +366,7 @@ def _expand(e: Expr, memo) -> Expr:
         raise TypeError(f"not an Expr: {e!r}")
     _mark(out)
     if memo is not None:
-        memo[key] = out
+        memo[e] = out
     return out
 
 

@@ -89,15 +89,18 @@ class Grid1D:
         return np.linspace(self.t0, self.t1, self.nt + 1)
 
 
-def _on_grid(e: Expr, xs, ts, what: str) -> np.ndarray:
-    """e at (xs[i], ts[j]) as [j, i]; ValueError at a non-finite value,
-    naming e as `what` followed by its text (rendered only then)."""
-    vals = np.broadcast_to(eval_on_grid(e, {"x": xs, "t": ts[:, None]}),
-                           (len(ts), len(xs)))
+def _on_grid(e: Expr, x, t, what: str) -> np.ndarray:
+    """e at the points of x and t, arrays that broadcast together, in
+    their broadcast shape; ValueError at the first non-finite value (in C
+    order), naming e as `what` followed by its text (rendered only then)
+    and the point."""
+    shape = np.broadcast_shapes(np.shape(x), np.shape(t))
+    vals = np.broadcast_to(eval_on_grid(e, {"x": x, "t": t}), shape)
     if not np.isfinite(vals).all():
-        j, i = np.unravel_index(np.flatnonzero(~np.isfinite(vals))[0], vals.shape)
+        k = np.argmin(np.isfinite(vals))
+        x, t = (np.broadcast_to(v, shape).flat[k] for v in (x, t))
         raise ValueError(f"{what} {to_text(e)} is not finite at "
-                         f"x = {xs[i]:.6g}, t = {ts[j]:.6g}")
+                         f"x = {x:.6g}, t = {t:.6g}")
     return vals
 
 
@@ -115,7 +118,7 @@ def stable_dt(p: PdeSpec, xs: np.ndarray, t0: float, t1: float):
     """
     dx = (xs[-1] - xs[0]) / (len(xs) - 1)
     ts = np.linspace(t0, t1, 64)
-    a_vals, b_vals, c_vals = (_on_grid(c, xs, ts, "coefficient")
+    a_vals, b_vals, c_vals = (_on_grid(c, xs, ts[:, None], "coefficient")
                               for c in (p.A, p.B, p.C))
     j, i = np.unravel_index(np.argmin(a_vals), a_vals.shape)
     if a_vals[j, i] < -_UPWIND_A_THRESHOLD:
@@ -183,8 +186,10 @@ def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D, bound=None):
     Preconditions, enforced when the first level is asked for: those of
     `stable_dt`, A >= 0 and the step bound of the scheme it picks; `bound`
     is stable_dt's result on g's nodes and span, when the caller has it
-    already (and has met A >= 0 with it).  A BlowupError comes before the
-    earlier levels of its block of steps are yielded.
+    already (and has met A >= 0 with it); bc finite at both ends at every
+    time, and ic at every node (ValueError naming the point, see
+    `_on_grid`).  A BlowupError comes before the earlier levels of its
+    block of steps are yielded.
     """
     xs, ts = g.xs(), g.ts()
     dx, dt = g.dx, g.dt
@@ -195,12 +200,9 @@ def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D, bound=None):
         raise StabilityError(dt, dt_req)
 
     xi = xs[1:-1]
-    edges = np.broadcast_to(
-        eval_on_grid(bc, {"x": xs[[0, -1], None], "t": ts}), (2, g.nt + 1))
+    edges = _on_grid(bc, xs[[0, -1], None], ts, "closed form")
     u = np.empty(g.nx)
-    u[:] = eval_on_grid(ic, {"x": xs})
-    if not np.isfinite(u).all():
-        raise ValueError("initial condition evaluated to non-finite values")
+    u[:] = _on_grid(ic, xs, g.t0, "initial condition")
     yield u
     m = g.nx - 2
     prods = np.empty((3, g.nx))
@@ -300,7 +302,7 @@ def convergence_order(p: PdeSpec, exact: Expr, g0: Grid1D, levels: int,
         factor = 2**lvl
         g = Grid1D(g0.x0, g0.x1, (g0.nx - 1) * factor + 1,
                    g0.t0, g0.t1, g0.nt * (factor if advective else factor * factor))
-        ref = _on_grid(exact, g.xs(), np.array([g.t1]), "closed form")[0]
+        ref = _on_grid(exact, g.xs(), np.array([[g.t1]]), "closed form")[0]
         u = base
         if lvl or base is None:
             for u in fd_solve(p, substitute(exact, {"t": g.t0}), exact, g,
@@ -335,11 +337,6 @@ class ModeProblem:
         for z_lo, z_hi, n_expr in self.pieces:
             e = _as_expr(n_expr, "N")
             check_vars(e, ("z",), "N")
-            probe = eval_on_grid(e, {"z": np.linspace(float(z_lo),
-                                                      float(z_hi), 33)})
-            if not np.isfinite(probe).all() or np.min(probe) < -1e-12:
-                raise ValueError(
-                    f"N: must be finite and nonnegative on [{z_lo}, {z_hi}]")
             norm.append((float(z_lo), float(z_hi), simplify(e)))
         norm.sort(key=lambda p: p[0])
         tol = 1e-12 * self.H  # relative, so a hole is one at every scale
@@ -398,7 +395,8 @@ class _Shooter:
     Each piece of width w is cut into refine * max(16, NSTEPS w) cells with
     N~ at their midpoint, and adjacent cells of equal N~ are merged, so a
     constant piece is one cell.  N_max, unless given, is the largest |N| on
-    the cells' nodes and midpoints.
+    the cells' nodes and midpoints.  N must be finite and at least -1e-12
+    at each of them (ValueError naming the first z where it is not).
 
     On a cell with k = N~/c > 0, theta is the angle of (k phi, phi') and
     advances by exactly k w; where N = 0 it is the angle of (phi, phi'),
@@ -413,10 +411,15 @@ class _Shooter:
             count = refine * max(16, round(NSTEPS * (hi - lo)))
             # cell edges and midpoints: even and odd entries
             zeta = np.linspace(lo, hi, 2 * count + 1)
-            n = np.abs(np.broadcast_to(
-                eval_on_grid(n_expr, {"z": problem.H * zeta}), zeta.shape))
-            if not np.isfinite(n).all():
-                raise ValueError("N(z) is not finite on the mode mesh")
+            z = problem.H * zeta
+            n = np.broadcast_to(eval_on_grid(n_expr, {"z": z}), zeta.shape)
+            bad = ~np.isfinite(n) | (n < -1e-12)
+            if bad.any():
+                i = np.argmax(bad)
+                raise ValueError(f"N: must be finite and nonnegative, "
+                                 f"{to_text(n_expr)} is {n[i]:.6g} at "
+                                 f"z = {z[i]:.6g}")
+            n = np.abs(n)
             edges.append(zeta[2::2] if edges else zeta[::2])
             values.append(n)
         self.n_max = n_max or max(float(np.max(n)) for n in values)

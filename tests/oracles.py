@@ -245,7 +245,7 @@ def residual_on_grid(p: PdeSpec, u: Expr, g: Grid1D) -> GridResidual:
     if extra:
         raise ValueError(f"u may only use x and t, found {sorted(extra)}")
     xs, ts = g.xs()[1:-1], g.ts()
-    vals = np.abs(_on_grid(p.residual(u), xs, ts, "residual"))
+    vals = np.abs(_on_grid(p.residual(u), xs, ts[:, None], "residual"))
     j, i = np.unravel_index(np.argmax(vals), vals.shape)
     return GridResidual(float(vals[j, i]), float(xs[i]), float(ts[j]))
 

@@ -489,6 +489,30 @@ def test_solve_closed_form_not_finite_on_the_grid_is_exit_2(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("closed, message", [
+    # t = 1/3200 is a time of level 2 only: its boundary values name it
+    ("exp(-t)*sin(x) + 1/(x^2 + (t - 0.0003125)^2)",
+     "closed form exp(-t)*sin(x) + 1/(x^2 + (t - 3125e-7)^2) is not finite "
+     "at x = 0, t = 0.0003125"),
+    # x = 0.05 is a node of level 1 only: its initial level names it
+    ("exp(-t)*sin(x) + 1/((x - 0.05)^2 + t^2)",
+     "initial condition exp(-0.0)*sin(x) + 1/((x - 0.05)^2 + 0.0^2) is not "
+     "finite at x = 0.05, t = 0"),
+])
+def test_solve_closed_form_not_finite_on_a_refined_level_is_exit_2(
+        tmp_path, capsys, closed, message):
+    pde = write(tmp_path, "pde.json", HEAT)
+    argv = ["--out", str(tmp_path / "out"), "solve", pde, "--ic", closed,
+            "--nx", "11"]
+    assert main(argv) == 0  # finite on the base grid
+    capsys.readouterr()
+    out = tmp_path / "study"
+    argv[1] = str(out)
+    assert main(argv + ["--levels", "3"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option, value", [
     ("--levels", "1"), ("--levels", "2"), ("--levels", "-1"), ("--nt", "-1"),
 ])
@@ -521,6 +545,20 @@ def test_modes_csv_schema(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "1"
     assert float(first[1]) == pytest.approx(0.06 / 3.141592653589793, rel=1e-8)
+
+
+def test_modes_n_below_zero_between_probe_points_is_exit_2(tmp_path, capsys):
+    # N < 0 only within 0.32 of z = -145.4, a dip 33 evenly spaced probe
+    # points miss; every point of the mode mesh is checked
+    profile = write(tmp_path, "profile.json", {
+        "H": 300, "N": "0.0002 - 0.0003*exp(-(((z + 145.4)/0.5)^2))"})
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "modes", profile, "--modes", "3"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {profile}: N: must be finite and nonnegative, "
+        "2e-4 - 3e-4*exp(-((2*(145.4 + z))^2)) is -3.36402e-05 at "
+        "z = -145.65\n")
+    assert not out.exists()
 
 
 def test_modes_failure_path(tmp_path):

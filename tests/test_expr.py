@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import importlib
+import itertools
 import math
 import operator
 import os
@@ -316,8 +317,14 @@ def test_equal_trees_built_separately_hash_equal():
     for text, _ in CORPUS:
         a, b = simplify(parse(text)), simplify(parse(text))
         assert a is not b and a == b and hash(a) == hash(b)
-    assert Const(1) == Const(1.0) and hash(Const(1)) == hash(Const(1.0))
-    assert hash(Add((Var("x"), Const(1)))) == hash(Add((Var("x"), Const(1.0))))
+    # == is exact, down to a constant's type and sign; the hash is the
+    # dataclass field hash, in which hash(1) == hash(1.0)
+    assert Const(1) != Const(1.0) and hash(Const(1)) == hash(Const(1.0))
+    assert Const(0.0) != Const(-0.0) and Const(Fraction(1, 2)) != Const(0.5)
+    one, one_f = Add((Var("x"), Const(1))), Add((Var("x"), Const(1.0)))
+    assert one != one_f and hash(one) == hash(one_f)
+    assert Const(1).__eq__(1) is NotImplemented
+    assert one.__eq__("x + 1") is NotImplemented and one != Var("x")
 
 
 def test_cached_sort_key_orders_like_the_nested_key():
@@ -328,6 +335,7 @@ def test_cached_sort_key_orders_like_the_nested_key():
         for j in range(len(trees)):
             assert (flat[i] < flat[j]) == (nested[i] < nested[j])
             assert (flat[i] == flat[j]) == (nested[i] == nested[j])
+            assert (trees[i] == trees[j]) == (flat[i] == flat[j])
 
 
 @given(_exprs)
@@ -366,15 +374,17 @@ _KINDS = {type(e).__name__: e for e in map(simplify, map(parse, (
 ], ids=["fresh", "unpickled", "copy", "deepcopy"])
 @pytest.mark.parametrize("kind", sorted(_KINDS))
 def test_cache_slots_start_unset(kind, make):
-    # fill the source's slots first, so that a copy carrying them shows
+    # fill the source's slots first, so that a copy carrying them shows;
+    # == is asked last, since it reads (and so fills) the sort key
     node = _KINDS[kind]
     assert type(node).__name__ == kind and node._canon
     h, key = hash(node), sort_key(node)
     other = make(node)
-    assert other is not node and other == node
+    assert other is not node
     assert (other._hash, other._key, other._canon) == (None, None, False)
     assert hash(other) == h and sort_key(other) == key
     assert (other._hash, other._key, other._canon) == (h, key, False)
+    assert other == node
     assert simplify(other) is not other  # unmarked: simplified again
 
 
@@ -391,9 +401,9 @@ def _marked(e):
 
 
 def _check_canonical_mark(e):
-    """simplify of trees holding marked nodes gives the same text as
-    simplify of their unmarked copies; trees are compared by repr, not ==,
-    because Const(1) == Const(1.0)."""
+    """simplify of trees holding marked nodes gives the same tree as
+    simplify of their unmarked copies; == is exact, so Const(1) and
+    Const(1.0) differ here as they do in text."""
     s = simplify(e)
     copy = _unmarked(s)
     assert not _marked(copy)
@@ -403,14 +413,14 @@ def _check_canonical_mark(e):
     assert repr(s) == repr(copy) and to_text(s) == to_text(copy)
     assert pickle.dumps(s) == pickle.dumps(copy)
     assert simplify(s) is s
-    assert repr(simplify(copy)) == repr(s)
+    assert simplify(copy) == s
     # e itself was simplified once above and must not pass for canonical
-    assert repr(simplify(e)) == repr(simplify(_unmarked(e))) == repr(s)
+    assert simplify(e) == simplify(_unmarked(e)) == s
     mixed = Add((e, s, Mul((s, e)), Neg(Pow(s, Const(2)))))
-    assert repr(simplify(mixed)) == repr(simplify(_unmarked(mixed)))
+    assert simplify(mixed) == simplify(_unmarked(mixed))
     x = expand(mixed)
-    assert repr(x) == repr(expand(_unmarked(mixed)))
-    assert repr(diff(mixed, "x")) == repr(diff(_unmarked(mixed), "x"))
+    assert x == expand(_unmarked(mixed))
+    assert diff(mixed, "x") == diff(_unmarked(mixed), "x")
 
 
 @pytest.mark.parametrize("text", [t for t, _ in CORPUS])
@@ -418,7 +428,7 @@ def test_canonical_mark_corpus(text):
     _check_canonical_mark(parse(text))
 
 
-# float constants too: Const(1.0) equals Const(1) but prints apart
+# float constants too: Const(1.0) and Const(1) are different trees
 _float_leaves = st.sampled_from([0.5, 1.0, -1.0, 2.5, 0.1]).map(Const)
 _exprs_with_floats = st.recursive(_leaves | _float_leaves, _branch,
                                   max_leaves=20)
@@ -556,7 +566,8 @@ def test_memo_gives_the_results_of_no_memo_random(e):
     _check_memo_is_invisible(e)
 
 
-# each pair is one tree under ==, or was one under the inexact sort key
+# each pair looks like one tree to a weaker equality: numeric == of the
+# constants, or a sort key that rounds them to floats
 @pytest.mark.parametrize("a, b", [
     (Mul((Var("x"), Const(2**60))), Mul((Var("x"), Const(2**60 + 1)))),
     (Mul((Var("x"), Const(0.5))), Mul((Var("x"), Const(Fraction(1, 2))))),
@@ -597,20 +608,27 @@ def test_memo_lives_only_inside_its_scope():
 
 
 def test_identity_tables_hold_the_trees_they_key():
-    # an entry's key holds the tree it was made from, so the entry keeps
-    # that tree alive and compares on its exact structure
+    # an entry's key is the tree it was made from, compared exactly: a
+    # tree that differs only in a constant's type gets an entry of its own
     with memo_scope():
         e = parse("x*(1 + x)")
         expand(e)
         diff(e, "x")
         canon = simplify(e)  # what expand expands
-        assert any(k.tree is canon for k in simplify_module._expanded)
-        assert any(k.tree is e for k in simplify_module._derived["x"])
+        assert any(k is canon for k in simplify_module._expanded)
+        assert any(k is e for k in simplify_module._derived["x"])
         # a structurally zero derivative is stored and served too, as the
         # ZERO node itself
         assert diff(e, "t") == Const(0)
-        key = next(k for k in simplify_module._derived["t"] if k.tree is e)
-        assert simplify_module._derived["t"][key] is ZERO
+        assert any(k is e for k in simplify_module._derived["t"])
+        assert simplify_module._derived["t"][e] is ZERO
+        floated = Mul((Var("x"), Add((Const(1.0), Var("x")))))
+        assert floated != e and hash(floated) == hash(e)
+        assert diff(floated, "x") != diff(e, "x")
+        # the Mul and the Add of each tree: four entries, none shared
+        assert len(simplify_module._derived["x"]) == 4
+        assert simplify(floated) != canon
+        assert simplify_module._memo[floated] is not simplify_module._memo[e]
 
 
 def test_tables_serve_equal_trees_built_apart(monkeypatch):
@@ -636,8 +654,7 @@ def test_tables_serve_equal_trees_built_apart(monkeypatch):
             == results
         assert sizes() == before
         assert results[2] == Const(0)
-        key = simplify_module._Exact(second)
-        assert simplify_module._derived["t"][key] is ZERO
+        assert simplify_module._derived["t"][second] is ZERO
 
 
 # ------------------------------------------------------- differentiation
@@ -919,6 +936,50 @@ def test_simplify_keeps_rationals_exact():
 def test_float_constants_are_contagious():
     e = simplify(Add((Mul((Const(0.5), Var("x"))), Mul((Const(0.25), Var("x"))))))
     assert e == Mul((Const(0.75), Var("x")))
+
+
+# constants equal as numbers but not as trees, beside x, y and powers
+_LOOKALIKES = [Const(v) for v in (2, 2.0, 1, 1.0, 0.0, -0.0)]
+_xy = st.sampled_from([Var("x"), Var("y")])
+_lookalike_pool = st.one_of(
+    st.sampled_from(_LOOKALIKES), _xy,
+    st.tuples(_xy, st.sampled_from(_LOOKALIKES)).map(lambda be: Pow(*be)))
+_lookalike_children = st.one_of(
+    _lookalike_pool,
+    st.lists(_lookalike_pool, min_size=2, max_size=3).map(
+        lambda fs: Mul(tuple(fs))),
+    st.lists(_lookalike_pool, min_size=2, max_size=3).map(
+        lambda ts: Add(tuple(ts))))
+
+
+def _reordered(e):
+    """e with its children, and theirs one level down, in every order:
+    the top level permuted, each child's own children as given and
+    reversed."""
+    for top in itertools.permutations(children(e)):
+        for flip in (False, True):
+            kids = tuple(type(c)(tuple(reversed(children(c)))) if flip
+                         and isinstance(c, (Add, Mul)) else c for c in top)
+            yield type(e)(kids)
+
+
+@given(st.sampled_from([Add, Mul]),
+       st.lists(_lookalike_children, min_size=2, max_size=4))
+@example(Add, [Mul((Pow(Var("x"), Const(2)), Var("y"))),
+               Mul((Pow(Var("x"), Const(2.0)), Var("y")))])
+@settings(max_examples=300, deadline=None)
+def test_canonical_forms_do_not_depend_on_child_order(kind, kids):
+    e = kind(tuple(kids))
+    s = simplify(e)
+    results = [simplify(r) for r in _reordered(e)]
+    for r in results:
+        assert r == s and to_text(r) == to_text(s)
+    # on canonical trees == decides the text: equal trees print alike (a
+    # dict finds a node's entry by ==)
+    texts = {}
+    for n in (n for r in (s, *results) for n in _walk(r)):
+        assert texts.setdefault(n, (to_text(n), repr(n))) == \
+            (to_text(n), repr(n))
 
 
 def test_expand_distributes():

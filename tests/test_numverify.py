@@ -1,4 +1,5 @@
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -149,15 +150,32 @@ def test_fd_solve_cfl_bound_for_advection():
 
 
 def test_fd_solve_reports_blowup_step():
-    # u = exp(999 t) sin(x) solves u_t = u_2x + 1000 u and leaves the
-    # float range at t = 709/999; the step bound holds throughout
-    growth = PdeSpec(parse("1"), parse("0"), parse("1000"),
+    # under u_t = u_2x + 10000 u the field grows about 50-fold a step and
+    # leaves the float range, while its boundary values sin(0) and sin(1)
+    # stay finite; the step bound holds throughout
+    growth = PdeSpec(parse("1"), parse("0"), parse("10000"),
                      Domain((0.0, 1.0), (0.0, 1.0)))
     with pytest.raises(BlowupError) as err:
-        list(fd_solve(growth, parse("sin(x)"), parse("exp(999*t)*sin(x)"),
+        list(fd_solve(growth, parse("sin(x)"), parse("sin(x)"),
                       Grid1D(0, 1, 11, 0, 1.0, 200)))
     assert err.value.step >= 1
     assert "non-finite" in str(err.value)
+
+
+def test_fd_solve_rejects_boundary_values_not_finite():
+    # u = exp(999 t) sin(x) solves u_t = u_2x + 1000 u and leaves the
+    # float range at t = 709/999: the boundary values are input, and the
+    # first one that is not finite is named before any level is yielded
+    growth = PdeSpec(parse("1"), parse("0"), parse("1000"),
+                     Domain((0.0, 1.0), (0.0, 1.0)))
+    with pytest.raises(ValueError, match=r"^closed form exp\(999\*t\)\*sin"
+                       r"\(x\) is not finite at x = 0, t = 0\.715$"):
+        next(fd_solve(growth, parse("sin(x)"), parse("exp(999*t)*sin(x)"),
+                      Grid1D(0, 1, 11, 0, 1.0, 200)))
+    with pytest.raises(ValueError, match=r"^initial condition 1/x is not "
+                       r"finite at x = 0, t = 0$"):
+        next(fd_solve(growth, parse("1/x"), parse("sin(x)"),
+                      Grid1D(0, 1, 11, 0, 1.0, 200)))
 
 
 def test_fd_solve_rejects_backward_diffusion():
@@ -277,8 +295,11 @@ def _blocked_case(coeffs, advective, nx=21):
 
 
 def test_wave_type_case_shares_a_subtree():
+    # B and C hold A's tree; a copy of A built apart shares its slot
     p = _blocked_case(WAVE_TYPE, False)[0]
-    assert id(p.A) in _shared((p.A, p.B, p.C))
+    assert p.A in _shared((p.A, p.B, p.C))
+    apart = pickle.loads(pickle.dumps(p.A))
+    assert apart is not p.A and list(_shared((p.A, apart))) == [p.A]
 
 
 @BLOCKED_CASES
@@ -332,12 +353,12 @@ def test_fd_solve_matches_incremental_euler(coeffs, advective):
 
 
 def test_fd_solve_blowup_matches_per_step_reference():
-    # the boundary values overflow at t = 0.7105, so on 2 BLOCK steps over
-    # [0, 1] (stable at nx = 6 for BLOCK >= 25) the first non-finite level
-    # lies in the second block of steps
-    growth = PdeSpec(parse("1"), parse("0"), parse("1000"),
+    # the field grows about 40-fold a step under finite boundary values,
+    # so on 2 BLOCK steps over [0, 1] (stable at nx = 6 for BLOCK >= 25)
+    # the first non-finite level lies in the second block of steps
+    growth = PdeSpec(parse("1"), parse("0"), parse("10000"),
                      Domain((0.0, 1.0), (0.0, 1.0)))
-    ic, bc = parse("sin(x)"), parse("exp(999*t)*sin(x)")
+    ic, bc = parse("sin(x)"), parse("sin(x)")
     g = Grid1D(0, 1, 6, 0, 1.0, 2 * BLOCK)
     with pytest.raises(BlowupError) as ref:
         _per_step_reference(growth, ic, bc, g)
@@ -424,8 +445,19 @@ def test_mode_problem_validation():
         ModeProblem(10.0, ((-5.0, 0.0, "1"),))  # hole below -5
     with pytest.raises(ValueError):
         ModeProblem(10.0, ((-10.0, -6.0, "1"), (-5.0, 0.0, "1")))
-    with pytest.raises(ValueError, match="nonnegative"):
-        ModeProblem(10.0, ((-10.0, 0.0, "z"),))  # z < 0 on the column
+
+
+def test_mode_solve_checks_n_at_every_point_it_samples():
+    # z < 0 on the column: the first mesh point names it
+    with pytest.raises(ValueError, match="nonnegative, z is -10 at z = -10"):
+        mode_solve(ModeProblem(10.0, ((-10.0, 0.0, "z"),)), 1)
+    # N < 0 only within 0.32 of z = -145.4, where no point of a 33-point
+    # probe of the column falls
+    dip = "0.0002 - 0.0003*exp(-(((z + 145.4)/0.5)^2))"
+    with pytest.raises(ValueError, match=r"at z = -145\.\d+$"):
+        mode_solve(ModeProblem(300.0, ((-300.0, 0.0, dip),)), 3)
+    with pytest.raises(ValueError, match="is nan at z = -10"):
+        mode_solve(ModeProblem(10.0, ((-10.0, 0.0, "log(z)"),)), 1)
 
 
 def test_load_profile_schemas(tmp_path):
