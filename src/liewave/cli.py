@@ -22,9 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numverify, reduction, symmetry, synth
-from .expr import (
-    ZeroSample, is_zero_sampled, memo_scope, parse, substitute, to_text,
-)
+from .expr import ZeroSample, is_zero_sampled, memo_scope, parse, to_text
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -286,8 +284,7 @@ def cmd_solve(args) -> int:
     if bound is None:
         bound = numverify.stable_dt(pde, grid.xs(), grid.t0, grid.t1)
     try:
-        us = list(numverify.fd_solve(
-            pde, substitute(closed, {"t": dom.t[0]}), closed, grid, bound))
+        us = list(numverify.fd_solve(pde, closed, closed, grid, bound))
         levels = (numverify.convergence_order(pde, closed, grid, args.levels,
                                               us[-1], bound)
                   if args.levels else None)

@@ -14,7 +14,7 @@ from .nodes import (
     ZERO, children, coerce, to_text,
 )
 from .simplify import (
-    _add, _call, _mark, _mul, _negate, _pow, derived, simplify,
+    _add, _call, _mark, _mul, _negate, _pow, derived, planned, simplify,
 )
 
 class EvalError(ValueError):
@@ -211,23 +211,29 @@ def _raise(mask, message, node):
         raise EvalError(message, node)
 
 
-def _shared(roots) -> dict:
+def _shared(roots: tuple) -> dict:
     """The memo for one evaluation of `roots` (without a Values table): a
     slot, keyed by the tree, for each branch tree that occurs more than
     once under the roots; equal trees built apart share it.  Only values
-    that are asked for again are kept."""
-    seen, memo = set(), {}
-    stack = list(roots)
-    while stack:
-        e = stack.pop()
-        if isinstance(e, (Const, Var)):
-            continue
-        if e in seen:
-            memo[e] = None
-            continue
-        seen.add(e)
-        stack.extend(children(e))
-    return memo
+    that are asked for again are kept.  Inside memo_scope() the walk that
+    finds these trees is made once per root tuple: its plan, the trees
+    without values, is kept for the job, and each call starts from it."""
+    plans = planned()
+    plan = plans.get(roots)
+    if plan is None:
+        seen, plan = set(), {}
+        stack = list(roots)
+        while stack:
+            e = stack.pop()
+            if isinstance(e, (Const, Var)):
+                continue
+            if e in seen:
+                plan[e] = None
+                continue
+            seen.add(e)
+            stack.extend(children(e))
+        plans[roots] = plan
+    return dict.fromkeys(plan)
 
 
 class Values(dict):

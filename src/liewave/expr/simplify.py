@@ -41,9 +41,12 @@ The fourth holds the zero tests' node values: one `calculus.Values` per
 cloud, keyed as the cloud is, by (box items, n, seed), never by the id of
 a mapping, and each keys its values by the tree in the same way.
 Failure rule: a value whose evaluation noted a failure is not kept, since
-a later test that read it would not note the failure.  All four start and
-end empty with the scope, so a job shares no tree or value with another
-job, and outside a scope nothing is memoized at all.
+a later test that read it would not note the failure.  The fifth holds
+`calculus._shared`'s plans: a tuple of root trees, keyed as above, maps to
+the subtrees shared under it, found by one walk per job; it holds trees,
+no value.  All five start and end empty with the scope, so a job shares
+no tree or value with another job, and outside a scope nothing is
+memoized at all.
 """
 
 from __future__ import annotations
@@ -65,19 +68,21 @@ _memo = None      # tree -> canonical form
 _expanded = None  # tree -> _expand(tree)
 _derived = None   # var -> {tree -> diff(tree, var)}
 _valued = None    # (box items, n, seed) -> node values on that zero-test cloud
+_planned = None   # root tuple -> the subtrees shared under it
 
 
 @contextlib.contextmanager
 def memo_scope():
-    """Memoize simplify, expand and diff, and the node values of the zero
-    tests, for the duration of the block (one CLI job); the tables are
-    dropped on exit, also when the block raises."""
-    global _memo, _expanded, _derived, _valued
-    _memo, _expanded, _derived, _valued = {}, {}, {}, {}
+    """Memoize simplify, expand and diff, the node values of the zero
+    tests and the evaluations' sharing plans, for the duration of the
+    block (one CLI job); the tables are dropped on exit, also when the
+    block raises."""
+    global _memo, _expanded, _derived, _valued, _planned
+    _memo, _expanded, _derived, _valued, _planned = {}, {}, {}, {}, {}
     try:
         yield
     finally:
-        _memo = _expanded = _derived = _valued = None
+        _memo = _expanded = _derived = _valued = _planned = None
 
 
 def derived(var: str):
@@ -89,6 +94,12 @@ def valued(cloud: tuple, new):
     """The scope's table of node values on the zero-test cloud `cloud`
     (box items, n, seed), made by new() at first use, or None."""
     return None if _valued is None else _valued.setdefault(cloud, new())
+
+
+def planned() -> dict:
+    """The scope's table of sharing plans (root tuple -> shared subtrees),
+    or outside a scope a new dict that no later call sees."""
+    return {} if _planned is None else _planned
 
 
 def simplify(e: Expr) -> Expr:

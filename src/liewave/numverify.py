@@ -16,8 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .expr import (
-    Expr, check_vars, eval_on_grid, free_vars, num, simplify, substitute,
-    to_text,
+    Expr, check_vars, eval_on_grid, free_vars, num, simplify, to_text,
 )
 from .symmetry import PdeSpec, _as_expr, _load_json
 
@@ -89,25 +88,32 @@ class Grid1D:
         return np.linspace(self.t0, self.t1, self.nt + 1)
 
 
-def _on_grid(e: Expr, x, t, what: str) -> np.ndarray:
+def _on_grid(e, x, t, what: str):
     """e at the points of x and t, arrays that broadcast together, in
     their broadcast shape; ValueError at the first non-finite value (in C
     order), naming e as `what` followed by its text (rendered only then)
-    and the point."""
+    and the point.  Given a tuple of expressions, they are evaluated in
+    one call (see `eval_on_grid`) and checked in order, and the tuple of
+    their values is returned."""
+    roots = e if isinstance(e, tuple) else (e,)
     shape = np.broadcast_shapes(np.shape(x), np.shape(t))
-    vals = np.broadcast_to(eval_on_grid(e, {"x": x, "t": t}), shape)
-    if not np.isfinite(vals).all():
-        k = np.argmin(np.isfinite(vals))
-        x, t = (np.broadcast_to(v, shape).flat[k] for v in (x, t))
-        raise ValueError(f"{what} {to_text(e)} is not finite at "
-                         f"x = {x:.6g}, t = {t:.6g}")
-    return vals
+    out = []
+    for root, vals in zip(roots, eval_on_grid(roots, {"x": x, "t": t})):
+        vals = np.broadcast_to(vals, shape)
+        if not np.isfinite(vals).all():
+            k = np.argmin(np.isfinite(vals))
+            x, t = (np.broadcast_to(v, shape).flat[k] for v in (x, t))
+            raise ValueError(f"{what} {to_text(root)} is not finite at "
+                             f"x = {x:.6g}, t = {t:.6g}")
+        out.append(vals)
+    return tuple(out) if isinstance(e, tuple) else out[0]
 
 
 def stable_dt(p: PdeSpec, xs: np.ndarray, t0: float, t1: float):
     """The explicit scheme's one stability rule: (advective, dt_max).
 
-    A, B and C are probed on the x nodes `xs` at 64 times spanning [t0, t1].
+    A, B and C are probed on the x nodes `xs` at 64 times spanning [t0, t1]
+    in one call, as `fd_solve`'s blocks evaluate them, and checked in order.
     A < 0 is backward diffusion: ValueError (ill-posed).  With
     c = max(-C, 0), these are the forward-Euler von Neumann bounds
     (Strikwerda 2004, ch. 2): where A vanishes u_x is upwinded and
@@ -118,8 +124,8 @@ def stable_dt(p: PdeSpec, xs: np.ndarray, t0: float, t1: float):
     """
     dx = (xs[-1] - xs[0]) / (len(xs) - 1)
     ts = np.linspace(t0, t1, 64)
-    a_vals, b_vals, c_vals = (_on_grid(c, xs, ts[:, None], "coefficient")
-                              for c in (p.A, p.B, p.C))
+    a_vals, b_vals, c_vals = _on_grid((p.A, p.B, p.C), xs, ts[:, None],
+                                      "coefficient")
     j, i = np.unravel_index(np.argmin(a_vals), a_vals.shape)
     if a_vals[j, i] < -_UPWIND_A_THRESHOLD:
         raise ValueError(
@@ -162,8 +168,10 @@ def auto_nt(pde: PdeSpec, grid: Grid1D, bound=None) -> int:
 def fd_solve(p: PdeSpec, ic: Expr, bc: Expr, g: Grid1D, bound=None):
     """Forward Euler with centered u_2x; u_x is upwinded (by the sign of B)
     when A vanishes uniformly, centered otherwise.  Dirichlet boundary
-    values come from the closed form bc(x, t).  Yields u at t_0, ..., t_nt;
-    no level is written again once it has been yielded.
+    values come from the closed form bc(x, t), and the first level from
+    ic(x, t_0): ic may be the closed form itself, as it is evaluated at
+    t = t_0.  Yields u at t_0, ..., t_nt; no level is written again once it
+    has been yielded.
 
     Each step is one three-point update per interior node,
     u_i <- lo u_{i-1} + mid u_i + hi u_{i+1}, with d = dt A / dx^2:
@@ -305,8 +313,7 @@ def convergence_order(p: PdeSpec, exact: Expr, g0: Grid1D, levels: int,
         ref = _on_grid(exact, g.xs(), np.array([[g.t1]]), "closed form")[0]
         u = base
         if lvl or base is None:
-            for u in fd_solve(p, substitute(exact, {"t": g.t0}), exact, g,
-                              None if lvl else bound):
+            for u in fd_solve(p, exact, exact, g, None if lvl else bound):
                 pass  # only the final level is compared
         error = float(np.max(np.abs(u - ref)))
         order = None

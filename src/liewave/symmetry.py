@@ -124,7 +124,9 @@ def load_pde(source) -> PdeSpec:
     if not isinstance(params, dict):
         raise ValueError(
             f"params: must be an object, got {type(params).__name__}")
-    params = {k: num(v, f"params.{k}") for k, v in params.items()}
+    # a key that is not a name is quoted, so the error stays on one line
+    params = {k: num(v, f"params.{k}" if k.isidentifier() else
+                     f"params[{k!r}]") for k, v in params.items()}
     coeffs = {}
     for name in ("A", "B", "C"):
         coeffs[name] = simplify(substitute(_as_expr(d[name], name), params))

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import liewave
@@ -494,9 +494,10 @@ def test_solve_closed_form_not_finite_on_the_grid_is_exit_2(
     ("exp(-t)*sin(x) + 1/(x^2 + (t - 0.0003125)^2)",
      "closed form exp(-t)*sin(x) + 1/(x^2 + (t - 3125e-7)^2) is not finite "
      "at x = 0, t = 0.0003125"),
-    # x = 0.05 is a node of level 1 only: its initial level names it
+    # x = 0.05 is a node of level 1 only: its initial level names the
+    # closed form as typed
     ("exp(-t)*sin(x) + 1/((x - 0.05)^2 + t^2)",
-     "initial condition exp(-0.0)*sin(x) + 1/((x - 0.05)^2 + 0.0^2) is not "
+     "initial condition exp(-t)*sin(x) + 1/((x - 0.05)^2 + t^2) is not "
      "finite at x = 0.05, t = 0"),
 ])
 def test_solve_closed_form_not_finite_on_a_refined_level_is_exit_2(
@@ -992,6 +993,8 @@ def _pde_documents(draw):
 
 
 @given(doc=_pde_documents())
+@example(doc={"A": "0", "C": "0", "params": {"\n": None},
+              "domain": {"x": [0, 1], "t": [0, 1]}})  # a key with a newline
 @settings(max_examples=150, deadline=None)
 def test_pde_loader_fuzz_never_raises(tmp_path_factory, doc):
     root = tmp_path_factory.getbasetemp()
@@ -1165,6 +1168,20 @@ def _argvs(draw):
     return argv + [t for group in draw(st.permutations(groups)) for t in group]
 
 
+def _memo_tables():
+    return tuple(getattr(simplify_module, name) for name in (
+        "_memo", "_expanded", "_derived", "_valued", "_planned"))
+
+
+def _entered(command, entered):
+    """command, noting in `entered` whether the memo tables are all empty
+    as it starts."""
+    def run(args):
+        entered.append(_memo_tables() == ({},) * 5)
+        return command(args)
+    return run
+
+
 @given(argv=_argvs())
 @settings(max_examples=150, deadline=None)
 def test_argv_fuzz_keeps_the_exit_code_contract(tmp_path_factory, argv):
@@ -1175,12 +1192,39 @@ def test_argv_fuzz_keeps_the_exit_code_contract(tmp_path_factory, argv):
                                  else json.dumps(payload))
     argv = ["--out", str(root / "out")] + [
         str(root / t) if t in _ARGV_FILES else t for t in argv]
-    try:
-        _run_fuzzed(argv)
-    except SystemExit as stop:  # argparse rejects the command line
-        assert stop.code == 2
-    assert (simplify_module._memo, simplify_module._expanded,
-            simplify_module._derived) == (None, None, None)
+    entered = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name, command in cli._COMMANDS.items():
+            patch.setitem(cli._COMMANDS, name, _entered(command, entered))
+        try:
+            _run_fuzzed(argv)
+        except SystemExit as stop:  # argparse rejects the command line
+            assert stop.code == 2
+    # the job's tables start empty, and are dropped also when it raises
+    assert entered in ([], [True])
+    assert _memo_tables() == (None,) * 5
+
+
+def test_a_jobs_sharing_plans_are_gone_before_the_next_job(tmp_path,
+                                                           monkeypatch):
+    # two solve jobs in one process: each starts with no plan, makes its
+    # own, and leaves none behind
+    entered, made = [], []
+    solve = _entered(cli._COMMANDS["solve"], entered)
+
+    def run(args):
+        code = solve(args)
+        made.append(len(simplify_module._planned))
+        return code
+
+    monkeypatch.setitem(cli._COMMANDS, "solve", run)
+    pde = write(tmp_path, "pde.json", dict(HEAT, B="x*cos(t)"))
+    for _ in range(2):
+        assert main(["--out", str(tmp_path / "out"), "solve", pde, "--ic",
+                     "exp(-t)*sin(x)", "--nx", "11", "--levels", "3"]) == 0
+        assert simplify_module._planned is None
+    assert entered == [True, True]
+    assert made[0] > 0 and made == made[:1] * 2
 
 
 def test_main_reuses_one_parser(tmp_path, capsys):

@@ -536,7 +536,17 @@ def _same_object_calls(e):
 
 def _memo_tables():
     return (simplify_module._memo, simplify_module._expanded,
-            simplify_module._derived)
+            simplify_module._derived, simplify_module._valued,
+            simplify_module._planned)
+
+
+def _fill_memo_tables(text):
+    """A job's work on text: an entry in each of the five tables."""
+    simplify(parse(text + " + 2*x"))
+    expand(parse(text))
+    diff(parse(text), "x")
+    is_zero_sampled(parse(text), {"x": (0, 1)}, n=4)
+    eval_on_grid(parse(text), {"x": 0.5})
 
 
 def _check_memo_is_invisible(e):
@@ -552,7 +562,7 @@ def _check_memo_is_invisible(e):
         assert simplify_module._expanded or isinstance(simplify(e),
                                                        (Const, Var))
         assert any(simplify_module._derived.values()) or leaf
-    assert _memo_tables() == (None, None, None)
+    assert _memo_tables() == (None,) * 5
 
 
 @pytest.mark.parametrize("text", [t for t, _ in CORPUS])
@@ -586,25 +596,22 @@ def test_memo_keeps_apart_trees_that_only_look_alike(a, b):
 
 
 def test_memo_lives_only_inside_its_scope():
-    assert _memo_tables() == (None, None, None)
-    expand(parse("x*(1 + x)"))
-    diff(parse("x*(1 + x)"), "x")
-    assert _memo_tables() == (None, None, None)  # nothing kept outside
+    assert _memo_tables() == (None,) * 5
+    _fill_memo_tables("x*(1 + x)")
+    assert _memo_tables() == (None,) * 5  # nothing kept outside
     with memo_scope():
-        simplify(parse("x*(1 + x) + 2*x"))
-        expand(parse("x*(1 + x)"))
-        diff(parse("x*(1 + x)"), "x")
-        assert simplify_module._memo
-        assert simplify_module._expanded
+        assert _memo_tables() == ({},) * 5  # all five start empty
+        _fill_memo_tables("x*(1 + x)")
+        assert all(_memo_tables())
         assert simplify_module._derived["x"]
-    assert _memo_tables() == (None, None, None)
+    assert _memo_tables() == (None,) * 5
     with pytest.raises(ZeroDivisionError):
         with memo_scope():
-            expand(parse("x*(1 + x)"))
-            diff(parse("x*(1 + x)"), "t")
+            assert _memo_tables() == ({},) * 5
+            _fill_memo_tables("x*(1 + x)*x")
             assert all(_memo_tables())
             1 / 0
-    assert _memo_tables() == (None, None, None)
+    assert _memo_tables() == (None,) * 5
 
 
 def test_identity_tables_hold_the_trees_they_key():

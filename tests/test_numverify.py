@@ -1,3 +1,4 @@
+import importlib
 import math
 import pickle
 from pathlib import Path
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 from liewave.expr import (
-    Expr, eval_numeric, free_vars, memo_scope, parse, simplify, substitute,
+    Expr, eval_checked, eval_numeric, free_vars, memo_scope, parse, simplify,
+    substitute,
 )
 from liewave.expr.calculus import _shared
 from liewave.numverify import (
@@ -20,6 +22,8 @@ from liewave.synth import OscFamilyInput, WaveFamilyInput
 from oracles import (
     euler_incremental, interior_zeros, mode_shape, residual_on_grid,
 )
+
+simplify_module = importlib.import_module("liewave.expr.simplify")
 
 DOM = Domain((0.0, 1.0), (0.0, 0.1))
 WAVE_PDE = WaveFamilyInput("x", "0", 1, 0, "1", 1, 0, DOM).synth()
@@ -186,6 +190,39 @@ def test_fd_solve_rejects_backward_diffusion():
     assert "A = -0.5 < 0 at x = 0," in str(err.value)
 
 
+def test_stable_dt_names_the_first_coefficient_not_finite():
+    # A is finite; B and C are not finite at x = 0: the probe checks A, B
+    # and C in that order, so B is named
+    p = PdeSpec(parse("1"), parse("1/x"), parse("log(x)"), DOM)
+    with pytest.raises(ValueError, match=r"^coefficient 1/x is not finite "
+                       r"at x = 0, t = 0$"):
+        stable_dt(p, np.linspace(0.0, 1.0, 11), 0.0, 0.1)
+
+
+def _per_coefficient_bound(p, xs, t0, t1):
+    """stable_dt's diffusive bound with A, B and C each evaluated in a
+    call of its own."""
+    dx = (xs[-1] - xs[0]) / (len(xs) - 1)
+    ts = np.linspace(t0, t1, 64)
+    a, b, c = (np.broadcast_to(eval_on_grid(e, {"x": xs, "t": ts[:, None]}),
+                               (64, len(xs))) for e in (p.A, p.B, p.C))
+    max_a = float(np.max(np.abs(a)))
+    decay = max(-float(np.min(c)), 0.0)
+    return False, 2.0 * dx * dx / (4.0 * max_a + decay * dx * dx)
+
+
+def test_stable_dt_one_pass_is_the_per_coefficient_bound():
+    # B and C of the wave-type member hold A's tree, which the one pass
+    # evaluates once for all three
+    p = _blocked_case(WAVE_TYPE, False)[0]
+    xs = np.linspace(0.0, 1.0, 41)
+    expected = _per_coefficient_bound(p, xs, 0.0, 0.1)
+    assert stable_dt(p, xs, 0.0, 0.1) == expected
+    with memo_scope():
+        for _ in range(2):
+            assert stable_dt(p, xs, 0.0, 0.1) == expected
+
+
 def test_stable_dt_is_one_rule_for_both_schemes():
     xs = np.linspace(0.0, 1.0, 41)
     assert stable_dt(WAVE_PDE, xs, 0.0, 0.1) == (False, 0.025**2 / 2.0)
@@ -302,6 +339,42 @@ def test_wave_type_case_shares_a_subtree():
     assert apart is not p.A and list(_shared((p.A, apart))) == [p.A]
 
 
+def _grid_bytes(values):
+    """The shape, dtype and bytes of each array in values."""
+    values = values if isinstance(values, tuple) else (values,)
+    return [(v.shape, v.dtype, v.tobytes()) for v in map(np.asarray, values)]
+
+
+@BLOCKED_CASES
+def test_grid_evaluation_is_the_same_bytes_inside_a_scope(coeffs, advective):
+    # a job's sharing plan serves each later call of a root tuple, here on
+    # two blocks of times: the values, and eval_checked's failure masks,
+    # are those of a walk made per call, on the first call and the next
+    p, ic, bc, g = _blocked_case(coeffs, advective)
+    repeated = parse("exp(-t)*sin(x) + sin(x)^2/(1 + exp(-t))")
+    failing = parse("sqrt(x - 0.5) + x*sqrt(x - 0.5)^2")
+    roots = [(p.A, p.B, p.C), p.B, ic, (bc, repeated), repeated, failing]
+    grids = [{"x": g.xs()[1:-1], "t": g.ts()[n0:n0 + BLOCK, None]}
+             for n0 in (0, BLOCK)]
+
+    def evaluations():
+        out = []
+        for e in roots:
+            for grid in grids:
+                values, failed = eval_checked(e, grid)
+                out += [_grid_bytes(eval_on_grid(e, grid)),
+                        _grid_bytes(values), _grid_bytes(failed)]
+        return out
+
+    outside = evaluations()
+    with memo_scope():
+        assert evaluations() == outside
+        assert simplify_module._planned
+        assert evaluations() == outside  # from the plans
+    (_, _, failed), = outside[-1]
+    assert np.frombuffer(failed, bool).any()  # the failing root fails
+
+
 @BLOCKED_CASES
 def test_fd_solve_matches_per_step_reference(coeffs, advective):
     # at nx = 3 and 4 the shifted weight rows overlap most: one and two
@@ -402,6 +475,17 @@ def test_convergence_rejects_a_closed_form_not_finite_on_a_level():
     exact = parse("exp(x - t) + 1/((x - 0.55)^2 + (t - 0.1)^2)")
     with pytest.raises(ValueError, match="is not finite at x = 0.55, t = 0.1"):
         convergence_order(WAVE_PDE, exact, stable_grid(11), 3)
+
+
+def test_convergence_names_the_closed_form_on_a_refined_initial_level():
+    # x = 0.55 is a node of the second level only, where u is 1/0 at t0:
+    # the initial level names the closed form as it was given, not a copy
+    # with t substituted
+    exact = parse("exp(x - t) + 1/((x - 0.55)^2 + t^2)")
+    with pytest.raises(ValueError) as err:
+        convergence_order(WAVE_PDE, exact, stable_grid(11), 3)
+    assert str(err.value) == ("initial condition exp(x - t) + 1/((x - 0.55)^2"
+                              " + t^2) is not finite at x = 0.55, t = 0")
 
 
 @pytest.mark.parametrize("p, exact, nx, nt", [
