@@ -4,13 +4,34 @@
     term   := factor (('*'|'/') factor)*
     factor := atom ('^' factor)? | '-' unary
     unary  := '-' unary | atom
-    atom   := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
+    atom   := NUMBER | IDENT | IDENT group | group
+    group  := '(' expr ')'
 
 Functions are exp, log, sin, cos, sqrt.  NUMBER is an unsigned integer or
 decimal, optionally with an exponent part (2e-4); numeric literals become
 exact constants (ints when integral).  Unary minus on a literal folds into
 a negative constant.
 '^' after '-' unary is a ParseError naming both readings, -(a^b) and (-a)^b.
+
+Two bounds keep every input's cost in proportion to its length, each a
+ParseError naming the offset where it is passed:
+- nesting: each group (a call's included) and each '^' exponent opens one
+  level, and a level deeper than MAX_NESTING is refused.  A tree nested up
+  to the bound goes through every command's simplify, diff, evaluation
+  and printing within Python's default recursion limit;
+- a literal's exponent part beyond MAX_EXPONENT in magnitude is refused
+  before its value is built (10**exponent grows with the exponent itself).
+A run of unary minus signs is read in a loop, so it opens no level.
+
+A group's tree depends on its tokens alone, so a text's repeated groups are
+parsed once: `simplify.parsed()` maps the exact text of each group parsed
+(parentheses and whitespace included) to its tree and the number of levels
+it opens, and a group found there is handed back as the same object, the
+cursor resumed after its ')'.  The table is the job's inside
+`memo_scope()` and a fresh one per call outside it.  A group that raises is
+never stored, and a stored group that would pass the nesting bound where it
+stands is parsed again, to raise where it would have raised; so trees,
+texts and errors are those of a parse without the table.
 """
 
 from __future__ import annotations
@@ -21,6 +42,10 @@ from fractions import Fraction
 from .nodes import (
     Add, Call, Const, Expr, FUNCTIONS, MINUS_ONE, Mul, Pow, Var, neg,
 )
+from .simplify import parsed
+
+MAX_NESTING = 40
+MAX_EXPONENT = 10_000
 
 # whitespace matches no group and is skipped; any other character the
 # grammar has no token for is `bad`
@@ -45,22 +70,44 @@ class ParseError(ValueError):
 
 
 def _tokenize(text: str):
-    tokens = []
+    """The tokens of text, ending with an eof token, and a map from the
+    index of each '(' that has a matching ')' to the index of that ')'."""
+    tokens, opened, close = [], [], {}
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "bad":
             raise ParseError(f"unexpected character {m.group()!r}", m.start(),
                              ("NUMBER", "IDENT", "operator"))
-        tokens.append((kind, m.group(), m.start()))
+        value = m.group()
+        if value == "(":
+            opened.append(len(tokens))
+        elif value == ")" and opened:
+            close[opened.pop()] = len(tokens)
+        tokens.append((kind, value, m.start()))
     tokens.append(("eof", "", len(text)))
-    return tokens
+    return tokens, close
+
+
+def _literal(value: str, offset: int):
+    """The exact value of a NUMBER token."""
+    if value.isdigit():
+        # an integer literal is an int, and skips Fraction's string parser
+        return int(value)
+    digits = value.lower().partition("e")[2].lstrip("+-").lstrip("0")
+    if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+        raise ParseError(f"literal exponent beyond {MAX_EXPONENT} in magnitude",
+                         offset)
+    return Fraction(value)
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens, self.close = _tokenize(text)
         self.i = 0
+        self.groups = parsed()
+        self.depth = 0  # levels open at the cursor
+        self.peak = 0   # the deepest level opened in the innermost group
 
     def peek(self):
         return self.tokens[self.i]
@@ -75,6 +122,14 @@ class _Parser:
         if kind != "op" or value != op:
             raise ParseError(f"unexpected {value or 'end of input'!r}", offset, (repr(op),))
         return self.take()
+
+    def enter(self, offset: int):
+        """Open one nesting level at the token at offset."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                             offset)
+        self.peak = max(self.peak, self.depth)
 
     def expr(self) -> Expr:
         terms = [self.term()]
@@ -101,44 +156,69 @@ class _Parser:
         return factors[0] if len(factors) == 1 else Mul(tuple(factors))
 
     def factor(self) -> Expr:
-        _, lead, at = self.peek()  # only an op token reads "-"
+        # only an op token reads "-" or "^"
+        _, lead, at = self.peek()
         base = self.unary()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
+        _, value, offset = self.peek()
+        if value == "^":
             if lead == "-":
                 raise ParseError("'-' before '^' is ambiguous", at,
                                  ("-(a^b)", "(-a)^b"))
             self.take()
-            return Pow(base, self.factor())
+            self.enter(offset)
+            exponent = self.factor()
+            self.depth -= 1
+            return Pow(base, exponent)
         return base
 
     def unary(self) -> Expr:
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
+        signs = 0
+        while self.peek()[1] == "-":
             self.take()
-            return neg(self.unary())
-        return self.atom()
+            signs += 1
+        e = self.atom()
+        for _ in range(signs):  # innermost first, as the grammar nests them
+            e = neg(e)
+        return e
+
+    def group(self) -> Expr:
+        """The tree of the group whose '(' is at the cursor; the cursor
+        ends after its ')'."""
+        start = self.i
+        offset = self.tokens[start][2]
+        end = self.close.get(start)
+        key = None if end is None else self.text[offset:self.tokens[end][2] + 1]
+        hit = self.groups.get(key)
+        if hit is not None and self.depth + hit[1] <= MAX_NESTING:
+            self.peak = max(self.peak, self.depth + hit[1])
+            self.i = end + 1
+            return hit[0]
+        outer, self.peak = self.peak, self.depth
+        self.take()
+        self.enter(offset)
+        inner = self.expr()
+        self.expect_op(")")
+        self.depth -= 1
+        if key is not None:
+            self.groups[key] = (inner, self.peak - self.depth)
+        self.peak = max(self.peak, outer)
+        return inner
 
     def atom(self) -> Expr:
-        kind, value, offset = self.take()
+        kind, value, offset = self.peek()
+        if kind == "op" and value == "(":
+            return self.group()
+        self.take()
         if kind == "number":
-            # an integer literal is an int, and skips Fraction's string parser
-            return Const(int(value) if value.isdigit() else Fraction(value))
+            return Const(_literal(value, offset))
         if kind == "ident":
             nk, nv, _ = self.peek()
             if nk == "op" and nv == "(":
                 if value not in FUNCTIONS:
                     raise ParseError(f"unknown function {value!r}", offset,
                                      tuple(FUNCTIONS))
-                self.take()
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(value, arg)
+                return Call(value, self.group())
             return Var(value)
-        if kind == "op" and value == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
         raise ParseError(f"unexpected {value or 'end of input'!r}", offset,
                          ("NUMBER", "IDENT", "'('", "'-'"))
 

@@ -44,9 +44,14 @@ Failure rule: a value whose evaluation noted a failure is not kept, since
 a later test that read it would not note the failure.  The fifth holds
 `calculus._shared`'s plans: a tuple of root trees, keyed as above, maps to
 the subtrees shared under it, found by one walk per job; it holds trees,
-no value.  All five start and end empty with the scope, so a job shares
-no tree or value with another job, and outside a scope nothing is
-memoized at all.
+no value.  The sixth holds the parser's groups (see `parser`): the exact
+text of each parenthesized group parsed, whitespace included, maps to
+the raw tree its first parse built and the nesting levels it opens, so
+a repeated group is parsed once and handed back as the same object,
+whose hash, sort key and memo entries simplify finds at once.  A group
+that raises is not stored.  All six start and end empty with the scope,
+so a job shares no tree or value with another job, and outside a scope
+nothing is memoized at all (the parser then keeps a table per call).
 """
 
 from __future__ import annotations
@@ -69,20 +74,22 @@ _expanded = None  # tree -> _expand(tree)
 _derived = None   # var -> {tree -> diff(tree, var)}
 _valued = None    # (box items, n, seed) -> node values on that zero-test cloud
 _planned = None   # root tuple -> the subtrees shared under it
+_parsed = None    # group text -> (its parsed tree, the levels it opens)
 
 
 @contextlib.contextmanager
 def memo_scope():
     """Memoize simplify, expand and diff, the node values of the zero
-    tests and the evaluations' sharing plans, for the duration of the
-    block (one CLI job); the tables are dropped on exit, also when the
-    block raises."""
-    global _memo, _expanded, _derived, _valued, _planned
-    _memo, _expanded, _derived, _valued, _planned = {}, {}, {}, {}, {}
+    tests, the evaluations' sharing plans and the parsed groups, for the
+    duration of the block (one CLI job); the tables are dropped on exit,
+    also when the block raises."""
+    global _memo, _expanded, _derived, _valued, _planned, _parsed
+    _memo, _expanded, _derived, _valued, _planned, _parsed = (
+        {}, {}, {}, {}, {}, {})
     try:
         yield
     finally:
-        _memo = _expanded = _derived = _valued = _planned = None
+        _memo = _expanded = _derived = _valued = _planned = _parsed = None
 
 
 def derived(var: str):
@@ -100,6 +107,12 @@ def planned() -> dict:
     """The scope's table of sharing plans (root tuple -> shared subtrees),
     or outside a scope a new dict that no later call sees."""
     return {} if _planned is None else _planned
+
+
+def parsed() -> dict:
+    """The scope's table of parsed groups (group text -> tree, levels), or
+    outside a scope a new dict that no later call sees."""
+    return {} if _parsed is None else _parsed
 
 
 def simplify(e: Expr) -> Expr:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import liewave
 from liewave import cli, numverify
 from liewave.cli import main
+from liewave.expr.parser import MAX_EXPONENT, MAX_NESTING
 from liewave.numverify import NSTEPS
 
 simplify_module = importlib.import_module("liewave.expr.simplify")
@@ -816,6 +818,78 @@ def test_malformed_value_names_its_field(tmp_path, capsys, command, payload,
     assert err.startswith(f"error: {path}: {name}: ") and err.count("\n") == 1
 
 
+# the deepest tree a level can build: each wraps its content in a call, a
+# sum, a negation, a product, a reciprocal and a negative sign
+_NESTINGS = {
+    "calls": (lambda n: "exp(x - x/-" * n + "x" + ")" * n,
+              lambda n: 11 * n - 8),
+    "groups": (lambda n: "(" * n + "x" + ")" * n, lambda n: n - 1),
+    "tower": (lambda n: "x" + "^x" * n, lambda n: 2 * n - 1),
+}
+
+
+def _nested_input(tmp_path, where, text):
+    """main()'s argv reading text as `where` says: --solution or --ic on
+    HEAT, or field A of a PDE that check --gen, reduce or solve reads."""
+    heat = write(tmp_path, "heat.json", HEAT)
+    out = ["--out", str(tmp_path / "out")]
+    if where == "--solution":
+        return out + ["check", heat, f"--solution={text}"]
+    if where == "--ic":
+        return out + ["solve", heat, f"--ic={text}", "--nx", "11"]
+    pde = write(tmp_path, "pde.json", dict(HEAT, A=text))
+    return out + {
+        "check": ["check", pde, "--gen", write(tmp_path, "gen.json", BOOST)],
+        "reduce": ["reduce", pde, write(tmp_path, "ans.json", PLAIN_ANSATZ)],
+        "solve": ["solve", pde, "--ic", "exp(-t)*sin(x)", "--nx", "11"],
+    }[where]
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTINGS))
+@pytest.mark.parametrize("where", ["--solution", "--ic", "check", "reduce",
+                                   "solve"])
+def test_nesting_past_the_bound_is_exit_2(tmp_path, capsys, where, shape):
+    text, offset = _NESTINGS[shape]
+    # at the bound every command runs to its verdict, or to a one-line
+    # error that is not about the nesting
+    _run_fuzzed(_nested_input(tmp_path, where, text(MAX_NESTING)))
+    assert "nesting" not in capsys.readouterr().err
+    assert main(_nested_input(tmp_path, where,
+                              text(MAX_NESTING + 1))) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"nesting deeper than {MAX_NESTING} levels at offset "
+                        f"{offset(MAX_NESTING + 1)}\n")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 199 + "x" + ")" * 199, "exp(" * 300 + "x" + ")" * 300,
+    "x" + "^x" * 200,
+])
+def test_deeply_nested_reproducers_are_exit_2(tmp_path, capsys, text):
+    assert main(_nested_input(tmp_path, "--solution", text)) == 2
+    err = capsys.readouterr().err
+    assert "nesting deeper than" in err and err.count("\n") == 1
+
+
+def test_a_long_run_of_minus_signs_is_read(tmp_path, capsys):
+    # 1,000 signs cancel to x, a solution of the heat equation
+    assert main(_nested_input(tmp_path, "--solution",
+                              "-" * 1000 + "x")) == 0
+    assert "[PASS] solution_residual" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("literal", ["1e10000000", "1e-10000000"])
+def test_a_literal_with_a_huge_exponent_is_exit_2_at_once(tmp_path, capsys,
+                                                           literal):
+    start = time.process_time()
+    assert main(_nested_input(tmp_path, "--solution", f"x + {literal}")) == 2
+    assert time.process_time() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"error: --solution: literal exponent beyond {MAX_EXPONENT} in "
+        "magnitude at offset 4\n")
+
+
 @pytest.mark.parametrize("command, payload, name", [
     ("modes", dict(PROFILE, H=1e999), "H"),
     ("check", dict(HEAT, domain={"x": [0, 1e999], "t": [0, 1]}), "domain.x"),
@@ -1170,14 +1244,14 @@ def _argvs(draw):
 
 def _memo_tables():
     return tuple(getattr(simplify_module, name) for name in (
-        "_memo", "_expanded", "_derived", "_valued", "_planned"))
+        "_memo", "_expanded", "_derived", "_valued", "_planned", "_parsed"))
 
 
 def _entered(command, entered):
     """command, noting in `entered` whether the memo tables are all empty
     as it starts."""
     def run(args):
-        entered.append(_memo_tables() == ({},) * 5)
+        entered.append(_memo_tables() == ({},) * 6)
         return command(args)
     return run
 
@@ -1202,7 +1276,7 @@ def test_argv_fuzz_keeps_the_exit_code_contract(tmp_path_factory, argv):
             assert stop.code == 2
     # the job's tables start empty, and are dropped also when it raises
     assert entered in ([], [True])
-    assert _memo_tables() == (None,) * 5
+    assert _memo_tables() == (None,) * 6
 
 
 def test_a_jobs_sharing_plans_are_gone_before_the_next_job(tmp_path,

@@ -28,6 +28,7 @@ from liewave.expr import (
 )
 from liewave.expr.calculus import _ev, _shared
 from liewave.expr.nodes import children, coerce, neg, node_count, sort_key
+from liewave.expr.parser import MAX_EXPONENT, MAX_NESTING
 from liewave.expr.sampling import _SECOND_PASS_SHIFT, _cloud
 from liewave.expr.simplify import _add, _expand, _mul, _negate
 
@@ -149,6 +150,63 @@ def test_parse_error_expected_tokens():
     with pytest.raises(ParseError) as err:
         parse("(x + 1")
     assert "')'" in err.value.expected
+
+
+def test_unary_minus_signs_apply_innermost_first():
+    # the loop builds the tree the nested reading builds: neg once per sign
+    for signs in (1, 2, 3, 1000, 1001):
+        for atom, tree in (("x", Var("x")), ("5", Const(5)),
+                           ("(x + 1)", parse("x + 1"))):
+            expected = tree
+            for _ in range(signs):
+                expected = neg(expected)
+            assert parse("-" * signs + atom) == expected
+    assert parse("-" * 1000 + "x") == Var("x")
+    assert parse("x - --t") == Add((Var("x"), Neg(Var("t"))))
+
+
+@pytest.mark.parametrize("shape, at", [
+    (lambda n: "(" * n + "x" + ")" * n, lambda n: n - 1),
+    (lambda n: "exp(" * n + "x" + ")" * n, lambda n: 4 * n - 1),
+    (lambda n: "x" + "^x" * n, lambda n: 2 * n - 1),
+    # a level per '^' and one per group: n = 41 opens its last at "^x"
+    (lambda n: "x^(" * (n // 2) + ("x^x" if n % 2 else "x") + ")" * (n // 2),
+     lambda n: 3 * (n // 2) + 1),
+])
+def test_nesting_is_bounded(shape, at):
+    # each group, a call's too, and each '^' exponent opens a level
+    parse(shape(MAX_NESTING))
+    with pytest.raises(ParseError) as err:
+        parse(shape(MAX_NESTING + 1))
+    assert err.value.offset == at(MAX_NESTING + 1)
+    assert f"nesting deeper than {MAX_NESTING} levels" in str(err.value)
+
+
+_EXACT_LITERALS = [
+    ("1e308", 10**308), ("1e-400", Fraction(1, 10**400)),
+    ("2.5e-3", Fraction(1, 400)), ("1E+4", 10**4),
+    (f"1e{MAX_EXPONENT}", 10**MAX_EXPONENT),
+    (f"1.5e-{MAX_EXPONENT}", Fraction(3, 2 * 10**MAX_EXPONENT)),
+    ("1e" + "0" * 50 + "5", 10**5),
+]
+
+
+@pytest.mark.parametrize("text, value", _EXACT_LITERALS,
+                         ids=[text[:12] for text, _ in _EXACT_LITERALS])
+def test_literal_exponents_within_the_bound_are_exact(text, value):
+    assert parse(text) == Const(value)
+
+
+@pytest.mark.parametrize("literal", [
+    f"1e{MAX_EXPONENT + 1}", f"1e-{MAX_EXPONENT + 1}", "1e10000000",
+    "2.5e-10000000", "1e" + "9" * 5000,
+], ids=lambda literal: literal[:12])
+def test_literal_exponent_beyond_the_bound_is_refused(literal):
+    # refused from its text: no 10**exponent is built
+    with pytest.raises(ParseError) as err:
+        parse("x + " + literal)
+    assert err.value.offset == 4
+    assert f"literal exponent beyond {MAX_EXPONENT}" in str(err.value)
 
 
 # --------------------------------------------------------------- printing
@@ -537,11 +595,12 @@ def _same_object_calls(e):
 def _memo_tables():
     return (simplify_module._memo, simplify_module._expanded,
             simplify_module._derived, simplify_module._valued,
-            simplify_module._planned)
+            simplify_module._planned, simplify_module._parsed)
 
 
 def _fill_memo_tables(text):
-    """A job's work on text: an entry in each of the five tables."""
+    """A job's work on text, which holds a group: an entry in each of the
+    six tables."""
     simplify(parse(text + " + 2*x"))
     expand(parse(text))
     diff(parse(text), "x")
@@ -562,7 +621,7 @@ def _check_memo_is_invisible(e):
         assert simplify_module._expanded or isinstance(simplify(e),
                                                        (Const, Var))
         assert any(simplify_module._derived.values()) or leaf
-    assert _memo_tables() == (None,) * 5
+    assert _memo_tables() == (None,) * 6
 
 
 @pytest.mark.parametrize("text", [t for t, _ in CORPUS])
@@ -596,22 +655,102 @@ def test_memo_keeps_apart_trees_that_only_look_alike(a, b):
 
 
 def test_memo_lives_only_inside_its_scope():
-    assert _memo_tables() == (None,) * 5
+    assert _memo_tables() == (None,) * 6
     _fill_memo_tables("x*(1 + x)")
-    assert _memo_tables() == (None,) * 5  # nothing kept outside
+    assert _memo_tables() == (None,) * 6  # nothing kept outside
     with memo_scope():
-        assert _memo_tables() == ({},) * 5  # all five start empty
+        assert _memo_tables() == ({},) * 6  # all six start empty
         _fill_memo_tables("x*(1 + x)")
         assert all(_memo_tables())
         assert simplify_module._derived["x"]
-    assert _memo_tables() == (None,) * 5
+    assert _memo_tables() == (None,) * 6
     with pytest.raises(ZeroDivisionError):
         with memo_scope():
-            assert _memo_tables() == ({},) * 5
+            assert _memo_tables() == ({},) * 6
             _fill_memo_tables("x*(1 + x)*x")
             assert all(_memo_tables())
             1 / 0
-    assert _memo_tables() == (None,) * 5
+    assert _memo_tables() == (None,) * 6
+
+
+def test_a_repeated_group_is_parsed_once_per_scope():
+    texts = ("(1 + t)*x", "y - (1 + t)", "exp((1 + t))")
+    outside = [parse(t) for t in texts]
+    assert outside[0].factors[0] is not outside[1].terms[1].child
+    with memo_scope():
+        inside = [parse(t) for t in texts]
+        group = inside[0].factors[0]
+        assert inside[1].terms[1].child is group and inside[2].arg is group
+        assert list(simplify_module._parsed) == ["(1 + t)", "((1 + t))"]
+    for got, expected in zip(inside, outside):
+        assert got == expected and to_text(got) == to_text(expected)
+
+
+def test_groups_that_differ_in_whitespace_are_separate_entries():
+    with memo_scope():
+        e = parse("(1 + t)*(1+t)*(1 + t)")
+        assert sorted(simplify_module._parsed) == ["(1 + t)", "(1+t)"]
+        first, second, third = e.factors
+        assert first == second and first is not second and first is third
+
+
+def test_a_group_that_raises_is_not_stored():
+    with memo_scope():
+        with pytest.raises(ParseError):
+            parse("((1 + t) + x +)")
+        assert list(simplify_module._parsed) == ["(1 + t)"]
+        with pytest.raises(ParseError):
+            parse("exp(" * MAX_NESTING + "(1 + t)" + ")" * MAX_NESTING)
+        assert len(simplify_module._parsed) == 1
+
+
+@pytest.mark.parametrize("texts", [
+    ("(1 + t)*x", "(1 + t)*x +"),
+    ("(1 + t)*x", "(1 + t) (x)"),
+    # the stored group is nested 40 deep: two levels further in it would
+    # pass the bound, so it is parsed again and fails where it always did
+    ("(" * 40 + "x" + ")" * 40, "((" + "(" * 40 + "x" + ")" * 40 + "))"),
+    ("(" * 40 + "x" + ")" * 40, "x^(" + "(" * 40 + "x" + ")" * 40 + ")"),
+], ids=["trailing", "juxtaposed", "too-deep", "too-deep-in-power"])
+def test_errors_after_a_reused_group_name_the_same_offset(texts):
+    first, failing = texts
+    with pytest.raises(ParseError) as alone:
+        parse(failing)
+    with memo_scope():
+        parse(first)
+        with pytest.raises(ParseError) as reused:
+            parse(failing)
+    assert (reused.value.offset, str(reused.value)) == \
+        (alone.value.offset, str(alone.value))
+
+
+def _parenthesized(e) -> str:
+    """The text of e with every subtree in parentheses of its own: the
+    shape of coefficients substituted into one another as text."""
+    if isinstance(e, (Const, Var)):
+        return f"({to_text(e)})"
+    if isinstance(e, Call):
+        return f"{e.fn}({_parenthesized(e.arg)})"
+    if isinstance(e, Pow):
+        return f"({_parenthesized(e.base)}^{_parenthesized(e.exponent)})"
+    if isinstance(e, Neg):
+        return f"(-{_parenthesized(e.child)})"
+    sep = " + " if isinstance(e, Add) else "*"
+    return "(" + sep.join(map(_parenthesized, children(e))) + ")"
+
+
+@given(st.lists(_exprs, min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_parsed_groups_give_the_trees_of_no_table(trees):
+    # each text repeats the groups of the ones before it
+    texts = [_parenthesized(e) for e in trees]
+    texts += [f"{a} - exp({b})/{a}" for a, b in zip(texts, texts[::-1])]
+    outside = [parse(t) for t in texts]
+    with memo_scope():
+        inside = [parse(t) for t in texts]
+    for got, expected in zip(inside, outside):
+        assert got == expected and to_text(got) == to_text(expected)
+        assert repr(got) == repr(expected)
 
 
 def test_identity_tables_hold_the_trees_they_key():
