@@ -4,7 +4,7 @@ u_t = A(x,t) u_2x + B(x,t) u_x + C(x,t) u.
 Subpackages and modules:
   expr       expression kernel (parse, diff, substitute, simplify, sampling)
   symmetry   prolongation and determining residuals
-  reduction  invariants, similarity reduction, target classification
+  reduction  similarity variable and reduction, target classification
   synth      wave / oscillator / rossby coefficient families
   numverify  finite-difference ground truth and vertical-mode eigensolver
   cli        the `liewave` command

@@ -168,38 +168,27 @@ def eval_on_grid(e, bindings):
     return values if isinstance(e, tuple) else values[0]
 
 
-def eval_checked(e, bindings, table=None):
+def eval_checked(e, bindings):
     """Strict vectorized evaluation: (values, failed), both broadcast to the
     bindings' common shape.  failed is True exactly at the points where
     eval_numeric raises; values there are meaningless.  Given a tuple of
     expressions, values is the tuple of their values and failed the one
     mask of the points where any of them fails; a subtree they share is
-    evaluated, and checked, once.  `table` may be a Values table kept for
-    these bindings across calls (a zero-test cloud's): it is read and
-    filled in place of a memo of this call's shared subtrees, and keeps no
-    value from the evaluation of a root that noted a failure."""
+    evaluated, and checked, once.  No value outlives the call."""
     roots = e if isinstance(e, tuple) else (e,)
     failed = np.zeros(np.broadcast(*bindings.values()).shape, dtype=bool)
 
     def note(mask, message, node):
-        nonlocal clean
-        clean = False
         np.logical_or(failed, mask, out=failed)
 
-    memo = _shared(roots) if table is None else table
+    memo = _shared(roots)
     values = []
     with np.errstate(all="ignore"):
         for root in roots:
-            clean, start = True, len(memo)
             try:
                 v = _ev(root, bindings, note, memo)
             except EvalError:  # an unbound variable fails at every point
-                v, clean = np.nan, False
-            if not clean and table is not None:
-                # drop the slots this root added, a failing node's
-                # ancestors among them: a later hit would not note it
-                for key in list(table)[start:]:
-                    del table[key]
+                v = np.nan
             v = np.broadcast_to(v, failed.shape)
             failed |= ~np.isfinite(v)
             values.append(v)
@@ -212,12 +201,12 @@ def _raise(mask, message, node):
 
 
 def _shared(roots: tuple) -> dict:
-    """The memo for one evaluation of `roots` (without a Values table): a
-    slot, keyed by the tree, for each branch tree that occurs more than
-    once under the roots; equal trees built apart share it.  Only values
-    that are asked for again are kept.  Inside memo_scope() the walk that
-    finds these trees is made once per root tuple: its plan, the trees
-    without values, is kept for the job, and each call starts from it."""
+    """The memo for one evaluation of `roots`: a slot, keyed by the tree,
+    for each branch tree that occurs more than once under the roots; equal
+    trees built apart share it.  Only values that are asked for again are
+    kept, and only for the call.  Inside memo_scope() the walk that finds
+    these trees is made once per root tuple: its plan, the trees without
+    values, is kept for the job, and each call starts from a fresh copy."""
     plans = planned()
     plan = plans.get(roots)
     if plan is None:
@@ -236,24 +225,13 @@ def _shared(roots: tuple) -> dict:
     return dict.fromkeys(plan)
 
 
-class Values(dict):
-    """Node values on one set of bindings, kept across evaluations: tree ->
-    value, equal trees built apart sharing one entry.  Its `get` leaves an
-    empty slot for each tree it misses, so _ev keeps the value of every
-    branch node it evaluates, where a _shared memo keeps only those of
-    shared trees."""
-
-    __slots__ = ()
-    get = dict.setdefault
-
-
 def _ev(e: Expr, env, fail, memo):
     """The walker behind every entry point.  Values are floats or float
     arrays.  fail(mask, message, node) is told where a node is undefined, in
-    evaluation order; with fail None nothing is checked.  A node with a slot
-    in memo (a _shared memo, or a Values table, which makes a slot for
-    every node it is asked for) is evaluated, and reported to fail, once:
-    its value fills the slot and is handed to each later parent.
+    evaluation order; with fail None nothing is checked.  memo is the
+    call's _shared memo: a node with a slot there is evaluated, and
+    reported to fail, once; its value fills the slot and is handed to each
+    later parent in the same call.
 
     A Pow or Call builds its masks only where its value has a non-finite
     entry.  That is exact: every masked failure makes the value there

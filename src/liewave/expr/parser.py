@@ -20,7 +20,8 @@ ParseError naming the offset where it is passed:
   to the bound goes through every command's simplify, diff, evaluation
   and printing within Python's default recursion limit;
 - a literal's exponent part beyond MAX_EXPONENT in magnitude is refused
-  before its value is built (10**exponent grows with the exponent itself).
+  before its value is built (10**exponent grows with the exponent itself),
+  as is one with more than MAX_DIGITS digits before or after its point.
 A run of unary minus signs is read in a loop, so it opens no level.
 
 A group's tree depends on its tokens alone, so a text's repeated groups are
@@ -46,6 +47,7 @@ from .simplify import parsed
 
 MAX_NESTING = 40
 MAX_EXPONENT = 10_000
+MAX_DIGITS = 4_300  # CPython reads no longer digit string as an int
 
 # whitespace matches no group and is skipped; any other character the
 # grammar has no token for is `bad`
@@ -90,6 +92,11 @@ def _tokenize(text: str):
 
 def _literal(value: str, offset: int):
     """The exact value of a NUMBER token."""
+    if len(value) > MAX_DIGITS:  # else no part of it can be longer
+        mantissa = value.lower().partition("e")[0]
+        if max(map(len, mantissa.split("."))) > MAX_DIGITS:
+            raise ParseError(f"literal with more than {MAX_DIGITS} digits "
+                             "before or after its point", offset)
     if value.isdigit():
         # an integer literal is an int, and skips Fraction's string parser
         return int(value)

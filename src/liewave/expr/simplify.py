@@ -33,25 +33,19 @@ Three things spare simplify work it has done before:
   the result, so an equal tree built anew as another object (which the
   mark cannot see) is not simplified again.
 
-The scope holds such a table for `_expand` too, and one per variable for
-`calculus.diff`, which holds each tree's canonical derivative.
-These three key the tree itself: a node's == is exact (see `nodes`), so
-Const(0.5) and Const(Fraction(1, 2)), or 0.0 and -0.0, get entries apart.
-The fourth holds the zero tests' node values: one `calculus.Values` per
-cloud, keyed as the cloud is, by (box items, n, seed), never by the id of
-a mapping, and each keys its values by the tree in the same way.
-Failure rule: a value whose evaluation noted a failure is not kept, since
-a later test that read it would not note the failure.  The fifth holds
-`calculus._shared`'s plans: a tuple of root trees, keyed as above, maps to
-the subtrees shared under it, found by one walk per job; it holds trees,
-no value.  The sixth holds the parser's groups (see `parser`): the exact
-text of each parenthesized group parsed, whitespace included, maps to
-the raw tree its first parse built and the nesting levels it opens, so
-a repeated group is parsed once and handed back as the same object,
-whose hash, sort key and memo entries simplify finds at once.  A group
-that raises is not stored.  All six start and end empty with the scope,
-so a job shares no tree or value with another job, and outside a scope
-nothing is memoized at all (the parser then keeps a table per call).
+The scope holds four more tables, each keyed exactly: a node's == is
+exact (see `nodes`), so Const(0.5) and Const(Fraction(1, 2)), or 0.0 and
+-0.0, get entries apart.  `_expand`'s, and `calculus.diff`'s per variable,
+map a tree to its expansion or canonical derivative.  `calculus._shared`'s
+maps a tuple of roots to the subtrees shared under it, found by one walk
+per job: trees, no value, so no evaluation depends on another.  The
+parser's maps the exact text of each group parsed, whitespace included,
+to the raw tree its first parse built and the levels it opens, so a
+repeated group is parsed once and handed back as the same object, whose
+hash, sort key and memo entries simplify finds at once; a group that
+raises is not stored.  All five start and end empty with the scope, so a
+job shares no tree with another job; outside a scope nothing is memoized
+(the parser then keeps a table per call).
 """
 
 from __future__ import annotations
@@ -72,35 +66,26 @@ from .nodes import (
 _memo = None      # tree -> canonical form
 _expanded = None  # tree -> _expand(tree)
 _derived = None   # var -> {tree -> diff(tree, var)}
-_valued = None    # (box items, n, seed) -> node values on that zero-test cloud
 _planned = None   # root tuple -> the subtrees shared under it
 _parsed = None    # group text -> (its parsed tree, the levels it opens)
 
 
 @contextlib.contextmanager
 def memo_scope():
-    """Memoize simplify, expand and diff, the node values of the zero
-    tests, the evaluations' sharing plans and the parsed groups, for the
-    duration of the block (one CLI job); the tables are dropped on exit,
-    also when the block raises."""
-    global _memo, _expanded, _derived, _valued, _planned, _parsed
-    _memo, _expanded, _derived, _valued, _planned, _parsed = (
-        {}, {}, {}, {}, {}, {})
+    """Memoize simplify, expand and diff, the evaluations' sharing plans
+    and the parsed groups, for the duration of the block (one CLI job); the
+    tables are dropped on exit, also when the block raises."""
+    global _memo, _expanded, _derived, _planned, _parsed
+    _memo, _expanded, _derived, _planned, _parsed = {}, {}, {}, {}, {}
     try:
         yield
     finally:
-        _memo = _expanded = _derived = _valued = _planned = _parsed = None
+        _memo = _expanded = _derived = _planned = _parsed = None
 
 
 def derived(var: str):
     """The scope's table for `calculus.diff` by `var`, or None."""
     return None if _derived is None else _derived.setdefault(var, {})
-
-
-def valued(cloud: tuple, new):
-    """The scope's table of node values on the zero-test cloud `cloud`
-    (box items, n, seed), made by new() at first use, or None."""
-    return None if _valued is None else _valued.setdefault(cloud, new())
 
 
 def planned() -> dict:

@@ -59,6 +59,11 @@ class SeparableAnsatz:
         return (num(self.q) * num(self.v) * self.phi
                 * diff(self.R, "x") / diff(self.P, "x"))
 
+    def z(self) -> Expr:
+        """The similarity variable z = exp(P - q*t), an invariant of the
+        generator."""
+        return simplify(Exp(self.P - num(self.q) * Var("t")))
+
     def generator(self) -> Generator:
         return Generator(self.phi, self.xi(), self.M())
 
@@ -92,29 +97,6 @@ def load_ansatz(source) -> SeparableAnsatz:
     return SeparableAnsatz(d["phi"], d["P"], d["R"], d["q"], d["v"])
 
 
-def invariants(a: SeparableAnsatz):
-    """The two first integrals of the characteristic system:
-    I1 = exp(P - q*t), I2 = u * exp(-v*R)."""
-    i1 = simplify(Exp(a.P - num(a.q) * Var("t")))
-    i2 = Var("u") * Exp(-(num(a.v) * a.R))
-    return i1, i2
-
-
-def generator_annihilation_check(a: SeparableAnsatz, domain: Domain, *,
-                                 u_range=(0.5, 2.0), n: int = 100,
-                                 tol: float = 1e-10, seed: int = 0) -> bool:
-    """True iff phi*d_t I + xi*d_x I + M*u*d_u I vanishes (sampled) for
-    both invariants; they are first integrals, so this is a theorem."""
-    phi, xi, M = simplify(a.phi), a.xi(), a.M()
-    box = domain.box(u=u_range)
-    for inv in invariants(a):
-        applied = (phi * diff(inv, "t") + xi * diff(inv, "x")
-                   + M * Var("u") * diff(inv, "u"))
-        if not is_zero_sampled(applied, box, n=n, tol=tol, seed=seed).passed:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class ReductionResult:
     """Raw reduction output: similarity variable and the
@@ -135,7 +117,7 @@ def similarity_reduce(p: PdeSpec, a: SeparableAnsatz) -> ReductionResult:
     """Substitute u = exp(v R) Phi(z), z = exp(P - q t) and collect the
     Phi'', Phi', Phi coefficients by the chain rule (module docstring)."""
     a.validate_on(p.domain)
-    z, _ = invariants(a)
+    z = a.z()
     z_x = diff(z, "x")
     E = simplify(Exp(num(a.v) * a.R))
     E_x = diff(E, "x")

@@ -22,7 +22,9 @@ every term and the negation that folds every product again check the
 mode's shape, sampled in closed form per cell, counts by its sign changes
 the zeros that `mode_solve` reads from theta's winding; and the point-pair
 search for equal z, which compares c1/c2 and c0/c2 at the two points of
-each pair, checks the Jacobian zero tests of `z_closure`.
+each pair, checks the Jacobian zero tests of `z_closure`; and the
+generator applied to both invariants, z = exp(P - q t) and u exp(-v R),
+checks that the z `similarity_reduce` substitutes is one.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from functools import reduce
 import numpy as np
 
 from liewave.expr import (
-    Add, Call, Const, EvalError, Expr, Mul, Neg, Pow, Var, coerce, diff,
-    eval_checked, eval_numeric, eval_on_grid, expand, free_vars, num,
-    sample_box, simplify, substitute,
+    Add, Call, Const, EvalError, Exp, Expr, Mul, Neg, Pow, Var, coerce, diff,
+    eval_checked, eval_numeric, eval_on_grid, expand, free_vars,
+    is_zero_sampled, num, sample_box, simplify, substitute,
 )
 from liewave.expr.nodes import FUNCTIONS, MINUS_ONE, ONE, ZERO, sort_key
 from liewave.expr.sampling import _point
@@ -712,4 +714,28 @@ def check_z_closure(r: ReductionResult, domain: Domain, *, n: int = 20,
             vb = eval_numeric(coeff, pb) / c2b
             if abs(va - vb) > tol * max(1.0, abs(va), abs(vb)):
                 return False
+    return True
+
+
+# ------------------------------------------------- generator annihilation
+
+def invariants(a: SeparableAnsatz):
+    """The two first integrals of the characteristic system:
+    I1 = exp(P - q*t), the z of `similarity_reduce`, and
+    I2 = u * exp(-v*R)."""
+    return a.z(), U * Exp(-(num(a.v) * a.R))
+
+
+def generator_annihilation_check(a: SeparableAnsatz, domain: Domain, *,
+                                 u_range=(0.5, 2.0), n: int = 100,
+                                 tol: float = 1e-10, seed: int = 0) -> bool:
+    """True iff phi*d_t I + xi*d_x I + M*u*d_u I vanishes (sampled) for
+    both invariants; they are first integrals, so this is a theorem."""
+    phi, xi, M = simplify(a.phi), a.xi(), a.M()
+    box = domain.box(u=u_range)
+    for inv in invariants(a):
+        applied = (phi * diff(inv, "t") + xi * diff(inv, "x")
+                   + M * U * diff(inv, "u"))
+        if not is_zero_sampled(applied, box, n=n, tol=tol, seed=seed).passed:
+            return False
     return True

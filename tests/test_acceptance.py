@@ -14,8 +14,7 @@ from liewave.numverify import (
     Grid1D, ModeProblem, _Shooter, convergence_order, mode_solve,
 )
 from liewave.reduction import (
-    IDENTITY, WAVE, SeparableAnsatz, classify_target,
-    generator_annihilation_check, similarity_reduce,
+    IDENTITY, WAVE, SeparableAnsatz, classify_target, similarity_reduce,
 )
 from liewave.symmetry import Domain, Generator, PdeSpec, symmetry_check
 from liewave.synth import (
@@ -24,8 +23,8 @@ from liewave.synth import (
 )
 
 from oracles import (
-    interior_zeros, max_abs_sampled, mode_shape, oscillator_determining_forms,
-    wave_determining_forms,
+    generator_annihilation_check, interior_zeros, max_abs_sampled, mode_shape,
+    oscillator_determining_forms, wave_determining_forms,
 )
 
 UNIT = Domain((0.0, 1.0), (0.0, 1.0))

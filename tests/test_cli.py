@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import liewave
 from liewave import cli, numverify
 from liewave.cli import main
-from liewave.expr.parser import MAX_EXPONENT, MAX_NESTING
+from liewave.expr.parser import MAX_DIGITS, MAX_EXPONENT, MAX_NESTING
 from liewave.numverify import NSTEPS
 
 simplify_module = importlib.import_module("liewave.expr.simplify")
@@ -890,6 +890,16 @@ def test_a_literal_with_a_huge_exponent_is_exit_2_at_once(tmp_path, capsys,
         "magnitude at offset 4\n")
 
 
+@pytest.mark.parametrize("literal", [
+    "1" * (MAX_DIGITS + 1), "0." + "1" * (MAX_DIGITS + 1),
+], ids=["whole", "fraction"])
+def test_a_literal_with_too_many_digits_is_exit_2(tmp_path, capsys, literal):
+    assert main(_nested_input(tmp_path, "--solution", f"x + {literal}")) == 2
+    assert capsys.readouterr().err == (
+        f"error: --solution: literal with more than {MAX_DIGITS} digits "
+        "before or after its point at offset 4\n")
+
+
 @pytest.mark.parametrize("command, payload, name", [
     ("modes", dict(PROFILE, H=1e999), "H"),
     ("check", dict(HEAT, domain={"x": [0, 1e999], "t": [0, 1]}), "domain.x"),
@@ -1244,14 +1254,14 @@ def _argvs(draw):
 
 def _memo_tables():
     return tuple(getattr(simplify_module, name) for name in (
-        "_memo", "_expanded", "_derived", "_valued", "_planned", "_parsed"))
+        "_memo", "_expanded", "_derived", "_planned", "_parsed"))
 
 
 def _entered(command, entered):
     """command, noting in `entered` whether the memo tables are all empty
     as it starts."""
     def run(args):
-        entered.append(_memo_tables() == ({},) * 6)
+        entered.append(_memo_tables() == ({},) * 5)
         return command(args)
     return run
 
@@ -1276,7 +1286,7 @@ def test_argv_fuzz_keeps_the_exit_code_contract(tmp_path_factory, argv):
             assert stop.code == 2
     # the job's tables start empty, and are dropped also when it raises
     assert entered in ([], [True])
-    assert _memo_tables() == (None,) * 6
+    assert _memo_tables() == (None,) * 5
 
 
 def test_a_jobs_sharing_plans_are_gone_before_the_next_job(tmp_path,

@@ -28,7 +28,7 @@ from liewave.expr import (
 )
 from liewave.expr.calculus import _ev, _shared
 from liewave.expr.nodes import children, coerce, neg, node_count, sort_key
-from liewave.expr.parser import MAX_EXPONENT, MAX_NESTING
+from liewave.expr.parser import MAX_DIGITS, MAX_EXPONENT, MAX_NESTING
 from liewave.expr.sampling import _SECOND_PASS_SHIFT, _cloud
 from liewave.expr.simplify import _add, _expand, _mul, _negate
 
@@ -207,6 +207,33 @@ def test_literal_exponent_beyond_the_bound_is_refused(literal):
         parse("x + " + literal)
     assert err.value.offset == 4
     assert f"literal exponent beyond {MAX_EXPONENT}" in str(err.value)
+
+
+_ONES = (10**MAX_DIGITS - 1) // 9  # MAX_DIGITS ones, built without str
+_ONES_ULP = Fraction(1, 10**MAX_DIGITS)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1" * MAX_DIGITS, _ONES),
+    ("0." + "1" * MAX_DIGITS, _ONES * _ONES_ULP),
+    ("1" * MAX_DIGITS + "." + "1" * MAX_DIGITS + "e-5",
+     (_ONES + _ONES * _ONES_ULP) / 10**5),
+], ids=["whole", "fraction", "both"])
+def test_literal_digits_at_the_bound_are_exact(text, value):
+    assert parse(text) == Const(value)
+
+
+@pytest.mark.parametrize("literal", [
+    "1" * (MAX_DIGITS + 1), "0" * (MAX_DIGITS + 1),
+    "0." + "1" * (MAX_DIGITS + 1), "1." + "1" * (MAX_DIGITS + 1) + "e5",
+    "1" * (MAX_DIGITS + 1) + ".5",
+], ids=["whole", "zeros", "fraction", "fraction-exponent", "whole-point"])
+def test_literal_digits_beyond_the_bound_are_refused(literal):
+    # refused from its text, before int() could refuse it in its own words
+    with pytest.raises(ParseError) as err:
+        parse("x + " + literal)
+    assert err.value.offset == 4
+    assert f"literal with more than {MAX_DIGITS} digits" in str(err.value)
 
 
 # --------------------------------------------------------------- printing
@@ -594,13 +621,13 @@ def _same_object_calls(e):
 
 def _memo_tables():
     return (simplify_module._memo, simplify_module._expanded,
-            simplify_module._derived, simplify_module._valued,
-            simplify_module._planned, simplify_module._parsed)
+            simplify_module._derived, simplify_module._planned,
+            simplify_module._parsed)
 
 
 def _fill_memo_tables(text):
     """A job's work on text, which holds a group: an entry in each of the
-    six tables."""
+    five tables."""
     simplify(parse(text + " + 2*x"))
     expand(parse(text))
     diff(parse(text), "x")
@@ -621,7 +648,7 @@ def _check_memo_is_invisible(e):
         assert simplify_module._expanded or isinstance(simplify(e),
                                                        (Const, Var))
         assert any(simplify_module._derived.values()) or leaf
-    assert _memo_tables() == (None,) * 6
+    assert _memo_tables() == (None,) * 5
 
 
 @pytest.mark.parametrize("text", [t for t, _ in CORPUS])
@@ -655,22 +682,22 @@ def test_memo_keeps_apart_trees_that_only_look_alike(a, b):
 
 
 def test_memo_lives_only_inside_its_scope():
-    assert _memo_tables() == (None,) * 6
+    assert _memo_tables() == (None,) * 5
     _fill_memo_tables("x*(1 + x)")
-    assert _memo_tables() == (None,) * 6  # nothing kept outside
+    assert _memo_tables() == (None,) * 5  # nothing kept outside
     with memo_scope():
-        assert _memo_tables() == ({},) * 6  # all six start empty
+        assert _memo_tables() == ({},) * 5  # all five start empty
         _fill_memo_tables("x*(1 + x)")
         assert all(_memo_tables())
         assert simplify_module._derived["x"]
-    assert _memo_tables() == (None,) * 6
+    assert _memo_tables() == (None,) * 5
     with pytest.raises(ZeroDivisionError):
         with memo_scope():
-            assert _memo_tables() == ({},) * 6
+            assert _memo_tables() == ({},) * 5
             _fill_memo_tables("x*(1 + x)*x")
             assert all(_memo_tables())
             1 / 0
-    assert _memo_tables() == (None,) * 6
+    assert _memo_tables() == (None,) * 5
 
 
 def test_a_repeated_group_is_parsed_once_per_scope():

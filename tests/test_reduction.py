@@ -8,13 +8,13 @@ from liewave.expr import (
 )
 from liewave.reduction import (
     IDENTITY, OSCILLATOR, OTHER, WAVE, Classification, ReductionResult,
-    SeparableAnsatz, classify_target, generator_annihilation_check,
-    invariants, load_ansatz, similarity_reduce, z_closure,
+    SeparableAnsatz, classify_target, load_ansatz, similarity_reduce,
+    z_closure,
 )
 from liewave.symmetry import Domain, PdeSpec, load_pde
 from liewave.synth import OscFamilyInput, WaveFamilyInput
 
-from oracles import check_z_closure
+from oracles import check_z_closure, generator_annihilation_check, invariants
 from test_acceptance import SEED as ACCEPTANCE_SEED
 from test_acceptance import _wave_draws as acceptance_wave_draws
 

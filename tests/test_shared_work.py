@@ -1,24 +1,29 @@
 """Work shared within a command gives the bytes of work done per call.
 
-Inside `memo_scope` the zero tests of one command share the node values of
-each cloud, and where A is the constant 0 the residuals do not build the
-second x-derivatives that only A multiplies.  Each gives exactly what the
-plain construction gives: the same ZeroSample, the same trees down to
-each constant's type.
+Inside `memo_scope` the zero tests of one command share their sharing
+plans, which hold trees and no value, and where A is the constant 0 the
+residuals do not build the second x-derivatives that only A multiplies.
+Each gives exactly what the plain construction gives: the same
+ZeroSample, whatever tests ran before it, the same trees down to each
+constant's type.
 """
 
 import contextlib
 import gc
 import importlib
 
+import numpy as np
 import pytest
 
 from liewave.expr import (
-    Const, Exp, Pow, Var, diff, expand, is_zero_sampled, memo_scope,
+    Const, Exp, Expr, Pow, Var, diff, expand, is_zero_sampled, memo_scope,
     num, parse, simplify,
 )
 from liewave.expr.nodes import sort_key
-from liewave.reduction import SeparableAnsatz, invariants, similarity_reduce
+from liewave.numverify import Grid1D, fd_solve
+from liewave.reduction import (
+    SeparableAnsatz, classify_target, similarity_reduce,
+)
 from liewave.symmetry import (
     Domain, Generator, PdeSpec, determining_residuals, load_pde,
 )
@@ -33,7 +38,7 @@ def _exact(e):
     return repr(e), sort_key(e)
 
 
-# -------------------------------------- node values shared across zero tests
+# ------------------------------------------- zero tests in one scope
 
 def _canon(text):
     return simplify(parse(text))
@@ -112,12 +117,56 @@ def test_a_table_entry_keeps_its_node_and_with_it_its_id():
 
 def test_zero_test_tables_live_only_inside_their_scope():
     simplify_module = importlib.import_module("liewave.expr.simplify")
-    assert simplify_module._valued is None
+    assert simplify_module._planned is None
     with memo_scope():
         is_zero_sampled(_RESIDUALS[0], BOX)
         is_zero_sampled(_RESIDUALS[0], BOX, seed=9)
-        assert len(simplify_module._valued) == 2
-    assert simplify_module._valued is None
+        # one plan for the residual's terms, whichever cloud they sample
+        assert len(simplify_module._planned) == 1
+    assert simplify_module._planned is None
+
+
+def _held(table):
+    """Every key and value a scope table holds, containers opened."""
+    stack, held = [table], []
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            stack += [*item.keys(), *item.values()]
+        elif isinstance(item, tuple):
+            stack += item
+        else:
+            held.append(item)
+    return held
+
+
+def test_scope_tables_hold_trees_and_text_but_no_value():
+    # zero tests, the blocks of a solve whose B depends on t, and a
+    # reduce, all in one job: what the scope keeps for the rest of the job
+    # is trees, text and level counts, never a number computed on points
+    simplify_module = importlib.import_module("liewave.expr.simplify")
+    outside = {k for k, v in vars(simplify_module).items() if v is None}
+    p = load_pde({"A": "1", "B": "x*cos(t)", "C": "-(1 + t)",
+                  "domain": {"x": [0, 1], "t": [0, 1]}})
+    ic = parse("exp(-t)*sin(x)")
+    with memo_scope():
+        for e in _RESIDUALS:
+            for box, n, seed in _CLOUDS:
+                is_zero_sampled(e, box, n=n, seed=seed)
+        list(fd_solve(p, ic, ic, Grid1D(0.0, 1.0, 11, 0.0, 0.1, 300)))
+        classify_target(similarity_reduce(p, SeparableAnsatz(
+            "1", "x", "x", 1.0, 0.5)), DOM)
+        tables = {k: v for k, v in vars(simplify_module).items()
+                  if k in outside and isinstance(v, dict)}
+        held = [item for t in tables.values() for item in _held(t)]
+    numbers = [item for item in held
+               if isinstance(item, (float, np.ndarray, np.generic))]
+    assert numbers == []
+    assert all(isinstance(item, (Expr, str, int, type(None)))
+               for item in held)
+    assert any(isinstance(item, Expr) for item in held)
+    assert sorted(tables) == ["_derived", "_expanded", "_memo", "_parsed",
+                              "_planned"]
 
 
 # ---------------------------------------- A = 0: no second x-derivative built
@@ -148,7 +197,7 @@ def _full_determining(p, g):
 
 def _full_reduce(p, a):
     """similarity_reduce's coefficients with z_2x and E_2x always built."""
-    z, _ = invariants(a)
+    z = a.z()
     z_x = diff(z, "x")
     E = simplify(Exp(num(a.v) * a.R))
     E_x = diff(E, "x")

@@ -190,3 +190,33 @@ def test_bench_pairs_zero_parent_median_has_no_percentage():
     got = bench_pairs.summarize(runs, {})
     assert got["numverify.fd_solve.calls"]["change_pct"] is None
     assert got["numverify.fd_solve.calls"]["change_better_in"] == "0 of 1"
+
+
+_SIZE_PATH = _PATH.parent / "src_size.py"
+_SIZE_SPEC = importlib.util.spec_from_file_location("src_size", _SIZE_PATH)
+src_size = importlib.util.module_from_spec(_SIZE_SPEC)
+_SIZE_SPEC.loader.exec_module(src_size)
+
+
+def test_src_size_splits_every_line_once(capsys):
+    text = ('"""Module text,\n'
+            '\n'
+            'over three lines."""\n'
+            '\n'
+            'import os  # a trailing comment: the line is code\n'
+            '\n'
+            '\n'
+            'def f():\n'
+            '    # a comment\n'
+            '    """One line."""\n'
+            '    return os\n')
+    assert src_size.split(text) == {"code": 3, "docstring": 4, "comment": 1,
+                                    "blank": 3}
+    # the total row counts the lines `wc -l` counts under src/
+    src_size.main()
+    total = capsys.readouterr().out.splitlines()[-1].split()
+    assert total[-1] == "total"
+    lines = sum(len(path.read_text().splitlines())
+                for path in src_size.SRC.rglob("*.py"))
+    assert int(total[-2].replace(",", "")) == lines
+    assert sum(int(cell.replace(",", "")) for cell in total[:4]) == lines
